@@ -11,7 +11,6 @@ from .generator import (
     RateMatrixSequence,
     TimeGrid,
     Violation,
-    embedded_matrix,
     embedded_probabilities,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
@@ -22,7 +21,6 @@ from .generator import (
 from .jumpchain import (
     SpaceTimePoint,
     TrajectorySample,
-    kernel_density,
     path_state_at,
     sample_jump_time,
     sample_trajectory,
@@ -41,7 +39,6 @@ from .operators import (
     SpaceTimeVector,
     embed_spacelike,
     jump_activity,
-    koopman_matrix_column,
     koopman_solve,
     reconstruct_propagator,
     synchronize,
@@ -63,16 +60,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
-    "embedded_matrix", "embedded_probabilities", "four_neighbor_adjacency",
+    "embedded_probabilities", "four_neighbor_adjacency",
     "rate_sequence_from_protocol", "sqra_generator", "validate_generator",
     "with_recomputed_diagonal",
-    "SpaceTimePoint", "TrajectorySample", "kernel_density", "path_state_at",
+    "SpaceTimePoint", "TrajectorySample", "path_state_at",
     "sample_jump_time", "sample_trajectory", "survival",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "apply_forward",
     "assemble", "row_mass",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",
-    "koopman_matrix_column", "koopman_solve", "reconstruct_propagator",
-    "synchronize",
+    "koopman_solve", "reconstruct_propagator", "synchronize",
     "EmptyTarget", "SpaceTimeSet", "coherence_defect", "committor_solve",
     "convergence_study", "exact_propagator", "expm", "operator_norm_error",
 ]

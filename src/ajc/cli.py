@@ -1,7 +1,7 @@
 """Command-line front end.
 
     ajc assemble|sample|propagate|koopman|committor|coherence|convergence
-        --config <file> [--out <dir>] [--seed <u64>] [--threads <n>]
+        --config <file> [--out <dir>] [--seed <u64>]
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 solver
 failure.  AJC_LOG selects the logging level (DEBUG/INFO/WARNING/...).
@@ -53,8 +53,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="RNG seed (sampling)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; computation is vectorized")
     return parser
 
 
@@ -116,8 +114,7 @@ def cmd_propagate(args) -> int:
     seq, J = _assembled(config)
     fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N)
     block = int(config.get("block", J.indexer.M - 1))
-    tol = float(config.get("tolerance", 1e-10))
-    density = reconstruct_propagator(J, fbar, block, tol=tol)
+    density = reconstruct_propagator(J, fbar, block)
     path = ajcio.write_csv(out / "density.csv", ["state", "mass"],
                            ajcio.spatial_csv_rows(density),
                            comments=[f"block={block} edge_time={seq.grid.edges[block + 1]}"])

@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .galerkin import JumpMatrix, apply_adjoint
-from .operators import SpaceTimeVector, _solve_diagonal_block
+from .operators import SpaceTimeVector, solve_backward
 
 TAIL_TO_A = "absorb_to_A"
 TAIL_TO_B = "absorb_to_B"
@@ -99,21 +99,7 @@ def committor_solve(J: JumpMatrix, A: SpaceTimeSet, B: SpaceTimeSet,
 
     c = np.zeros(J.indexer.size)
     c[in_a] = 1.0
-    surv = J.survival_mass
-    for k in range(m - 1, -1, -1):
-        blk = slice(k * n, (k + 1) * n)
-        free = ~(in_a[blk] | in_b[blk])
-        if not free.any():
-            continue
-        rows = J.matrix[blk]
-        future = rows[:, (k + 1) * n:] @ c[(k + 1) * n:]
-        diag = J.diagonal_block(k)
-        fixed = ~free
-        rhs = (future + surv[blk] * c_tail + diag[:, fixed] @ c[blk][fixed])[free]
-        sol = _solve_diagonal_block(diag[free][:, free], rhs)
-        vals = c[blk]
-        vals[free] = sol
-        c[blk] = vals
+    c = solve_backward(J, J.survival_mass * np.tile(c_tail, m), c, ~(in_a | in_b))
     return SpaceTimeVector(c, J.indexer, "observable")
 
 

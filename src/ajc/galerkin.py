@@ -97,9 +97,13 @@ class JumpMatrix:
         """Per-cell probability of not having jumped into blocks <= l."""
         return 1.0 - self.block_cumulative[:, l]
 
-    def diagonal_block(self, k: int) -> sp.csr_matrix:
-        n = self.indexer.N
-        return self.matrix[k * n:(k + 1) * n, k * n:(k + 1) * n]
+
+def cumulative_block_mass(matrix: sp.csr_matrix, idx: SpaceTimeIndexer) -> np.ndarray:
+    """(N*M, M) per-row jump mass into blocks <= l, the block_cumulative of
+    a JumpMatrix."""
+    flat = np.arange(idx.size)
+    agg = sp.csr_matrix((np.ones(idx.size), (flat, flat // idx.N)), shape=(idx.size, idx.M))
+    return np.cumsum(np.asarray((matrix @ agg).todense()), axis=1)
 
 
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
@@ -139,14 +143,7 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         rows = cols = vals = np.zeros(0)
     J = sp.coo_matrix((vals, (rows, cols)), shape=(idx.size, idx.size)).tocsr()
     J.sort_indices()
-
-    agg = sp.csr_matrix(
-        (np.ones(idx.size), (np.arange(idx.size), np.arange(idx.size) // N)),
-        shape=(idx.size, M),
-    )
-    per_block = np.asarray((J @ agg).todense())
-    cumulative = np.cumsum(per_block, axis=1)
-    return JumpMatrix(idx, grid, J, q.copy(), cumulative)
+    return JumpMatrix(idx, grid, J, q.copy(), cumulative_block_mass(J, idx))
 
 
 def closed_form_survival(J: JumpMatrix, i: int, k: int) -> float:

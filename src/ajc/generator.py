@@ -111,9 +111,6 @@ class RateMatrixSequence:
         """(N, M) array of outbound rates per state and time cell."""
         return np.column_stack([outbound_rates(Q) for Q in self.matrices])
 
-    def rates_at(self, t: float) -> sp.csr_matrix:
-        return self.matrices[self.grid.interval_of(t)]
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -169,23 +166,6 @@ def embedded_probabilities(Q: sp.spmatrix, i: int) -> sp.csr_matrix:
     row[0, i] = 0.0
     row.eliminate_zeros()
     return row
-
-
-def embedded_matrix(Q: sp.spmatrix) -> sp.csr_matrix:
-    """Full embedded-chain transition matrix (row-normalized off-diagonal)."""
-    Q = sp.csr_matrix(Q).copy()
-    qi = outbound_rates(Q)
-    Q.setdiag(0.0)
-    Q.eliminate_zeros()
-    active = qi > 0
-    scale = np.where(active, np.where(qi > 0, qi, 1.0), 1.0)
-    P = sp.diags(1.0 / scale) @ Q
-    absorbing = np.flatnonzero(~active)
-    if absorbing.size:
-        P = P + sp.csr_matrix(
-            (np.ones(absorbing.size), (absorbing, absorbing)), shape=Q.shape
-        )
-    return sp.csr_matrix(P)
 
 
 def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:

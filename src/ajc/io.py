@@ -15,7 +15,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .committor import SpaceTimeSet
-from .galerkin import JumpMatrix, SpaceTimeIndexer
+from .galerkin import JumpMatrix, SpaceTimeIndexer, cumulative_block_mass
 from .generator import (
     GridPotential,
     RateMatrixSequence,
@@ -52,15 +52,9 @@ def load_jump_matrix(path) -> JumpMatrix:
     path = Path(path)
     meta = json.loads(path.with_suffix(".json").read_text())
     matrix = sp.csr_matrix(scipy.io.mmread(path.with_suffix(".mtx")))
-    n, m = meta["N"], meta["M"]
-    idx = SpaceTimeIndexer(n, m)
-    agg = sp.csr_matrix(
-        (np.ones(idx.size), (np.arange(idx.size), np.arange(idx.size) // n)),
-        shape=(idx.size, m),
-    )
-    cumulative = np.cumsum(np.asarray((matrix @ agg).todense()), axis=1)
+    idx = SpaceTimeIndexer(meta["N"], meta["M"])
     return JumpMatrix(idx, TimeGrid(np.array(meta["time_edges"])), matrix,
-                      np.array(meta["outbound_rates"]), cumulative)
+                      np.array(meta["outbound_rates"]), cumulative_block_mass(matrix, idx))
 
 
 def _build_time_grid(node) -> TimeGrid:

@@ -1,9 +1,9 @@
-"""The exact augmented jump chain: kernel, survival, sampling, reconstruction.
+"""The exact augmented jump chain: survival, sampling, reconstruction.
 
 The chain lives on space-time points (state, jump time).  With a
 piecewise-constant protocol all waiting-time integrals are finite sums, so
-survival probabilities, kernel densities and the inverse-CDF sampler are
-evaluated in closed form by walking the time cells.
+survival probabilities and the inverse-CDF sampler are evaluated in closed
+form by walking the time cells.
 """
 
 from __future__ import annotations
@@ -55,21 +55,6 @@ def integrated_rate(seq: RateMatrixSequence, i: int, s: float, t: float) -> floa
 def survival(seq: RateMatrixSequence, i: int, s: float, t: float) -> float:
     """Probability of no jump from state i during (s, t]."""
     return float(np.exp(-integrated_rate(seq, i, s, t)))
-
-
-def kernel_density(seq: RateMatrixSequence, i: int, s: float, j: int, t: float) -> float:
-    """Transition kernel density of the augmented chain, zero for s >= t.
-
-    k(i, s, j, t) = q_ij(t) * exp(-int_s^t q_i), using the rate of the time
-    cell containing t.
-    """
-    if s >= t:
-        return 0.0
-    Q = seq.rates_at(t)
-    qij = Q[i, j] if i != j else 0.0
-    if qij == 0.0:
-        return 0.0
-    return float(qij) * np.exp(-integrated_rate(seq, i, s, t))
 
 
 def _invert_hazard(seq: RateMatrixSequence, i: int, s: float, u: float):

@@ -1,9 +1,10 @@
 """Solvers on the assembled jump matrix.
 
-Forward route: jump activity (Neumann series of the forward operator),
-synchronization onto a time-block edge, and the reconstructed propagator.
-Backward route: the Koopman boundary value problem, solved by block
-back-substitution with a sparse within-block solve.
+The jump matrix is block upper-triangular over time blocks, so every solve
+here is one block substitution: forward (I - J^T) X = F for jump activity
+and propagation, backward (I - J) x = b for Koopman and committor values.
+Each diagonal block is solved through one sparse LU, built once per
+distinct block within a solve.
 """
 
 from __future__ import annotations
@@ -16,12 +17,11 @@ import scipy.sparse.linalg as spla
 
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 
-DIRECT_SOLVE_MAX_N = 2000
-BLOCK_RESIDUAL_TOL = 1e-12
+RESIDUAL_TOL = 1e-10
 
 
 class NonConvergence(RuntimeError):
-    """An iterative solve failed to reach its tolerance."""
+    """A diagonal block is singular or its solve misses RESIDUAL_TOL."""
 
 
 @dataclass(frozen=True)
@@ -59,36 +59,81 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer, block: int = 0,
     return SpaceTimeVector(values, indexer, kind)
 
 
-def default_n_max(J: JumpMatrix) -> int:
-    """Truncation cap scaling with the total integrated rate."""
-    load = float(np.max(J.outbound * J.grid.widths[None, :], initial=0.0))
-    return int(np.ceil(10 * J.indexer.M * (1.0 + load)))
+def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
+                    rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve (I - B) x = rhs restricted to the free cells of a diagonal block.
 
-
-def jump_activity(J: JumpMatrix, f: SpaceTimeVector, tol: float = 1e-10,
-                  n_max: int | None = None) -> tuple[SpaceTimeVector, float]:
-    """Sum of all iterated forward jumps of a density (truncated Neumann series).
-
-    Returns the activity and the mass of the last summed term (residual).
-    Raises NonConvergence if the term mass is still >= tol after n_max
-    applications.
+    trans="T" solves the transposed system.  lus holds one LU per distinct
+    block and mask within a solve, keyed by the block's own CSR arrays, so
+    repeated blocks factorize once and give bit-identical results.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if n_max is None:
-        n_max = default_n_max(J)
-    term = f.values.copy()
-    total = term.copy()
-    residual = float(np.abs(term).sum())
-    for _ in range(n_max):
-        term = J.matrix.T @ term
-        residual = float(np.abs(term).sum())
-        total += term
-        if residual < tol:
-            return SpaceTimeVector(total, J.indexer, "density"), residual
-    raise NonConvergence(
-        f"activity series residual {residual:.3e} >= tol {tol:.3e} after {n_max} terms"
-    )
+    key = (B.indptr.tobytes(), B.indices.tobytes(), B.data.tobytes(), free.tobytes())
+    if key not in lus:
+        sub = B[free][:, free]
+        try:
+            lus[key] = sub, spla.splu(sp.eye(sub.shape[0], format="csc") - sub.tocsc())
+        except RuntimeError as exc:
+            raise NonConvergence(f"singular diagonal block: {exc}") from exc
+    sub, lu = lus[key]
+    x = lu.solve(rhs, trans=trans)
+    res = np.max(np.abs(x - (sub.T if trans == "T" else sub) @ x - rhs), initial=0.0)
+    if not res <= RESIDUAL_TOL:  # also catches NaN
+        raise NonConvergence(f"diagonal block residual {res:.3e}")
+    return x
+
+
+def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
+    """Solve (I - J^T) X = F by block substitution in ascending time.
+
+    F is a space-time vector or an (N*M, c) stack of them.  Once block k is
+    solved, its jumps into later blocks are pushed through row slab k of J.
+    """
+    n = J.indexer.N
+    X = np.array(F, dtype=float)
+    free = np.ones(n, dtype=bool)
+    lus = {}
+    for k in range(J.indexer.M):
+        blk = slice(k * n, (k + 1) * n)
+        slab = J.matrix[blk]
+        X[blk] = _solve_diagonal(lus, slab[:, blk], free, X[blk], trans="T")
+        X[(k + 1) * n:] += slab[:, (k + 1) * n:].T @ X[blk]
+    return X
+
+
+def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
+                   free: np.ndarray) -> np.ndarray:
+    """Solve (I - J) x = b on the free cells by block substitution in
+    descending time.
+
+    Cells outside the boolean mask free keep their values from x; returns
+    a new array.
+    """
+    n = J.indexer.N
+    x = np.array(x, dtype=float)
+    lus = {}
+    for k in range(J.indexer.M - 1, -1, -1):
+        blk = slice(k * n, (k + 1) * n)
+        f = free[blk]
+        if not f.any():
+            continue
+        slab = J.matrix[blk]
+        diag = slab[:, blk]
+        rhs = slab[:, (k + 1) * n:] @ x[(k + 1) * n:] + b[blk]
+        if not f.all():
+            rhs += diag @ np.where(f, 0.0, x[blk])
+        x[blk][f] = _solve_diagonal(lus, diag, f, rhs[f])
+    return x
+
+
+def jump_activity(J: JumpMatrix, f: SpaceTimeVector) -> tuple[SpaceTimeVector, float]:
+    """Sum of all iterated forward jumps of a density, a = sum_n (J^T)^n f.
+
+    The series is summed exactly as (I - J^T) a = f.  Returns the activity
+    and the residual ||(I - J^T) a - f||_inf.
+    """
+    a = solve_forward(J, f.values)
+    residual = float(np.max(np.abs(a - J.matrix.T @ a - f.values), initial=0.0))
+    return SpaceTimeVector(a, J.indexer, "density"), residual
 
 
 def synchronize(J: JumpMatrix, a: SpaceTimeVector, l: int) -> np.ndarray:
@@ -104,37 +149,10 @@ def synchronize(J: JumpMatrix, a: SpaceTimeVector, l: int) -> np.ndarray:
     return weighted[:(l + 1) * n].reshape(l + 1, n).sum(axis=0)
 
 
-def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int,
-                           tol: float = 1e-10, n_max: int | None = None) -> np.ndarray:
+def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     """Evolve a spatial density from the first block to the edge of block l."""
-    f = embed_spacelike(fbar, J.indexer, block=0)
-    activity, _ = jump_activity(J, f, tol=tol, n_max=n_max)
+    activity, _ = jump_activity(J, embed_spacelike(fbar, J.indexer, block=0))
     return synchronize(J, activity, l)
-
-
-def _solve_diagonal_block(B: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - B) x = rhs for a strictly substochastic block B.
-
-    Direct sparse solve at desk scale, fixed-point iteration beyond.
-    """
-    n = B.shape[0]
-    if B.nnz == 0:
-        return rhs.copy()
-    if n <= DIRECT_SOLVE_MAX_N:
-        x = spla.spsolve(sp.eye(n, format="csc") - B.tocsc(), rhs)
-        x = np.atleast_1d(x)
-    else:
-        x = rhs.copy()
-        for _ in range(100 * n):
-            x_new = B @ x + rhs
-            if np.max(np.abs(x_new - x)) <= BLOCK_RESIDUAL_TOL:
-                x = x_new
-                break
-            x = x_new
-    res = np.max(np.abs(x - B @ x - rhs), initial=0.0)
-    if res > 1e-10:
-        raise NonConvergence(f"diagonal block residual {res:.3e}")
-    return x
 
 
 def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
@@ -152,17 +170,6 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
         raise ValueError("invalid terminal block")
     K = np.zeros(J.indexer.size)
     K[l * n:(l + 1) * n] = g
-    surv = J.block_survival(l)
-    for k in range(l - 1, -1, -1):
-        rows = J.matrix[k * n:(k + 1) * n]
-        inflow = rows[:, (k + 1) * n:(l + 1) * n] @ K[(k + 1) * n:(l + 1) * n]
-        rhs = inflow + surv[k * n:(k + 1) * n] * g
-        K[k * n:(k + 1) * n] = _solve_diagonal_block(J.diagonal_block(k), rhs)
+    free = np.arange(J.indexer.size) < l * n
+    K = solve_backward(J, J.block_survival(l) * np.tile(g, m), K, free)
     return SpaceTimeVector(K, J.indexer, "observable")
-
-
-def koopman_matrix_column(J: JumpMatrix, y: int, l: int) -> SpaceTimeVector:
-    """Koopman solve for the point observable at state y (fundamental column)."""
-    g = np.zeros(J.indexer.N)
-    g[y] = 1.0
-    return koopman_solve(J, g, l)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .galerkin import JumpMatrix
 from .generator import RateMatrixSequence
+from .operators import solve_forward
 
 DENSE_MAX_N = 500
 
@@ -49,24 +48,13 @@ def reconstructed_propagator_matrix(J: JumpMatrix) -> np.ndarray:
     """Dense matrix of the sparse-route propagator up to the final block edge.
 
     Row i is the reconstructed evolution of a unit mass starting uniformly
-    in the first time cell at state i.  The jump-activity Neumann series is
-    summed exactly by forward block substitution of (I - J^T) X = F, which
-    is its limit; the truncated series agrees to its tolerance.
+    in the first time cell at state i: the jump activity of all N unit
+    masses at once, synchronized onto the final block edge.
     """
     n, m = J.indexer.N, J.indexer.M
-    X = np.zeros((J.indexer.size, n))
-    X[:n] = np.eye(n)
-    for l in range(m):
-        blk = slice(l * n, (l + 1) * n)
-        inflow = J.matrix[: l * n, blk].T @ X[: l * n]
-        B = J.diagonal_block(l)
-        rhs = X[blk] + inflow
-        if B.nnz == 0:
-            X[blk] = rhs
-        else:
-            lu = spla.splu(sp.eye(n, format="csc") - B.T.tocsc())
-            X[blk] = lu.solve(rhs)
-    weighted = X * J.block_survival(m - 1)[:, None]
+    F = np.zeros((J.indexer.size, n))
+    F[:n] = np.eye(n)
+    weighted = solve_forward(J, F) * J.block_survival(m - 1)[:, None]
     return weighted.reshape(m, n, n).sum(axis=0).T
 
 
@@ -84,12 +72,6 @@ def operator_norm_error(J: JumpMatrix, seq: RateMatrixSequence,
     approx = reconstructed_propagator_matrix(J)
     exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
     return float(np.linalg.norm(approx - exact, 2))
-
-
-def frobenius_error(J: JumpMatrix, seq: RateMatrixSequence) -> float:
-    approx = reconstructed_propagator_matrix(J)
-    exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
-    return float(np.linalg.norm(approx - exact, "fro"))
 
 
 def convergence_study(seq_builder, dt_list) -> dict:

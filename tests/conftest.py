@@ -3,7 +3,18 @@ import pytest
 import scipy.sparse as sp
 
 from ajc import assemble, presets
-from ajc.generator import RateMatrixSequence, TimeGrid, with_recomputed_diagonal
+from ajc.generator import (
+    GridPotential,
+    RateMatrixSequence,
+    TimeGrid,
+    outbound_rates,
+    rate_sequence_from_protocol,
+    sqra_generator,
+    with_recomputed_diagonal,
+)
+from ajc.jumpchain import integrated_rate
+from ajc.operators import koopman_solve
+from ajc.oracle import exact_propagator, reconstructed_propagator_matrix
 
 A, B = 0, 1  # state names of the 2-state preset
 
@@ -28,6 +39,22 @@ def triple_well_J(triple_well_seq):
     return assemble(triple_well_seq)
 
 
+@pytest.fixture(scope="session")
+def grid_2500_J():
+    """SQRA on a 50x50 grid of the triple-well potential, 6 cells on [0, 2]
+    with beta 1 then 10: N = 2500 states per diagonal block."""
+    n_side = 50
+    (x0, x1), (y0, y1) = presets.TRIPLE_WELL_DOMAIN
+    h = (x1 - x0) / (n_side - 1)
+    offsets = h * (np.arange(n_side) - (n_side - 1) / 2)
+    X, Y = np.meshgrid((x0 + x1) / 2 + offsets, (y0 + y1) / 2 + offsets)
+    pot = GridPotential(n_side, n_side, h, presets.triple_well_potential(X, Y))
+    Q = {beta: sqra_generator(pot, beta) for beta in (1.0, 10.0)}
+    seq = rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, 6),
+                                      lambda k, span: Q[1.0 if k < 3 else 10.0])
+    return assemble(seq)
+
+
 def dense_rate_matrix(offdiag_rows):
     return with_recomputed_diagonal(sp.csr_matrix(np.array(offdiag_rows, dtype=float)))
 
@@ -41,3 +68,62 @@ def positive_rates_seq():
         dense_rate_matrix(rng.uniform(0.2, 2.0, size=(3, 3))) for _ in range(4)
     )
     return RateMatrixSequence(grid, mats)
+
+
+# Reference computations that only the tests use.
+
+def koopman_matrix_column(J, y, l):
+    """Koopman solve for the point observable at state y (fundamental column)."""
+    g = np.zeros(J.indexer.N)
+    g[y] = 1.0
+    return koopman_solve(J, g, l)
+
+
+def neumann_activity(J, f, tol=1e-13, n_max=10_000):
+    """Jump activity by the truncated Neumann series sum_n (J^T)^n f."""
+    term = np.array(f, dtype=float)
+    total = term.copy()
+    for _ in range(n_max):
+        term = J.matrix.T @ term
+        total += term
+        if np.abs(term).sum() < tol:
+            return total
+    raise RuntimeError(f"Neumann series not below {tol} after {n_max} terms")
+
+
+def frobenius_error(J, seq):
+    """Frobenius distance between sparse-route and exact propagator."""
+    approx = reconstructed_propagator_matrix(J)
+    exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
+    return float(np.linalg.norm(approx - exact, "fro"))
+
+
+def embedded_matrix(Q):
+    """Full embedded-chain transition matrix (row-normalized off-diagonal)."""
+    Q = sp.csr_matrix(Q).copy()
+    qi = outbound_rates(Q)
+    Q.setdiag(0.0)
+    Q.eliminate_zeros()
+    active = qi > 0
+    P = sp.diags(1.0 / np.where(active, qi, 1.0)) @ Q
+    absorbing = np.flatnonzero(~active)
+    if absorbing.size:
+        P = P + sp.csr_matrix(
+            (np.ones(absorbing.size), (absorbing, absorbing)), shape=Q.shape
+        )
+    return sp.csr_matrix(P)
+
+
+def kernel_density(seq, i, s, j, t):
+    """Transition kernel density of the augmented chain, zero for s >= t.
+
+    k(i, s, j, t) = q_ij(t) * exp(-int_s^t q_i), using the rate of the time
+    cell containing t.
+    """
+    if s >= t:
+        return 0.0
+    Q = seq.matrices[seq.grid.interval_of(t)]
+    qij = Q[i, j] if i != j else 0.0
+    if qij == 0.0:
+        return 0.0
+    return float(qij) * np.exp(-integrated_rate(seq, i, s, t))

@@ -10,7 +10,8 @@ from ajc.committor import (
     committor_solve,
 )
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
-from ajc.operators import koopman_matrix_column
+
+from conftest import koopman_matrix_column
 
 A, B = 0, 1
 

@@ -15,9 +15,8 @@ from ajc.galerkin import (
     row_mass,
 )
 from ajc.generator import RateMatrixSequence, TimeGrid
-from ajc.jumpchain import kernel_density
 
-from conftest import dense_rate_matrix
+from conftest import dense_rate_matrix, kernel_density
 
 A, B = 0, 1
 

@@ -6,7 +6,6 @@ from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
-    embedded_matrix,
     embedded_probabilities,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
@@ -15,7 +14,7 @@ from ajc.generator import (
     with_recomputed_diagonal,
 )
 
-from conftest import dense_rate_matrix
+from conftest import dense_rate_matrix, embedded_matrix
 
 
 def seq_of(grid, *mats):

@@ -8,12 +8,13 @@ from ajc.jumpchain import (
     SpaceTimePoint,
     TrajectorySample,
     integrated_rate,
-    kernel_density,
     path_state_at,
     sample_jump_time,
     sample_trajectory,
     survival,
 )
+
+from conftest import kernel_density
 
 A, B = 0, 1
 

@@ -8,12 +8,11 @@ from ajc.oracle import (
     convergence_study,
     exact_propagator,
     expm,
-    frobenius_error,
     operator_norm_error,
     reconstructed_propagator_matrix,
 )
 
-from conftest import dense_rate_matrix
+from conftest import dense_rate_matrix, frobenius_error, neumann_activity
 
 A, B = 0, 1
 
@@ -112,14 +111,15 @@ class TestReconstructedMatrix:
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_truncated_series_route(self, two_state_J):
-        from ajc.operators import reconstruct_propagator
+        from ajc.operators import SpaceTimeVector, embed_spacelike, synchronize
 
         P = reconstructed_propagator_matrix(two_state_J)
         for i in (A, B):
             e = np.zeros(2)
             e[i] = 1.0
-            series = reconstruct_propagator(two_state_J, e, 7, tol=1e-13)
-            np.testing.assert_allclose(P[i], series, atol=1e-11)
+            f = embed_spacelike(e, two_state_J.indexer)
+            a = SpaceTimeVector(neumann_activity(two_state_J, f.values), f.indexer)
+            np.testing.assert_allclose(P[i], synchronize(two_state_J, a, 7), atol=1e-11)
 
 
 class TestErrorsAndConvergence:
