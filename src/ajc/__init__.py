@@ -2,7 +2,7 @@
 
 Represents a jump process with a piecewise-constant time-dependent
 generator as an autonomous Markov chain on space-time, assembles the
-sparse Ulam-Galerkin jump matrix in closed form, and solves propagation,
+Ulam-Galerkin jump operator in closed, factored form, and solves propagation,
 Koopman, committor and coherence problems on it.
 """
 
@@ -32,7 +32,6 @@ from .galerkin import (
     apply_adjoint,
     apply_forward,
     assemble,
-    row_mass,
 )
 from .operators import (
     NonConvergence,
@@ -66,7 +65,7 @@ __all__ = [
     "SpaceTimePoint", "TrajectorySample", "path_state_at",
     "sample_jump_time", "sample_trajectory", "survival",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "apply_forward",
-    "assemble", "row_mass",
+    "assemble",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",
     "koopman_solve", "reconstruct_propagator", "synchronize",
     "EmptyTarget", "SpaceTimeSet", "coherence_defect", "committor_solve",

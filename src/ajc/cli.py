@@ -69,14 +69,14 @@ def _load(args) -> tuple[dict, Path]:
     return config, out
 
 
-def _assembled(config):
-    seq = ajcio.build_sequence(config)
+def _assembled(args, config):
+    seq = ajcio.build_sequence(config, Path(args.config).parent)
     return seq, assemble(seq)
 
 
 def cmd_assemble(args) -> int:
     config, out = _load(args)
-    seq, J = _assembled(config)
+    seq, J = _assembled(args, config)
     mtx, header = ajcio.save_jump_matrix(J, out / "jump_matrix")
     size = J.indexer.size
     print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.matrix.nnz} "
@@ -87,7 +87,7 @@ def cmd_assemble(args) -> int:
 
 def cmd_sample(args) -> int:
     config, out = _load(args)
-    seq = ajcio.build_sequence(config)
+    seq = ajcio.build_sequence(config, Path(args.config).parent)
     start_node = config.get("initial", {})
     state = ajcio.resolve_state(start_node.get("state", 0), seq.N)
     start = SpaceTimePoint(state, float(start_node.get("time", seq.grid.t0)))
@@ -111,7 +111,7 @@ def cmd_sample(args) -> int:
 
 def cmd_propagate(args) -> int:
     config, out = _load(args)
-    seq, J = _assembled(config)
+    seq, J = _assembled(args, config)
     fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N)
     block = int(config.get("block", J.indexer.M - 1))
     density = reconstruct_propagator(J, fbar, block)
@@ -124,7 +124,7 @@ def cmd_propagate(args) -> int:
 
 def cmd_koopman(args) -> int:
     config, out = _load(args)
-    seq, J = _assembled(config)
+    seq, J = _assembled(args, config)
     g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N)
     block = int(config.get("block", J.indexer.M - 1))
     K = koopman_solve(J, g, block)
@@ -137,7 +137,7 @@ def cmd_koopman(args) -> int:
 
 def cmd_committor(args) -> int:
     config, out = _load(args)
-    seq, J = _assembled(config)
+    seq, J = _assembled(args, config)
     A = ajcio.parse_set(config.get("set_a"), seq.N, "A")
     B = ajcio.parse_set(config.get("set_b"), seq.N, "B")
     tail = config.get("tail", "absorb_to_B")
@@ -151,7 +151,7 @@ def cmd_committor(args) -> int:
 
 def cmd_coherence(args) -> int:
     config, out = _load(args)
-    seq, J = _assembled(config)
+    seq, J = _assembled(args, config)
     C = ajcio.parse_set(config.get("set_c"), seq.N, "C")
     count_survival = bool(config.get("count_survival", False))
     min_slack, violation_mass = coherence_defect(J, C, count_survival)

@@ -1,24 +1,26 @@
-"""Sparse Ulam-Galerkin assembly of the space-time jump matrix.
+"""The Ulam-Galerkin space-time jump operator, stored in factored form.
 
 Space-time cells are indexed time-block outer, space inner:
-flat(i, k) = k * N + i (0-based).  The matrix is block upper-triangular in
-the time blocks; within a (k, l) block the sparsity pattern is that of the
-off-diagonal of the generator valid on cell l.
+flat(i, k) = k * N + i (0-based).  With rates r = q_ij on cell l and the
+decay d_i^m = exp(-q_i^m dt_m) through cell m, a walker starting uniformly
+in cell (i, k) next jumps into cell (j, l) with probability
 
-Entries are evaluated through the singularity-free helpers
+    entry(k=l) = r * psi(q_i^l, dt_l) / dt_l
+    entry(k<l) = r * phi(q_i^l, dt_l) * prod_{k<m<l} d_i^m * phi(q_i^k, dt_k) / dt_k
 
     phi(q, dt) = (1 - exp(-q dt)) / q        phi(0, dt) = dt
     psi(q, dt) = (exp(-q dt) + q dt - 1)/q^2 psi(0, dt) = dt^2 / 2
 
-so absorbing phases need no special casing: with rates r = q_ij on cell l,
-
-    entry(k=l) = r * psi(q_i^l, dt_l) / dt_l
-    entry(k<l) = r * phi(q_i^k, dt_k) * phi(q_i^l, dt_l)
-                   * exp(-sum_{k<m<l} q_i^m dt_m) / dt_k
+so absorbing phases need no special casing.  Only these per-cell factors
+are stored, O(M nnz(Q)) numbers; every product is one scan over the time
+cells carrying the jumps still in flight.  The explicit matrix, whose
+nonzeros grow as M^2, is built on request (JumpMatrix.matrix).
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +28,18 @@ import scipy.sparse as sp
 
 from .generator import RateMatrixSequence, TimeGrid
 
-_SERIES_CUT = 1e-4
+# exp(-x) + x - 1 cancels below the cut, where the series (exp(-x) + x - 1) / x^2
+# = sum_n (-x)^n / (n + 2)! through x^12 is exact to rounding; highest power first.
+_PSI_CUT = 0.2
+_PSI_SERIES = [(-1) ** n / math.factorial(n + 2) for n in range(12, -1, -1)]
 
 
 def phi(q, dt):
     """(1 - exp(-q dt)) / q with the finite limit dt at q = 0."""
     q = np.asarray(q, dtype=float)
     dt = np.asarray(dt, dtype=float)
-    x = q * dt
-    small = x < _SERIES_CUT
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = -np.expm1(-x) / np.where(small, 1.0, q)
-    series = dt * (1.0 - x / 2.0 + x * x / 6.0)
-    return np.where(small, series, exact)
+        return np.where(q > 0, -np.expm1(-q * dt) / q, dt)
 
 
 def psi(q, dt):
@@ -46,12 +47,11 @@ def psi(q, dt):
     q = np.asarray(q, dtype=float)
     dt = np.asarray(dt, dtype=float)
     x = q * dt
-    small = x < _SERIES_CUT
-    # expm1 keeps the cancellation in exp(-x) + x - 1 down to O(x eps)
+    small = x < _PSI_CUT
+    series = np.polyval(_PSI_SERIES, np.where(small, x, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        exact = (np.expm1(-x) + x) / np.where(small, 1.0, q * q)
-    series = dt * dt * (0.5 - x / 6.0 + x * x / 24.0)
-    return np.where(small, series, exact)
+        exact = (np.expm1(-x) + x) / x / x
+    return dt * dt * np.where(small, series, exact)
 
 
 @dataclass(frozen=True)
@@ -75,107 +75,121 @@ class SpaceTimeIndexer:
 
 @dataclass(frozen=True)
 class JumpMatrix:
-    """Galerkin matrix over space-time cells plus derived survival masses.
+    """Factored Galerkin operator over space-time cells.
 
-    matrix[flat(i,k), flat(j,l)] is the probability that a walker starting
-    uniformly in cell (i, k) makes its next jump into cell (j, l).
-    block_cumulative[:, l] holds the per-row jump mass into blocks <= l;
-    survival_mass is the probability of never jumping before the horizon.
+    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, the (N, M)
+    arrays phi and decay hold phi(q, dt) and exp(-q dt), and diagonal[l] is
+    the time block (l, l), diag(psi^l / dt_l) R^l.
     """
 
     indexer: SpaceTimeIndexer
     grid: TimeGrid
-    matrix: sp.csr_matrix
-    outbound: np.ndarray  # (N, M) rates, kept for closed-form survival
-    block_cumulative: np.ndarray  # (N*M, M)
+    outbound: np.ndarray  # (N, M) rates q_i^l
+    offdiag: tuple
+    phi: np.ndarray
+    decay: np.ndarray
+    diagonal: tuple
+
+    def scan_forward(self, X: np.ndarray):
+        """Scan J^T over the (M, N, c) blocks of X in ascending time.
+
+        Yields (l, inflow), the jumps into block l from the earlier blocks
+        of X; the caller may overwrite X[l] before its jumps join the carry.
+        """
+        leave = self.phi / self.grid.widths
+        carry = np.zeros_like(X[0])
+        for l in range(self.indexer.M):
+            yield l, self.offdiag[l].T @ (self.phi[:, l, None] * carry)
+            carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
+
+    def scan_backward(self, X: np.ndarray):
+        """Scan J over the (M, N, c) blocks of X in descending time, yielding
+        (k, inflow) with the jumps from block k into the later blocks of X."""
+        leave = self.phi / self.grid.widths
+        carry = np.zeros_like(X[0])
+        for k in range(self.indexer.M - 1, -1, -1):
+            yield k, leave[:, k, None] * carry
+            carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * (self.offdiag[k] @ X[k])
+
+    def block_survival(self, l: int) -> np.ndarray:
+        """Per-cell probability of not having jumped into blocks <= l: from a
+        cell k <= l, phi_k / dt_k times the decay through cells k+1..l."""
+        n, m = self.indexer.N, self.indexer.M
+        S = np.ones((m, n))
+        S[:l + 1] = (self.phi / self.grid.widths).T[:l + 1]
+        # row k of the reversed running product is d^{k+1} ... d^l
+        S[:l] *= np.cumprod(self.decay[:, l:0:-1].T, axis=0)[::-1]
+        return S.ravel()
 
     @property
     def survival_mass(self) -> np.ndarray:
-        return 1.0 - self.block_cumulative[:, -1]
+        """Per-cell probability of never jumping before the horizon."""
+        return self.block_survival(self.indexer.M - 1)
 
-    def block_survival(self, l: int) -> np.ndarray:
-        """Per-cell probability of not having jumped into blocks <= l."""
-        return 1.0 - self.block_cumulative[:, l]
+    @functools.cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The explicit CSR matrix, built on first use.  Row (i, k) holds its
+        entries for cells l = k..M-1 in turn, each in the column order of R^l."""
+        n, m = self.indexer.N, self.indexer.M
+        counts = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
+        before = np.cumsum(np.pad(counts, ((0, 0), (1, 0))), axis=1)  # row i's entries in cells < l
+        indptr = np.concatenate([[0], np.cumsum((before[:, -1:] - before[:, :-1]).T)])
+        start = indptr[:-1].reshape(m, n) - before[:, :-1].T
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        left = np.empty((m, n))  # row k < l: phi_k/dt_k times the decay through k+1..l-1
+        for l, R in enumerate(self.offdiag):
+            rows = np.repeat(np.arange(n), counts[:, l])
+            pos = start[:l + 1, rows] + (before[rows, l] + np.arange(R.nnz) - R.indptr[rows])
+            indices[pos] = l * n + R.indices
+            data[pos[:l]] = left[:l, rows] * (R.data * self.phi[rows, l])
+            data[pos[l]] = self.diagonal[l].data
+            left[:l] *= self.decay[:, l]
+            left[l] = self.phi[:, l] / self.grid.widths[l]
+        return sp.csr_matrix((data, indices, indptr), shape=(n * m, n * m))
 
-
-def cumulative_block_mass(matrix: sp.csr_matrix, idx: SpaceTimeIndexer) -> np.ndarray:
-    """(N*M, M) per-row jump mass into blocks <= l, the block_cumulative of
-    a JumpMatrix."""
-    flat = np.arange(idx.size)
-    agg = sp.csr_matrix((np.ones(idx.size), (flat, flat // idx.N)), shape=(idx.size, idx.M))
-    return np.cumsum(np.asarray((matrix @ agg).todense()), axis=1)
+    @functools.cached_property
+    def block_cumulative(self) -> np.ndarray:
+        """Dense (N*M, M) per-row jump mass into blocks <= l, built on first use."""
+        return 1.0 - np.column_stack([self.block_survival(l) for l in range(self.indexer.M)])
 
 
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
-    """Assemble the sparse jump matrix for a piecewise-constant protocol."""
-    grid = seq.grid
-    N, M = seq.N, grid.M
-    idx = SpaceTimeIndexer(N, M)
-    dt = grid.widths
-    q = seq.outbound  # (N, M)
-    ph = phi(q, dt[None, :])
-    ps = psi(q, dt[None, :])
-    # cumulative hazard H[i, l] = sum_{m <= l} q_i^m dt_m
-    H = np.cumsum(q * dt[None, :], axis=1)
-
-    rows, cols, vals = [], [], []
-    for l in range(M):
-        off = seq.matrices[l].tocoo()
-        mask = off.row != off.col
-        ri, rj, rv = off.row[mask], off.col[mask], off.data[mask]
-        if ri.size == 0:
-            continue
-        # k = l: within-block jumps
-        rows.append(idx.flat(ri, l))
-        cols.append(idx.flat(rj, l))
-        vals.append(rv * ps[ri, l] / dt[l])
-        # k < l: start in an earlier block, survive the gap, land in block l
-        for k in range(l):
-            gap = H[ri, l - 1] - H[ri, k]
-            rows.append(idx.flat(ri, k))
-            cols.append(idx.flat(rj, l))
-            vals.append(rv * ph[ri, k] * ph[ri, l] * np.exp(-gap) / dt[k])
-    if rows:
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        vals = np.concatenate(vals)
-    else:
-        rows = cols = vals = np.zeros(0)
-    J = sp.coo_matrix((vals, (rows, cols)), shape=(idx.size, idx.size)).tocsr()
-    J.sort_indices()
-    return JumpMatrix(idx, grid, J, q.copy(), cumulative_block_mass(J, idx))
+    """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q))."""
+    dt = seq.grid.widths
+    q = seq.outbound
+    within = psi(q, dt) / dt
+    offdiag, diagonal = [], []
+    for l, Q in enumerate(seq.matrices):
+        Q = Q.tocoo()
+        keep = Q.row != Q.col
+        rows, cols, rates = Q.row[keep], Q.col[keep], Q.data[keep]
+        offdiag.append(sp.csr_matrix((rates, (rows, cols)), shape=Q.shape))
+        diagonal.append(sp.csr_matrix((rates * within[rows, l], (rows, cols)), shape=Q.shape))
+    return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, tuple(offdiag),
+                      phi(q, dt), np.exp(-q * dt), tuple(diagonal))
 
 
-def closed_form_survival(J: JumpMatrix, i: int, k: int) -> float:
-    """Exact probability to never jump before the horizon from cell (i, k).
-
-    Averages the survival S(i, tau, t_M) over a uniform start tau in cell k:
-    phi(q_i^k, dt_k)/dt_k times the survival through all later cells.
-    """
-    dt = J.grid.widths
-    q = J.outbound
-    tail = float(np.dot(q[i, k + 1:], dt[k + 1:]))
-    return float(phi(q[i, k], dt[k]) / dt[k] * np.exp(-tail))
-
-
-def row_mass(J: JumpMatrix, i: int, k: int) -> tuple[float, float]:
-    """(jump mass, closed-form survival mass) of row (i, k); they sum to 1."""
-    a = int(J.indexer.flat(i, k))
-    jump = float(J.matrix[a].sum())
-    return jump, closed_form_survival(J, i, k)
+def _blocks(J: JumpMatrix, v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    if v.shape[0] != J.indexer.size:
+        raise ValueError("vector length must be N*M")
+    return v.reshape(J.indexer.M, J.indexer.N, -1)
 
 
 def apply_forward(J: JumpMatrix, f: np.ndarray) -> np.ndarray:
     """One forward jump of a space-time density (vector times matrix)."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != J.indexer.size:
-        raise ValueError("vector length must be N*M")
-    return J.matrix.T @ f
+    F = _blocks(J, f)
+    out = np.empty_like(F)
+    for l, inflow in J.scan_forward(F):
+        out[l] = J.diagonal[l].T @ F[l] + inflow
+    return out.reshape(np.shape(f))
 
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
     """One backward pull of a space-time observable (matrix times vector)."""
-    g = np.asarray(g, dtype=float)
-    if g.shape[0] != J.indexer.size:
-        raise ValueError("vector length must be N*M")
-    return J.matrix @ g
+    G = _blocks(J, g)
+    out = np.empty_like(G)
+    for k, inflow in J.scan_backward(G):
+        out[k] = J.diagonal[k] @ G[k] + inflow
+    return out.reshape(np.shape(g))

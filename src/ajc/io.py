@@ -15,7 +15,7 @@ import scipy.io
 import scipy.sparse as sp
 
 from .committor import SpaceTimeSet
-from .galerkin import JumpMatrix, SpaceTimeIndexer, cumulative_block_mass
+from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
     GridPotential,
     RateMatrixSequence,
@@ -46,15 +46,6 @@ def save_jump_matrix(J: JumpMatrix, path) -> tuple[Path, Path]:
     }
     header.write_text(json.dumps(meta, indent=1))
     return mtx, header
-
-
-def load_jump_matrix(path) -> JumpMatrix:
-    path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    matrix = sp.csr_matrix(scipy.io.mmread(path.with_suffix(".mtx")))
-    idx = SpaceTimeIndexer(meta["N"], meta["M"])
-    return JumpMatrix(idx, TimeGrid(np.array(meta["time_edges"])), matrix,
-                      np.array(meta["outbound_rates"]), cumulative_block_mass(matrix, idx))
 
 
 def _build_time_grid(node) -> TimeGrid:

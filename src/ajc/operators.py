@@ -1,10 +1,10 @@
-"""Solvers on the assembled jump matrix.
+"""Solvers on the factored jump operator.
 
-The jump matrix is block upper-triangular over time blocks, so every solve
-here is one block substitution: forward (I - J^T) X = F for jump activity
-and propagation, backward (I - J) x = b for Koopman and committor values.
-Each diagonal block is solved through one sparse LU, built once per
-distinct block within a solve.
+The jump operator is block upper-triangular over time blocks, so every
+solve here is one scan over the time cells: forward (I - J^T) X = F for
+jump activity and propagation, backward (I - J) x = b for Koopman and
+committor values.  Each diagonal block is solved through one sparse LU,
+built once per distinct block within a solve.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer
+from .galerkin import JumpMatrix, SpaceTimeIndexer, apply_forward
 
 RESIDUAL_TOL = 1e-10
 
@@ -83,45 +83,38 @@ def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
-    """Solve (I - J^T) X = F by block substitution in ascending time.
+    """Solve (I - J^T) X = F by one scan in ascending time.
 
-    F is a space-time vector or an (N*M, c) stack of them.  Once block k is
-    solved, its jumps into later blocks are pushed through row slab k of J.
+    F is a space-time vector or an (N*M, c) stack of them.  Each block is
+    solved with the jumps from earlier blocks as inflow.
     """
-    n = J.indexer.N
     X = np.array(F, dtype=float)
-    free = np.ones(n, dtype=bool)
+    blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
+    free = np.ones(J.indexer.N, dtype=bool)
     lus = {}
-    for k in range(J.indexer.M):
-        blk = slice(k * n, (k + 1) * n)
-        slab = J.matrix[blk]
-        X[blk] = _solve_diagonal(lus, slab[:, blk], free, X[blk], trans="T")
-        X[(k + 1) * n:] += slab[:, (k + 1) * n:].T @ X[blk]
+    for l, inflow in J.scan_forward(blocks):
+        blocks[l] = _solve_diagonal(lus, J.diagonal[l], free, blocks[l] + inflow, trans="T")
     return X
 
 
 def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
                    free: np.ndarray) -> np.ndarray:
-    """Solve (I - J) x = b on the free cells by block substitution in
-    descending time.
+    """Solve (I - J) x = b on the free cells by one scan in descending time.
 
     Cells outside the boolean mask free keep their values from x; returns
     a new array.
     """
-    n = J.indexer.N
+    shape = (J.indexer.M, J.indexer.N)
     x = np.array(x, dtype=float)
+    blocks, b, free = x.reshape(*shape, 1), np.reshape(b, (*shape, 1)), free.reshape(shape)
     lus = {}
-    for k in range(J.indexer.M - 1, -1, -1):
-        blk = slice(k * n, (k + 1) * n)
-        f = free[blk]
-        if not f.any():
-            continue
-        slab = J.matrix[blk]
-        diag = slab[:, blk]
-        rhs = slab[:, (k + 1) * n:] @ x[(k + 1) * n:] + b[blk]
-        if not f.all():
-            rhs += diag @ np.where(f, 0.0, x[blk])
-        x[blk][f] = _solve_diagonal(lus, diag, f, rhs[f])
+    for k, inflow in J.scan_backward(blocks):
+        f = free[k]
+        if f.any():
+            rhs = b[k] + inflow
+            if not f.all():
+                rhs += J.diagonal[k] @ np.where(f[:, None], 0.0, blocks[k])
+            blocks[k][f] = _solve_diagonal(lus, J.diagonal[k], f, rhs[f])
     return x
 
 
@@ -132,7 +125,7 @@ def jump_activity(J: JumpMatrix, f: SpaceTimeVector) -> tuple[SpaceTimeVector, f
     and the residual ||(I - J^T) a - f||_inf.
     """
     a = solve_forward(J, f.values)
-    residual = float(np.max(np.abs(a - J.matrix.T @ a - f.values), initial=0.0))
+    residual = float(np.max(np.abs(a - apply_forward(J, a) - f.values), initial=0.0))
     return SpaceTimeVector(a, J.indexer, "density"), residual
 
 

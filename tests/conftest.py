@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from ajc import assemble, presets
+from ajc.galerkin import phi
 from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
@@ -77,6 +78,15 @@ def koopman_matrix_column(J, y, l):
     g = np.zeros(J.indexer.N)
     g[y] = 1.0
     return koopman_solve(J, g, l)
+
+
+def closed_form_survival(J, i, k):
+    """Exact probability to never jump before the horizon from cell (i, k):
+    phi(q_i^k, dt_k)/dt_k times exp(-sum of q_i dt over the later cells)."""
+    dt = J.grid.widths
+    q = J.outbound
+    tail = float(np.dot(q[i, k + 1:], dt[k + 1:]))
+    return float(phi(q[i, k], dt[k]) / dt[k] * np.exp(-tail))
 
 
 def neumann_activity(J, f, tol=1e-13, n_max=10_000):

@@ -13,7 +13,7 @@ import scipy.stats
 from ajc import io as ajcio
 from ajc import presets
 from ajc.committor import SpaceTimeSet, committor_solve
-from ajc.galerkin import assemble, closed_form_survival
+from ajc.galerkin import assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import sample_jump_time, sample_trajectory, SpaceTimePoint
 from ajc.operators import (
@@ -24,7 +24,7 @@ from ajc.operators import (
 )
 from ajc.oracle import convergence_study, exact_propagator, operator_norm_error
 
-from conftest import dense_rate_matrix, koopman_matrix_column
+from conftest import closed_form_survival, dense_rate_matrix, koopman_matrix_column
 
 A, B = 0, 1
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +10,13 @@ from ajc.galerkin import (
     apply_adjoint,
     apply_forward,
     assemble,
-    closed_form_survival,
     phi,
     psi,
-    row_mass,
 )
 from ajc.generator import RateMatrixSequence, TimeGrid
+from ajc.operators import koopman_solve
 
-from conftest import dense_rate_matrix, kernel_density
+from conftest import closed_form_survival, dense_rate_matrix, kernel_density
 
 A, B = 0, 1
 
@@ -54,6 +54,19 @@ class TestHelpers:
             x = mpmath.mpf(q) * dt
             ref = float((mpmath.exp(-x) + x - 1) / (mpmath.mpf(q) * q))
         assert float(psi(q, dt)) == pytest.approx(ref, rel=1e-11)
+
+    def test_accurate_across_the_series_cut(self):
+        # x = q dt swept through the range where the closed forms cancel;
+        # the reference takes the float q and dt exactly
+        for dt in (0.37, 3.1):
+            for x in np.logspace(-8, 1.5, 400):
+                q = x / dt
+                with mpmath.workdps(50):
+                    xm = mpmath.mpf(q) * mpmath.mpf(dt)
+                    ref_phi = float(-mpmath.expm1(-xm) / q)
+                    ref_psi = float((mpmath.exp(-xm) + xm - 1) / (mpmath.mpf(q) * q))
+                assert abs(float(phi(q, dt)) / ref_phi - 1.0) <= 1e-15
+                assert abs(float(psi(q, dt)) / ref_psi - 1.0) <= 2e-15
 
     def test_zero_rate_limits(self):
         assert float(phi(0.0, 0.7)) == pytest.approx(0.7)
@@ -118,6 +131,28 @@ class TestAssemble:
             assert J.survival_mass.min() >= -1e-12
             assert J.survival_mass.max() <= 1.0 + 1e-12
 
+    def test_entries_after_a_stiff_cell(self):
+        # q dt = 1e9/3 in cell 0: the decay between later cells must not be
+        # taken as a difference of cumulative hazards that include it
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 2.0, 6), tuple(
+            dense_rate_matrix([[0, r], [r, 0]]) for r in [1e9] + [0.7] * 5))
+        J = assemble(seq)
+        coo = J.matrix.tocoo()
+        i, k = J.indexer.unflat(coo.row)
+        _, l = J.indexer.unflat(coo.col)
+        with mpmath.workdps(40):
+            dt, r = mpmath.mpf(2) / 6, mpmath.mpf(0.7)
+            for a, b, v in zip(k, l, coo.data):
+                if b == 0:
+                    continue
+                if a == b:
+                    ref = r * (mpmath.exp(-r * dt) + r * dt - 1) / (r * r * dt)
+                else:
+                    qa = mpmath.mpf(1e9) if a == 0 else r
+                    ref = ((1 - mpmath.exp(-r * dt)) * mpmath.exp(-r * dt * (b - a - 1))
+                           * (1 - mpmath.exp(-qa * dt)) / (qa * dt))
+                assert abs(v / float(ref) - 1.0) <= 1e-12
+
     def test_sparsity_inheritance(self, positive_rates_seq, two_state_J):
         # equality for strictly positive rates, inequality in general
         J = assemble(positive_rates_seq)
@@ -145,11 +180,12 @@ class TestRowMass:
             tuple(dense_rate_matrix([[0, 0], [1, 0]]) for _ in range(2)),
         )
         J = assemble(seq)
-        assert row_mass(J, 0, 0) == (0.0, 1.0)
+        assert J.matrix[0].sum() == 0.0 and J.survival_mass[0] == 1.0
 
     def test_two_state_first_cell(self, two_state_J):
         # A leaves at rate 1 on [0,4] and is frozen afterwards
-        jump, surv = row_mass(two_state_J, A, 0)
+        a = int(two_state_J.indexer.flat(A, 0))
+        jump, surv = two_state_J.matrix[a].sum(), two_state_J.survival_mass[a]
         expected_jump = 1.0 - np.exp(-4.0) * (np.e - 1.0)
         assert jump == pytest.approx(expected_jump, rel=1e-12)
         assert jump + surv == pytest.approx(1.0, abs=1e-12)
@@ -161,7 +197,8 @@ class TestRowMass:
         dt = seq.grid.widths[-1]
         for i in range(seq.N):
             q = seq.outbound[i, M - 1]
-            jump, surv = row_mass(J, i, M - 1)
+            a = int(J.indexer.flat(i, M - 1))
+            jump, surv = J.matrix[a].sum(), J.survival_mass[a]
             assert jump == pytest.approx(1 - (1 - np.exp(-q * dt)) / (q * dt), rel=1e-11)
             assert jump + surv == pytest.approx(1.0, abs=1e-12)
 
@@ -173,6 +210,48 @@ class TestRowMass:
                 for k in range(J.indexer.M) for i in range(J.indexer.N)
             ])
             assert np.abs(jump + surv - 1.0).max() < 1e-10
+
+
+@st.composite
+def protocols(draw):
+    """Small random protocols: absorbing cells, rates with q dt up to 1e9,
+    and cell widths down to 1e-3."""
+    n = draw(st.integers(2, 4))
+    widths = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=5))
+    mats = []
+    for dt in widths:
+        if draw(st.booleans()) and draw(st.booleans()):
+            mats.append(dense_rate_matrix(np.zeros((n, n))))
+            continue
+        qdt = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e9)),
+                            min_size=n * n, max_size=n * n))
+        mats.append(dense_rate_matrix(np.reshape(qdt, (n, n)) / dt))
+    return RateMatrixSequence(TimeGrid(np.concatenate([[0.0], np.cumsum(widths)])),
+                              tuple(mats))
+
+
+class TestRandomProtocols:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scans_equal_the_explicit_matrix(self, seq, seed):
+        J = assemble(seq)
+        f = np.random.default_rng(seed).random((2, J.indexer.size))
+        for got, want in ((apply_forward(J, f[0]), J.matrix.T @ f[0]),
+                          (apply_adjoint(J, f[1]), J.matrix @ f[1])):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols())
+    def test_mass_closure_and_koopman_of_ones(self, seq):
+        J = assemble(seq)
+        jump = np.asarray(J.matrix.sum(axis=1)).ravel()
+        assert np.abs(jump + J.survival_mass - 1.0).max() <= 1e-14
+        n, m = J.indexer.N, J.indexer.M
+        K = koopman_solve(J, np.ones(n), m - 1)
+        # a stiff cycle (q dt ~ 1e9 both ways) leaves a diagonal block
+        # I - B with row sums ~ 1/(q dt); no substitution beats eps * cond there
+        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
+        assert np.abs(K.values - 1.0).max() <= 1e-14 + 10 * np.finfo(float).eps * cond
 
 
 class TestApply:

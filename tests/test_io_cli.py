@@ -6,7 +6,6 @@ import scipy.io
 
 from ajc import io as ajcio
 from ajc.cli import main
-from ajc.galerkin import assemble
 from ajc.generator import validate_generator
 
 from conftest import dense_rate_matrix
@@ -23,17 +22,16 @@ def write_config(tmp_path, config, name="run.json"):
 TWO_STATE = {"generator": {"preset": "two-state"}}
 
 
-class TestSaveLoad:
-    def test_round_trip(self, two_state_J, tmp_path):
-        ajcio.save_jump_matrix(two_state_J, tmp_path / "jm")
-        back = ajcio.load_jump_matrix(tmp_path / "jm")
-        assert back.indexer == two_state_J.indexer
-        np.testing.assert_array_equal(back.grid.edges, two_state_J.grid.edges)
-        assert (back.matrix != two_state_J.matrix).nnz == 0
-        np.testing.assert_allclose(back.block_cumulative,
-                                   two_state_J.block_cumulative, atol=1e-15)
-        np.testing.assert_allclose(back.survival_mass, two_state_J.survival_mass,
-                                   atol=1e-15)
+class TestSave:
+    def test_files_hold_the_matrix_and_survival(self, triple_well_J, tmp_path):
+        J = triple_well_J
+        mtx, header = ajcio.save_jump_matrix(J, tmp_path / "jm")
+        back = scipy.io.mmread(mtx).tocsr()
+        assert back.nnz == J.matrix.nnz
+        assert (back != J.matrix).nnz == 0
+        meta = json.loads(header.read_text())
+        assert (meta["N"], meta["M"]) == (J.indexer.N, J.indexer.M)
+        np.testing.assert_array_equal(meta["survival_mass"], J.survival_mass)
 
 
 class TestBuildSequence:
@@ -67,6 +65,21 @@ class TestBuildSequence:
         seq = ajcio.build_sequence(config, base_dir=tmp_path)
         assert seq.grid.M == 2
         np.testing.assert_allclose(seq.matrices[0].toarray(), Q.toarray())
+
+    def test_cli_resolves_files_against_the_config(self, tmp_path, monkeypatch):
+        run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+        run.mkdir()
+        elsewhere.mkdir()
+        for k in range(2):
+            scipy.io.mmwrite(run / f"q{k}.mtx", dense_rate_matrix([[0, 2.0], [0.5, 0]]))
+        write_config(run, {"generator": {
+            "type": "files",
+            "time_grid": {"edges": [0.0, 1.0, 3.0]},
+            "matrices": ["q0.mtx", "q1.mtx"],
+        }})
+        monkeypatch.chdir(elsewhere)
+        assert main(["assemble", "--config", "../run/run.json", "--out", "out"]) == 0
+        assert (elsewhere / "out" / "jump_matrix.mtx").is_file()
 
     def test_errors(self, tmp_path):
         with pytest.raises(ajcio.ConfigError):

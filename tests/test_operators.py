@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from ajc import presets
+from ajc.committor import SpaceTimeSet, coherence_defect, committor_solve
 from ajc.galerkin import apply_adjoint, apply_forward, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
@@ -12,9 +14,9 @@ from ajc.operators import (
     reconstruct_propagator,
     synchronize,
 )
-from ajc.oracle import exact_propagator
+from ajc.oracle import exact_propagator, reconstructed_propagator_matrix
 
-from conftest import dense_rate_matrix, koopman_matrix_column
+from conftest import closed_form_survival, dense_rate_matrix, koopman_matrix_column
 
 A, B = 0, 1
 TOL = 1e-10
@@ -93,8 +95,6 @@ class TestSynchronize:
         np.testing.assert_allclose(synchronize(J, a, 2), [0.4, 0.6])
 
     def test_single_mass_survival_weight(self, two_state_seq, two_state_J):
-        from ajc.galerkin import closed_form_survival
-
         idx = two_state_J.indexer
         vals = np.zeros(idx.size)
         vals[idx.flat(B, 1)] = 1.0
@@ -191,3 +191,22 @@ class TestDuality:
             lhs = reconstruct_propagator(two_state_J, f, 7) @ g
             rhs = f @ koopman_solve(two_state_J, g, 7).values[:2]
             assert abs(lhs - rhs) <= 1e-8
+
+
+def test_solves_build_no_explicit_matrix():
+    # triple well at dt = 1/96: the explicit matrix would hold 4,076,160 entries
+    J = assemble(presets.triple_well(1 / 96))
+    n, m = J.indexer.N, J.indexer.M
+    K = koopman_solve(J, np.ones(n), m - 1)
+    A = SpaceTimeSet.rectangle([20], (0, m - 1))
+    c = committor_solve(J, A, SpaceTimeSet.rectangle([24], (0, m - 1)))
+    a, _ = jump_activity(J, embed_spacelike(np.full(n, 1.0 / n), J.indexer))
+    assert a.values.min() >= 0.0
+    density = reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
+    coherence_defect(J, A)
+    P = reconstructed_propagator_matrix(J)
+    assert "matrix" not in vars(J) and "block_cumulative" not in vars(J)
+    assert np.abs(K.values - 1.0).max() < 1e-10
+    assert 0.0 <= c.values.min() and c.values.max() <= 1.0
+    assert density.sum() == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
