@@ -11,7 +11,6 @@ from .generator import (
     RateMatrixSequence,
     TimeGrid,
     Violation,
-    embedded_probabilities,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
     sqra_generator,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
-    "embedded_probabilities", "four_neighbor_adjacency",
+    "four_neighbor_adjacency",
     "rate_sequence_from_protocol", "sqra_generator", "validate_generator",
     "with_recomputed_diagonal",
     "SpaceTimePoint", "TrajectorySample", "path_state_at",

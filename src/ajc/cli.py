@@ -165,14 +165,11 @@ def cmd_coherence(args) -> int:
 
 def cmd_convergence(args) -> int:
     config, out = _load(args)
-    gen = config.get("generator", {})
-    preset = gen.get("preset")
-    if preset == "two-state":
-        builder = presets.two_state
-    elif preset == "triple-well":
-        builder = presets.triple_well
-    else:
-        raise ajcio.ConfigError("convergence requires a 'two-state' or 'triple-well' preset")
+    preset = config.get("generator", {}).get("preset")
+    if not isinstance(preset, str) or preset not in presets.BUILDERS:
+        names = " or ".join(map(repr, presets.BUILDERS))
+        raise ajcio.ConfigError(f"convergence requires a {names} preset")
+    builder = presets.BUILDERS[preset]
     dt_list = config.get("dt_list")
     if not dt_list:
         raise ajcio.ConfigError("convergence requires a nonempty 'dt_list'")

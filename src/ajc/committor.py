@@ -100,7 +100,7 @@ def committor_solve(J: JumpMatrix, A: SpaceTimeSet, B: SpaceTimeSet,
     c = np.zeros(J.indexer.size)
     c[in_a] = 1.0
     c = solve_backward(J, J.survival_mass * np.tile(c_tail, m), c, ~(in_a | in_b))
-    return SpaceTimeVector(c, J.indexer, "observable")
+    return SpaceTimeVector(c, J.indexer)
 
 
 def coherence_defect(J: JumpMatrix, C: SpaceTimeSet,

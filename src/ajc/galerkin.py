@@ -155,18 +155,17 @@ class JumpMatrix:
 
 
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
-    """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q))."""
+    """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q)),
+    on the sequence's own outbound and offdiag tables."""
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
-    offdiag, diagonal = [], []
-    for l, Q in enumerate(seq.matrices):
-        Q = Q.tocoo()
-        keep = Q.row != Q.col
-        rows, cols, rates = Q.row[keep], Q.col[keep], Q.data[keep]
-        offdiag.append(sp.csr_matrix((rates, (rows, cols)), shape=Q.shape))
-        diagonal.append(sp.csr_matrix((rates * within[rows, l], (rows, cols)), shape=Q.shape))
-    return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, tuple(offdiag),
+    diagonal = []
+    for l, R in enumerate(seq.offdiag):
+        # R's own pattern: JumpMatrix.matrix writes these data into R's slots
+        rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
+        diagonal.append(sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape))
+    return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
                       phi(q, dt), np.exp(-q * dt), tuple(diagonal))
 
 

@@ -1,4 +1,4 @@
-"""Time-dependent infinitesimal generators and embedded-chain quantities.
+"""Time-dependent infinitesimal generators and their per-cell rate tables.
 
 A non-autonomous jump process is described here by a piecewise-constant
 rate matrix protocol: a time grid with M cells and one sparse rate matrix
@@ -8,6 +8,7 @@ so that row sums vanish by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -80,14 +81,13 @@ def with_recomputed_diagonal(offdiag: sp.spmatrix) -> sp.csr_matrix:
     return Q
 
 
-def outbound_rates(Q: sp.spmatrix) -> np.ndarray:
-    """Outbound rate per state, q_i = -Q_ii."""
-    return -Q.diagonal()
-
-
 @dataclass(frozen=True)
 class RateMatrixSequence:
-    """Piecewise-constant generator: matrices[k] is valid on grid cell k."""
+    """Piecewise-constant generator: matrices[k] is valid on grid cell k.
+
+    outbound and offdiag are the per-cell tables that the jump operator and
+    the sampler share, built once on first use.
+    """
 
     grid: TimeGrid
     matrices: tuple
@@ -106,10 +106,23 @@ class RateMatrixSequence:
     def N(self) -> int:
         return self.matrices[0].shape[0]
 
-    @property
+    @functools.cached_property
     def outbound(self) -> np.ndarray:
-        """(N, M) array of outbound rates per state and time cell."""
-        return np.column_stack([outbound_rates(Q) for Q in self.matrices])
+        """Read-only (N, M) array of outbound rates q_i^k = -Q_ii per state and cell."""
+        q = np.column_stack([-Q.diagonal() for Q in self.matrices])
+        q.flags.writeable = False
+        return q
+
+    @functools.cached_property
+    def offdiag(self) -> tuple:
+        """Per-cell CSR matrices R^k of the off-diagonal rates q_ij^k, columns
+        sorted within each row."""
+        out = []
+        for Q in self.matrices:
+            Q = Q.tocoo()
+            keep = Q.row != Q.col
+            out.append(sp.csr_matrix((Q.data[keep], (Q.row[keep], Q.col[keep])), shape=Q.shape))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -129,6 +142,14 @@ class Violation:
         return f"{self.kind} violation at {where}: {self.magnitude:.3e}"
 
 
+class InvalidProtocol(ValueError):
+    """A protocol that breaks the generator invariants, one Violation each."""
+
+    def __init__(self, violations: list[Violation]):
+        super().__init__("invalid protocol: " + "; ".join(str(v) for v in violations))
+        self.violations = violations
+
+
 def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
     """Check row-sum and sign invariants of every matrix in the sequence.
 
@@ -136,36 +157,18 @@ def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
     generator.
     """
     violations = []
-    for m, Q in enumerate(seq.matrices):
+    for m, (Q, R) in enumerate(zip(seq.matrices, seq.offdiag)):
         rowsums = np.asarray(Q.sum(axis=1)).ravel()
         # tolerance is relative to the outbound rate so that large-rate rows
         # are not flagged for unavoidable summation roundoff
-        scale = np.maximum(1.0, outbound_rates(Q))
+        scale = np.maximum(1.0, seq.outbound[:, m])
         for i in np.flatnonzero(np.abs(rowsums) > ROWSUM_TOL * scale):
             violations.append(Violation(m, "rowsum", int(i), None, abs(float(rowsums[i]))))
-        coo = Q.tocoo()
-        neg = (coo.row != coo.col) & (coo.data < 0)
+        coo = R.tocoo()
+        neg = coo.data < 0
         for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg]):
             violations.append(Violation(m, "negativity", int(i), int(j), float(-v)))
     return violations
-
-
-def embedded_probabilities(Q: sp.spmatrix, i: int) -> sp.csr_matrix:
-    """Jump-target distribution of the embedded chain from state i.
-
-    For q_i > 0 the row is q_ij / q_i on the off-diagonal; an absorbing
-    state (q_i = 0) stays put with probability one.  Returned as a sparse
-    (1, N) row.
-    """
-    Q = sp.csr_matrix(Q)
-    qi = -Q[i, i]
-    if qi == 0:
-        n = Q.shape[0]
-        return sp.csr_matrix(([1.0], ([0], [i])), shape=(1, n))
-    row = Q.getrow(i) / qi
-    row[0, i] = 0.0
-    row.eliminate_zeros()
-    return row
 
 
 def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
@@ -253,5 +256,5 @@ def rate_sequence_from_protocol(
     seq = RateMatrixSequence(grid, tuple(mats))
     bad = validate_generator(seq)
     if bad:
-        raise ValueError("invalid protocol: " + "; ".join(str(b) for b in bad))
+        raise InvalidProtocol(bad)
     return seq

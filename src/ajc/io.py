@@ -18,11 +18,11 @@ from .committor import SpaceTimeSet
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
     GridPotential,
+    InvalidProtocol,
     RateMatrixSequence,
     TimeGrid,
     rate_sequence_from_protocol,
     sqra_generator,
-    with_recomputed_diagonal,
 )
 from . import presets
 
@@ -64,12 +64,11 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         raise ConfigError("config has no 'generator' section")
     base_dir = Path(base_dir) if base_dir else Path.cwd()
     preset = node.get("preset")
-    if preset == "two-state":
-        return presets.two_state(float(node.get("dt", 1.0)))
-    if preset == "triple-well":
-        return presets.triple_well(float(node.get("dt", 1.0 / 3.0)))
     if preset is not None:
-        raise ConfigError(f"unknown preset {preset!r}")
+        if not isinstance(preset, str) or preset not in presets.BUILDERS:
+            raise ConfigError(f"unknown preset {preset!r}")
+        builder = presets.BUILDERS[preset]
+        return builder(float(node["dt"])) if "dt" in node else builder()
     kind = node.get("type")
     if kind == "sqra":
         grid = _build_time_grid(node["time_grid"])
@@ -92,10 +91,15 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         mats = []
         for p in paths:
             try:
-                mats.append(with_recomputed_diagonal(sp.csr_matrix(scipy.io.mmread(p))))
+                mats.append(sp.csr_matrix(scipy.io.mmread(p)))
             except Exception as exc:
                 raise ConfigError(f"cannot read rate matrix {p}: {exc}")
-        return RateMatrixSequence(grid, tuple(mats))
+            if mats[-1].shape[0] != mats[-1].shape[1]:
+                raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
+        try:
+            return rate_sequence_from_protocol(grid, lambda k, span: mats[k])
+        except InvalidProtocol as exc:
+            raise ConfigError("; ".join(f"{paths[v.matrix]}: {v}" for v in exc.violations))
     raise ConfigError(f"generator needs a 'preset' or a known 'type', got {node}")
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import RateMatrixSequence, embedded_probabilities
+from .generator import RateMatrixSequence
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,28 @@ def sample_trajectory(
 ) -> TrajectorySample:
     """Temporal Gillespie sampling of the augmented chain up to the horizon.
 
-    Alternates waiting-time inversion and a categorical draw from the
-    embedded chain at the realized jump time.  rng is a seed or a
-    numpy Generator; results are deterministic given the seed.
+    Alternates waiting-time inversion and a draw of the target j with
+    probability q_ij / q_i from the row of the realized jump cell in
+    seq.offdiag.  rng is a seed or a numpy Generator; results are
+    deterministic given the seed.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if not (start.time <= horizon <= seq.grid.horizon):
-        raise ValueError("need start.time <= horizon <= grid horizon")
+    if not (seq.grid.t0 <= start.time <= horizon <= seq.grid.horizon):
+        raise ValueError(f"need grid start {seq.grid.t0} <= start time {start.time} "
+                         f"<= horizon {horizon} <= grid horizon {seq.grid.horizon}")
     states = [int(start.state)]
     times = [float(start.time)]
     while True:
         hit = _invert_hazard(seq, states[-1], times[-1], rng.random())
         if hit is None or hit[0] > horizon:
             break
-        t, k = hit
-        row = embedded_probabilities(seq.matrices[k], states[-1])
-        cum = np.cumsum(row.data)
-        j = int(row.indices[np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+        (t, k), i = hit, states[-1]
+        R = seq.offdiag[k]
+        lo, hi = R.indptr[i], R.indptr[i + 1]
+        # times 1/q_i, not divided by it: keeps the seed -> trajectory bytes
+        cum = np.cumsum(R.data[lo:hi] * (1 / seq.outbound[i, k]))
+        j = int(R.indices[lo + np.searchsorted(cum, rng.random() * cum[-1], side="right")])
         states.append(j)
         times.append(t)
     return TrajectorySample(np.array(states), np.array(times), float(horizon))

@@ -26,21 +26,15 @@ class NonConvergence(RuntimeError):
 
 @dataclass(frozen=True)
 class SpaceTimeVector:
-    """Values over the N*M space-time cells, flat-indexed by the indexer.
-
-    kind is "density" (mass per cell) or "observable" (value per cell).
-    """
+    """Values over the N*M space-time cells, flat-indexed by the indexer."""
 
     values: np.ndarray
     indexer: SpaceTimeIndexer
-    kind: str = "density"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (self.indexer.size,):
             raise ValueError("values must have length N*M")
-        if self.kind not in ("density", "observable"):
-            raise ValueError("kind must be 'density' or 'observable'")
         object.__setattr__(self, "values", values)
 
     def as_grid(self) -> np.ndarray:
@@ -48,15 +42,15 @@ class SpaceTimeVector:
         return self.values.reshape(self.indexer.M, self.indexer.N).T
 
 
-def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer, block: int = 0,
-                    kind: str = "density") -> SpaceTimeVector:
+def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
+                    block: int = 0) -> SpaceTimeVector:
     """Put a spatial vector into a single time block of a space-time vector."""
     fbar = np.asarray(fbar, dtype=float)
     if fbar.shape != (indexer.N,):
         raise ValueError("spatial vector must have length N")
     values = np.zeros(indexer.size)
     values[block * indexer.N:(block + 1) * indexer.N] = fbar
-    return SpaceTimeVector(values, indexer, kind)
+    return SpaceTimeVector(values, indexer)
 
 
 def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
@@ -126,7 +120,7 @@ def jump_activity(J: JumpMatrix, f: SpaceTimeVector) -> tuple[SpaceTimeVector, f
     """
     a = solve_forward(J, f.values)
     residual = float(np.max(np.abs(a - apply_forward(J, a) - f.values), initial=0.0))
-    return SpaceTimeVector(a, J.indexer, "density"), residual
+    return SpaceTimeVector(a, J.indexer), residual
 
 
 def synchronize(J: JumpMatrix, a: SpaceTimeVector, l: int) -> np.ndarray:
@@ -165,4 +159,4 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
     K[l * n:(l + 1) * n] = g
     free = np.arange(J.indexer.size) < l * n
     K = solve_backward(J, J.block_survival(l) * np.tile(g, m), K, free)
-    return SpaceTimeVector(K, J.indexer, "observable")
+    return SpaceTimeVector(K, J.indexer)

@@ -58,17 +58,9 @@ def reconstructed_propagator_matrix(J: JumpMatrix) -> np.ndarray:
     return weighted.reshape(m, n, n).sum(axis=0).T
 
 
-def operator_norm_error(J: JumpMatrix, seq: RateMatrixSequence,
-                        l: int | None = None) -> float:
-    """Induced 2-norm distance between sparse-route and exact propagator.
-
-    Compares at the right edge of block l (default: the final block).
-    """
-    m = J.indexer.M
-    if l is None:
-        l = m - 1
-    if l != m - 1:
-        raise ValueError("norm comparison is implemented at the final block edge")
+def operator_norm_error(J: JumpMatrix, seq: RateMatrixSequence) -> float:
+    """Induced 2-norm distance between sparse-route and exact propagator at
+    the final block edge."""
     approx = reconstructed_propagator_matrix(J)
     exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
     return float(np.linalg.norm(approx - exact, 2))

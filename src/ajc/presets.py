@@ -90,3 +90,7 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
         return Q_by_beta[beta]
 
     return rate_sequence_from_protocol(grid, builder)
+
+
+# Config name -> builder; a builder called without dt uses its own default.
+BUILDERS = {"two-state": two_state, "triple-well": triple_well}

@@ -8,7 +8,6 @@ from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
-    outbound_rates,
     rate_sequence_from_protocol,
     sqra_generator,
     with_recomputed_diagonal,
@@ -106,22 +105,6 @@ def frobenius_error(J, seq):
     approx = reconstructed_propagator_matrix(J)
     exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
     return float(np.linalg.norm(approx - exact, "fro"))
-
-
-def embedded_matrix(Q):
-    """Full embedded-chain transition matrix (row-normalized off-diagonal)."""
-    Q = sp.csr_matrix(Q).copy()
-    qi = outbound_rates(Q)
-    Q.setdiag(0.0)
-    Q.eliminate_zeros()
-    active = qi > 0
-    P = sp.diags(1.0 / np.where(active, qi, 1.0)) @ Q
-    absorbing = np.flatnonzero(~active)
-    if absorbing.size:
-        P = P + sp.csr_matrix(
-            (np.ones(absorbing.size), (absorbing, absorbing)), shape=Q.shape
-        )
-    return sp.csr_matrix(P)
 
 
 def kernel_density(seq, i, s, j, t):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+from ajc import presets
 from ajc.galerkin import (
     SpaceTimeIndexer,
     apply_adjoint,
@@ -84,6 +85,13 @@ class TestIndexer:
 
 
 class TestAssemble:
+    def test_reads_the_sequence_tables(self):
+        seq = presets.triple_well(1 / 96)
+        assert seq.outbound is seq.outbound
+        J = assemble(seq)
+        assert J.offdiag is seq.offdiag
+        assert J.outbound is seq.outbound
+
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]
         assert got == pytest.approx(np.exp(-1.0), rel=1e-12)

@@ -6,15 +6,15 @@ from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
-    embedded_probabilities,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
     sqra_generator,
     validate_generator,
     with_recomputed_diagonal,
 )
+from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
-from conftest import dense_rate_matrix, embedded_matrix
+from conftest import dense_rate_matrix
 
 
 def seq_of(grid, *mats):
@@ -59,36 +59,19 @@ class TestValidateGenerator:
 
 
 class TestEmbeddedProbabilities:
-    def test_absorbing_row_stays_put(self):
-        Q = dense_rate_matrix([[0, 0, 0], [1, 0, 1], [2, 1, 0]])
-        row = embedded_probabilities(Q, 0).toarray().ravel()
-        np.testing.assert_array_equal(row, [1.0, 0.0, 0.0])
-
-    def test_symmetric_rates_split_evenly(self):
-        Q = dense_rate_matrix([[0, 2, 2], [0, 0, 0], [0, 0, 0]])
-        row = embedded_probabilities(Q, 0).toarray().ravel()
-        np.testing.assert_allclose(row, [0.0, 0.5, 0.5])
-
     def test_direct_ratio(self):
         # oracle: Monte Carlo race of two exponential clocks at rates 1 and 3
         rng = np.random.default_rng(0)
         n = 200_000
         first = rng.exponential(1.0, n) < rng.exponential(1.0 / 3.0, n)
-        p_slow = first.mean()
-        Q = dense_rate_matrix([[0, 1, 3], [0, 0, 0], [0, 0, 0]])
-        row = embedded_probabilities(Q, 0).toarray().ravel()
-        np.testing.assert_allclose(row, [0.0, 0.25, 0.75])
-        assert abs(row[1] - p_slow) < 3 * np.sqrt(0.25 * 0.75 / n)
-
-    def test_rows_sum_to_one(self, positive_rates_seq):
-        for Q in positive_rates_seq.matrices:
-            P = embedded_matrix(Q)
-            np.testing.assert_allclose(
-                np.asarray(P.sum(axis=1)).ravel(), 1.0, atol=1e-14
-            )
-        absorbing = dense_rate_matrix([[0, 0], [1, 0]])
-        P = embedded_matrix(absorbing)
-        np.testing.assert_allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0, atol=1e-14)
+        p_fast = 1.0 - first.mean()
+        # the sampler's first jump from state 0 into absorbing states 1 and 2
+        seq = seq_of(TimeGrid.uniform(0, 50, 1), [[-4.0, 1.0, 3.0], [0, 0, 0], [0, 0, 0]])
+        draws = 20_000
+        targets = [sample_trajectory(seq, SpaceTimePoint(0, 0.0), 50.0, rng).states[1]
+                   for _ in range(draws)]
+        freq = np.mean(np.array(targets) == 2)
+        assert abs(freq - p_fast) < 3 * np.sqrt(0.25 * 0.75 * (1 / draws + 1 / n))
 
 
 class TestSqra:

@@ -98,6 +98,13 @@ class TestBuildSequence:
                 "time_grid": {"edges": [0.0, 1.0]},
                 "matrices": ["missing.mtx"],
             }}, base_dir=tmp_path)
+        scipy.io.mmwrite(tmp_path / "wide.mtx", np.ones((2, 3)))
+        with pytest.raises(ajcio.ConfigError, match="wide.mtx is not square"):
+            ajcio.build_sequence({"generator": {
+                "type": "files",
+                "time_grid": {"edges": [0.0, 1.0]},
+                "matrices": ["wide.mtx"],
+            }}, base_dir=tmp_path)
 
 
 class TestParsers:
@@ -202,6 +209,22 @@ class TestCli:
         assert main(["assemble", "--config", str(bad)]) == 2
         cfg = write_config(tmp_path, {"generator": {"preset": "bogus"}})
         assert main(["assemble", "--config", cfg]) == 2
+        # no rate is defined before the grid starts
+        cfg = write_config(tmp_path, {**TWO_STATE, "initial": {"time": -3.0}})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_files_with_a_negative_rate_exit_2(self, tmp_path, capsys):
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix([[0, -1.0], [2.0, 0]]))
+        scipy.io.mmwrite(tmp_path / "q1.mtx", dense_rate_matrix([[0, 1.0], [1.0, 0]]))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files",
+            "time_grid": {"edges": [0.0, 1.0, 2.0]},
+            "matrices": ["q0.mtx", "q1.mtx"],
+        }})
+        for command in ("koopman", "propagate"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert "q0.mtx" in err and "row 0, col 1" in err and "q1.mtx" not in err
 
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})
