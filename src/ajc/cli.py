@@ -64,6 +64,8 @@ def _load(args) -> tuple[dict, Path]:
         raise ajcio.ConfigError(f"config file not found: {cfg_path}")
     except json.JSONDecodeError as exc:
         raise ajcio.ConfigError(f"config {cfg_path} is not valid JSON: {exc}")
+    ajcio.check_keys(config, {"generator"} | _KEYS[args.command], f"{args.command} config",
+                     {"generator"})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
@@ -88,11 +90,15 @@ def cmd_assemble(args) -> int:
 def cmd_sample(args) -> int:
     config, out = _load(args)
     seq = ajcio.build_sequence(config, Path(args.config).parent)
-    start_node = config.get("initial", {})
+    start_node = ajcio.check_keys(config.get("initial", {}), {"state", "time"}, "initial")
     state = ajcio.resolve_state(start_node.get("state", 0), seq.N)
-    start = SpaceTimePoint(state, float(start_node.get("time", seq.grid.t0)))
-    horizon = float(config.get("horizon", seq.grid.horizon))
-    count = int(config.get("n_trajectories", 1))
+    time = ajcio.parse_number(start_node.get("time", seq.grid.t0), float, "initial time")
+    horizon = ajcio.parse_number(config.get("horizon", seq.grid.horizon), float, "horizon")
+    if not seq.grid.t0 <= time <= horizon <= seq.grid.horizon:
+        raise ajcio.ConfigError(f"need grid start {seq.grid.t0} <= initial time {time} "
+                                f"<= horizon {horizon} <= grid horizon {seq.grid.horizon}")
+    start = SpaceTimePoint(state, time)
+    count = ajcio.parse_number(config.get("n_trajectories", 1), int, "n_trajectories")
     rng = np.random.default_rng(args.seed)
     rows = []
     final_states = np.zeros(seq.N, dtype=int)
@@ -113,7 +119,7 @@ def cmd_propagate(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
     fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N)
-    block = int(config.get("block", J.indexer.M - 1))
+    block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     density = reconstruct_propagator(J, fbar, block)
     path = ajcio.write_csv(out / "density.csv", ["state", "mass"],
                            ajcio.spatial_csv_rows(density),
@@ -126,7 +132,7 @@ def cmd_koopman(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
     g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N)
-    block = int(config.get("block", J.indexer.M - 1))
+    block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     K = koopman_solve(J, g, block)
     path = ajcio.write_csv(out / "koopman.csv", ["state", "block", "value"],
                            ajcio.spacetime_csv_rows(K.values, J.indexer),
@@ -138,9 +144,11 @@ def cmd_koopman(args) -> int:
 def cmd_committor(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
-    A = ajcio.parse_set(config.get("set_a"), seq.N, "A")
-    B = ajcio.parse_set(config.get("set_b"), seq.N, "B")
-    tail = config.get("tail", "absorb_to_B")
+    A = ajcio.parse_set(config.get("set_a"), seq.N, J.indexer.M, "A")
+    B = ajcio.parse_set(config.get("set_b"), seq.N, J.indexer.M, "B")
+    if A.cells & B.cells:
+        raise ajcio.ConfigError(f"set_a and set_b share the cells {sorted(A.cells & B.cells)}")
+    tail = ajcio.parse_tail(config.get("tail", "absorb_to_B"))
     c = committor_solve(J, A, B, tail)
     path = ajcio.write_csv(out / "committor.csv", ["state", "block", "value"],
                            ajcio.spacetime_csv_rows(c.values, J.indexer),
@@ -152,7 +160,7 @@ def cmd_committor(args) -> int:
 def cmd_coherence(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
-    C = ajcio.parse_set(config.get("set_c"), seq.N, "C")
+    C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C")
     count_survival = bool(config.get("count_survival", False))
     min_slack, violation_mass = coherence_defect(J, C, count_survival)
     path = ajcio.write_csv(out / "coherence.csv",
@@ -165,14 +173,17 @@ def cmd_coherence(args) -> int:
 
 def cmd_convergence(args) -> int:
     config, out = _load(args)
-    preset = config.get("generator", {}).get("preset")
+    node = config["generator"]
+    preset = node.get("preset") if isinstance(node, dict) else None
     if not isinstance(preset, str) or preset not in presets.BUILDERS:
         names = " or ".join(map(repr, presets.BUILDERS))
         raise ajcio.ConfigError(f"convergence requires a {names} preset")
+    ajcio.check_keys(node, {"preset"}, "convergence generator")
     builder = presets.BUILDERS[preset]
     dt_list = config.get("dt_list")
-    if not dt_list:
-        raise ajcio.ConfigError("convergence requires a nonempty 'dt_list'")
+    if not dt_list or not isinstance(dt_list, list):
+        raise ajcio.ConfigError("convergence requires a nonempty list 'dt_list'")
+    dt_list = [ajcio.parse_number(dt, float, "dt_list entry") for dt in dt_list]
     try:
         study = convergence_study(builder, dt_list)
     except ValueError as exc:
@@ -192,6 +203,17 @@ def cmd_convergence(args) -> int:
     print(f"wrote {path}")
     return EXIT_OK
 
+
+# Top-level config keys each command reads besides "generator".
+_KEYS = {
+    "assemble": set(),
+    "sample": {"initial", "n_trajectories", "horizon"},
+    "propagate": {"initial_density", "block"},
+    "koopman": {"observable", "block"},
+    "committor": {"set_a", "set_b", "tail"},
+    "coherence": {"set_c", "count_survival"},
+    "convergence": {"dt_list"},
+}
 
 _COMMANDS = {
     "assemble": cmd_assemble,
@@ -220,9 +242,6 @@ def main(argv=None) -> int:
     except (NonConvergence, EmptyTarget) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

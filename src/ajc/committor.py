@@ -63,7 +63,9 @@ class SpaceTimeSet:
         return len(self.cells)
 
 
-def _tail_value(tail) -> float:
+def tail_value(tail) -> float:
+    """The committor value a tail policy gives a trajectory that never jumps
+    into A or B before the horizon."""
     if tail == TAIL_TO_B:
         return 0.0
     if tail == TAIL_TO_A:
@@ -91,7 +93,7 @@ def committor_solve(J: JumpMatrix, A: SpaceTimeSet, B: SpaceTimeSet,
     if (in_a & in_b).any():
         raise ValueError("sets A and B must be disjoint")
 
-    tail_default = _tail_value(tail)
+    tail_default = tail_value(tail)
     last = slice((m - 1) * n, m * n)
     c_tail = np.full(n, tail_default)
     c_tail[in_a[last]] = 1.0

@@ -20,6 +20,7 @@ nonzeros grow as M^2, is built on request (JumpMatrix.matrix).
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,8 @@ from .generator import RateMatrixSequence, TimeGrid
 # = sum_n (-x)^n / (n + 2)! through x^12 is exact to rounding; highest power first.
 _PSI_CUT = 0.2
 _PSI_SERIES = [(-1) ** n / math.factorial(n + 2) for n in range(12, -1, -1)]
+
+log = logging.getLogger(__name__)
 
 
 def phi(q, dt):
@@ -156,17 +159,25 @@ class JumpMatrix:
 
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q)),
-    on the sequence's own outbound and offdiag tables."""
+    on the sequence's own outbound and offdiag tables.
+
+    Cells of one phase and one width share one diagonal block object.
+    """
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
-    diagonal = []
-    for l, R in enumerate(seq.offdiag):
-        # R's own pattern: JumpMatrix.matrix writes these data into R's slots
-        rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-        diagonal.append(sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape))
+    blocks = {}  # (phase, width) -> diagonal block
+    for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
+        if (p, dt[l]) not in blocks:
+            # R's own pattern: JumpMatrix.matrix writes these data into R's slots
+            rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
+            blocks[p, dt[l]] = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr),
+                                             shape=R.shape)
+    log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d",
+             seq.N, seq.grid.M, len(seq.phases), len(blocks))
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      phi(q, dt), np.exp(-q * dt), tuple(diagonal))
+                      phi(q, dt), np.exp(-q * dt),
+                      tuple(blocks[p, w] for p, w in zip(seq.phase, dt)))
 
 
 def _blocks(J: JumpMatrix, v: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ so that row sums vanish by construction.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -85,44 +86,58 @@ def with_recomputed_diagonal(offdiag: sp.spmatrix) -> sp.csr_matrix:
 class RateMatrixSequence:
     """Piecewise-constant generator: matrices[k] is valid on grid cell k.
 
-    outbound and offdiag are the per-cell tables that the jump operator and
-    the sampler share, built once on first use.
+    The protocol's phases are its distinct rate matrices, told apart by
+    object identity: phases[phase[k]] is matrices[k], so cells of one phase
+    share one matrix.  outbound and offdiag are the per-cell tables that the
+    jump operator and the sampler share, built once per phase on first use.
     """
 
     grid: TimeGrid
     matrices: tuple
+    phases: tuple = field(init=False, repr=False)
+    phase: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = tuple(sp.csr_matrix(Q, dtype=float) for Q in self.matrices)
-        if len(mats) != self.grid.M:
+        first = {}  # id of an input matrix -> its phase
+        phases = []
+        for Q in self.matrices:
+            if id(Q) not in first:
+                first[id(Q)] = len(phases)
+                phases.append(sp.csr_matrix(Q, dtype=float))
+        phase = np.array([first[id(Q)] for Q in self.matrices], dtype=int)
+        if phase.size != self.grid.M:
             raise ValueError("need exactly one rate matrix per time cell")
-        n = mats[0].shape[0]
-        for Q in mats:
+        n = phases[0].shape[0]
+        for Q in phases:
             if Q.shape != (n, n):
                 raise ValueError("all rate matrices must share the same dimension")
-        object.__setattr__(self, "matrices", mats)
+        phase.flags.writeable = False
+        object.__setattr__(self, "phases", tuple(phases))
+        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "matrices", tuple(phases[p] for p in phase))
 
     @property
     def N(self) -> int:
-        return self.matrices[0].shape[0]
+        return self.phases[0].shape[0]
 
     @functools.cached_property
     def outbound(self) -> np.ndarray:
         """Read-only (N, M) array of outbound rates q_i^k = -Q_ii per state and cell."""
-        q = np.column_stack([-Q.diagonal() for Q in self.matrices])
+        q_by_phase = [-Q.diagonal() for Q in self.phases]
+        q = np.column_stack([q_by_phase[p] for p in self.phase])
         q.flags.writeable = False
         return q
 
     @functools.cached_property
     def offdiag(self) -> tuple:
         """Per-cell CSR matrices R^k of the off-diagonal rates q_ij^k, columns
-        sorted within each row."""
+        sorted within each row; cells of one phase share one R."""
         out = []
-        for Q in self.matrices:
+        for Q in self.phases:
             Q = Q.tocoo()
             keep = Q.row != Q.col
             out.append(sp.csr_matrix((Q.data[keep], (Q.row[keep], Q.col[keep])), shape=Q.shape))
-        return tuple(out)
+        return tuple(out[p] for p in self.phase)
 
 
 @dataclass(frozen=True)
@@ -130,7 +145,7 @@ class Violation:
     """One invariant defect found by validate_generator."""
 
     matrix: int
-    kind: str  # "rowsum" or "negativity"
+    kind: str  # "rowsum", "negativity" or "nonfinite"
     row: int
     col: int | None
     magnitude: float
@@ -150,25 +165,41 @@ class InvalidProtocol(ValueError):
         self.violations = violations
 
 
-def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
-    """Check row-sum and sign invariants of every matrix in the sequence.
-
-    Returns an empty list iff the sequence is a valid piecewise-constant
-    generator.
-    """
-    violations = []
-    for m, (Q, R) in enumerate(zip(seq.matrices, seq.offdiag)):
+def _phase_violations(Q: sp.csr_matrix, R: sp.csr_matrix, q: np.ndarray) -> list[Violation]:
+    """Violations of one rate matrix Q with off-diagonal part R and outbound
+    rates q, each filed under matrix 0."""
+    coo = R.tocoo()
+    finite = np.isfinite(coo.data)
+    with np.errstate(invalid="ignore"):  # inf - inf in a row with a non-finite rate
         rowsums = np.asarray(Q.sum(axis=1)).ravel()
-        # tolerance is relative to the outbound rate so that large-rate rows
-        # are not flagged for unavoidable summation roundoff
-        scale = np.maximum(1.0, seq.outbound[:, m])
-        for i in np.flatnonzero(np.abs(rowsums) > ROWSUM_TOL * scale):
-            violations.append(Violation(m, "rowsum", int(i), None, abs(float(rowsums[i]))))
-        coo = R.tocoo()
-        neg = coo.data < 0
-        for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg]):
-            violations.append(Violation(m, "negativity", int(i), int(j), float(-v)))
-    return violations
+    # tolerance is relative to the outbound rate so that large-rate rows
+    # are not flagged for unavoidable summation roundoff; a NaN sum is
+    # flagged too, unless a non-finite rate of its row is reported instead
+    off = ~(np.abs(rowsums) <= ROWSUM_TOL * np.maximum(1.0, q))
+    off[coo.row[~finite]] = False
+    out = [Violation(0, "rowsum", int(i), None, abs(float(rowsums[i])))
+           for i in np.flatnonzero(off)]
+    neg = finite & (coo.data < 0)
+    out += [Violation(0, "negativity", int(i), int(j), float(-v))
+            for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg])]
+    out += [Violation(0, "nonfinite", int(i), int(j), float(v))
+            for i, j, v in zip(coo.row[~finite], coo.col[~finite], coo.data[~finite])]
+    return out
+
+
+def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
+    """Check row-sum, sign and finiteness invariants of every matrix in the
+    sequence.
+
+    Each phase is checked once and its violations are reported for every
+    cell that uses it.  Returns an empty list iff the sequence is a valid
+    piecewise-constant generator.
+    """
+    first = np.unique(seq.phase, return_index=True)[1]  # a cell of each phase
+    by_phase = [_phase_violations(Q, seq.offdiag[m], seq.outbound[:, m])
+                for Q, m in zip(seq.phases, first)]
+    return [dataclasses.replace(v, matrix=m)
+            for m, p in enumerate(seq.phase) for v in by_phase[p]]
 
 
 def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
@@ -242,17 +273,24 @@ def rate_sequence_from_protocol(
 ) -> RateMatrixSequence:
     """Build a RateMatrixSequence by calling builder(k, (t_k, t_{k+1})) per cell.
 
-    Diagonals are recomputed from the returned off-diagonal rates.  Builder
-    failures and invariant violations are reported with the cell index.
+    Diagonals are recomputed from the returned off-diagonal rates, once per
+    distinct object the builder returns, so a builder that returns one
+    object for all cells of a phase makes that phase one shared matrix.
+    Builder failures and invariant violations are reported with the cell
+    index.
     """
+    rebuilt = {}  # id of a builder output -> (output, its rate matrix)
     mats = []
     for k in range(grid.M):
         span = (float(grid.edges[k]), float(grid.edges[k + 1]))
         try:
-            Q = with_recomputed_diagonal(builder(k, span))
+            raw = builder(k, span)
+            if id(raw) not in rebuilt:
+                # the output is held here, so its id is not reused
+                rebuilt[id(raw)] = raw, with_recomputed_diagonal(raw)
         except Exception as exc:
             raise ValueError(f"builder failed on time cell {k} {span}: {exc}") from exc
-        mats.append(Q)
+        mats.append(rebuilt[id(raw)][1])
     seq = RateMatrixSequence(grid, tuple(mats))
     bad = validate_generator(seq)
     if bad:

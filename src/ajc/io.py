@@ -14,7 +14,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse as sp
 
-from .committor import SpaceTimeSet
+from .committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, tail_value
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
     GridPotential,
@@ -48,13 +48,55 @@ def save_jump_matrix(J: JumpMatrix, path) -> tuple[Path, Path]:
     return mtx, header
 
 
-def _build_time_grid(node) -> TimeGrid:
-    if "edges" in node:
-        return TimeGrid(np.array(node["edges"], dtype=float))
+def check_keys(node, allowed, where: str, required=()) -> dict:
+    """node itself, once it is a JSON object that holds every required key
+    and no key outside allowed; otherwise a ConfigError naming the key."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {node!r}")
+    unknown = sorted(set(node) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown {where} key {', '.join(map(repr, unknown))}; "
+                          f"allowed: {', '.join(sorted(allowed))}")
+    missing = sorted(set(required) - set(node))
+    if missing:
+        raise ConfigError(f"{where} needs {', '.join(map(repr, missing))}")
+    return node
+
+
+def parse_number(node, kind, what: str):
+    """node converted by kind (int or float), or a ConfigError naming what."""
     try:
+        return kind(node)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{what} must be a number, got {node!r}") from None
+
+
+def _list(node, what: str, length: int | None = None) -> list:
+    if not isinstance(node, (list, tuple)) or length is not None and len(node) != length:
+        size = "" if length is None else f" of {length}"
+        raise ConfigError(f"{what} must be a list{size}, got {node!r}")
+    return node
+
+
+# Keys of the 'generator' section per kind: allowed, then required.
+_GENERATOR_KEYS = {
+    "preset": ({"preset", "dt"}, {"preset"}),
+    "sqra": ({"type", "time_grid", "beta_schedule", "potential", "nx", "ny", "h"},
+             {"time_grid", "beta_schedule"}),
+    "files": ({"type", "time_grid", "matrices"}, {"time_grid", "matrices"}),
+}
+
+
+def _build_time_grid(node) -> TimeGrid:
+    check_keys(node, {"edges", "t0", "t1", "cells"}, "time_grid")
+    try:
+        if "edges" in node:
+            return TimeGrid(np.array(node["edges"], dtype=float))
         return TimeGrid.uniform(node["t0"], node["t1"], int(node["cells"]))
     except KeyError as exc:
         raise ConfigError(f"time_grid needs 'edges' or 't0'/'t1'/'cells': missing {exc}")
+    except (TypeError, ValueError) as exc:  # malformed numbers and TimeGrid's checks
+        raise ConfigError(f"time_grid: {exc}") from exc
 
 
 def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequence:
@@ -63,44 +105,62 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
     if not node:
         raise ConfigError("config has no 'generator' section")
     base_dir = Path(base_dir) if base_dir else Path.cwd()
-    preset = node.get("preset")
-    if preset is not None:
+    if not isinstance(node, dict):
+        raise ConfigError(f"generator must be a JSON object, got {node!r}")
+    kind = "preset" if "preset" in node else node.get("type")
+    if kind not in _GENERATOR_KEYS:
+        raise ConfigError(f"generator needs a 'preset' or a known 'type', got {node}")
+    allowed, required = _GENERATOR_KEYS[kind]
+    check_keys(node, allowed, f"{kind} generator", required)
+    if kind == "preset":
+        preset = node["preset"]
         if not isinstance(preset, str) or preset not in presets.BUILDERS:
             raise ConfigError(f"unknown preset {preset!r}")
         builder = presets.BUILDERS[preset]
-        return builder(float(node["dt"])) if "dt" in node else builder()
-    kind = node.get("type")
+        if "dt" not in node:
+            return builder()
+        dt = parse_number(node["dt"], float, "generator dt")
+        try:
+            return builder(dt)
+        except ValueError as exc:  # the preset's check that dt fits its switch time
+            raise ConfigError(f"preset {preset!r}: {exc}") from exc
+    grid = _build_time_grid(node["time_grid"])
     if kind == "sqra":
-        grid = _build_time_grid(node["time_grid"])
+        betas = [parse_number(b, float, "beta_schedule entry")
+                 for b in _list(node["beta_schedule"], "beta_schedule")]
+        if len(betas) != grid.M:
+            raise ConfigError("beta_schedule must have one entry per time cell")
+        if not all(0 < b < np.inf for b in betas):
+            raise ConfigError(f"beta_schedule entries must be positive and finite, got {betas}")
         pot_node = node.get("potential", "triple-well")
         if pot_node == "triple-well":
             pot = presets.triple_well_grid_potential()
         else:
-            pot = GridPotential(int(node["nx"]), int(node["ny"]),
-                                float(node["h"]), np.array(pot_node, dtype=float))
-        betas = [float(b) for b in node["beta_schedule"]]
-        if len(betas) != grid.M:
-            raise ConfigError("beta_schedule must have one entry per time cell")
+            check_keys(node, allowed, "sqra generator with a potential list", {"nx", "ny", "h"})
+            try:
+                pot = GridPotential(int(node["nx"]), int(node["ny"]),
+                                    float(node["h"]), np.array(pot_node, dtype=float))
+            except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
+                raise ConfigError(f"sqra potential: {exc}") from exc
         cache = {b: sqra_generator(pot, b) for b in set(betas)}
         return rate_sequence_from_protocol(grid, lambda k, span: cache[betas[k]])
-    if kind == "files":
-        grid = _build_time_grid(node["time_grid"])
-        paths = [base_dir / p for p in node["matrices"]]
-        if len(paths) != grid.M:
-            raise ConfigError("need one matrix file per time cell")
-        mats = []
-        for p in paths:
-            try:
-                mats.append(sp.csr_matrix(scipy.io.mmread(p)))
-            except Exception as exc:
-                raise ConfigError(f"cannot read rate matrix {p}: {exc}")
-            if mats[-1].shape[0] != mats[-1].shape[1]:
-                raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
+    paths = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
+    if len(paths) != grid.M:
+        raise ConfigError("need one matrix file per time cell")
+    mats = []
+    for p in paths:
         try:
-            return rate_sequence_from_protocol(grid, lambda k, span: mats[k])
-        except InvalidProtocol as exc:
-            raise ConfigError("; ".join(f"{paths[v.matrix]}: {v}" for v in exc.violations))
-    raise ConfigError(f"generator needs a 'preset' or a known 'type', got {node}")
+            mats.append(sp.csr_matrix(scipy.io.mmread(p)))
+        except Exception as exc:
+            raise ConfigError(f"cannot read rate matrix {p}: {exc}")
+        if mats[-1].shape[0] != mats[-1].shape[1]:
+            raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
+        if mats[-1].shape != mats[0].shape:
+            raise ConfigError(f"rate matrix {p} is {mats[-1].shape}, {paths[0]} is {mats[0].shape}")
+    try:
+        return rate_sequence_from_protocol(grid, lambda k, span: mats[k])
+    except InvalidProtocol as exc:
+        raise ConfigError("; ".join(f"{paths[v.matrix]}: {v}" for v in exc.violations))
 
 
 def resolve_state(token, N: int) -> int:
@@ -109,13 +169,21 @@ def resolve_state(token, N: int) -> int:
         if token in names and names[token] < N:
             return names[token]
         raise ConfigError(f"unknown state name {token!r}")
-    i = int(token)
+    i = parse_number(token, int, "state")
     if not 0 <= i < N:
         raise ConfigError(f"state index {i} out of range [0, {N})")
     return i
 
 
-def parse_set(node, N: int, label: str = "") -> SpaceTimeSet:
+def parse_block(token, M: int) -> int:
+    """A 0-based time block index in [0, M)."""
+    k = parse_number(token, int, "block")
+    if not 0 <= k < M:
+        raise ConfigError(f"block {k} out of range [0, {M})")
+    return k
+
+
+def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
     """Sets are lists of [state, block] pairs or rectangles
     {"states": [...], "blocks": [lo, hi]}; a list may mix both forms."""
     if node is None:
@@ -123,16 +191,28 @@ def parse_set(node, N: int, label: str = "") -> SpaceTimeSet:
     if isinstance(node, dict):
         node = [node]
     cells = set()
-    for item in node:
+    for item in _list(node, f"set {label}"):
         if isinstance(item, dict):
-            lo, hi = item["blocks"]
-            for tok in item["states"]:
+            check_keys(item, {"states", "blocks"}, f"set {label} rectangle", {"states", "blocks"})
+            lo, hi = (parse_block(k, M) for k in _list(item["blocks"], f"set {label} blocks", 2))
+            for tok in _list(item["states"], f"set {label} states"):
                 i = resolve_state(tok, N)
-                cells.update((i, k) for k in range(int(lo), int(hi) + 1))
+                cells.update((i, k) for k in range(lo, hi + 1))
         else:
-            i, k = item
-            cells.add((resolve_state(i, N), int(k)))
+            i, k = _list(item, f"set {label} cell", 2)
+            cells.add((resolve_state(i, N), parse_block(k, M)))
     return SpaceTimeSet(frozenset(cells), label)
+
+
+def parse_tail(node):
+    """The committor's tail policy, 'absorb_to_A', 'absorb_to_B' or a value
+    in [0, 1], returned as given."""
+    try:
+        tail_value(node)
+    except (TypeError, ValueError):
+        raise ConfigError(f"tail must be {TAIL_TO_A!r}, {TAIL_TO_B!r} or a number in [0, 1], "
+                          f"got {node!r}") from None
+    return node
 
 
 def parse_spatial_vector(node, N: int) -> np.ndarray:
@@ -148,7 +228,10 @@ def parse_spatial_vector(node, N: int) -> np.ndarray:
             v[resolve_state(node["state"], N)] = 1.0
             return v
         raise ConfigError(f"cannot interpret spatial vector {node}")
-    v = np.array(node, dtype=float)
+    try:
+        v = np.array(node, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"spatial vector must be a list of numbers, got {node!r}") from None
     if v.shape != (N,):
         raise ConfigError(f"spatial vector must have length {N}")
     return v

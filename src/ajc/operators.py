@@ -9,6 +9,7 @@ built once per distinct block within a solve.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ import scipy.sparse.linalg as spla
 from .galerkin import JumpMatrix, SpaceTimeIndexer, apply_forward
 
 RESIDUAL_TOL = 1e-10
+
+log = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
@@ -88,6 +91,8 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
     lus = {}
     for l, inflow in J.scan_forward(blocks):
         blocks[l] = _solve_diagonal(lus, J.diagonal[l], free, blocks[l] + inflow, trans="T")
+    log.info("solve_forward: %d blocks solved against %d LU factorizations built",
+             J.indexer.M, len(lus))
     return X
 
 
@@ -102,6 +107,7 @@ def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
     x = np.array(x, dtype=float)
     blocks, b, free = x.reshape(*shape, 1), np.reshape(b, (*shape, 1)), free.reshape(shape)
     lus = {}
+    solved = 0
     for k, inflow in J.scan_backward(blocks):
         f = free[k]
         if f.any():
@@ -109,6 +115,9 @@ def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
             if not f.all():
                 rhs += J.diagonal[k] @ np.where(f[:, None], 0.0, blocks[k])
             blocks[k][f] = _solve_diagonal(lus, J.diagonal[k], f, rhs[f])
+            solved += 1
+    log.info("solve_backward: %d blocks solved against %d LU factorizations built",
+             solved, len(lus))
     return x
 
 

@@ -31,16 +31,20 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
     """Transition matrix of the jump process from time s to time t.
 
     Ordered product of the interval exponentials over the overlap of each
-    time cell with [s, t]; rows are distributions.
+    time cell with [s, t], one exponential per phase and overlap; rows are
+    distributions.
     """
     if not (seq.grid.t0 <= s <= t <= seq.grid.horizon):
         raise ValueError("need t0 <= s <= t <= horizon")
     edges = seq.grid.edges
+    factors = {}  # (phase, overlap) -> exp(overlap Q)
     P = np.eye(seq.N)
-    for k, Q in enumerate(seq.matrices):
+    for k, p in enumerate(seq.phase):
         overlap = min(t, edges[k + 1]) - max(s, edges[k])
         if overlap > 0:
-            P = P @ expm(Q.toarray(), overlap)
+            if (p, overlap) not in factors:
+                factors[p, overlap] = expm(seq.phases[p].toarray(), overlap)
+            P = P @ factors[p, overlap]
     return P
 
 

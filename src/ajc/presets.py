@@ -24,21 +24,26 @@ TRIPLE_WELL_SWITCH_TIME = 1.0
 TRIPLE_WELL_BETA = (1.0, 10.0)
 
 
+def _uniform_grid(dt: float, switch: float, horizon: float) -> TimeGrid:
+    """Cells of width dt on [0, horizon]; dt must be positive and divide the
+    switch time so that each cell sees a constant rate."""
+    if not dt > 0 or abs(switch / dt - round(switch / dt)) > 1e-9:
+        raise ValueError(f"dt={dt} does not divide the switch time {switch:g}")
+    return TimeGrid.uniform(0.0, horizon, int(round(horizon / dt)))
+
+
 def two_state(dt: float = 1.0) -> RateMatrixSequence:
     """Two states on [0, 8]: A -> B at rate 1 before t=4, B -> A after.
 
-    dt must divide the switch time 4 so each cell sees a constant rate.
+    dt must divide the switch time 4.
     """
-    ratio = TWO_STATE_SWITCH_TIME / dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"dt={dt} does not divide the switch time 4")
-    grid = TimeGrid.uniform(0.0, TWO_STATE_HORIZON, int(round(TWO_STATE_HORIZON / dt)))
+    grid = _uniform_grid(dt, TWO_STATE_SWITCH_TIME, TWO_STATE_HORIZON)
+    a_to_b = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    b_to_a = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
 
     def builder(k, span):
         mid = 0.5 * (span[0] + span[1])
-        if mid < TWO_STATE_SWITCH_TIME:
-            return sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        return sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
+        return a_to_b if mid < TWO_STATE_SWITCH_TIME else b_to_a
 
     return rate_sequence_from_protocol(grid, builder)
 
@@ -72,11 +77,7 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
 
     dt must divide the switch time 1.
     """
-    ratio = TRIPLE_WELL_SWITCH_TIME / dt
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise ValueError(f"dt={dt} does not divide the switch time 1")
-    cells = int(round(TRIPLE_WELL_HORIZON / dt))
-    grid = TimeGrid.uniform(0.0, TRIPLE_WELL_HORIZON, cells)
+    grid = _uniform_grid(dt, TRIPLE_WELL_SWITCH_TIME, TRIPLE_WELL_HORIZON)
     pot = triple_well_grid_potential()
     beta_lo, beta_hi = TRIPLE_WELL_BETA
     Q_by_beta = {

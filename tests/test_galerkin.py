@@ -92,6 +92,15 @@ class TestAssemble:
         assert J.offdiag is seq.offdiag
         assert J.outbound is seq.outbound
 
+    def test_one_diagonal_block_per_phase_and_width(self):
+        seq = presets.triple_well(1 / 96)
+        J = assemble(seq)
+        pairs = list(zip(seq.phase.tolist(), seq.grid.widths.tolist()))
+        first = {}
+        for pair, block in zip(pairs, J.diagonal):
+            assert first.setdefault(pair, block) is block
+        assert len({id(block) for block in J.diagonal}) == len(first)
+
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]
         assert got == pytest.approx(np.exp(-1.0), rel=1e-12)

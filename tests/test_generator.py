@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ajc import generator, presets
 from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
@@ -56,6 +57,24 @@ class TestValidateGenerator:
         seq = seq_of(TimeGrid.uniform(0, 1, 1), [[0.3, -0.3], [0.0, 0.0]])
         kinds = {v.kind for v in validate_generator(seq)}
         assert "negativity" in kinds
+
+    @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rate(self, rate):
+        Q = dense_rate_matrix([[0, rate], [1.0, 0]])
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (Q,))
+        bad = validate_generator(seq)
+        assert [(v.kind, v.row, v.col) for v in bad] == [("nonfinite", 0, 1)]
+        assert "nonfinite violation at matrix 0, row 0, col 1" in str(bad[0])
+
+    def test_one_violation_per_cell_of_a_phase(self):
+        bad = dense_rate_matrix([[0, -1.0], [2.0, 0]])
+        good = dense_rate_matrix([[0, 1.0], [1.0, 0]])
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 3, 3), (bad, good, bad))
+        assert len(seq.phases) == 2
+        found = validate_generator(seq)
+        assert [(v.matrix, v.kind, v.row, v.col) for v in found] == \
+            [(0, "negativity", 0, 1), (2, "negativity", 0, 1)]
+        assert str(found[1]) == "negativity violation at matrix 2, row 0, col 1: 1.000e+00"
 
 
 class TestEmbeddedProbabilities:
@@ -142,6 +161,20 @@ class TestProtocol:
             np.testing.assert_array_equal(two_state_seq.matrices[k].toarray(), expected_early)
         for k in range(4, 8):
             np.testing.assert_array_equal(two_state_seq.matrices[k].toarray(), expected_late)
+
+    def test_one_rate_matrix_per_phase(self, monkeypatch):
+        calls = []
+        recompute = generator.with_recomputed_diagonal
+        monkeypatch.setattr(generator, "with_recomputed_diagonal",
+                            lambda Q: calls.append(Q) or recompute(Q))
+        seq = presets.triple_well(1 / 96)
+        # one per SQRA generator, then one per distinct builder output
+        assert len(calls) == 2 + 2
+        np.testing.assert_array_equal(seq.phase, [0] * 96 + [1] * 96)
+        assert seq.matrices[0] is seq.phases[0] and seq.matrices[-1] is seq.phases[1]
+        assert seq.offdiag[0] is seq.offdiag[1]
+        assert seq.offdiag[95] is not seq.offdiag[96]
+        assert len(presets.two_state(0.5).phases) == 2
 
     def test_constant_builder(self):
         Q = dense_rate_matrix([[0, 1], [2, 0]])

@@ -1,9 +1,16 @@
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
+import ajc
+from ajc import cli
 from ajc import io as ajcio
 from ajc.cli import main
 from ajc.generator import validate_generator
@@ -118,9 +125,11 @@ class TestParsers:
             ajcio.resolve_state("C", 2)
 
     def test_parse_set_mixed_forms(self):
-        s = ajcio.parse_set([["B", 3], {"states": [0], "blocks": [0, 1]}], 2)
+        s = ajcio.parse_set([["B", 3], {"states": [0], "blocks": [0, 1]}], 2, 4)
         assert s.cells == {(1, 3), (0, 0), (0, 1)}
-        assert len(ajcio.parse_set(None, 2)) == 0
+        assert len(ajcio.parse_set(None, 2, 4)) == 0
+        with pytest.raises(ajcio.ConfigError, match="block 4 out of range"):
+            ajcio.parse_set([["B", 4]], 2, 4)
 
     def test_parse_spatial_vector(self):
         np.testing.assert_array_equal(ajcio.parse_spatial_vector({"ones": True}, 3),
@@ -176,16 +185,13 @@ class TestCli:
         assert max(abs(v - 1.0) for v in vals) < 1e-10
 
     def test_committor_and_coherence(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {
-            **TWO_STATE,
-            "set_a": [["B", 7]],
-            "set_b": [["A", 7]],
-            "set_c": {"states": ["A", "B"], "blocks": [0, 7]},
-            "count_survival": True,
-        })
+        cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [["B", 7]], "set_b": [["A", 7]]})
         assert main(["committor", "--config", cfg, "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "committor.csv").read_text().splitlines()
         assert any(r.startswith("1,7,1.0") for r in rows)
+        cfg = write_config(tmp_path, {
+            **TWO_STATE, "set_c": {"states": ["A", "B"], "blocks": [0, 7]}, "count_survival": True,
+        })
         assert main(["coherence", "--config", cfg, "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "min_slack=" in out and "violation_mass=0" in out
@@ -225,6 +231,92 @@ class TestCli:
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert "q0.mtx" in err and "row 0, col 1" in err and "q1.mtx" not in err
+
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_files_with_a_nonfinite_rate_exit_2(self, tmp_path, capsys, rate):
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix([[0, 1.0], [1.0, 0]]))
+        scipy.io.mmwrite(tmp_path / "q1.mtx", dense_rate_matrix([[0, 1.0], [float(rate), 0]]))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files",
+            "time_grid": {"edges": [0.0, 1.0, 2.0]},
+            "matrices": ["q0.mtx", "q1.mtx"],
+        }})
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "q1.mtx: nonfinite violation" in err and "row 1, col 0" in err
+        assert "q0.mtx" not in err
+
+    @pytest.mark.parametrize("command, config, named", [
+        ("committor", {**TWO_STATE, "set_A": [["B", 7]], "set_b": [["A", 7]]}, "'set_A'"),
+        ("assemble", {**TWO_STATE, "block": 3}, "'block'"),
+        ("sample", {**TWO_STATE, "initial": {"stat": "B"}}, "'stat'"),
+        ("koopman", {"generator": {"preset": "two-state", "beta_schedule": [1]}},
+         "'beta_schedule'"),
+        ("koopman", {"generator": {"type": "sqra", "betas": [1] * 6,
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 6}}}, "'betas'"),
+        ("koopman", {"generator": {"type": "files", "time_grid": {"edges": [0, 1]},
+                                   "matrices": ["q0.mtx"], "matrix": "q0.mtx"}}, "'matrix'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cell": 1}}}, "'cell'"),
+        ("convergence", {"generator": {"preset": "two-state", "dt": 0.5},
+                         "dt_list": [1.0, 0.5]}, "'dt'"),
+    ])
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, command, config, named):
+        cfg = write_config(tmp_path, config)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown" in err and named in err
+
+    @pytest.mark.parametrize("command, extra, named", [
+        ("koopman", {"block": 8}, "block 8 out of range [0, 8)"),
+        ("propagate", {"block": "last"}, "block must be a number"),
+        ("committor", {"set_a": [["B", 8]], "set_b": [["A", 7]]}, "block 8 out of range"),
+        ("committor", {"set_a": [["B", 7]], "set_b": [["A", 7], ["B", 7]]}, "share the cells"),
+        ("committor", {"set_a": [["B", 7]], "set_b": [["A", 7]], "tail": "absorb_to_C"},
+         "tail must be"),
+        ("committor", {"set_a": [["B", 7]], "set_b": [["A", 7]], "tail": 1.5}, "tail must be"),
+        ("coherence", {"set_c": {"states": ["A"], "blocks": [0]}}, "list of 2"),
+        ("sample", {"horizon": 9.0}, "grid horizon 8.0"),
+        ("koopman", {"observable": ["x", 1]}, "list of numbers"),
+        ("assemble", {"generator": {"preset": "two-state", "dt": 0}}, "does not divide"),
+        ("convergence", {"dt_list": 5}, "nonempty list 'dt_list'"),
+        ("convergence", {"dt_list": [1.0, None]}, "dt_list entry must be a number"),
+    ])
+    def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
+        cfg = write_config(tmp_path, {**TWO_STATE, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "koopman_solve", broken)
+        cfg = write_config(tmp_path, TWO_STATE)
+        with pytest.raises(ValueError, match="internal"):
+            main(["koopman", "--config", cfg, "--out", str(tmp_path)])
+
+    def test_readme_configs_pass(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        for k in range(2):
+            scipy.io.mmwrite(tmp_path / f"q{k}.mtx", dense_rate_matrix([[0, 2.0], [0.5, 0]]))
+        configs = re.findall(r"```json\n(.*?)```", readme, re.S)
+        assert len(configs) == 3
+        for n, text in enumerate(configs):
+            cfg = write_config(tmp_path, json.loads(text), f"readme{n}.json")
+            assert main(["assemble", "--config", cfg, "--out", str(tmp_path / str(n))]) == 0
+
+    def test_info_log_reports_sizes_and_factorizations(self, tmp_path):
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"}})
+        argv = [sys.executable, "-m", "ajc.cli", "koopman", "--config", cfg, "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(ajc.__file__).resolve().parents[1]))
+        err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
+                             text=True, check=True).stderr
+        assert re.search(r"assemble: N=63 M=6 phases=2 diagonal blocks=\d+", err)
+        assert re.search(r"solve_backward: 5 blocks solved against \d+ LU factorizations", err)
+        env.pop("AJC_LOG", None)
+        quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+        assert quiet.stderr == ""
 
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})

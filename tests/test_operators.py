@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,15 @@ class TestDuality:
             lhs = reconstruct_propagator(two_state_J, f, 7) @ g
             rhs = f @ koopman_solve(two_state_J, g, 7).values[:2]
             assert abs(lhs - rhs) <= 1e-8
+
+
+def test_solves_log_blocks_against_factorizations(two_state_J, caplog):
+    # two phases at one width: 8 blocks, 2 distinct diagonal blocks
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), 7)
+        koopman_solve(two_state_J, np.ones(2), 7)
+    assert "solve_forward: 8 blocks solved against 2 LU factorizations built" in caplog.messages
+    assert "solve_backward: 7 blocks solved against 2 LU factorizations built" in caplog.messages
 
 
 def test_solves_build_no_explicit_matrix():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ajc import presets
+from ajc import oracle, presets
 from ajc.galerkin import assemble
 from ajc.jumpchain import SpaceTimePoint, path_state_at, sample_trajectory
 from ajc.oracle import (
@@ -54,6 +54,18 @@ class TestExactPropagator:
         expected = expm(Q1, 4.0) @ expm(Q2, 4.0)
         got = exact_propagator(two_state_seq, 0.0, 8.0)
         np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+    def test_one_exponential_per_phase_and_overlap(self, monkeypatch):
+        seq = presets.triple_well(1 / 96)
+        calls = []
+        monkeypatch.setattr(oracle, "expm", lambda Q, t: calls.append(t) or expm(Q, t))
+        s, t = 0.1, 1.9  # both inside a cell, so two overlaps are partial
+        P = exact_propagator(seq, s, t)
+        e = seq.grid.edges
+        overlaps = np.minimum(t, e[1:]) - np.maximum(s, e[:-1])
+        assert len(calls) == len({(p, w) for p, w in zip(seq.phase, overlaps) if w > 0})
+        assert len(calls) < 20
+        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_chapman_kolmogorov(self, triple_well_seq):
         # splitting at a point interior to a time cell must not matter
@@ -148,3 +160,6 @@ class TestErrorsAndConvergence:
         # the preset cannot discretize across its switching time
         with pytest.raises(ValueError):
             presets.two_state(0.3)
+        for dt in (0.0, -1.0):
+            with pytest.raises(ValueError, match="does not divide"):
+                presets.triple_well(dt)
