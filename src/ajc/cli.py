@@ -184,10 +184,17 @@ def cmd_convergence(args) -> int:
     if not dt_list or not isinstance(dt_list, list):
         raise ajcio.ConfigError("convergence requires a nonempty list 'dt_list'")
     dt_list = [ajcio.parse_number(dt, float, "dt_list entry") for dt in dt_list]
-    try:
-        study = convergence_study(builder, dt_list)
-    except ValueError as exc:
-        raise ajcio.ConfigError(str(exc))
+    for before, dt in zip(dt_list, dt_list[1:]):
+        if dt > before:
+            raise ajcio.ConfigError(f"dt_list must be sorted descending: "
+                                    f"dt={dt:g} follows {before:g}")
+    seqs = {}
+    for dt in dt_list:
+        try:
+            seqs[dt] = builder(dt)
+        except ValueError as exc:  # the preset's check that dt fits its switch time
+            raise ajcio.ConfigError(f"dt_list: {exc}") from exc
+    study = convergence_study(seqs.__getitem__, dt_list)
     comments = []
     if study["slope"] is not None:
         comments.append(f"loglog_slope={study['slope']:.4f}")

@@ -82,7 +82,9 @@ class JumpMatrix:
 
     Per time cell l: offdiag[l] holds the off-diagonal rates R^l, the (N, M)
     arrays phi and decay hold phi(q, dt) and exp(-q dt), and diagonal[l] is
-    the time block (l, l), diag(psi^l / dt_l) R^l.
+    the time block (l, l), diag(psi^l / dt_l) R^l.  offdiag_t and
+    diagonal_t hold their transposes as CSR, for the forward direction.
+    Cells of one phase share these objects.
     """
 
     indexer: SpaceTimeIndexer
@@ -92,6 +94,8 @@ class JumpMatrix:
     phi: np.ndarray
     decay: np.ndarray
     diagonal: tuple
+    offdiag_t: tuple
+    diagonal_t: tuple
 
     def scan_forward(self, X: np.ndarray):
         """Scan J^T over the (M, N, c) blocks of X in ascending time.
@@ -102,7 +106,7 @@ class JumpMatrix:
         leave = self.phi / self.grid.widths
         carry = np.zeros_like(X[0])
         for l in range(self.indexer.M):
-            yield l, self.offdiag[l].T @ (self.phi[:, l, None] * carry)
+            yield l, self.offdiag_t[l] @ (self.phi[:, l, None] * carry)
             carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
     def scan_backward(self, X: np.ndarray):
@@ -161,23 +165,28 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q)),
     on the sequence's own outbound and offdiag tables.
 
-    Cells of one phase and one width share one diagonal block object.
+    Cells of one phase and one width share one diagonal block object, and
+    the transposes are built once per phase and per block.
     """
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
-    blocks = {}  # (phase, width) -> diagonal block
+    offdiag_t = {}  # phase -> R^T
+    blocks = {}  # (phase, width) -> diagonal block and its transpose
     for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
+        if p not in offdiag_t:
+            offdiag_t[p] = R.T.tocsr()
         if (p, dt[l]) not in blocks:
             # R's own pattern: JumpMatrix.matrix writes these data into R's slots
             rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-            blocks[p, dt[l]] = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr),
-                                             shape=R.shape)
+            B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
+            blocks[p, dt[l]] = B, B.T.tocsr()
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d",
              seq.N, seq.grid.M, len(seq.phases), len(blocks))
+    diagonal = [blocks[p, w] for p, w in zip(seq.phase, dt)]
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      phi(q, dt), np.exp(-q * dt),
-                      tuple(blocks[p, w] for p, w in zip(seq.phase, dt)))
+                      phi(q, dt), np.exp(-q * dt), tuple(B for B, _ in diagonal),
+                      tuple(offdiag_t[p] for p in seq.phase), tuple(Bt for _, Bt in diagonal))
 
 
 def _blocks(J: JumpMatrix, v: np.ndarray) -> np.ndarray:
@@ -192,7 +201,7 @@ def apply_forward(J: JumpMatrix, f: np.ndarray) -> np.ndarray:
     F = _blocks(J, f)
     out = np.empty_like(F)
     for l, inflow in J.scan_forward(F):
-        out[l] = J.diagonal[l].T @ F[l] + inflow
+        out[l] = J.diagonal_t[l] @ F[l] + inflow
     return out.reshape(np.shape(f))
 
 

@@ -25,9 +25,17 @@ class TimeGrid:
 
     Cell k (0-based) covers the half-open interval (edges[k], edges[k+1]],
     so a rate valid "at" a boundary is the one of the cell ending there.
+
+    width is the one width of every cell of a grid built by uniform, which
+    records it as (t1 - t0) / cells, and None for a grid built from explicit
+    edges, whose widths are the edge differences.  Linspace edges differ
+    from that width in the last bit, and cells of equal width must stay
+    equal bit for bit, so that a phase's cells share one diagonal block and
+    one exponential.
     """
 
     edges: np.ndarray
+    width: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=float)
@@ -39,7 +47,9 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, t0: float, t1: float, cells: int) -> "TimeGrid":
-        return cls(np.linspace(t0, t1, cells + 1))
+        grid = cls(np.linspace(t0, t1, cells + 1))
+        object.__setattr__(grid, "width", (grid.horizon - grid.t0) / cells)
+        return grid
 
     @property
     def M(self) -> int:
@@ -47,7 +57,9 @@ class TimeGrid:
 
     @property
     def widths(self) -> np.ndarray:
-        return np.diff(self.edges)
+        if self.width is None:
+            return np.diff(self.edges)
+        return np.full(self.M, self.width)
 
     @property
     def t0(self) -> float:

@@ -216,18 +216,21 @@ def parse_tail(node):
 
 
 def parse_spatial_vector(node, N: int) -> np.ndarray:
-    """A spatial vector: explicit list, {"state": i} point mass, {"ones": true},
-    or {"uniform": true}."""
+    """A spatial vector: explicit list, or an object with exactly one of
+    {"state": i} point mass, {"ones": true} and {"uniform": true}."""
     if isinstance(node, dict):
-        if node.get("ones"):
-            return np.ones(N)
-        if node.get("uniform"):
-            return np.full(N, 1.0 / N)
-        if "state" in node:
+        check_keys(node, {"ones", "uniform", "state"}, "spatial vector")
+        if len(node) != 1:
+            raise ConfigError(f"spatial vector needs exactly one of 'ones', 'uniform', 'state', "
+                              f"got {', '.join(map(repr, sorted(node))) or 'none'}")
+        (key, value), = node.items()
+        if key == "state":
             v = np.zeros(N)
-            v[resolve_state(node["state"], N)] = 1.0
+            v[resolve_state(value, N)] = 1.0
             return v
-        raise ConfigError(f"cannot interpret spatial vector {node}")
+        if value is not True:
+            raise ConfigError(f"spatial vector {key!r} must be true, got {value!r}")
+        return np.ones(N) if key == "ones" else np.full(N, 1.0 / N)
     try:
         v = np.array(node, dtype=float)
     except (TypeError, ValueError):

@@ -4,7 +4,9 @@ The jump operator is block upper-triangular over time blocks, so every
 solve here is one scan over the time cells: forward (I - J^T) X = F for
 jump activity and propagation, backward (I - J) x = b for Koopman and
 committor values.  Each diagonal block is solved through one sparse LU,
-built once per distinct block within a solve.
+built once per distinct block within a solve, which on a uniform grid is
+once per protocol phase.  A block is factored in the orientation it is
+solved in: I - B^T for forward solves, I - B for backward ones.
 """
 
 from __future__ import annotations
@@ -57,14 +59,15 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
 
 
 def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
-                    rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+                    rhs: np.ndarray) -> np.ndarray:
     """Solve (I - B) x = rhs restricted to the free cells of a diagonal block.
 
-    trans="T" solves the transposed system.  lus holds one LU per distinct
-    block and mask within a solve, keyed by the block's own CSR arrays, so
-    repeated blocks factorize once and give bit-identical results.
+    lus holds one LU per block object and mask within a solve, so the cells
+    of one phase factorize once and give bit-identical results.  The block
+    comes in the orientation it is solved in, so the LU solve is never
+    transposed; the residual is checked against that same stored operand.
     """
-    key = (B.indptr.tobytes(), B.indices.tobytes(), B.data.tobytes(), free.tobytes())
+    key = (id(B), free.tobytes())  # the blocks outlive the solve, so ids stay unique
     if key not in lus:
         sub = B[free][:, free]
         try:
@@ -72,8 +75,8 @@ def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
         except RuntimeError as exc:
             raise NonConvergence(f"singular diagonal block: {exc}") from exc
     sub, lu = lus[key]
-    x = lu.solve(rhs, trans=trans)
-    res = np.max(np.abs(x - (sub.T if trans == "T" else sub) @ x - rhs), initial=0.0)
+    x = lu.solve(rhs)
+    res = np.max(np.abs(x - sub @ x - rhs), initial=0.0)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise NonConvergence(f"diagonal block residual {res:.3e}")
     return x
@@ -83,14 +86,15 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
     """Solve (I - J^T) X = F by one scan in ascending time.
 
     F is a space-time vector or an (N*M, c) stack of them.  Each block is
-    solved with the jumps from earlier blocks as inflow.
+    solved with the jumps from earlier blocks as inflow, against the LU of
+    I - B^T built from the stored transposed block.
     """
     X = np.array(F, dtype=float)
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
     free = np.ones(J.indexer.N, dtype=bool)
     lus = {}
     for l, inflow in J.scan_forward(blocks):
-        blocks[l] = _solve_diagonal(lus, J.diagonal[l], free, blocks[l] + inflow, trans="T")
+        blocks[l] = _solve_diagonal(lus, J.diagonal_t[l], free, blocks[l] + inflow)
     log.info("solve_forward: %d blocks solved against %d LU factorizations built",
              J.indexer.M, len(lus))
     return X

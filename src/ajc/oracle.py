@@ -31,17 +31,19 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
     """Transition matrix of the jump process from time s to time t.
 
     Ordered product of the interval exponentials over the overlap of each
-    time cell with [s, t], one exponential per phase and overlap; rows are
-    distributions.
+    time cell with [s, t]; rows are distributions.  A whole cell overlaps
+    for its grid width, so a phase on a uniform grid needs one exponential;
+    only the partial overlaps at s and t are differences of edges.
     """
     if not (seq.grid.t0 <= s <= t <= seq.grid.horizon):
         raise ValueError("need t0 <= s <= t <= horizon")
-    edges = seq.grid.edges
+    edges, widths = seq.grid.edges, seq.grid.widths
     factors = {}  # (phase, overlap) -> exp(overlap Q)
     P = np.eye(seq.N)
     for k, p in enumerate(seq.phase):
-        overlap = min(t, edges[k + 1]) - max(s, edges[k])
-        if overlap > 0:
+        lo, hi = max(s, edges[k]), min(t, edges[k + 1])
+        if hi > lo:
+            overlap = widths[k] if (lo, hi) == (edges[k], edges[k + 1]) else hi - lo
             if (p, overlap) not in factors:
                 factors[p, overlap] = expm(seq.phases[p].toarray(), overlap)
             P = P @ factors[p, overlap]

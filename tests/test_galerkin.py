@@ -1,9 +1,11 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
+from scipy.sparse.linalg import spsolve
 
 from ajc import presets
 from ajc.galerkin import (
@@ -15,7 +17,7 @@ from ajc.galerkin import (
     psi,
 )
 from ajc.generator import RateMatrixSequence, TimeGrid
-from ajc.operators import koopman_solve
+from ajc.operators import RESIDUAL_TOL, NonConvergence, koopman_solve, solve_forward
 
 from conftest import closed_form_survival, dense_rate_matrix, kernel_density
 
@@ -269,6 +271,34 @@ class TestRandomProtocols:
         # I - B with row sums ~ 1/(q dt); no substitution beats eps * cond there
         cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
         assert np.abs(K.values - 1.0).max() <= 1e-14 + 10 * np.finfo(float).eps * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), repeat=st.integers(1, 3), uniform=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_forward_solve_equals_a_sparse_solve(self, seq, repeat, uniform, seed):
+        # every cell split into `repeat` cells of its phase, on explicit edges
+        # or on a uniform grid, so transposed blocks and their LUs are reused
+        mats = tuple(Q for Q in seq.matrices for _ in range(repeat))
+        if uniform:
+            grid = TimeGrid.uniform(0.0, seq.grid.horizon, len(mats))
+        else:
+            widths = np.repeat(seq.grid.widths / repeat, repeat)
+            grid = TimeGrid(np.concatenate([[0.0], np.cumsum(widths)]))
+        J = assemble(RateMatrixSequence(grid, mats))
+        F = np.random.default_rng(seed).random((J.indexer.size, J.indexer.N))
+        want = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
+        eps = np.finfo(float).eps
+        try:
+            got = solve_forward(J, F)
+        except NonConvergence:
+            # a stiff cycle makes the activity ~ q dt: the solve may refuse
+            # only where a few ulps of x reach the absolute RESIDUAL_TOL
+            assert eps * np.abs(want).max() > 0.1 * RESIDUAL_TOL
+            return
+        # both solves lose up to eps * cond on an ill-conditioned block
+        n = J.indexer.N
+        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        np.testing.assert_allclose(got, want, rtol=1e-12 + 10 * eps * cond, atol=0.0)
 
 
 class TestApply:

@@ -32,6 +32,16 @@ class TestTimeGrid:
         assert grid.M == 8
         np.testing.assert_allclose(grid.widths, 1.0)
 
+    def test_uniform_cells_share_one_width(self):
+        # linspace edges differ in the last bit; the recorded width does not
+        grid = TimeGrid.uniform(0, 2, 192)
+        assert np.unique(np.diff(grid.edges)).size > 1
+        assert np.unique(grid.widths).tolist() == [2 / 192]
+        np.testing.assert_array_equal(grid.edges, np.linspace(0, 2, 193))
+        # explicit edges keep their differences
+        edges = np.linspace(0, 2, 193)
+        np.testing.assert_array_equal(TimeGrid(edges).widths, np.diff(edges))
+
     def test_interval_convention_half_open_left(self):
         grid = TimeGrid.uniform(0.0, 4.0, 4)
         assert grid.interval_of(1.0) == 0  # boundary belongs to the cell ending there

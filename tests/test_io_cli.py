@@ -144,6 +144,13 @@ class TestParsers:
             ajcio.parse_spatial_vector([1.0], 2)
         with pytest.raises(ajcio.ConfigError):
             ajcio.parse_spatial_vector({"bogus": 1}, 2)
+        with pytest.raises(ajcio.ConfigError, match="exactly one of .* got 'ones', 'state'"):
+            ajcio.parse_spatial_vector({"ones": True, "state": 1}, 2)
+        with pytest.raises(ajcio.ConfigError, match="exactly one of .* got none"):
+            ajcio.parse_spatial_vector({}, 2)
+        for form in ({"ones": False}, {"uniform": 1}, {"ones": "yes"}):
+            with pytest.raises(ajcio.ConfigError, match="must be true"):
+                ajcio.parse_spatial_vector(form, 2)
 
 
 class TestCli:
@@ -281,6 +288,9 @@ class TestCli:
         ("assemble", {"generator": {"preset": "two-state", "dt": 0}}, "does not divide"),
         ("convergence", {"dt_list": 5}, "nonempty list 'dt_list'"),
         ("convergence", {"dt_list": [1.0, None]}, "dt_list entry must be a number"),
+        ("convergence", {"dt_list": [0.5, 1.0, 0.25]}, "dt=1 follows 0.5"),
+        ("convergence", {"dt_list": [1.0, 0.3]}, "dt=0.3 does not divide the switch time 4"),
+        ("koopman", {"observable": {"ones": True, "state": 1}}, "got 'ones', 'state'"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})
@@ -295,6 +305,15 @@ class TestCli:
         cfg = write_config(tmp_path, TWO_STATE)
         with pytest.raises(ValueError, match="internal"):
             main(["koopman", "--config", cfg, "--out", str(tmp_path)])
+
+    def test_convergence_solver_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("internal")
+
+        monkeypatch.setattr(cli, "convergence_study", broken)
+        cfg = write_config(tmp_path, {**TWO_STATE, "dt_list": [1.0, 0.5]})
+        with pytest.raises(ValueError, match="internal"):
+            main(["convergence", "--config", cfg, "--out", str(tmp_path)])
 
     def test_readme_configs_pass(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -312,8 +331,8 @@ class TestCli:
         env = dict(os.environ, PYTHONPATH=str(Path(ajc.__file__).resolve().parents[1]))
         err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
                              text=True, check=True).stderr
-        assert re.search(r"assemble: N=63 M=6 phases=2 diagonal blocks=\d+", err)
-        assert re.search(r"solve_backward: 5 blocks solved against \d+ LU factorizations", err)
+        assert "assemble: N=63 M=6 phases=2 diagonal blocks=2" in err
+        assert "solve_backward: 5 blocks solved against 2 LU factorizations" in err
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert quiet.stderr == ""

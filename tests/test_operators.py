@@ -204,6 +204,17 @@ def test_solves_log_blocks_against_factorizations(two_state_J, caplog):
     assert "solve_backward: 7 blocks solved against 2 LU factorizations built" in caplog.messages
 
 
+def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
+    # triple well at dt = 1/96: 192 cells of one width in 2 phases
+    J = assemble(presets.triple_well(1 / 96))
+    n, m = J.indexer.N, J.indexer.M
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
+        koopman_solve(J, np.ones(n), m - 1)
+    assert "solve_forward: 192 blocks solved against 2 LU factorizations built" in caplog.messages
+    assert "solve_backward: 191 blocks solved against 2 LU factorizations built" in caplog.messages
+
+
 def test_solves_build_no_explicit_matrix():
     # triple well at dt = 1/96: the explicit matrix would hold 4,076,160 entries
     J = assemble(presets.triple_well(1 / 96))

@@ -62,9 +62,12 @@ class TestExactPropagator:
         s, t = 0.1, 1.9  # both inside a cell, so two overlaps are partial
         P = exact_propagator(seq, s, t)
         e = seq.grid.edges
-        overlaps = np.minimum(t, e[1:]) - np.maximum(s, e[:-1])
-        assert len(calls) == len({(p, w) for p, w in zip(seq.phase, overlaps) if w > 0})
-        assert len(calls) < 20
+        whole = (s <= e[:-1]) & (e[1:] <= t)
+        partial = ~whole & (np.minimum(t, e[1:]) > np.maximum(s, e[:-1]))
+        # one exponential per phase over the whole cells of one grid width,
+        # plus one per partial overlap at s and at t
+        pairs = set(zip(seq.phase[whole].tolist(), seq.grid.widths[whole].tolist()))
+        assert len(calls) == len(pairs) + partial.sum() == 4
         np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
     def test_chapman_kolmogorov(self, triple_well_seq):
