@@ -17,14 +17,7 @@ from .generator import (
     validate_generator,
     with_recomputed_diagonal,
 )
-from .jumpchain import (
-    SpaceTimePoint,
-    TrajectorySample,
-    path_state_at,
-    sample_jump_time,
-    sample_trajectory,
-    survival,
-)
+from .jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
 from .galerkin import (
     JumpMatrix,
     SpaceTimeIndexer,
@@ -51,7 +44,6 @@ from .oracle import (
     convergence_study,
     exact_propagator,
     expm,
-    operator_norm_error,
 )
 
 __version__ = "0.1.0"
@@ -61,12 +53,11 @@ __all__ = [
     "four_neighbor_adjacency",
     "rate_sequence_from_protocol", "sqra_generator", "validate_generator",
     "with_recomputed_diagonal",
-    "SpaceTimePoint", "TrajectorySample", "path_state_at",
-    "sample_jump_time", "sample_trajectory", "survival",
+    "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "apply_forward",
     "assemble",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",
     "koopman_solve", "reconstruct_propagator", "synchronize",
     "EmptyTarget", "SpaceTimeSet", "coherence_defect", "committor_solve",
-    "convergence_study", "exact_propagator", "expm", "operator_norm_error",
+    "convergence_study", "exact_propagator", "expm",
 ]

@@ -81,8 +81,8 @@ def cmd_assemble(args) -> int:
     seq, J = _assembled(args, config)
     mtx, header = ajcio.save_jump_matrix(J, out / "jump_matrix")
     size = J.indexer.size
-    print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.matrix.nnz} "
-          f"sparsity={J.matrix.nnz / size ** 2:.4%}")
+    print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.nnz} "
+          f"sparsity={J.nnz / size ** 2:.4%}")
     print(f"wrote {mtx} and {header}")
     return EXIT_OK
 

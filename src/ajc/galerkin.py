@@ -14,7 +14,9 @@ in cell (i, k) next jumps into cell (j, l) with probability
 so absorbing phases need no special casing.  Only these per-cell factors
 are stored, O(M nnz(Q)) numbers; every product is one scan over the time
 cells carrying the jumps still in flight.  The explicit matrix, whose
-nonzeros grow as M^2, is built on request (JumpMatrix.matrix).
+nonzeros grow as M^2, exists only as rows: JumpMatrix.row_blocks yields
+them one time block at a time, which is how the .mtx export writes them,
+and JumpMatrix.matrix stacks them on request for checks.
 """
 
 from __future__ import annotations
@@ -133,27 +135,56 @@ class JumpMatrix:
         """Per-cell probability of never jumping before the horizon."""
         return self.block_survival(self.indexer.M - 1)
 
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the explicit matrix: the entries of cell l lie in
+        the rows of blocks 0..l, so nnz = sum_l (l + 1) nnz(R^l)."""
+        return sum((l + 1) * R.nnz for l, R in enumerate(self.offdiag))
+
+    def row_blocks(self):
+        """Yield the rows of the explicit matrix one time block k at a time,
+        as (data, indices, row lengths) in CSR order.
+
+        Row (i, k) holds its entries for cells l = k..M-1 in turn, each in
+        the column order of R^l.  Every cell's entries are gathered once in
+        that row order; an entry of cell l > k is phi_k/dt_k times the decay
+        through cells k+1..l-1, accumulated left to right, times its jump
+        r phi(q_i^l, dt_l).
+        """
+        n, m = self.indexer.N, self.indexer.M
+        rows = [np.repeat(np.arange(n), np.diff(R.indptr)) for R in self.offdiag]
+        # stable by row i keeps each row's entries by cell, then in R^l's order
+        order = np.argsort(np.concatenate(rows), kind="stable")
+        cell = np.concatenate([l * n + r for l, r in enumerate(rows)])[order]  # flat(i, l)
+        cols = np.concatenate([l * n + R.indices for l, R in enumerate(self.offdiag)])
+        cols = cols[order].astype(np.int32)
+        jump = np.concatenate([R.data * self.phi[r, l]
+                               for l, (R, r) in enumerate(zip(self.offdiag, rows))])[order]
+        within = np.concatenate([B.data for B in self.diagonal])[order]
+        # row i of block k holds its entries of the cells l >= k
+        lengths = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
+        lengths = np.cumsum(lengths[:, ::-1], axis=1)[:, ::-1]
+        leave = self.phi / self.grid.widths
+        for k in range(m):
+            mine = cell >= k * n
+            # row l - k - 1 of left is phi_k/dt_k times d^{k+1} ... d^{l-1};
+            # the entries of cell k itself get a negative offset
+            at = cell[mine] - (k + 1) * n
+            left = np.cumprod(np.vstack([leave[:, k], self.decay[:, k + 1:m - 1].T]), axis=0)
+            data = np.where(at < 0, within[mine], left.ravel()[at] * jump[mine])
+            yield data, cols[mine], lengths[:, k]
+
     @functools.cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The explicit CSR matrix, built on first use.  Row (i, k) holds its
-        entries for cells l = k..M-1 in turn, each in the column order of R^l."""
-        n, m = self.indexer.N, self.indexer.M
-        counts = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
-        before = np.cumsum(np.pad(counts, ((0, 0), (1, 0))), axis=1)  # row i's entries in cells < l
-        indptr = np.concatenate([[0], np.cumsum((before[:, -1:] - before[:, :-1]).T)])
-        start = indptr[:-1].reshape(m, n) - before[:, :-1].T
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        left = np.empty((m, n))  # row k < l: phi_k/dt_k times the decay through k+1..l-1
-        for l, R in enumerate(self.offdiag):
-            rows = np.repeat(np.arange(n), counts[:, l])
-            pos = start[:l + 1, rows] + (before[rows, l] + np.arange(R.nnz) - R.indptr[rows])
-            indices[pos] = l * n + R.indices
-            data[pos[:l]] = left[:l, rows] * (R.data * self.phi[rows, l])
-            data[pos[l]] = self.diagonal[l].data
-            left[:l] *= self.decay[:, l]
-            left[l] = self.phi[:, l] / self.grid.widths[l]
-        return sp.csr_matrix((data, indices, indptr), shape=(n * m, n * m))
+        """The explicit CSR matrix, built on first use: the row blocks stacked."""
+        n, size = self.indexer.N, self.indexer.size
+        data, indices = np.empty(self.nnz), np.empty(self.nnz, dtype=np.int32)
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        for k, (d, c, lengths) in enumerate(self.row_blocks()):
+            start = indptr[k * n]
+            data[start:start + d.size], indices[start:start + d.size] = d, c
+            indptr[k * n + 1:(k + 1) * n + 1] = start + np.cumsum(lengths)
+        return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
     @functools.cached_property
     def block_cumulative(self) -> np.ndarray:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -26,17 +28,59 @@ from .generator import (
 )
 from . import presets
 
+log = logging.getLogger(__name__)
+
+# Entries per MatrixMarket chunk of consecutive row blocks: a few MB of text.
+_CHUNK_ENTRIES = 2 ** 17
+
 
 class ConfigError(ValueError):
     """A run configuration could not be resolved."""
 
 
+def _mtx_header(size: int, nnz: int) -> bytes:
+    """The three header lines scipy.io.mmwrite gives a general real matrix."""
+    return f"%%MatrixMarket matrix coordinate real general\n%\n{size} {size} {nnz}\n".encode()
+
+
+def _write_rows(fh, size: int, first: int, blocks: list) -> int:
+    """Append the MatrixMarket entries of consecutive row blocks, the first
+    starting at row first; returns the bytes written.
+
+    The blocks go to mmwrite as one full-shape CSR whose indptr is flat
+    outside them, so rows and columns keep their global numbers and the
+    values their formatting; the chunk's own header is dropped.
+    """
+    data, indices, counts = (np.concatenate(a) for a in zip(*blocks))
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    indptr[first + 1:first + 1 + counts.size] = np.cumsum(counts)
+    indptr[first + 1 + counts.size:] = data.size
+    buf = BytesIO()
+    scipy.io.mmwrite(buf, sp.csr_matrix((data, indices, indptr), shape=(size, size)),
+                     symmetry="general")
+    return fh.write(buf.getbuffer()[len(_mtx_header(size, data.size)):])
+
+
 def save_jump_matrix(J: JumpMatrix, path) -> tuple[Path, Path]:
-    """Write matrix.mtx plus a sidecar .json header; returns both paths."""
+    """Write matrix.mtx plus a sidecar .json header; returns both paths.
+
+    The matrix is written one chunk of time blocks at a time, so the
+    explicit matrix, whose nonzeros grow as M^2, is never held whole; the
+    bytes are those of scipy.io.mmwrite(J.matrix, symmetry="general").
+    """
     path = Path(path)
     mtx = path.with_suffix(".mtx")
     header = path.with_suffix(".json")
-    scipy.io.mmwrite(mtx, J.matrix)
+    size, nnz = J.indexer.size, J.nnz
+    chunks, pending = 0, []
+    with open(mtx, "wb") as fh:
+        written = fh.write(_mtx_header(size, nnz))
+        for k, block in enumerate(J.row_blocks(), start=1):
+            pending.append(block)
+            if sum(b[0].size for b in pending) >= _CHUNK_ENTRIES or k == J.indexer.M:
+                written += _write_rows(fh, size, (k - len(pending)) * J.indexer.N, pending)
+                chunks, pending = chunks + 1, []
+    log.info("save_jump_matrix: nnz=%d in %d chunks, %d bytes written", nnz, chunks, written)
     meta = {
         "N": J.indexer.N,
         "M": J.indexer.M,

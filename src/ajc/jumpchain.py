@@ -1,9 +1,9 @@
-"""The exact augmented jump chain: survival, sampling, reconstruction.
+"""The exact augmented jump chain: temporal Gillespie sampling.
 
 The chain lives on space-time points (state, jump time).  With a
 piecewise-constant protocol all waiting-time integrals are finite sums, so
-survival probabilities and the inverse-CDF sampler are evaluated in closed
-form by walking the time cells.
+the inverse-CDF sampler is evaluated in closed form by walking the time
+cells.
 """
 
 from __future__ import annotations
@@ -43,20 +43,6 @@ class TrajectorySample:
         return self.states.size
 
 
-def integrated_rate(seq: RateMatrixSequence, i: int, s: float, t: float) -> float:
-    """Integral of the outbound rate q_i(u) over [s, t]."""
-    if s > t:
-        raise ValueError("need s <= t")
-    edges = seq.grid.edges
-    overlap = np.clip(np.minimum(t, edges[1:]) - np.maximum(s, edges[:-1]), 0.0, None)
-    return float(np.dot(seq.outbound[i], overlap))
-
-
-def survival(seq: RateMatrixSequence, i: int, s: float, t: float) -> float:
-    """Probability of no jump from state i during (s, t]."""
-    return float(np.exp(-integrated_rate(seq, i, s, t)))
-
-
 def _invert_hazard(seq: RateMatrixSequence, i: int, s: float, u: float):
     """Inverse CDF of the non-homogeneous exponential waiting time.
 
@@ -76,12 +62,6 @@ def _invert_hazard(seq: RateMatrixSequence, i: int, s: float, u: float):
             return lo + (target - acc) / rates[k], k
         acc += inc
     return None
-
-
-def sample_jump_time(seq: RateMatrixSequence, i: int, s: float, u: float) -> float | None:
-    """Jump time t with int_s^t q_i = -log(1-u), or None if past the horizon."""
-    hit = _invert_hazard(seq, i, s, u)
-    return None if hit is None else hit[0]
 
 
 def sample_trajectory(
@@ -118,10 +98,3 @@ def sample_trajectory(
         times.append(t)
     return TrajectorySample(np.array(states), np.array(times), float(horizon))
 
-
-def path_state_at(traj: TrajectorySample, t: float) -> int:
-    """State of the reconstructed path at time t (right-continuous)."""
-    if t < traj.times[0] or t > traj.horizon:
-        raise ValueError("time outside the trajectory's observation window")
-    n = int(np.searchsorted(traj.times, t, side="right")) - 1
-    return int(traj.states[n])

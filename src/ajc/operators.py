@@ -42,10 +42,6 @@ class SpaceTimeVector:
             raise ValueError("values must have length N*M")
         object.__setattr__(self, "values", values)
 
-    def as_grid(self) -> np.ndarray:
-        """(N, M) view with [i, k] = value at state i, block k."""
-        return self.values.reshape(self.indexer.M, self.indexer.N).T
-
 
 def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
                     block: int = 0) -> SpaceTimeVector:
@@ -158,9 +154,10 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
 def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
     """Pull a spatial observable at the edge of block l back through space-time.
 
-    Terminal block l carries the observable itself; earlier blocks satisfy
-    K = (jumps into blocks <= l) K + (survival to the edge of l) * g, solved
-    block by block from l downwards.  Blocks after l are zero-filled.
+    Blocks up to l satisfy K = (jumps into blocks <= l) K + (survival to the
+    edge of l) * g, solved block by block from l downwards, so K is the
+    exact adjoint of synchronize(., l) after the jump activity.  Blocks
+    after l are zero-filled.
     """
     g = np.asarray(g, dtype=float)
     n, m = J.indexer.N, J.indexer.M
@@ -168,8 +165,6 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
         raise ValueError("observable must have length N")
     if not 0 <= l < m:
         raise ValueError("invalid terminal block")
-    K = np.zeros(J.indexer.size)
-    K[l * n:(l + 1) * n] = g
-    free = np.arange(J.indexer.size) < l * n
-    K = solve_backward(J, J.block_survival(l) * np.tile(g, m), K, free)
+    free = np.arange(J.indexer.size) < (l + 1) * n
+    K = solve_backward(J, J.block_survival(l) * np.tile(g, m), np.zeros(J.indexer.size), free)
     return SpaceTimeVector(K, J.indexer)

@@ -64,14 +64,6 @@ def reconstructed_propagator_matrix(J: JumpMatrix) -> np.ndarray:
     return weighted.reshape(m, n, n).sum(axis=0).T
 
 
-def operator_norm_error(J: JumpMatrix, seq: RateMatrixSequence) -> float:
-    """Induced 2-norm distance between sparse-route and exact propagator at
-    the final block edge."""
-    approx = reconstructed_propagator_matrix(J)
-    exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
-    return float(np.linalg.norm(approx - exact, 2))
-
-
 def convergence_study(seq_builder, dt_list) -> dict:
     """Error of the Galerkin route versus the dense oracle for a dt sweep.
 

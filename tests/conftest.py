@@ -12,7 +12,7 @@ from ajc.generator import (
     sqra_generator,
     with_recomputed_diagonal,
 )
-from ajc.jumpchain import integrated_rate
+from ajc.jumpchain import _invert_hazard
 from ajc.operators import koopman_solve
 from ajc.oracle import exact_propagator, reconstructed_propagator_matrix
 
@@ -72,6 +72,40 @@ def positive_rates_seq():
 
 # Reference computations that only the tests use.
 
+def integrated_rate(seq, i, s, t):
+    """Integral of the outbound rate q_i(u) over [s, t]."""
+    if s > t:
+        raise ValueError("need s <= t")
+    edges = seq.grid.edges
+    overlap = np.clip(np.minimum(t, edges[1:]) - np.maximum(s, edges[:-1]), 0.0, None)
+    return float(np.dot(seq.outbound[i], overlap))
+
+
+def survival(seq, i, s, t):
+    """Probability of no jump from state i during (s, t]."""
+    return float(np.exp(-integrated_rate(seq, i, s, t)))
+
+
+def sample_jump_time(seq, i, s, u):
+    """The sampler's jump time t with int_s^t q_i = -log(1-u), or None if
+    past the horizon."""
+    hit = _invert_hazard(seq, i, s, u)
+    return None if hit is None else hit[0]
+
+
+def path_state_at(traj, t):
+    """State of the reconstructed path at time t (right-continuous)."""
+    if t < traj.times[0] or t > traj.horizon:
+        raise ValueError("time outside the trajectory's observation window")
+    n = int(np.searchsorted(traj.times, t, side="right")) - 1
+    return int(traj.states[n])
+
+
+def as_grid(v):
+    """(N, M) view of a SpaceTimeVector with [i, k] = value at state i, block k."""
+    return v.values.reshape(v.indexer.M, v.indexer.N).T
+
+
 def koopman_matrix_column(J, y, l):
     """Koopman solve for the point observable at state y (fundamental column)."""
     g = np.zeros(J.indexer.N)
@@ -98,6 +132,14 @@ def neumann_activity(J, f, tol=1e-13, n_max=10_000):
         if np.abs(term).sum() < tol:
             return total
     raise RuntimeError(f"Neumann series not below {tol} after {n_max} terms")
+
+
+def operator_norm_error(J, seq):
+    """Induced 2-norm distance between sparse-route and exact propagator at
+    the final block edge."""
+    approx = reconstructed_propagator_matrix(J)
+    exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
+    return float(np.linalg.norm(approx - exact, 2))
 
 
 def frobenius_error(J, seq):

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.sparse.linalg import spsolve
@@ -16,8 +16,15 @@ from ajc.galerkin import (
     phi,
     psi,
 )
+from ajc.committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, committor_solve
 from ajc.generator import RateMatrixSequence, TimeGrid
-from ajc.operators import RESIDUAL_TOL, NonConvergence, koopman_solve, solve_forward
+from ajc.operators import (
+    RESIDUAL_TOL,
+    NonConvergence,
+    koopman_solve,
+    reconstruct_propagator,
+    solve_forward,
+)
 
 from conftest import closed_form_survival, dense_rate_matrix, kernel_density
 
@@ -299,6 +306,47 @@ class TestRandomProtocols:
         n = J.indexer.N
         cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
         np.testing.assert_allclose(got, want, rtol=1e-12 + 10 * eps * cond, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_propagator_and_koopman_are_dual(self, seq, data, seed):
+        J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        l = data.draw(st.integers(0, m - 1))
+        rng = np.random.default_rng(seed)
+        f, g = rng.random(n), rng.random(n)
+        f /= f.sum()
+        rhs = f @ koopman_solve(J, g, l).values[:n]
+        eps = np.finfo(float).eps
+        try:
+            lhs = reconstruct_propagator(J, f, l) @ g
+        except NonConvergence:
+            # the forward solve's refusal of stiff cycles, as in
+            # test_forward_solve_equals_a_sparse_solve
+            F = np.zeros(J.indexer.size)
+            F[:n] = f
+            a = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
+            assert eps * np.abs(a).max() > 0.1 * RESIDUAL_TOL
+            return
+        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
+        assert abs(lhs - rhs) <= 1e-14 + 10 * eps * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data())
+    def test_committor_is_a_probability(self, seq, data):
+        J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        cells = [(i, k) for i in range(n) for k in range(m)]
+        labels = data.draw(st.lists(st.sampled_from("AB-"), min_size=len(cells),
+                                    max_size=len(cells)))
+        assume("A" in labels)
+        A = SpaceTimeSet.from_cells(c for c, x in zip(cells, labels) if x == "A")
+        B = SpaceTimeSet.from_cells(c for c, x in zip(cells, labels) if x == "B")
+        tail = data.draw(st.one_of(st.sampled_from([TAIL_TO_A, TAIL_TO_B]), st.floats(0.0, 1.0)))
+        c = committor_solve(J, A, B, tail).values
+        eps = np.finfo(float).eps
+        cond = max(np.linalg.cond(np.eye(n) - D.toarray(), np.inf) for D in J.diagonal)
+        assert max(-c.min(), c.max() - 1.0) <= 1e-14 + 10 * eps * cond
 
 
 class TestApply:

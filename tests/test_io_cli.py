@@ -1,8 +1,10 @@
 import json
+import logging
 import os
 import re
 import subprocess
 import sys
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 import scipy.io
 
 import ajc
-from ajc import cli
+from ajc import cli, presets
 from ajc import io as ajcio
 from ajc.cli import main
-from ajc.generator import validate_generator
+from ajc.galerkin import assemble
+from ajc.generator import RateMatrixSequence, TimeGrid, validate_generator
 
 from conftest import dense_rate_matrix
 
@@ -39,6 +42,41 @@ class TestSave:
         meta = json.loads(header.read_text())
         assert (meta["N"], meta["M"]) == (J.indexer.N, J.indexer.M)
         np.testing.assert_array_equal(meta["survival_mass"], J.survival_mass)
+
+    @pytest.mark.parametrize("case", ["two-state", "triple-well-3", "triple-well-24",
+                                      "random-edges"])
+    def test_streamed_bytes_equal_mmwrite_of_the_matrix(self, case, tmp_path, caplog):
+        if case == "random-edges":
+            # state 0 absorbing throughout, every other cell without rates
+            rng = np.random.default_rng(23)
+            edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 6))])
+            rates = rng.uniform(0.0, 3.0, (6, 4, 4)) * (rng.random((6, 4, 4)) < 0.6)
+            rates[:, 0] = 0.0
+            rates[1::2] = 0.0
+            seq = RateMatrixSequence(TimeGrid(edges), tuple(map(dense_rate_matrix, rates)))
+        elif case == "two-state":
+            seq = presets.two_state()
+        else:  # triple well at dt = 1/3 or 1/24
+            seq = presets.triple_well(1 / int(case.rsplit("-", 1)[1]))
+        J = assemble(seq)
+        with caplog.at_level(logging.INFO, logger="ajc"):
+            mtx, _ = ajcio.save_jump_matrix(J, tmp_path / "jm")
+        assert "matrix" not in vars(J)
+        want = BytesIO()
+        scipy.io.mmwrite(want, J.matrix, symmetry="general")
+        assert mtx.read_bytes() == want.getvalue()
+        chunks = 2 if case == "triple-well-24" else 1  # 258,720 entries
+        assert (f"save_jump_matrix: nnz={J.matrix.nnz} in {chunks} chunks, "
+                f"{mtx.stat().st_size} bytes written") in caplog.messages
+
+    def test_header_is_general_for_a_symmetric_matrix(self, tmp_path):
+        # one cell, rate 1 both ways: the 2x2 matrix is symmetric
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 1),
+                                 (dense_rate_matrix([[0, 1.0], [1.0, 0]]),))
+        mtx, _ = ajcio.save_jump_matrix(assemble(seq), tmp_path / "jm")
+        lines = mtx.read_text().splitlines()
+        assert lines[0] == "%%MatrixMarket matrix coordinate real general"
+        assert lines[2] == "2 2 2" and len(lines) == 5
 
 
 class TestBuildSequence:
@@ -161,6 +199,17 @@ class TestCli:
         assert "N=63 M=6 dimension=378 nnz=4620" in out
         assert (tmp_path / "jump_matrix.mtx").exists()
         assert (tmp_path / "jump_matrix.json").exists()
+
+    def test_assemble_builds_no_explicit_matrix(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "assemble", lambda seq: built.append(assemble(seq)) or built[-1])
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well", "dt": 1 / 24}})
+        assert main(["assemble", "--config", cfg, "--out", str(tmp_path)]) == 0
+        J, = built
+        assert "matrix" not in vars(J) and "block_cumulative" not in vars(J)
+        size = J.indexer.size
+        assert (f"nnz={J.matrix.nnz} sparsity={J.matrix.nnz / size ** 2:.4%}"
+                in capsys.readouterr().out)
 
     def test_sample(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -332,7 +381,7 @@ class TestCli:
         err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
                              text=True, check=True).stderr
         assert "assemble: N=63 M=6 phases=2 diagonal blocks=2" in err
-        assert "solve_backward: 5 blocks solved against 2 LU factorizations" in err
+        assert "solve_backward: 6 blocks solved against 2 LU factorizations" in err
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert quiet.stderr == ""

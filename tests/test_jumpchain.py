@@ -4,17 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from ajc.jumpchain import (
-    SpaceTimePoint,
-    TrajectorySample,
+from ajc.jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
+
+from conftest import (
     integrated_rate,
+    kernel_density,
     path_state_at,
     sample_jump_time,
-    sample_trajectory,
     survival,
 )
-
-from conftest import kernel_density
 
 A, B = 0, 1
 

@@ -3,16 +3,21 @@ import pytest
 
 from ajc import oracle, presets
 from ajc.galerkin import assemble
-from ajc.jumpchain import SpaceTimePoint, path_state_at, sample_trajectory
+from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 from ajc.oracle import (
     convergence_study,
     exact_propagator,
     expm,
-    operator_norm_error,
     reconstructed_propagator_matrix,
 )
 
-from conftest import dense_rate_matrix, frobenius_error, neumann_activity
+from conftest import (
+    dense_rate_matrix,
+    frobenius_error,
+    neumann_activity,
+    operator_norm_error,
+    path_state_at,
+)
 
 A, B = 0, 1
 
