@@ -187,6 +187,13 @@ class JumpMatrix:
         return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
     @functools.cached_property
+    def lus(self) -> dict:
+        """Sparse LU of I - B^T per diagonal block object, keyed by its id:
+        empty on first use, filled by the solves of ajc.operators, each block
+        factored by the first solve that needs it."""
+        return {}
+
+    @functools.cached_property
     def block_cumulative(self) -> np.ndarray:
         """Dense (N*M, M) per-row jump mass into blocks <= l, built on first use."""
         return 1.0 - np.column_stack([self.block_survival(l) for l in range(self.indexer.M)])

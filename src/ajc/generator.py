@@ -219,20 +219,13 @@ def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
 
     State index is row-major: index = row * nx + col with row in [0, ny).
     """
-    rows, cols = [], []
-    for r in range(ny):
-        for c in range(nx):
-            a = r * nx + c
-            if c + 1 < nx:
-                b = a + 1
-                rows += [a, b]
-                cols += [b, a]
-            if r + 1 < ny:
-                b = a + nx
-                rows += [a, b]
-                cols += [b, a]
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(nx * ny, nx * ny))
+    index = np.arange(nx * ny).reshape(ny, nx)
+    a = np.concatenate([index[:, :-1].ravel(), index[:-1].ravel()])  # left, upper ends
+    b = np.concatenate([index[:, 1:].ravel(), index[1:].ravel()])
+    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
+    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nx * ny, nx * ny))
+    adj.sort_indices()
+    return adj
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,12 @@
 The jump operator is block upper-triangular over time blocks, so every
 solve here is one scan over the time cells: forward (I - J^T) X = F for
 jump activity and propagation, backward (I - J) x = b for Koopman and
-committor values.  Each diagonal block is solved through one sparse LU,
-built once per distinct block within a solve, which on a uniform grid is
-once per protocol phase.  A block is factored in the orientation it is
-solved in: I - B^T for forward solves, I - B for backward ones.
+committor values.  Each diagonal block is solved through one sparse LU
+of I - B^T, which the jump operator keeps once built (JumpMatrix.lus), so
+on a uniform grid there is one LU per protocol phase, shared by every
+solve on that operator: forward solves use it as it is, backward solves
+through the transposed triangular solve.  Only a committor block with
+cells in A or B is factored on its free cells, once per solve.
 """
 
 from __future__ import annotations
@@ -54,45 +56,66 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
     return SpaceTimeVector(values, indexer)
 
 
-def _solve_diagonal(lus: dict, B: sp.csr_matrix, free: np.ndarray,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - B) x = rhs restricted to the free cells of a diagonal block.
+def _solve_diagonal(J: JumpMatrix, l: int, free: np.ndarray | None, rhs: np.ndarray,
+                    forward: bool, used: dict) -> np.ndarray:
+    """Solve diagonal block l of J, (I - B^T) x = rhs forward and
+    (I - B) x = rhs backward, on all its cells (free None) or on the cells
+    of the boolean mask free.
 
-    lus holds one LU per block object and mask within a solve, so the cells
-    of one phase factorize once and give bit-identical results.  The block
-    comes in the orientation it is solved in, so the LU solve is never
-    transposed; the residual is checked against that same stored operand.
+    A whole block is solved through J.lus, the one LU of I - B^T that J
+    keeps per block object: a forward solve uses it as it is, a backward
+    one through the transposed triangular solve, and the residual is
+    checked against the stored block of that direction.  A masked block
+    (the committor's A and B) is factored as I - B on its free cells and
+    kept only in used, the scan's record of its blocks: key -> (LU, the
+    block it factors, built by this scan).  A failed factorization is
+    stored nowhere.
     """
-    key = (id(B), free.tobytes())  # the blocks outlive the solve, so ids stay unique
-    if key not in lus:
-        sub = B[free][:, free]
-        try:
-            lus[key] = sub, spla.splu(sp.eye(sub.shape[0], format="csc") - sub.tocsc())
-        except RuntimeError as exc:
-            raise NonConvergence(f"singular diagonal block: {exc}") from exc
-    sub, lu = lus[key]
-    x = lu.solve(rhs)
-    res = np.max(np.abs(x - sub @ x - rhs), initial=0.0)
+    B = J.diagonal[l]
+    # J holds its blocks, so their ids stay unique while J lives
+    key = id(B) if free is None else (id(B), free.tobytes())
+    if key not in used:
+        operand = J.diagonal_t[l] if free is None else B[free][:, free]
+        lu = J.lus.get(key)
+        built = lu is None
+        if built:
+            try:
+                lu = spla.splu(sp.eye(operand.shape[0], format="csc") - operand.tocsc())
+            except RuntimeError as exc:
+                raise NonConvergence(f"singular diagonal block: {exc}") from exc
+            if free is None:
+                J.lus[key] = lu
+        used[key] = lu, operand, built
+    lu, operand, _ = used[key]
+    if free is None and not forward:
+        x, operand = lu.solve(rhs, trans="T"), B
+    else:
+        x = lu.solve(rhs)
+    res = np.max(np.abs(x - operand @ x - rhs), initial=0.0)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise NonConvergence(f"diagonal block residual {res:.3e}")
     return x
+
+
+def _log_solve(name: str, solved: int, used: dict) -> None:
+    built = sum(b for _, _, b in used.values())
+    log.info("%s: %d blocks solved against %d LU factorizations built, %d reused",
+             name, solved, built, len(used) - built)
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
     """Solve (I - J^T) X = F by one scan in ascending time.
 
     F is a space-time vector or an (N*M, c) stack of them.  Each block is
-    solved with the jumps from earlier blocks as inflow, against the LU of
-    I - B^T built from the stored transposed block.
+    solved with the jumps from earlier blocks as inflow, against J's LU of
+    I - B^T.
     """
     X = np.array(F, dtype=float)
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
-    free = np.ones(J.indexer.N, dtype=bool)
-    lus = {}
+    used = {}
     for l, inflow in J.scan_forward(blocks):
-        blocks[l] = _solve_diagonal(lus, J.diagonal_t[l], free, blocks[l] + inflow)
-    log.info("solve_forward: %d blocks solved against %d LU factorizations built",
-             J.indexer.M, len(lus))
+        blocks[l] = _solve_diagonal(J, l, None, blocks[l] + inflow, True, used)
+    _log_solve("solve_forward", J.indexer.M, used)
     return X
 
 
@@ -106,18 +129,15 @@ def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
     shape = (J.indexer.M, J.indexer.N)
     x = np.array(x, dtype=float)
     blocks, b, free = x.reshape(*shape, 1), np.reshape(b, (*shape, 1)), free.reshape(shape)
-    lus = {}
-    solved = 0
+    used = {}
     for k, inflow in J.scan_backward(blocks):
         f = free[k]
-        if f.any():
-            rhs = b[k] + inflow
-            if not f.all():
-                rhs += J.diagonal[k] @ np.where(f[:, None], 0.0, blocks[k])
-            blocks[k][f] = _solve_diagonal(lus, J.diagonal[k], f, rhs[f])
-            solved += 1
-    log.info("solve_backward: %d blocks solved against %d LU factorizations built",
-             solved, len(lus))
+        if f.all():
+            blocks[k] = _solve_diagonal(J, k, None, b[k] + inflow, False, used)
+        elif f.any():
+            rhs = b[k] + inflow + J.diagonal[k] @ np.where(f[:, None], 0.0, blocks[k])
+            blocks[k][f] = _solve_diagonal(J, k, f, rhs[f], False, used)
+    _log_solve("solve_backward", int(free.any(axis=1).sum()), used)
     return x
 
 

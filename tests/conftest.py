@@ -39,20 +39,23 @@ def triple_well_J(triple_well_seq):
     return assemble(triple_well_seq)
 
 
-@pytest.fixture(scope="session")
-def grid_2500_J():
-    """SQRA on a 50x50 grid of the triple-well potential, 6 cells on [0, 2]
-    with beta 1 then 10: N = 2500 states per diagonal block."""
-    n_side = 50
+def triple_well_grid_seq(n_side, cells):
+    """SQRA on an n_side x n_side grid of the triple-well potential, `cells`
+    uniform cells on [0, 2] with beta 1 in the first half and 10 after."""
     (x0, x1), (y0, y1) = presets.TRIPLE_WELL_DOMAIN
     h = (x1 - x0) / (n_side - 1)
     offsets = h * (np.arange(n_side) - (n_side - 1) / 2)
     X, Y = np.meshgrid((x0 + x1) / 2 + offsets, (y0 + y1) / 2 + offsets)
     pot = GridPotential(n_side, n_side, h, presets.triple_well_potential(X, Y))
     Q = {beta: sqra_generator(pot, beta) for beta in (1.0, 10.0)}
-    seq = rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, 6),
-                                      lambda k, span: Q[1.0 if k < 3 else 10.0])
-    return assemble(seq)
+    return rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, cells),
+                                      lambda k, span: Q[1.0 if 2 * k < cells else 10.0])
+
+
+@pytest.fixture(scope="session")
+def grid_2500_J():
+    """The 50x50 grid in 6 cells: N = 2500 states per diagonal block."""
+    return assemble(triple_well_grid_seq(50, 6))
 
 
 def dense_rate_matrix(offdiag_rows):
@@ -99,6 +102,24 @@ def path_state_at(traj, t):
         raise ValueError("time outside the trajectory's observation window")
     n = int(np.searchsorted(traj.times, t, side="right")) - 1
     return int(traj.states[n])
+
+
+def four_neighbor_adjacency_loop(nx, ny):
+    """The grid adjacency built edge by edge, row-major, in a Python loop."""
+    rows, cols = [], []
+    for r in range(ny):
+        for c in range(nx):
+            a = r * nx + c
+            if c + 1 < nx:
+                b = a + 1
+                rows += [a, b]
+                cols += [b, a]
+            if r + 1 < ny:
+                b = a + nx
+                rows += [a, b]
+                cols += [b, a]
+    data = np.ones(len(rows))
+    return sp.csr_matrix((data, (rows, cols)), shape=(nx * ny, nx * ny))
 
 
 def as_grid(v):

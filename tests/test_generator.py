@@ -15,7 +15,7 @@ from ajc.generator import (
 )
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
-from conftest import dense_rate_matrix
+from conftest import dense_rate_matrix, four_neighbor_adjacency_loop
 
 
 def seq_of(grid, *mats):
@@ -160,6 +160,14 @@ class TestSqra:
         assert np.count_nonzero(deg == 2) == 4  # corners
         assert (A != A.T).nnz == 0
         assert A.diagonal().sum() == 0
+
+    @pytest.mark.parametrize("nx, ny", [(50, 50), (9, 7), (1, 5), (5, 1), (3, 4), (1, 1)])
+    def test_adjacency_equals_the_loop(self, nx, ny):
+        got, want = four_neighbor_adjacency(nx, ny), four_neighbor_adjacency_loop(nx, ny)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 class TestProtocol:

@@ -2,10 +2,11 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from ajc import presets
 from ajc.committor import SpaceTimeSet, coherence_defect, committor_solve
-from ajc.galerkin import apply_adjoint, apply_forward, assemble
+from ajc.galerkin import SpaceTimeIndexer, apply_adjoint, apply_forward, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
     NonConvergence,
@@ -18,7 +19,13 @@ from ajc.operators import (
 )
 from ajc.oracle import exact_propagator, reconstructed_propagator_matrix
 
-from conftest import as_grid, closed_form_survival, dense_rate_matrix, koopman_matrix_column
+from conftest import (
+    as_grid,
+    closed_form_survival,
+    dense_rate_matrix,
+    koopman_matrix_column,
+    triple_well_grid_seq,
+)
 
 A, B = 0, 1
 TOL = 1e-10
@@ -79,10 +86,12 @@ class TestJumpActivity:
             tuple(dense_rate_matrix([[0, 1e17], [1e17, 0]]) for _ in range(2)),
         )
         J = assemble(seq)
-        with pytest.raises(NonConvergence):
-            koopman_solve(J, np.ones(2), 1)
-        with pytest.raises(NonConvergence):
-            jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
+        for _ in range(2):  # a failed factorization is not kept, so it fails again
+            with pytest.raises(NonConvergence, match="singular diagonal block"):
+                koopman_solve(J, np.ones(2), 1)
+            with pytest.raises(NonConvergence, match="singular diagonal block"):
+                jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
+        assert J.lus == {}
 
 
 class TestSynchronize:
@@ -195,13 +204,17 @@ class TestDuality:
             assert abs(lhs - rhs) <= 1e-8
 
 
-def test_solves_log_blocks_against_factorizations(two_state_J, caplog):
-    # two phases at one width: 8 blocks, 2 distinct diagonal blocks
+def test_solves_log_blocks_against_factorizations(two_state_seq, caplog):
+    # two phases at one width: 8 blocks, 2 distinct diagonal blocks; a fresh J,
+    # since its LUs outlive each solve
+    J = assemble(two_state_seq)
     with caplog.at_level(logging.INFO, logger="ajc"):
-        reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), 7)
-        koopman_solve(two_state_J, np.ones(2), 7)
-    assert "solve_forward: 8 blocks solved against 2 LU factorizations built" in caplog.messages
-    assert "solve_backward: 8 blocks solved against 2 LU factorizations built" in caplog.messages
+        reconstruct_propagator(J, np.array([1.0, 0.0]), 7)
+        koopman_solve(J, np.ones(2), 7)
+    assert caplog.messages == [
+        "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused",
+        "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused",
+    ]
 
 
 def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
@@ -209,10 +222,37 @@ def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
     J = assemble(presets.triple_well(1 / 96))
     n, m = J.indexer.N, J.indexer.M
     with caplog.at_level(logging.INFO, logger="ajc"):
-        reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
         koopman_solve(J, np.ones(n), m - 1)
-    assert "solve_forward: 192 blocks solved against 2 LU factorizations built" in caplog.messages
-    assert "solve_backward: 192 blocks solved against 2 LU factorizations built" in caplog.messages
+        reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
+    assert caplog.messages == [
+        "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused",
+        "solve_forward: 192 blocks solved against 0 LU factorizations built, 2 reused",
+    ]
+
+
+@pytest.mark.parametrize("seq", [presets.triple_well(1 / 96), triple_well_grid_seq(8, 6)],
+                         ids=["triple-well-96", "grid-8x8"])
+def test_solves_on_one_operator_share_its_factorizations(seq, monkeypatch):
+    n, m = seq.N, seq.grid.M
+    g = np.random.default_rng(8).random(n)
+    f = embed_spacelike(np.full(n, 1.0 / n), SpaceTimeIndexer(n, m))
+    A = SpaceTimeSet.rectangle([0, 1], (0, 1))  # two cells of each of blocks 0 and 1
+    B = SpaceTimeSet.rectangle([n - 1], (m - 2, m - 1))
+    solves = [lambda J: koopman_solve(J, g, m - 1).values,
+              lambda J: jump_activity(J, f)[0].values,
+              lambda J: koopman_solve(J, np.ones(n), m - 1).values,
+              lambda J: committor_solve(J, A, B).values]
+    sizes = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda a, **kw: sizes.append(a.shape[0]) or splu(a, **kw))
+    J = assemble(seq)
+    shared = [solve(J) for solve in solves]
+    # one full block per phase, built by the first Koopman solve from the last
+    # phase down; then the committor's masked blocks of B and of A, per solve
+    assert sizes == [n, n, n - 1, n - 2]
+    assert set(J.lus) == {id(D) for D in J.diagonal} and len(J.lus) == 2
+    for solve, got in zip(solves, shared):
+        np.testing.assert_array_equal(got, solve(assemble(seq)))
 
 
 def test_solves_build_no_explicit_matrix():
