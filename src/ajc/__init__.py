@@ -22,7 +22,6 @@ from .galerkin import (
     JumpMatrix,
     SpaceTimeIndexer,
     apply_adjoint,
-    apply_forward,
     assemble,
 )
 from .operators import (
@@ -54,8 +53,7 @@ __all__ = [
     "rate_sequence_from_protocol", "sqra_generator", "validate_generator",
     "with_recomputed_diagonal",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
-    "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "apply_forward",
-    "assemble",
+    "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",
     "koopman_solve", "reconstruct_propagator", "synchronize",
     "EmptyTarget", "SpaceTimeSet", "coherence_defect", "committor_solve",

@@ -47,8 +47,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ajc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("assemble", "sample", "propagate", "koopman",
-                 "committor", "coherence", "convergence"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")

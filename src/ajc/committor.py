@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .galerkin import JumpMatrix, apply_adjoint
-from .operators import SpaceTimeVector, solve_backward
+from .operators import SpaceTimeVector, _solve_backward
 
 TAIL_TO_A = "absorb_to_A"
 TAIL_TO_B = "absorb_to_B"
@@ -30,7 +30,7 @@ class EmptyTarget(ValueError):
 class SpaceTimeSet:
     """Set of (state, block) cells, both 0-based."""
 
-    cells: frozenset
+    cells: Iterable  # of (state, block) pairs, stored as a frozenset
     label: str = ""
 
     def __post_init__(self):
@@ -39,16 +39,10 @@ class SpaceTimeSet:
         )
 
     @classmethod
-    def from_cells(cls, cells: Iterable, label: str = "") -> "SpaceTimeSet":
-        return cls(frozenset(tuple(c) for c in cells), label)
-
-    @classmethod
     def rectangle(cls, states: Iterable[int], blocks: tuple[int, int],
                   label: str = "") -> "SpaceTimeSet":
         lo, hi = blocks
-        return cls(
-            frozenset((int(i), k) for i in states for k in range(lo, hi + 1)), label
-        )
+        return cls(((i, k) for i in states for k in range(lo, hi + 1)), label)
 
     def mask(self, N: int, M: int) -> np.ndarray:
         """Boolean flat-index membership mask."""
@@ -58,9 +52,6 @@ class SpaceTimeSet:
                 raise ValueError(f"cell ({i}, {k}) outside the {N}x{M} space-time grid")
             out[k * N + i] = True
         return out
-
-    def __len__(self):
-        return len(self.cells)
 
 
 def tail_value(tail) -> float:
@@ -101,8 +92,7 @@ def committor_solve(J: JumpMatrix, A: SpaceTimeSet, B: SpaceTimeSet,
 
     c = np.zeros(J.indexer.size)
     c[in_a] = 1.0
-    c = solve_backward(J, J.survival_mass * np.tile(c_tail, m), c, ~(in_a | in_b))
-    return SpaceTimeVector(c, J.indexer)
+    return SpaceTimeVector(_solve_backward(J, m - 1, c_tail, c, ~(in_a | in_b)), J.indexer)
 
 
 def coherence_defect(J: JumpMatrix, C: SpaceTimeSet,

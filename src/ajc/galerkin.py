@@ -227,25 +227,12 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
                       tuple(offdiag_t[p] for p in seq.phase), tuple(Bt for _, Bt in diagonal))
 
 
-def _blocks(J: JumpMatrix, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != J.indexer.size:
-        raise ValueError("vector length must be N*M")
-    return v.reshape(J.indexer.M, J.indexer.N, -1)
-
-
-def apply_forward(J: JumpMatrix, f: np.ndarray) -> np.ndarray:
-    """One forward jump of a space-time density (vector times matrix)."""
-    F = _blocks(J, f)
-    out = np.empty_like(F)
-    for l, inflow in J.scan_forward(F):
-        out[l] = J.diagonal_t[l] @ F[l] + inflow
-    return out.reshape(np.shape(f))
-
-
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
     """One backward pull of a space-time observable (matrix times vector)."""
-    G = _blocks(J, g)
+    G = np.asarray(g, dtype=float)
+    if G.shape[0] != J.indexer.size:
+        raise ValueError("vector length must be N*M")
+    G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
     for k, inflow in J.scan_backward(G):
         out[k] = J.diagonal[k] @ G[k] + inflow

@@ -236,7 +236,7 @@ class GridPotential:
     ny: int
     h: float
     values: np.ndarray
-    adjacency: sp.csr_matrix = field(default=None)
+    adjacency: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
@@ -245,10 +245,7 @@ class GridPotential:
         if self.h <= 0:
             raise ValueError("cell size h must be positive")
         object.__setattr__(self, "values", values)
-        adj = self.adjacency
-        if adj is None:
-            adj = four_neighbor_adjacency(self.nx, self.ny)
-        object.__setattr__(self, "adjacency", sp.csr_matrix(adj))
+        object.__setattr__(self, "adjacency", four_neighbor_adjacency(self.nx, self.ny))
 
     @property
     def N(self) -> int:

@@ -231,7 +231,7 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
     """Sets are lists of [state, block] pairs or rectangles
     {"states": [...], "blocks": [lo, hi]}; a list may mix both forms."""
     if node is None:
-        return SpaceTimeSet(frozenset(), label)
+        return SpaceTimeSet((), label)
     if isinstance(node, dict):
         node = [node]
     cells = set()
@@ -245,7 +245,7 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
         else:
             i, k = _list(item, f"set {label} cell", 2)
             cells.add((resolve_state(i, N), parse_block(k, M)))
-    return SpaceTimeSet(frozenset(cells), label)
+    return SpaceTimeSet(cells, label)
 
 
 def parse_tail(node):

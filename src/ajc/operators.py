@@ -2,13 +2,15 @@
 
 The jump operator is block upper-triangular over time blocks, so every
 solve here is one scan over the time cells: forward (I - J^T) X = F for
-jump activity and propagation, backward (I - J) x = b for Koopman and
-committor values.  Each diagonal block is solved through one sparse LU
-of I - B^T, which the jump operator keeps once built (JumpMatrix.lus), so
-on a uniform grid there is one LU per protocol phase, shared by every
-solve on that operator: forward solves use it as it is, backward solves
-through the transposed triangular solve.  Only a committor block with
-cells in A or B is factored on its free cells, once per solve.
+jump activity and the propagator, of one density or a stack of them, whose
+worst block residual is the residual of the whole solve; backward
+(I - J) x = b for Koopman and committor values, through one private entry.
+Each diagonal block is solved through one sparse LU of I - B^T, which the
+jump operator keeps once built (JumpMatrix.lus), so on a uniform grid there
+is one LU per protocol phase, shared by every solve on that operator:
+forward solves use it as it is, backward solves through the transposed
+triangular solve.  Only a committor block with cells in A or B is factored
+on its free cells, once per solve.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer, apply_forward
+from .galerkin import JumpMatrix, SpaceTimeIndexer
 
 RESIDUAL_TOL = 1e-10
 
@@ -57,10 +59,11 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
 
 
 def _solve_diagonal(J: JumpMatrix, l: int, free: np.ndarray | None, rhs: np.ndarray,
-                    forward: bool, used: dict) -> np.ndarray:
+                    forward: bool, used: dict) -> tuple[np.ndarray, float]:
     """Solve diagonal block l of J, (I - B^T) x = rhs forward and
     (I - B) x = rhs backward, on all its cells (free None) or on the cells
-    of the boolean mask free.
+    of the boolean mask free.  Returns x and its residual |x - B x - rhs|_inf
+    (B^T forward).
 
     A whole block is solved through J.lus, the one LU of I - B^T that J
     keeps per block object: a forward solve uses it as it is, a backward
@@ -94,7 +97,7 @@ def _solve_diagonal(J: JumpMatrix, l: int, free: np.ndarray | None, rhs: np.ndar
     res = np.max(np.abs(x - operand @ x - rhs), initial=0.0)
     if not res <= RESIDUAL_TOL:  # also catches NaN
         raise NonConvergence(f"diagonal block residual {res:.3e}")
-    return x
+    return x, res
 
 
 def _log_solve(name: str, solved: int, used: dict) -> None:
@@ -103,40 +106,45 @@ def _log_solve(name: str, solved: int, used: dict) -> None:
              name, solved, built, len(used) - built)
 
 
-def solve_forward(J: JumpMatrix, F: np.ndarray) -> np.ndarray:
+def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve (I - J^T) X = F by one scan in ascending time.
 
     F is a space-time vector or an (N*M, c) stack of them.  Each block is
     solved with the jumps from earlier blocks as inflow, against J's LU of
-    I - B^T.
+    I - B^T.  Returns X and its worst block residual, which is the residual
+    ||(I - J^T) X - F||_inf: each block's inflow is the one J^T sends it
+    from the solved blocks.
     """
     X = np.array(F, dtype=float)
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
-    used = {}
+    used, residual = {}, 0.0
     for l, inflow in J.scan_forward(blocks):
-        blocks[l] = _solve_diagonal(J, l, None, blocks[l] + inflow, True, used)
+        blocks[l], res = _solve_diagonal(J, l, None, blocks[l] + inflow, True, used)
+        residual = max(residual, res)
     _log_solve("solve_forward", J.indexer.M, used)
-    return X
+    return X, float(residual)
 
 
-def solve_backward(J: JumpMatrix, b: np.ndarray, x: np.ndarray,
-                   free: np.ndarray) -> np.ndarray:
-    """Solve (I - J) x = b on the free cells by one scan in descending time.
+def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarray,
+                    free: np.ndarray) -> np.ndarray:
+    """Solve (I - J) x = (survival to the edge of block l) * terminal on the
+    cells of the boolean mask free, by one scan in descending time.
 
-    Cells outside the boolean mask free keep their values from x; returns
-    a new array.
+    terminal is a spatial vector, the same in every block; cells outside
+    free keep their values from fixed.  Returns a new array.
     """
     shape = (J.indexer.M, J.indexer.N)
-    x = np.array(x, dtype=float)
-    blocks, b, free = x.reshape(*shape, 1), np.reshape(b, (*shape, 1)), free.reshape(shape)
+    b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
+    x = np.array(fixed, dtype=float)
+    blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
     used = {}
     for k, inflow in J.scan_backward(blocks):
         f = free[k]
         if f.all():
-            blocks[k] = _solve_diagonal(J, k, None, b[k] + inflow, False, used)
+            blocks[k] = _solve_diagonal(J, k, None, b[k] + inflow, False, used)[0]
         elif f.any():
             rhs = b[k] + inflow + J.diagonal[k] @ np.where(f[:, None], 0.0, blocks[k])
-            blocks[k][f] = _solve_diagonal(J, k, f, rhs[f], False, used)
+            blocks[k][f] = _solve_diagonal(J, k, f, rhs[f], False, used)[0]
     _log_solve("solve_backward", int(free.any(axis=1).sum()), used)
     return x
 
@@ -145,10 +153,9 @@ def jump_activity(J: JumpMatrix, f: SpaceTimeVector) -> tuple[SpaceTimeVector, f
     """Sum of all iterated forward jumps of a density, a = sum_n (J^T)^n f.
 
     The series is summed exactly as (I - J^T) a = f.  Returns the activity
-    and the residual ||(I - J^T) a - f||_inf.
+    and the residual ||(I - J^T) a - f||_inf of that solve.
     """
-    a = solve_forward(J, f.values)
-    residual = float(np.max(np.abs(a - apply_forward(J, a) - f.values), initial=0.0))
+    a, residual = solve_forward(J, f.values)
     return SpaceTimeVector(a, J.indexer), residual
 
 
@@ -158,17 +165,32 @@ def synchronize(J: JumpMatrix, a: SpaceTimeVector, l: int) -> np.ndarray:
     Each cell (i, k) with k <= l is weighted by its probability of not
     jumping again before that edge.
     """
+    return _synchronize(J, a.values, l)
+
+
+def _synchronize(J: JumpMatrix, a: np.ndarray, l: int) -> np.ndarray:
+    """synchronize on an N*M vector a or on each column of an (N*M, c) stack."""
     if not 0 <= l < J.indexer.M:
         raise ValueError("invalid time block")
     n = J.indexer.N
-    weighted = a.values * J.block_survival(l)
-    return weighted[:(l + 1) * n].reshape(l + 1, n).sum(axis=0)
+    weighted = a.reshape(J.indexer.size, -1) * J.block_survival(l)[:, None]
+    return weighted[:(l + 1) * n].reshape(l + 1, n, *a.shape[1:]).sum(axis=0)
 
 
 def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
-    """Evolve a spatial density from the first block to the edge of block l."""
-    activity, _ = jump_activity(J, embed_spacelike(fbar, J.indexer, block=0))
-    return synchronize(J, activity, l)
+    """Evolve a spatial density from the first block to the edge of block l.
+
+    fbar is an (N,) density or an (N, c) stack of them, each starting
+    uniformly in the first time cell; the result has fbar's shape.  For
+    fbar the identity, column i is the propagator's row for state i.
+    """
+    fbar = np.asarray(fbar, dtype=float)
+    n = J.indexer.N
+    if fbar.ndim not in (1, 2) or fbar.shape[0] != n:
+        raise ValueError("spatial density must have N rows")
+    F = np.zeros((J.indexer.size, *fbar.shape[1:]))
+    F[:n] = fbar
+    return _synchronize(J, solve_forward(J, F)[0], l)
 
 
 def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
@@ -186,5 +208,4 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
     if not 0 <= l < m:
         raise ValueError("invalid terminal block")
     free = np.arange(J.indexer.size) < (l + 1) * n
-    K = solve_backward(J, J.block_survival(l) * np.tile(g, m), np.zeros(J.indexer.size), free)
-    return SpaceTimeVector(K, J.indexer)
+    return SpaceTimeVector(_solve_backward(J, l, g, np.zeros(J.indexer.size), free), J.indexer)

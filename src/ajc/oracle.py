@@ -2,7 +2,9 @@
 
 Everything here goes through matrix exponentials of the piecewise-constant
 generator, which is an entirely independent path from the Galerkin
-assembly.  Dense work is restricted to desk scale (N <= 500).
+assembly; convergence_study compares it with the sparse route's one
+propagator, operators.reconstruct_propagator, on all N unit masses at once.
+Dense work is restricted to desk scale (N <= 500).
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from .galerkin import JumpMatrix
+from .galerkin import assemble
 from .generator import RateMatrixSequence
-from .operators import solve_forward
+from .operators import reconstruct_propagator
 
 DENSE_MAX_N = 500
 
@@ -50,20 +52,6 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
     return P
 
 
-def reconstructed_propagator_matrix(J: JumpMatrix) -> np.ndarray:
-    """Dense matrix of the sparse-route propagator up to the final block edge.
-
-    Row i is the reconstructed evolution of a unit mass starting uniformly
-    in the first time cell at state i: the jump activity of all N unit
-    masses at once, synchronized onto the final block edge.
-    """
-    n, m = J.indexer.N, J.indexer.M
-    F = np.zeros((J.indexer.size, n))
-    F[:n] = np.eye(n)
-    weighted = solve_forward(J, F) * J.block_survival(m - 1)[:, None]
-    return weighted.reshape(m, n, n).sum(axis=0).T
-
-
 def convergence_study(seq_builder, dt_list) -> dict:
     """Error of the Galerkin route versus the dense oracle for a dt sweep.
 
@@ -72,8 +60,6 @@ def convergence_study(seq_builder, dt_list) -> dict:
     switching times.  Returns rows of (dt, 2-norm error, Frobenius error)
     plus the fitted log-log slope (None for a single step size).
     """
-    from .galerkin import assemble
-
     dt_list = [float(dt) for dt in dt_list]
     if sorted(dt_list, reverse=True) != dt_list:
         raise ValueError("dt_list must be sorted descending")
@@ -81,7 +67,8 @@ def convergence_study(seq_builder, dt_list) -> dict:
     for dt in dt_list:
         seq = seq_builder(dt)
         J = assemble(seq)
-        approx = reconstructed_propagator_matrix(J)
+        # column i is the evolution of a unit mass starting in the first cell at i
+        approx = reconstruct_propagator(J, np.eye(seq.N), J.indexer.M - 1).T
         exact = exact_propagator(seq, seq.grid.t0, seq.grid.horizon)
         diff = approx - exact
         rows.append((dt, float(np.linalg.norm(diff, 2)),

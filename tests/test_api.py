@@ -1,0 +1,22 @@
+import ast
+from pathlib import Path
+
+import ajc
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_every_public_name_has_a_caller():
+    # a public name only the tests use belongs in the tests; a name the
+    # benchmark calls is in use
+    sources = [p for p in (ROOT / "src" / "ajc").glob("*.py") if p.name != "__init__.py"]
+    used = set()
+    for path in sources + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(ajc.__all__) - used) == []

@@ -28,13 +28,13 @@ class TestSpaceTimeSet:
         assert s.cells == {(0, 1), (0, 2), (2, 1), (2, 2)}
 
     def test_mask_layout(self):
-        s = SpaceTimeSet.from_cells([(1, 0), (0, 2)])
+        s = SpaceTimeSet([(1, 0), (0, 2)])
         mask = s.mask(2, 3)
         np.testing.assert_array_equal(mask, [False, True, False, False, True, False])
 
     def test_mask_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            SpaceTimeSet.from_cells([(5, 0)]).mask(2, 3)
+            SpaceTimeSet([(5, 0)]).mask(2, 3)
 
 
 class TestCommittor:
@@ -44,8 +44,8 @@ class TestCommittor:
         # so they differ by a J-harmonic function there
         c = committor_solve(
             two_state_J,
-            SpaceTimeSet.from_cells([(B, 7)]),
-            SpaceTimeSet.from_cells([(A, 7)]),
+            SpaceTimeSet([(B, 7)]),
+            SpaceTimeSet([(A, 7)]),
         )
         K = koopman_matrix_column(two_state_J, B, 7)
         d = K.values - c.values
@@ -54,7 +54,7 @@ class TestCommittor:
 
     def test_full_target_is_one(self, two_state_J):
         c = committor_solve(two_state_J, all_cells(two_state_J),
-                            SpaceTimeSet.from_cells([]))
+                            SpaceTimeSet([]))
         np.testing.assert_array_equal(c.values, 1.0)
 
     def test_values_are_probabilities(self, triple_well_J):
@@ -85,8 +85,8 @@ class TestCommittor:
     def test_tail_policy_constants(self, two_state_J):
         # target only at early blocks; a walker idle at the horizon takes
         # the tail value
-        a = SpaceTimeSet.from_cells([(B, 0)])
-        b = SpaceTimeSet.from_cells([(A, 0)])
+        a = SpaceTimeSet([(B, 0)])
+        b = SpaceTimeSet([(A, 0)])
         to_a = committor_solve(two_state_J, a, b, tail=TAIL_TO_A)
         to_b = committor_solve(two_state_J, a, b, tail=TAIL_TO_B)
         idx = two_state_J.indexer
@@ -98,7 +98,7 @@ class TestCommittor:
         # c at (A, 0) with target "state B at any block" is the probability
         # of jumping at all before the horizon, start uniform in the cell
         a = SpaceTimeSet.rectangle([B], (0, 7))
-        c = committor_solve(two_state_J, a, SpaceTimeSet.from_cells([]),
+        c = committor_solve(two_state_J, a, SpaceTimeSet([]),
                             tail=TAIL_TO_B)
         got = c.values[two_state_J.indexer.flat(A, 0)]
 
@@ -114,19 +114,19 @@ class TestCommittor:
         assert abs(got - p) < 3 * np.sqrt(p * (1 - p) / n)
 
     def test_rejects_overlapping_sets(self, two_state_J):
-        s = SpaceTimeSet.from_cells([(A, 0)])
+        s = SpaceTimeSet([(A, 0)])
         with pytest.raises(ValueError):
             committor_solve(two_state_J, s, s)
 
     def test_empty_target_raises(self, two_state_J):
         with pytest.raises(EmptyTarget):
-            committor_solve(two_state_J, SpaceTimeSet.from_cells([]),
-                            SpaceTimeSet.from_cells([(A, 0)]))
+            committor_solve(two_state_J, SpaceTimeSet([]),
+                            SpaceTimeSet([(A, 0)]))
 
     def test_bad_tail_value(self, two_state_J):
         with pytest.raises(ValueError):
-            committor_solve(two_state_J, SpaceTimeSet.from_cells([(B, 7)]),
-                            SpaceTimeSet.from_cells([(A, 7)]), tail=1.5)
+            committor_solve(two_state_J, SpaceTimeSet([(B, 7)]),
+                            SpaceTimeSet([(A, 7)]), tail=1.5)
 
 
 class TestCoherence:
@@ -154,4 +154,4 @@ class TestCoherence:
 
     def test_empty_set_raises(self, two_state_J):
         with pytest.raises(EmptyTarget):
-            coherence_defect(two_state_J, SpaceTimeSet.from_cells([]))
+            coherence_defect(two_state_J, SpaceTimeSet([]))

@@ -11,7 +11,6 @@ from ajc import presets
 from ajc.galerkin import (
     SpaceTimeIndexer,
     apply_adjoint,
-    apply_forward,
     assemble,
     phi,
     psi,
@@ -21,12 +20,14 @@ from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
     RESIDUAL_TOL,
     NonConvergence,
+    SpaceTimeVector,
+    jump_activity,
     koopman_solve,
     reconstruct_propagator,
     solve_forward,
 )
 
-from conftest import closed_form_survival, dense_rate_matrix, kernel_density
+from conftest import apply_forward, closed_form_survival, dense_rate_matrix, kernel_density
 
 A, B = 0, 1
 
@@ -296,7 +297,7 @@ class TestRandomProtocols:
         want = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
         eps = np.finfo(float).eps
         try:
-            got = solve_forward(J, F)
+            got, _ = solve_forward(J, F)
         except NonConvergence:
             # a stiff cycle makes the activity ~ q dt: the solve may refuse
             # only where a few ulps of x reach the absolute RESIDUAL_TOL
@@ -306,6 +307,36 @@ class TestRandomProtocols:
         n = J.indexer.N
         cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
         np.testing.assert_allclose(got, want, rtol=1e-12 + 10 * eps * cond, atol=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_activity_residual_is_the_full_residual(self, seq, seed):
+        J = assemble(seq)
+        f = np.random.default_rng(seed).random(J.indexer.size)
+        try:
+            a, residual = jump_activity(J, SpaceTimeVector(f, J.indexer))
+        except NonConvergence:
+            return  # the refusal of stiff cycles, test_forward_solve_equals_a_sparse_solve's
+        # the worst block residual is the whole solve's, up to the order of
+        # its roundings on terms no larger than the activity
+        full = np.max(np.abs(a.values - apply_forward(J, a.values) - f))
+        assert abs(residual - full) <= 4 * np.finfo(float).eps * np.abs(a.values).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_propagator_of_a_stack_equals_its_columns(self, seq, data, seed):
+        J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        l = data.draw(st.integers(0, m - 1))
+        F = np.random.default_rng(seed).random((n, 3))
+        try:
+            want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
+        except NonConvergence:
+            # a column holds the values of a single solve, so it fails the stack too
+            with pytest.raises(NonConvergence):
+                reconstruct_propagator(J, F, l)
+            return
+        np.testing.assert_array_equal(reconstruct_propagator(J, F, l), want)
 
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
@@ -340,8 +371,8 @@ class TestRandomProtocols:
         labels = data.draw(st.lists(st.sampled_from("AB-"), min_size=len(cells),
                                     max_size=len(cells)))
         assume("A" in labels)
-        A = SpaceTimeSet.from_cells(c for c, x in zip(cells, labels) if x == "A")
-        B = SpaceTimeSet.from_cells(c for c, x in zip(cells, labels) if x == "B")
+        A = SpaceTimeSet(c for c, x in zip(cells, labels) if x == "A")
+        B = SpaceTimeSet(c for c, x in zip(cells, labels) if x == "B")
         tail = data.draw(st.one_of(st.sampled_from([TAIL_TO_A, TAIL_TO_B]), st.floats(0.0, 1.0)))
         c = committor_solve(J, A, B, tail).values
         eps = np.finfo(float).eps
@@ -372,4 +403,4 @@ class TestApply:
 
     def test_dimension_mismatch(self, two_state_J):
         with pytest.raises(ValueError):
-            apply_forward(two_state_J, np.zeros(3))
+            apply_adjoint(two_state_J, np.zeros(3))

@@ -165,7 +165,7 @@ class TestParsers:
     def test_parse_set_mixed_forms(self):
         s = ajcio.parse_set([["B", 3], {"states": [0], "blocks": [0, 1]}], 2, 4)
         assert s.cells == {(1, 3), (0, 0), (0, 1)}
-        assert len(ajcio.parse_set(None, 2, 4)) == 0
+        assert ajcio.parse_set(None, 2, 4).cells == frozenset()
         with pytest.raises(ajcio.ConfigError, match="block 4 out of range"):
             ajcio.parse_set([["B", 4]], 2, 4)
 

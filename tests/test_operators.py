@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 
 from ajc import presets
 from ajc.committor import SpaceTimeSet, coherence_defect, committor_solve
-from ajc.galerkin import SpaceTimeIndexer, apply_adjoint, apply_forward, assemble
+from ajc.galerkin import JumpMatrix, SpaceTimeIndexer, apply_adjoint, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
     NonConvergence,
@@ -17,9 +17,10 @@ from ajc.operators import (
     reconstruct_propagator,
     synchronize,
 )
-from ajc.oracle import exact_propagator, reconstructed_propagator_matrix
+from ajc.oracle import exact_propagator
 
 from conftest import (
+    apply_forward,
     as_grid,
     closed_form_survival,
     dense_rate_matrix,
@@ -137,6 +138,27 @@ class TestReconstructPropagator:
         exact = fbar @ exact_propagator(two_state_seq, 0.0, 8.0)
         np.testing.assert_allclose(got, exact, atol=0.01)
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_stack_equals_its_columns(self, two_state_J, triple_well_J):
+        # the identity stack is the oracle's propagator matrix, transposed
+        for J in (two_state_J, triple_well_J):
+            n, m = J.indexer.N, J.indexer.M
+            F = np.hstack([np.eye(n), np.random.default_rng(4).random((n, 2))])
+            for l in (0, m // 2, m - 1):
+                got = reconstruct_propagator(J, F, l)
+                want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
+                np.testing.assert_array_equal(got, want)
+
+    def test_one_forward_scan(self, two_state_J, monkeypatch):
+        # one scan per call: neither solve checks its residual by applying J again
+        scans = []
+        scan_forward = JumpMatrix.scan_forward
+        monkeypatch.setattr(JumpMatrix, "scan_forward",
+                            lambda J, X: scans.append(1) or scan_forward(J, X))
+        reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), 7)
+        reconstruct_propagator(two_state_J, np.eye(2), 7)
+        jump_activity(two_state_J, embed_spacelike(np.array([1.0, 0.0]), two_state_J.indexer))
+        assert len(scans) == 3
 
 
 class TestKoopman:
@@ -266,7 +288,7 @@ def test_solves_build_no_explicit_matrix():
     assert a.values.min() >= 0.0
     density = reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
     coherence_defect(J, A)
-    P = reconstructed_propagator_matrix(J)
+    P = reconstruct_propagator(J, np.eye(n), m - 1).T
     assert "matrix" not in vars(J) and "block_cumulative" not in vars(J)
     assert np.abs(K.values - 1.0).max() < 1e-10
     assert 0.0 <= c.values.min() and c.values.max() <= 1.0
