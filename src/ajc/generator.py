@@ -228,9 +228,12 @@ def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
     return adj
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridPotential:
-    """Potential sampled on a rectangular grid with 4-neighbor adjacency."""
+    """Potential sampled on a rectangular grid with 4-neighbor adjacency.
+
+    Two potentials are equal when their nx, ny, h and values bytes are.
+    """
 
     nx: int
     ny: int
@@ -250,6 +253,17 @@ class GridPotential:
     @property
     def N(self) -> int:
         return self.nx * self.ny
+
+    def _key(self) -> tuple:
+        return self.nx, self.ny, self.h, self.values.tobytes()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridPotential):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def sqra_generator(p: GridPotential, beta: float) -> sp.csr_matrix:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from ajc import assemble, presets
+from ajc.committor import tail_value
 from ajc.galerkin import phi
 from ajc.generator import (
     GridPotential,
@@ -132,6 +134,22 @@ def koopman_matrix_column(J, y, l):
     g = np.zeros(J.indexer.N)
     g[y] = 1.0
     return koopman_solve(J, g, l)
+
+
+def committor_sparse_solve(J, A, B, tail):
+    """The committor by one sparse solve of its free cells f on the explicit
+    matrix: (I - J)_ff c_f = (survival * c_tail + J c_fixed)_f."""
+    n, m = J.indexer.N, J.indexer.M
+    in_a, in_b = A.mask(n, m), B.mask(n, m)
+    last = slice((m - 1) * n, None)
+    c_tail = np.full(n, tail_value(tail))
+    c_tail[in_a[last]], c_tail[in_b[last]] = 1.0, 0.0
+    free = ~(in_a | in_b)
+    c = in_a.astype(float)
+    Jf = J.matrix[free]
+    rhs = (J.survival_mass * np.tile(c_tail, m))[free] + Jf[:, ~free] @ c[~free]
+    c[free] = spsolve(sp.eye(free.sum(), format="csc") - Jf[:, free].tocsc(), rhs)
+    return c
 
 
 def closed_form_survival(J, i, k):

@@ -27,7 +27,13 @@ from ajc.operators import (
     solve_forward,
 )
 
-from conftest import apply_forward, closed_form_survival, dense_rate_matrix, kernel_density
+from conftest import (
+    apply_forward,
+    closed_form_survival,
+    committor_sparse_solve,
+    dense_rate_matrix,
+    kernel_density,
+)
 
 A, B = 0, 1
 
@@ -362,10 +368,9 @@ class TestRandomProtocols:
         cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
         assert abs(lhs - rhs) <= 1e-14 + 10 * eps * cond
 
-    @settings(max_examples=60, deadline=None)
-    @given(seq=protocols(), data=st.data())
-    def test_committor_is_a_probability(self, seq, data):
-        J = assemble(seq)
+    @staticmethod
+    def committor(J, data):
+        """A committor of random A/B/free labels and tail, with its sets."""
         n, m = J.indexer.N, J.indexer.M
         cells = [(i, k) for i in range(n) for k in range(m)]
         labels = data.draw(st.lists(st.sampled_from("AB-"), min_size=len(cells),
@@ -374,10 +379,28 @@ class TestRandomProtocols:
         A = SpaceTimeSet(c for c, x in zip(cells, labels) if x == "A")
         B = SpaceTimeSet(c for c, x in zip(cells, labels) if x == "B")
         tail = data.draw(st.one_of(st.sampled_from([TAIL_TO_A, TAIL_TO_B]), st.floats(0.0, 1.0)))
-        c = committor_solve(J, A, B, tail).values
+        return committor_solve(J, A, B, tail).values, (A, B, tail)
+
+    @staticmethod
+    def bound(J):
         eps = np.finfo(float).eps
-        cond = max(np.linalg.cond(np.eye(n) - D.toarray(), np.inf) for D in J.diagonal)
-        assert max(-c.min(), c.max() - 1.0) <= 1e-14 + 10 * eps * cond
+        cond = max(np.linalg.cond(np.eye(J.indexer.N) - D.toarray(), np.inf) for D in J.diagonal)
+        return 1e-14 + 10 * eps * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data())
+    def test_committor_is_a_probability(self, seq, data):
+        J = assemble(seq)
+        c, _ = self.committor(J, data)
+        assert max(-c.min(), c.max() - 1.0) <= self.bound(J)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data())
+    def test_committor_equals_a_sparse_solve(self, seq, data):
+        # the bordered blocks against one solve of the masked free system
+        J = assemble(seq)
+        c, sets = self.committor(J, data)
+        assert np.abs(c - committor_sparse_solve(J, *sets)).max() <= self.bound(J)
 
 
 class TestApply:

@@ -104,6 +104,15 @@ class TestEmbeddedProbabilities:
 
 
 class TestSqra:
+    def test_potentials_compare_by_value(self):
+        pot = GridPotential(3, 3, 1.0, np.zeros(9))
+        assert pot == GridPotential(3, 3, 1.0, np.zeros((3, 3)))
+        assert hash(pot) == hash(GridPotential(3, 3, 1.0, np.zeros(9)))
+        for other in (GridPotential(3, 3, 1.0, np.ones(9)), GridPotential(3, 3, 0.5, np.zeros(9)),
+                      GridPotential(9, 1, 1.0, np.zeros(9)), None):
+            assert pot != other
+        assert len({pot, GridPotential(3, 3, 1.0, np.zeros(9))}) == 1
+
     def test_flat_potential_gives_flat_rate(self):
         pot = GridPotential(3, 3, 0.5, np.full(9, 1.7))
         beta = 2.0

@@ -381,7 +381,8 @@ class TestCli:
         err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
                              text=True, check=True).stderr
         assert "assemble: N=63 M=6 phases=2 diagonal blocks=2" in err
-        assert "solve_backward: 6 blocks solved against 2 LU factorizations built, 0 reused" in err
+        assert ("solve_backward: 6 blocks solved against 2 LU factorizations built, 0 reused, "
+                "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps") in err
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert quiet.stderr == ""

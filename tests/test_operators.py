@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from ajc import presets
-from ajc.committor import SpaceTimeSet, coherence_defect, committor_solve
+from ajc import operators
+from ajc.committor import TAIL_TO_B, SpaceTimeSet, coherence_defect, committor_solve
 from ajc.galerkin import JumpMatrix, SpaceTimeIndexer, apply_adjoint, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
@@ -23,6 +24,7 @@ from conftest import (
     apply_forward,
     as_grid,
     closed_form_survival,
+    committor_sparse_solve,
     dense_rate_matrix,
     koopman_matrix_column,
     triple_well_grid_seq,
@@ -149,6 +151,16 @@ class TestReconstructPropagator:
                 want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
                 np.testing.assert_array_equal(got, want)
 
+    def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
+        scans = []
+        scan_forward = JumpMatrix.scan_forward
+        monkeypatch.setattr(JumpMatrix, "scan_forward",
+                            lambda J, X: scans.append(1) or scan_forward(J, X))
+        for l in (-1, two_state_J.indexer.M):
+            with pytest.raises(ValueError, match="invalid time block"):
+                reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), l)
+        assert scans == []
+
     def test_one_forward_scan(self, two_state_J, monkeypatch):
         # one scan per call: neither solve checks its residual by applying J again
         scans = []
@@ -235,7 +247,8 @@ def test_solves_log_blocks_against_factorizations(two_state_seq, caplog):
         koopman_solve(J, np.ones(2), 7)
     assert caplog.messages == [
         "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused",
-        "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused",
+        "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused, "
+        "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps",
     ]
 
 
@@ -247,7 +260,8 @@ def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
         koopman_solve(J, np.ones(n), m - 1)
         reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
     assert caplog.messages == [
-        "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused",
+        "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused, "
+        "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps",
         "solve_forward: 192 blocks solved against 0 LU factorizations built, 2 reused",
     ]
 
@@ -270,11 +284,75 @@ def test_solves_on_one_operator_share_its_factorizations(seq, monkeypatch):
     J = assemble(seq)
     shared = [solve(J) for solve in solves]
     # one full block per phase, built by the first Koopman solve from the last
-    # phase down; then the committor's masked blocks of B and of A, per solve
-    assert sizes == [n, n, n - 1, n - 2]
+    # phase down; the committor borders them by its fixed cells, factoring none
+    assert sizes == [n, n]
     assert set(J.lus) == {id(D) for D in J.diagonal} and len(J.lus) == 2
     for solve, got in zip(solves, shared):
         np.testing.assert_array_equal(got, solve(assemble(seq)))
+
+
+def sets_in_every_block(J, a_states, b_states):
+    m = J.indexer.M
+    return (SpaceTimeSet.rectangle(a_states, (0, m - 1)),
+            SpaceTimeSet.rectangle(b_states, (0, m - 1)))
+
+
+@pytest.mark.parametrize("seq, nx, a, b", [(presets.triple_well(), 9, 20, 24),
+                                          (triple_well_grid_seq(8, 6), 8, 25, 30)],
+                         ids=["triple-well", "grid-8x8"])
+def test_bordered_committor_equals_a_sparse_solve(seq, nx, a, b, caplog):
+    # five fixed cells each of A and B in every block, as on the benchmark
+    J = assemble(seq)
+    A, B = sets_in_every_block(J, *([s, s - 1, s + 1, s - nx, s + nx] for s in (a, b)))
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        c = committor_solve(J, A, B).values
+    assert caplog.messages[-1].endswith(
+        "2 borders of 20 fixed cells, 0 masked factorizations, 0 refinement steps")
+    ref = committor_sparse_solve(J, A, B, TAIL_TO_B)
+    assert 0.1 < ref[ref < 1].max()
+    assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
+    # 8x8 grid with its left and right three columns in A and B: 48 fixed
+    # cells per block, more than a border takes
+    J = assemble(triple_well_grid_seq(8, 6))
+    A, B = sets_in_every_block(J, [i for i in range(64) if i % 8 < 3],
+                               [i for i in range(64) if i % 8 > 4])
+    fixed = len(A.cells | B.cells) // J.indexer.M
+    assert fixed > operators._BORDER_MAX
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        masked = committor_solve(J, A, B).values
+        monkeypatch.setattr(operators, "_BORDER_MAX", fixed)
+        bordered = committor_solve(J, A, B).values
+    assert [m.split("reused, ")[1] for m in caplog.messages] == [
+        "0 borders of 0 fixed cells, 2 masked factorizations, 0 refinement steps",
+        f"2 borders of {2 * fixed} fixed cells, 0 masked factorizations, 0 refinement steps"]
+    assert np.abs(masked - bordered).max() <= 1e-13 * np.abs(masked).max()
+
+
+@pytest.mark.parametrize("rates, cells, a, b, log_tail", [
+    # a stiff cycle 0 -> 1 -> 2 -> 0 broken by A and B: one refinement step
+    ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1,
+     "1 borders of 2 fixed cells, 0 masked factorizations, 1 refinement steps"),
+    # stiffer: two steps leave the residual above a few ulps, so the free
+    # cell is factored instead
+    ([[0, 6.5e12, 1.7e13], [0, 0, 3.7e15], [7.9e15, 0, 0]], 1, 1, 0,
+     "1 borders of 2 fixed cells, 1 masked factorizations, 2 refinement steps"),
+    # flip-flop at rate 1e17: I - B is exactly singular, so no border; each
+    # of the two cells is its own phase
+    ([[0, 1e17, 0], [1e17, 0, 0], [0, 0, 0]], 2, 0, 2,
+     "0 borders of 0 fixed cells, 2 masked factorizations, 0 refinement steps"),
+], ids=["refined", "refinement-falls-short", "singular"])
+def test_stiff_blocks_refine_or_factor_the_free_cells(rates, cells, a, b, log_tail, caplog):
+    seq = RateMatrixSequence(TimeGrid.uniform(0, 1, cells),
+                             tuple(dense_rate_matrix(rates) for _ in range(cells)))
+    J = assemble(seq)
+    A, B = sets_in_every_block(J, [a], [b])
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        c = committor_solve(J, A, B).values
+    assert caplog.messages[-1].endswith(log_tail)
+    np.testing.assert_allclose(c, committor_sparse_solve(J, A, B, TAIL_TO_B), rtol=0, atol=1e-15)
 
 
 def test_solves_build_no_explicit_matrix():
