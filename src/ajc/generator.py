@@ -266,6 +266,19 @@ class GridPotential:
         return hash(self._key())
 
 
+def _sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
+    """The off-diagonal rates of sqra_generator(p, beta), no diagonal: what a
+    builder for rate_sequence_from_protocol returns, which closes the rows
+    itself."""
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    phi = 1.0 / (beta * p.h ** 2)
+    A = p.adjacency.tocoo()
+    v = p.values
+    data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
+    return sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
+
+
 def sqra_generator(p: GridPotential, beta: float) -> sp.csr_matrix:
     """Square-root-approximation generator for a potential on a grid.
 
@@ -273,14 +286,7 @@ def sqra_generator(p: GridPotential, beta: float) -> sp.csr_matrix:
     flat-potential rate Phi = 1 / (beta h^2); the diagonal closes the rows.
     The sparsity pattern equals the adjacency pattern.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    phi = 1.0 / (beta * p.h ** 2)
-    A = p.adjacency.tocoo()
-    v = p.values
-    data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
-    off = sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
-    return with_recomputed_diagonal(off)
+    return with_recomputed_diagonal(_sqra_rates(p, beta))
 
 
 def rate_sequence_from_protocol(

@@ -5,6 +5,10 @@ solve here is one scan over the time cells: forward (I - J^T) X = F for
 jump activity and the propagator, of one density or a stack of them, whose
 worst block residual is the residual of the whole solve; backward
 (I - J) x = b for Koopman and committor values, through one private entry.
+The propagator of a stack of at least N densities, such as the identity,
+is instead an ordered product of one-cell N x N transfer matrices, one per
+run of cells sharing a diagonal block, raised to the run's length by
+repeated squaring: one N-column solve per run instead of one per cell.
 Each diagonal block is solved through one sparse LU of I - B^T, which the
 jump operator keeps once built (JumpMatrix.lus), so on a uniform grid there
 is one LU per protocol phase, shared by every solve on that operator:
@@ -18,6 +22,7 @@ factored on its free cells, once per scan.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -123,14 +128,14 @@ class _Scan:
         self.factored += 1
         return _factor(operand), operand
 
-    def log(self, name: str, solved: int) -> None:
+    def log(self, name: str, solved: int, tail: str = "") -> None:
         built = sum(self.lus.values())
         line = (f"{name}: {solved} blocks solved against {built} LU factorizations built, "
                 f"{len(self.lus) - built} reused")
         if name == "solve_backward":
             line += (f", {self.borders} borders of {self.border_cells} fixed cells, "
                      f"{self.factored} masked factorizations, {self.refinements} refinement steps")
-        log.info(line)
+        log.info(line + tail)
 
 
 @dataclass(frozen=True)
@@ -301,15 +306,54 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     fbar is an (N,) density or an (N, c) stack of them, each starting
     uniformly in the first time cell; the result has fbar's shape.  For
     fbar the identity, column i is the propagator's row for state i.
+
+    A density, or a stack of fewer than N, is scanned: its jump activity,
+    synchronized.  A stack of N or more is multiplied by one N x N transfer
+    matrix per run of cells that share a diagonal block, which costs less
+    than c columns per cell; the two agree to the diagonal blocks'
+    eps * cond, and on a stiff block either may raise NonConvergence where
+    the other does not.
     """
     fbar = np.asarray(fbar, dtype=float)
     n = J.indexer.N
     if fbar.ndim not in (1, 2) or fbar.shape[0] != n:
         raise ValueError("spatial density must have N rows")
     _check_block(J, l)
+    if fbar.ndim == 2 and fbar.shape[1] >= n:
+        return _propagate_by_runs(J, fbar, l)
     F = np.zeros((J.indexer.size, *fbar.shape[1:]))
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
+
+
+def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
+    """reconstruct_propagator of an (N, c) stack as an ordered product of
+    one-cell transfer matrices.
+
+    The forward scan's carry_{k+1}, the jumps still in flight past the
+    right edge of cell k, is diag(phi_0/dt_0) S_0 fbar for k = 0 and
+    T_k carry_k after, with S_k = (I - B_k^T)^-1 and
+    T_k = diag(d_k) + diag(phi_k/dt_k) S_k R_k^T diag(phi_k); carry_{l+1}
+    is the synchronized activity.  Cells that share one diagonal block
+    share phase and width, so one T: a run of n of them is T^n, by repeated
+    squaring of a nonnegative matrix.  Each run costs one N-column solve on
+    J's LU, with its block residual checked.
+    """
+    leave = J.phi / J.grid.widths
+    scan = _Scan()
+    carry, residual = _solve_diagonal(J, 0, fbar, True, scan)
+    carry *= leave[:, 0, None]
+    runs = squarings = 0
+    for _, cells in itertools.groupby(range(1, l + 1), key=lambda k: id(J.diagonal[k])):
+        k, n = next(cells), 1 + sum(1 for _ in cells)
+        Y, res = _solve_diagonal(J, k, J.offdiag_t[k].toarray() * J.phi[:, k], True, scan)
+        T = np.diag(J.decay[:, k]) + leave[:, k, None] * Y
+        carry = np.linalg.matrix_power(T, n) @ carry
+        runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)
+    scan.log("reconstruct_propagator", runs + 1,
+             f"; {l + 1} cells as block 0 and {runs} runs of equal cells, "
+             f"{squarings} squarings, worst block residual {residual:.1e}")
+    return carry
 
 
 def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:

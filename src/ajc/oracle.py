@@ -2,8 +2,10 @@
 
 Everything here goes through matrix exponentials of the piecewise-constant
 generator, which is an entirely independent path from the Galerkin
-assembly; convergence_study compares it with the sparse route's one
-propagator, operators.reconstruct_propagator, on all N unit masses at once.
+assembly.  convergence_study compares two ordered products over the time
+cells: exact_propagator's of exp(dt Q), and the sparse route's one
+propagator, operators.reconstruct_propagator, on all N unit masses at once,
+which is the product of the Galerkin chain's one-cell transfer matrices.
 Dense work is restricted to desk scale (N <= 500).
 """
 

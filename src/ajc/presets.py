@@ -9,8 +9,8 @@ from .generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
+    _sqra_rates,
     rate_sequence_from_protocol,
-    sqra_generator,
 )
 
 TWO_STATE_SWITCH_TIME = 4.0
@@ -80,15 +80,12 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     grid = _uniform_grid(dt, TRIPLE_WELL_SWITCH_TIME, TRIPLE_WELL_HORIZON)
     pot = triple_well_grid_potential()
     beta_lo, beta_hi = TRIPLE_WELL_BETA
-    Q_by_beta = {
-        beta_lo: sqra_generator(pot, beta_lo),
-        beta_hi: sqra_generator(pot, beta_hi),
-    }
+    # off-diagonal rates: rate_sequence_from_protocol closes each phase once
+    rates = {beta: _sqra_rates(pot, beta) for beta in (beta_lo, beta_hi)}
 
     def builder(k, span):
         mid = 0.5 * (span[0] + span[1])
-        beta = beta_lo if mid < TRIPLE_WELL_SWITCH_TIME else beta_hi
-        return Q_by_beta[beta]
+        return rates[beta_lo if mid < TRIPLE_WELL_SWITCH_TIME else beta_hi]
 
     return rate_sequence_from_protocol(grid, builder)
 

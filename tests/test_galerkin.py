@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.sparse.linalg import spsolve
 
-from ajc import presets
+from ajc import operators, presets
 from ajc.galerkin import (
     SpaceTimeIndexer,
     apply_adjoint,
@@ -331,18 +331,45 @@ class TestRandomProtocols:
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
     def test_propagator_of_a_stack_equals_its_columns(self, seq, data, seed):
+        # N + 1 columns: the stack is a product of transfer matrices, each
+        # column a scan; their block solves differ, so either may refuse a
+        # stiff cycle alone, and where both succeed they meet to eps * cond
         J = assemble(seq)
         n, m = J.indexer.N, J.indexer.M
         l = data.draw(st.integers(0, m - 1))
-        F = np.random.default_rng(seed).random((n, 3))
+        F = np.random.default_rng(seed).random((n, n + 1))
         try:
             want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
+            got = reconstruct_propagator(J, F, l)
         except NonConvergence:
-            # a column holds the values of a single solve, so it fails the stack too
-            with pytest.raises(NonConvergence):
-                reconstruct_propagator(J, F, l)
             return
-        np.testing.assert_array_equal(reconstruct_propagator(J, F, l), want)
+        eps = np.finfo(float).eps
+        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), repeat=st.integers(2, 9), data=st.data())
+    def test_propagator_over_runs_of_a_phase_equals_a_sparse_solve(self, seq, repeat, data):
+        # every cell split into `repeat` cells of its phase on a uniform grid,
+        # so the identity stack squares one transfer matrix over each run
+        mats = tuple(Q for Q in seq.matrices for _ in range(repeat))
+        J = assemble(RateMatrixSequence(TimeGrid.uniform(0.0, seq.grid.horizon, len(mats)), mats))
+        n, m = J.indexer.N, J.indexer.M
+        F = np.zeros((J.indexer.size, n))
+        F[:n] = np.eye(n)
+        X = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
+        eps = np.finfo(float).eps
+        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        for l in (m - 1, data.draw(st.integers(repeat - 1, m - 1))):
+            try:
+                got = reconstruct_propagator(J, np.eye(n), l)
+            except NonConvergence:
+                # a block solve refuses only where a few ulps of its
+                # solution reach the absolute RESIDUAL_TOL
+                assert eps * cond > 0.1 * RESIDUAL_TOL
+                continue
+            want = operators._synchronize(J, X, l)
+            assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
 
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))

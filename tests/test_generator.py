@@ -195,13 +195,26 @@ class TestProtocol:
         monkeypatch.setattr(generator, "with_recomputed_diagonal",
                             lambda Q: calls.append(Q) or recompute(Q))
         seq = presets.triple_well(1 / 96)
-        # one per SQRA generator, then one per distinct builder output
-        assert len(calls) == 2 + 2
+        # one per distinct builder output, which holds the off-diagonal rates
+        assert len(calls) == 2
         np.testing.assert_array_equal(seq.phase, [0] * 96 + [1] * 96)
         assert seq.matrices[0] is seq.phases[0] and seq.matrices[-1] is seq.phases[1]
         assert seq.offdiag[0] is seq.offdiag[1]
         assert seq.offdiag[95] is not seq.offdiag[96]
         assert len(presets.two_state(0.5).phases) == 2
+
+    def test_triple_well_phases_equal_sqra_generators_closed_again(self):
+        # the preset closes each phase once, from its off-diagonal rates, and
+        # gets the bytes of sqra_generator's closed matrices closed once more
+        pot = presets.triple_well_grid_potential()
+        Q = {beta: sqra_generator(pot, beta) for beta in presets.TRIPLE_WELL_BETA}
+        seq = presets.triple_well(1 / 12)
+        want = rate_sequence_from_protocol(seq.grid, lambda k, span: Q[1.0 if k < 12 else 10.0])
+        np.testing.assert_array_equal(seq.phase, want.phase)
+        for got, ref in zip(seq.phases, want.phases, strict=True):
+            for name in ("data", "indices", "indptr"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_constant_builder(self):
         Q = dense_rate_matrix([[0, 1], [2, 0]])

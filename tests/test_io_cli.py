@@ -17,6 +17,7 @@ from ajc import io as ajcio
 from ajc.cli import main
 from ajc.galerkin import assemble
 from ajc.generator import RateMatrixSequence, TimeGrid, validate_generator
+from ajc.operators import embed_spacelike, jump_activity, synchronize
 
 from conftest import dense_rate_matrix
 
@@ -232,6 +233,20 @@ class TestCli:
         rows = (tmp_path / "density.csv").read_text().splitlines()
         mass = [float(r.split(",")[1]) for r in rows if not r.startswith(("#", "state"))]
         assert sum(mass) == pytest.approx(1.0, abs=1e-9)
+
+    def test_propagate_writes_the_scan_of_its_density(self, tmp_path):
+        # one density is scanned: its activity, synchronized, to the byte
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well", "dt": 1 / 12},
+                                      "initial_density": {"uniform": True}})
+        assert main(["propagate", "--config", cfg, "--out", str(tmp_path)]) == 0
+        seq = presets.triple_well(1 / 12)
+        J = assemble(seq)
+        n, last = seq.N, seq.grid.M - 1
+        a, _ = jump_activity(J, embed_spacelike(np.full(n, 1.0 / n), J.indexer))
+        want = ajcio.write_csv(tmp_path / "want.csv", ["state", "mass"],
+                               ajcio.spatial_csv_rows(synchronize(J, a, last)),
+                               comments=[f"block={last} edge_time={seq.grid.edges[-1]}"])
+        assert (tmp_path / "density.csv").read_bytes() == want.read_bytes()
 
     def test_koopman_ones(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "observable": {"ones": True}})

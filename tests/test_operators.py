@@ -142,14 +142,21 @@ class TestReconstructPropagator:
         assert got.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_a_stack_equals_its_columns(self, two_state_J, triple_well_J):
-        # the identity stack is the oracle's propagator matrix, transposed
+        # the identity stack is the oracle's propagator matrix, transposed; a
+        # stack of N or more columns is an ordered product of transfer
+        # matrices, so it meets the columns' scans to the blocks' eps * cond,
+        # and a narrower one is scanned, so it equals them bit for bit
+        eps = np.finfo(float).eps
         for J in (two_state_J, triple_well_J):
             n, m = J.indexer.N, J.indexer.M
             F = np.hstack([np.eye(n), np.random.default_rng(4).random((n, 2))])
+            cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
             for l in (0, m // 2, m - 1):
                 got = reconstruct_propagator(J, F, l)
                 want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
-                np.testing.assert_array_equal(got, want)
+                assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
+                np.testing.assert_array_equal(reconstruct_propagator(J, F[:, :n - 1], l),
+                                              want[:, :n - 1])
 
     def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
         scans = []
@@ -162,15 +169,39 @@ class TestReconstructPropagator:
         assert scans == []
 
     def test_one_forward_scan(self, two_state_J, monkeypatch):
-        # one scan per call: neither solve checks its residual by applying J again
+        # one scan per density, and none for a stack of N densities, which is
+        # a product of transfer matrices: no solve checks its residual by
+        # applying J again
         scans = []
         scan_forward = JumpMatrix.scan_forward
         monkeypatch.setattr(JumpMatrix, "scan_forward",
                             lambda J, X: scans.append(1) or scan_forward(J, X))
-        reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), 7)
-        reconstruct_propagator(two_state_J, np.eye(2), 7)
-        jump_activity(two_state_J, embed_spacelike(np.array([1.0, 0.0]), two_state_J.indexer))
-        assert len(scans) == 3
+        per_call = []
+        for solve in (lambda J: reconstruct_propagator(J, np.array([1.0, 0.0]), 7),
+                      lambda J: reconstruct_propagator(J, np.eye(2), 7),
+                      lambda J: jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))):
+            solve(two_state_J)
+            per_call.append(len(scans))
+        assert per_call == [1, 1, 2]
+
+    @pytest.mark.parametrize("preset, dt", [
+        (presets.triple_well, 1 / 3), (presets.triple_well, 1 / 12),
+        (presets.triple_well, 1 / 48), (presets.triple_well, 1 / 96),
+        (presets.two_state, 1.0), (presets.two_state, 0.5), (presets.two_state, 1 / 16),
+    ], ids=["triple-well-3", "triple-well-12", "triple-well-48", "triple-well-96",
+            "two-state-1", "two-state-2", "two-state-16"])
+    def test_runs_of_equal_cells_equal_the_scan(self, preset, dt):
+        # the identity stack as powers of one transfer matrix per phase,
+        # squared over runs of up to 95 cells, against the scan of that stack
+        J = assemble(preset(dt))
+        n, m = J.indexer.N, J.indexer.M
+        F = np.zeros((J.indexer.size, n))
+        F[:n] = np.eye(n)
+        X, _ = operators.solve_forward(J, F)
+        for l in (1, m // 3, m // 2 + 1, m - 1):
+            want = operators._synchronize(J, X, l)
+            got = reconstruct_propagator(J, np.eye(n), l)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 class TestKoopman:
@@ -249,6 +280,22 @@ def test_solves_log_blocks_against_factorizations(two_state_seq, caplog):
         "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused",
         "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused, "
         "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps",
+    ]
+
+
+def test_a_stack_logs_its_runs_and_squarings(two_state_seq, caplog):
+    # 8 cells: block 0, a run of cells 1-3 (one squaring) and one of 4-7 (two)
+    J = assemble(two_state_seq)
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        reconstruct_propagator(J, np.eye(2), 7)
+        reconstruct_propagator(J, np.eye(2), 2)
+    assert caplog.messages == [
+        "reconstruct_propagator: 3 blocks solved against 2 LU factorizations built, 0 reused; "
+        "8 cells as block 0 and 2 runs of equal cells, 3 squarings, "
+        "worst block residual 0.0e+00",
+        "reconstruct_propagator: 2 blocks solved against 0 LU factorizations built, 1 reused; "
+        "3 cells as block 0 and 1 runs of equal cells, 1 squarings, "
+        "worst block residual 0.0e+00",
     ]
 
 
