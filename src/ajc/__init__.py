@@ -13,7 +13,7 @@ from .generator import (
     Violation,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
-    sqra_generator,
+    sqra_rates,
     validate_generator,
     with_recomputed_diagonal,
 )
@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
     "four_neighbor_adjacency",
-    "rate_sequence_from_protocol", "sqra_generator", "validate_generator",
+    "rate_sequence_from_protocol", "sqra_rates", "validate_generator",
     "with_recomputed_diagonal",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",

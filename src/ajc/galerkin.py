@@ -84,9 +84,9 @@ class JumpMatrix:
 
     Per time cell l: offdiag[l] holds the off-diagonal rates R^l, the (N, M)
     arrays phi and decay hold phi(q, dt) and exp(-q dt), and diagonal[l] is
-    the time block (l, l), diag(psi^l / dt_l) R^l.  offdiag_t and
-    diagonal_t hold their transposes as CSR, for the forward direction.
-    Cells of one phase share these objects.
+    the time block (l, l), diag(psi^l / dt_l) R^l, and offdiag_t[l] is R^l
+    transposed, as CSR for the forward direction.  Cells of one phase share
+    these objects; ajc.operators keeps one solver per diagonal block object.
     """
 
     indexer: SpaceTimeIndexer
@@ -97,7 +97,6 @@ class JumpMatrix:
     decay: np.ndarray
     diagonal: tuple
     offdiag_t: tuple
-    diagonal_t: tuple
 
     def scan_forward(self, X: np.ndarray):
         """Scan J^T over the (M, N, c) blocks of X in ascending time.
@@ -187,10 +186,10 @@ class JumpMatrix:
         return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
     @functools.cached_property
-    def lus(self) -> dict:
-        """Sparse LU of I - B^T per diagonal block object, keyed by its id:
-        empty on first use, filled by the solves of ajc.operators, each block
-        factored by the first solve that needs it."""
+    def solvers(self) -> dict:
+        """The solver of each diagonal block object, keyed by its id: empty
+        on first use, filled by the solves of ajc.operators, each block's by
+        the first solve that needs it."""
         return {}
 
     @functools.cached_property
@@ -204,13 +203,13 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     on the sequence's own outbound and offdiag tables.
 
     Cells of one phase and one width share one diagonal block object, and
-    the transposes are built once per phase and per block.
+    the transposes of the off-diagonal rates are built once per phase.
     """
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
     offdiag_t = {}  # phase -> R^T
-    blocks = {}  # (phase, width) -> diagonal block and its transpose
+    blocks = {}  # (phase, width) -> diagonal block
     for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
         if p not in offdiag_t:
             offdiag_t[p] = R.T.tocsr()
@@ -218,13 +217,13 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
             # R's own pattern: JumpMatrix.matrix writes these data into R's slots
             rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
             B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
-            blocks[p, dt[l]] = B, B.T.tocsr()
+            blocks[p, dt[l]] = B
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d",
              seq.N, seq.grid.M, len(seq.phases), len(blocks))
-    diagonal = [blocks[p, w] for p, w in zip(seq.phase, dt)]
+    diagonal = tuple(blocks[p, w] for p, w in zip(seq.phase, dt))
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      phi(q, dt), np.exp(-q * dt), tuple(B for B, _ in diagonal),
-                      tuple(offdiag_t[p] for p in seq.phase), tuple(Bt for _, Bt in diagonal))
+                      phi(q, dt), np.exp(-q * dt), diagonal,
+                      tuple(offdiag_t[p] for p in seq.phase))
 
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:

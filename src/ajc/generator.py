@@ -266,10 +266,14 @@ class GridPotential:
         return hash(self._key())
 
 
-def _sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
-    """The off-diagonal rates of sqra_generator(p, beta), no diagonal: what a
-    builder for rate_sequence_from_protocol returns, which closes the rows
-    itself."""
+def sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
+    """Off-diagonal square-root-approximation rates for a potential on a grid.
+
+    Rates are Phi * A_ij * exp(-beta (V_j - V_i) / 2) with the flat-potential
+    rate Phi = 1 / (beta h^2); the pattern equals the adjacency pattern.  No
+    diagonal: this is what a builder for rate_sequence_from_protocol
+    returns, which closes the rows itself (with_recomputed_diagonal).
+    """
     if beta <= 0:
         raise ValueError("beta must be positive")
     phi = 1.0 / (beta * p.h ** 2)
@@ -277,16 +281,6 @@ def _sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
     v = p.values
     data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
     return sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
-
-
-def sqra_generator(p: GridPotential, beta: float) -> sp.csr_matrix:
-    """Square-root-approximation generator for a potential on a grid.
-
-    Off-diagonal rates are Phi * A_ij * exp(-beta (V_j - V_i) / 2) with the
-    flat-potential rate Phi = 1 / (beta h^2); the diagonal closes the rows.
-    The sparsity pattern equals the adjacency pattern.
-    """
-    return with_recomputed_diagonal(_sqra_rates(p, beta))
 
 
 def rate_sequence_from_protocol(

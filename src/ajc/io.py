@@ -24,7 +24,7 @@ from .generator import (
     RateMatrixSequence,
     TimeGrid,
     rate_sequence_from_protocol,
-    sqra_generator,
+    sqra_rates,
 )
 from . import presets
 
@@ -186,7 +186,7 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
                                     float(node["h"]), np.array(pot_node, dtype=float))
             except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
                 raise ConfigError(f"sqra potential: {exc}") from exc
-        cache = {b: sqra_generator(pot, b) for b in set(betas)}
+        cache = {b: sqra_rates(pot, b) for b in set(betas)}
         return rate_sequence_from_protocol(grid, lambda k, span: cache[betas[k]])
     paths = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
     if len(paths) != grid.M:

@@ -9,15 +9,14 @@ The propagator of a stack of at least N densities, such as the identity,
 is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
 repeated squaring: one N-column solve per run instead of one per cell.
-Each diagonal block is solved through one sparse LU of I - B^T, which the
-jump operator keeps once built (JumpMatrix.lus), so on a uniform grid there
-is one LU per protocol phase, shared by every solve on that operator:
-forward solves use it as it is, backward solves through the transposed
-triangular solve.  A committor block with cells in A or B is solved on the
-same LU, bordered by those fixed cells: a few column solves per scan, with
-refinement where the whole block is stiffer than its free part.  Only a
-block with more than 32 fixed cells, or whose whole LU cannot serve, is
-factored on its free cells, once per scan.
+A solve sees a diagonal block only through its _Block: B, B^T, one sparse
+LU of I - B^T, both solve directions and their residual check.  The jump
+operator keeps one per block object (JumpMatrix.solvers), so on a uniform
+grid one LU per protocol phase serves every solve on that operator.  A
+committor block with cells in A or B is solved on the same LU, bordered by
+those fixed cells and refined where the whole block is stiffer than its
+free part; only a block with more than 32 fixed cells, or whose LU cannot
+serve, is factored on its free cells, once per scan.
 """
 
 from __future__ import annotations
@@ -58,14 +57,13 @@ class SpaceTimeVector:
         object.__setattr__(self, "values", values)
 
 
-def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer,
-                    block: int = 0) -> SpaceTimeVector:
-    """Put a spatial vector into a single time block of a space-time vector."""
+def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer) -> SpaceTimeVector:
+    """Put a spatial vector into the first time block of a space-time vector."""
     fbar = np.asarray(fbar, dtype=float)
     if fbar.shape != (indexer.N,):
         raise ValueError("spatial vector must have length N")
     values = np.zeros(indexer.size)
-    values[block * indexer.N:(block + 1) * indexer.N] = fbar
+    values[:indexer.N] = fbar
     return SpaceTimeVector(values, indexer)
 
 
@@ -86,145 +84,135 @@ def _checked(res: float) -> float:
 
 @dataclass
 class _Scan:
-    """How one scan solved its blocks, for its INFO line: lus maps the id of
-    each whole block it used to whether it factored it; masked maps (block
-    id, free mask) to the _Border or the (LU, operand) of the free cells
-    that solves such blocks."""
+    """How one scan solved its blocks, for its INFO line: used maps the id
+    of each _Block whose whole LU it used to whether it factored it; masked
+    maps (block id, free mask) to the masked solver it made for them."""
 
-    lus: dict = field(default_factory=dict)
+    used: dict = field(default_factory=dict)
     masked: dict = field(default_factory=dict)
     borders: int = 0
     border_cells: int = 0
     factored: int = 0
     refinements: int = 0
 
-    def block_lu(self, J: JumpMatrix, l: int) -> spla.SuperLU:
-        """J's LU of I - B^T for block l, factored by the first solve that
-        needs it; a failed factorization is stored nowhere."""
-        key = id(J.diagonal[l])  # J holds its blocks, so their ids stay unique while J lives
-        if key not in J.lus:
-            J.lus[key] = _factor(J.diagonal_t[l])
-            self.lus[key] = True
-        self.lus.setdefault(key, False)
-        return J.lus[key]
+    def log(self, name: str, solved: int, tail: str = "") -> None:
+        built = sum(self.used.values())
+        log.info(f"{name}: {solved} blocks solved against {built} LU factorizations built, "
+                 f"{len(self.used) - built} reused{tail}")
 
-    def border(self, J: JumpMatrix, l: int, free: np.ndarray) -> _Border | None:
-        """A border of block l's whole LU by the cells outside free, or None
-        when there are more than _BORDER_MAX of them or the LU or W[c] is
-        singular."""
+
+class _Block:
+    """One diagonal block B of J, shared by the cells of a phase: B, B^T and
+    the sparse LU of I - B^T, factored by the first solve that needs it.  A
+    forward solve, (I - B^T) x = rhs, uses the LU as it is; a backward one,
+    (I - B) x = rhs, through the transposed triangular solve.
+    """
+
+    def __init__(self, B: sp.csr_matrix):
+        self.B, self.Bt, self.lu = B, B.T.tocsr(), None
+
+    @classmethod
+    def of(cls, J: JumpMatrix, l: int) -> "_Block":
+        """J's _Block of diagonal block l, made on first use; J holds its
+        blocks, so their ids stay unique keys while J lives."""
+        key = id(J.diagonal[l])
+        if key not in J.solvers:
+            J.solvers[key] = cls(J.diagonal[l])
+        return J.solvers[key]
+
+    def factor(self, scan: _Scan) -> spla.SuperLU:
+        """The LU of I - B^T; a failed factorization is kept nowhere."""
+        if self.lu is None:
+            self.lu = _factor(self.Bt)
+            scan.used[id(self)] = True
+        scan.used.setdefault(id(self), False)
+        return self.lu
+
+    def solve(self, rhs: np.ndarray, forward: bool, scan: _Scan) -> tuple[np.ndarray, float]:
+        """Solve the whole block: x and its residual |x - B x - rhs|_inf (B^T
+        forward), which must not exceed RESIDUAL_TOL."""
+        lu = self.factor(scan)
+        if forward:
+            x, operand = lu.solve(rhs), self.Bt
+        else:
+            x, operand = lu.solve(rhs, trans="T"), self.B
+        return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
+
+    def solve_masked(self, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
+                     scan: _Scan) -> tuple[np.ndarray, float]:
+        """Solve (I - B) x = rhs on the cells of the boolean mask free, x
+        holding the other cells' fixed values: a new x and its residual on
+        the free rows, which must not exceed RESIDUAL_TOL.  The solver, made
+        once per scan, is the bordered LU or, where that cannot serve, an LU
+        of the free cells."""
+        key = (id(self), free.tobytes())
+        solver = scan.masked.get(key) or self._bordered(free, scan) or self._free_cells(free, scan)
+        solved = solver(rhs, x)
+        if solved is None:  # the border's refinement fell short
+            solver = self._free_cells(free, scan)
+            solved = solver(rhs, x)
+        scan.masked[key] = solver
+        return solved[0], _checked(solved[1])
+
+    def _bordered(self, free: np.ndarray, scan: _Scan):
+        """A masked solver on the block's LU bordered by the cells c outside
+        free, or None when there are more than _BORDER_MAX of them or the LU
+        or W[c] is singular.
+
+        With W = (I - B)^-1 E_c, P = W W[c]^-1 is 1 on c, and y + P z leaves
+        the free rows of (I - B) y as they are, so y + P (v - y[c]) takes the
+        fixed values v on c: |c| column solves instead of a factorization.
+        A fixed cell can break a stiff cycle, so the whole block may be far
+        worse conditioned than its free part: the solver refines up to
+        _REFINE_STEPS times to a residual of a few ulps of x (which bounds
+        rhs there, B's rows summing below 1), else returns None.
+        """
         c = np.flatnonzero(~free)
         if c.size > _BORDER_MAX:
             return None
         try:
-            border = _Border.build(self.block_lu(J, l), J.diagonal[l], c)
+            lu = self.factor(scan)
+            E = np.zeros((self.B.shape[0], c.size))
+            E[c, np.arange(c.size)] = 1.0
+            W = lu.solve(E, trans="T")
+            P = np.linalg.solve(W[c].T, W.T).T
         except (NonConvergence, np.linalg.LinAlgError):
             return None
-        self.borders, self.border_cells = self.borders + 1, self.border_cells + c.size
-        return border
+        scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
 
-    def factor_free(self, J: JumpMatrix, l: int, free: np.ndarray) -> tuple:
-        """An LU of block l on the cells of free, with the operand it factors."""
-        operand = J.diagonal[l][free][:, free]
-        self.factored += 1
-        return _factor(operand), operand
+        def bordered(rhs, v):
+            y = lu.solve(rhs, trans="T")
+            y += P @ (v - y[c])
+            y[c] = v
+            return y
 
-    def log(self, name: str, solved: int, tail: str = "") -> None:
-        built = sum(self.lus.values())
-        line = (f"{name}: {solved} blocks solved against {built} LU factorizations built, "
-                f"{len(self.lus) - built} reused")
-        if name == "solve_backward":
-            line += (f", {self.borders} borders of {self.border_cells} fixed cells, "
-                     f"{self.factored} masked factorizations, {self.refinements} refinement steps")
-        log.info(line + tail)
+        def solve(rhs, x):
+            x = bordered(rhs, x[c])
+            ulps = _REFINE_ULPS * np.finfo(float).eps * np.abs(x).max()
+            for step in range(_REFINE_STEPS + 1):
+                r = x - self.B @ x - rhs
+                r[c] = 0.0
+                res = np.abs(r).max(initial=0.0)
+                if res <= ulps:
+                    return x, res
+                if step < _REFINE_STEPS:
+                    x -= bordered(r, 0.0)
+                    scan.refinements += 1
+            return None
+        return solve
 
+    def _free_cells(self, free: np.ndarray, scan: _Scan):
+        """A masked solver on an LU of the block's free cells."""
+        operand = self.B[free][:, free]
+        scan.factored += 1
+        lu = _factor(operand)
 
-@dataclass(frozen=True)
-class _Border:
-    """A block's whole LU bordered by its fixed cells c.
-
-    With W = (I - B)^-1 E_c, P = W W[c]^-1 is 1 on c, and y + P z leaves the
-    free rows of (I - B) y as they are, so y + P (v - y[c]) takes the fixed
-    values v on c: |c| column solves per scan instead of a factorization.
-    """
-
-    lu: spla.SuperLU
-    B: sp.csr_matrix
-    c: np.ndarray
-    P: np.ndarray
-
-    @classmethod
-    def build(cls, lu: spla.SuperLU, B: sp.csr_matrix, c: np.ndarray) -> "_Border":
-        E = np.zeros((B.shape[0], c.size))
-        E[c, np.arange(c.size)] = 1.0
-        W = lu.solve(E, trans="T")
-        return cls(lu, B, c, np.linalg.solve(W[c].T, W.T).T)
-
-    def _solve(self, rhs: np.ndarray, v) -> np.ndarray:
-        y = self.lu.solve(rhs, trans="T")
-        y += self.P @ (v - y[self.c])
-        y[self.c] = v
-        return y
-
-    def solve(self, rhs: np.ndarray, v: np.ndarray, scan: _Scan) -> tuple[np.ndarray, float] | None:
-        """Solve the free rows of (I - B) x = rhs with x = v on c to a
-        residual of a few ulps of x (which bounds rhs there, B's rows
-        summing below 1), refining up to _REFINE_STEPS times: a fixed cell
-        can break a stiff cycle, so the whole block may be far worse
-        conditioned than its free part.  Returns x and its residual, or
-        None if the refinement falls short."""
-        x = self._solve(rhs, v)
-        ulps = _REFINE_ULPS * np.finfo(float).eps * np.abs(x).max()
-        for step in range(_REFINE_STEPS + 1):
-            r = x - self.B @ x - rhs
-            r[self.c] = 0.0
-            res = np.abs(r).max(initial=0.0)
-            if res <= ulps:
-                return x, res
-            if step < _REFINE_STEPS:
-                x -= self._solve(r, 0.0)
-                scan.refinements += 1
-        return None
-
-
-def _solve_diagonal(J: JumpMatrix, l: int, rhs: np.ndarray, forward: bool, scan: _Scan,
-                    free: np.ndarray | None = None,
-                    x: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """Solve diagonal block l of J, (I - B^T) x = rhs forward and
-    (I - B) x = rhs backward, on all its cells (free None) or, backward, on
-    the cells of the boolean mask free, x holding the other cells' fixed
-    values.  Returns x and its residual |x - B x - rhs|_inf on the solved
-    rows (B^T forward), which must not exceed RESIDUAL_TOL.
-
-    Every block is solved on J.lus, the one LU of I - B^T that J keeps per
-    block object: a forward solve uses it as it is, a backward one through
-    the transposed triangular solve.  A masked block (the committor's A and
-    B) is solved on that same LU through a _Border of its fixed cells, made
-    once per scan.  Only a block with more than _BORDER_MAX fixed cells, or
-    whose whole LU is singular or too ill-conditioned for the refined border
-    to reach a few ulps, is factored on its free cells instead, once per
-    scan and never stored.
-    """
-    if free is None:
-        lu = scan.block_lu(J, l)
-        if forward:
-            x, operand = lu.solve(rhs), J.diagonal_t[l]
-        else:
-            x, operand = lu.solve(rhs, trans="T"), J.diagonal[l]
-        return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
-    key = (id(J.diagonal[l]), free.tobytes())
-    if key not in scan.masked:
-        scan.masked[key] = scan.border(J, l, free) or scan.factor_free(J, l, free)
-    solver = scan.masked[key]
-    if isinstance(solver, _Border):
-        solved = solver.solve(rhs, x[solver.c], scan)
-        if solved is not None:
-            return solved[0], _checked(solved[1])
-        solver = scan.masked[key] = scan.factor_free(J, l, free)
-    lu, operand = solver
-    rhs = (rhs + J.diagonal[l] @ np.where(free[:, None], 0.0, x))[free]
-    x = x.copy()
-    x[free] = lu.solve(rhs)
-    return x, _checked(np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0))
+        def solve(rhs, x):
+            rhs = (rhs + self.B @ np.where(free[:, None], 0.0, x))[free]
+            x = x.copy()
+            x[free] = lu.solve(rhs)
+            return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
+        return solve
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
@@ -240,7 +228,7 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
     scan, residual = _Scan(), 0.0
     for l, inflow in J.scan_forward(blocks):
-        blocks[l], res = _solve_diagonal(J, l, blocks[l] + inflow, True, scan)
+        blocks[l], res = _Block.of(J, l).solve(blocks[l] + inflow, True, scan)
         residual = max(residual, res)
     scan.log("solve_forward", J.indexer.M)
     return X, float(residual)
@@ -261,10 +249,13 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     scan = _Scan()
     for k, inflow in J.scan_backward(blocks):
         f = free[k]
-        if f.any():
-            blocks[k] = _solve_diagonal(J, k, b[k] + inflow, False, scan,
-                                        None if f.all() else f, blocks[k])[0]
-    scan.log("solve_backward", int(free.any(axis=1).sum()))
+        if f.all():
+            blocks[k] = _Block.of(J, k).solve(b[k] + inflow, False, scan)[0]
+        elif f.any():
+            blocks[k] = _Block.of(J, k).solve_masked(b[k] + inflow, blocks[k], f, scan)[0]
+    scan.log("solve_backward", int(free.any(axis=1).sum()),
+             f", {scan.borders} borders of {scan.border_cells} fixed cells, "
+             f"{scan.factored} masked factorizations, {scan.refinements} refinement steps")
     return x
 
 
@@ -341,12 +332,12 @@ def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     """
     leave = J.phi / J.grid.widths
     scan = _Scan()
-    carry, residual = _solve_diagonal(J, 0, fbar, True, scan)
+    carry, residual = _Block.of(J, 0).solve(fbar, True, scan)
     carry *= leave[:, 0, None]
     runs = squarings = 0
     for _, cells in itertools.groupby(range(1, l + 1), key=lambda k: id(J.diagonal[k])):
         k, n = next(cells), 1 + sum(1 for _ in cells)
-        Y, res = _solve_diagonal(J, k, J.offdiag_t[k].toarray() * J.phi[:, k], True, scan)
+        Y, res = _Block.of(J, k).solve(J.offdiag_t[k].toarray() * J.phi[:, k], True, scan)
         T = np.diag(J.decay[:, k]) + leave[:, k, None] * Y
         carry = np.linalg.matrix_power(T, n) @ carry
         runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)
@@ -365,10 +356,9 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
     after l are zero-filled.
     """
     g = np.asarray(g, dtype=float)
-    n, m = J.indexer.N, J.indexer.M
+    n = J.indexer.N
     if g.shape != (n,):
         raise ValueError("observable must have length N")
-    if not 0 <= l < m:
-        raise ValueError("invalid terminal block")
+    _check_block(J, l)
     free = np.arange(J.indexer.size) < (l + 1) * n
     return SpaceTimeVector(_solve_backward(J, l, g, np.zeros(J.indexer.size), free), J.indexer)

@@ -9,8 +9,8 @@ from .generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
-    _sqra_rates,
     rate_sequence_from_protocol,
+    sqra_rates,
 )
 
 TWO_STATE_SWITCH_TIME = 4.0
@@ -81,7 +81,7 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     pot = triple_well_grid_potential()
     beta_lo, beta_hi = TRIPLE_WELL_BETA
     # off-diagonal rates: rate_sequence_from_protocol closes each phase once
-    rates = {beta: _sqra_rates(pot, beta) for beta in (beta_lo, beta_hi)}
+    rates = {beta: sqra_rates(pot, beta) for beta in (beta_lo, beta_hi)}
 
     def builder(k, span):
         mid = 0.5 * (span[0] + span[1])

@@ -11,7 +11,7 @@ from ajc.generator import (
     RateMatrixSequence,
     TimeGrid,
     rate_sequence_from_protocol,
-    sqra_generator,
+    sqra_rates,
     with_recomputed_diagonal,
 )
 from ajc.jumpchain import _invert_hazard
@@ -49,7 +49,7 @@ def triple_well_grid_seq(n_side, cells):
     offsets = h * (np.arange(n_side) - (n_side - 1) / 2)
     X, Y = np.meshgrid((x0 + x1) / 2 + offsets, (y0 + y1) / 2 + offsets)
     pot = GridPotential(n_side, n_side, h, presets.triple_well_potential(X, Y))
-    Q = {beta: sqra_generator(pot, beta) for beta in (1.0, 10.0)}
+    Q = {beta: sqra_rates(pot, beta) for beta in (1.0, 10.0)}
     return rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, cells),
                                       lambda k, span: Q[1.0 if 2 * k < cells else 10.0])
 
@@ -167,8 +167,16 @@ def apply_forward(J, f):
     F = np.asarray(f, dtype=float).reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(F)
     for l, inflow in J.scan_forward(F):
-        out[l] = J.diagonal_t[l] @ F[l] + inflow
+        out[l] = J.diagonal[l].T @ F[l] + inflow
     return out.reshape(np.shape(f))
+
+
+def block_cond(J, forward=False):
+    """The largest cond_inf(I - B) over J's diagonal blocks B, or, forward,
+    of I - B^T, the matrix that a forward block solve factors."""
+    eye = np.eye(J.indexer.N)
+    return max(np.linalg.cond(eye - (B.T if forward else B).toarray(), np.inf)
+               for B in J.diagonal)
 
 
 def neumann_activity(J, f, tol=1e-13, n_max=10_000):

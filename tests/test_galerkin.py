@@ -29,6 +29,7 @@ from ajc.operators import (
 
 from conftest import (
     apply_forward,
+    block_cond,
     closed_form_survival,
     committor_sparse_solve,
     dense_rate_matrix,
@@ -283,7 +284,7 @@ class TestRandomProtocols:
         K = koopman_solve(J, np.ones(n), m - 1)
         # a stiff cycle (q dt ~ 1e9 both ways) leaves a diagonal block
         # I - B with row sums ~ 1/(q dt); no substitution beats eps * cond there
-        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
+        cond = block_cond(J)
         assert np.abs(K.values - 1.0).max() <= 1e-14 + 10 * np.finfo(float).eps * cond
 
     @settings(max_examples=60, deadline=None)
@@ -310,8 +311,7 @@ class TestRandomProtocols:
             assert eps * np.abs(want).max() > 0.1 * RESIDUAL_TOL
             return
         # both solves lose up to eps * cond on an ill-conditioned block
-        n = J.indexer.N
-        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        cond = block_cond(J, forward=True)
         np.testing.assert_allclose(got, want, rtol=1e-12 + 10 * eps * cond, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -344,7 +344,7 @@ class TestRandomProtocols:
         except NonConvergence:
             return
         eps = np.finfo(float).eps
-        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        cond = block_cond(J, forward=True)
         assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
 
     @settings(max_examples=60, deadline=None)
@@ -359,7 +359,7 @@ class TestRandomProtocols:
         F[:n] = np.eye(n)
         X = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
         eps = np.finfo(float).eps
-        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+        cond = block_cond(J, forward=True)
         for l in (m - 1, data.draw(st.integers(repeat - 1, m - 1))):
             try:
                 got = reconstruct_propagator(J, np.eye(n), l)
@@ -392,7 +392,7 @@ class TestRandomProtocols:
             a = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
             assert eps * np.abs(a).max() > 0.1 * RESIDUAL_TOL
             return
-        cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal)
+        cond = block_cond(J)
         assert abs(lhs - rhs) <= 1e-14 + 10 * eps * cond
 
     @staticmethod
@@ -410,9 +410,7 @@ class TestRandomProtocols:
 
     @staticmethod
     def bound(J):
-        eps = np.finfo(float).eps
-        cond = max(np.linalg.cond(np.eye(J.indexer.N) - D.toarray(), np.inf) for D in J.diagonal)
-        return 1e-14 + 10 * eps * cond
+        return 1e-14 + 10 * np.finfo(float).eps * block_cond(J)
 
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), data=st.data())

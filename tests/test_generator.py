@@ -9,7 +9,7 @@ from ajc.generator import (
     TimeGrid,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
-    sqra_generator,
+    sqra_rates,
     validate_generator,
     with_recomputed_diagonal,
 )
@@ -116,7 +116,7 @@ class TestSqra:
     def test_flat_potential_gives_flat_rate(self):
         pot = GridPotential(3, 3, 0.5, np.full(9, 1.7))
         beta = 2.0
-        Q = sqra_generator(pot, beta)
+        Q = with_recomputed_diagonal(sqra_rates(pot, beta))
         phi = 1.0 / (beta * 0.25)
         off = Q.tocoo()
         mask = off.row != off.col
@@ -127,13 +127,13 @@ class TestSqra:
         beta = 3.0
         values = np.array([0.0, 2.0 / beta])
         pot = GridPotential(2, 1, 1.0, values)
-        Q = sqra_generator(pot, beta)
+        Q = with_recomputed_diagonal(sqra_rates(pot, beta))
         assert Q[0, 1] == pytest.approx(np.exp(-1.0) / beta, rel=1e-14)
         assert Q[1, 0] == pytest.approx(np.exp(1.0) / beta, rel=1e-14)
 
     def test_9x7_grid_edge_count(self):
         pot = GridPotential(9, 7, 0.5, np.zeros(63))
-        Q = sqra_generator(pot, 1.0)
+        Q = with_recomputed_diagonal(sqra_rates(pot, 1.0))
         coo = Q.tocoo()
         offdiag = np.count_nonzero(coo.row != coo.col)
         assert offdiag == 2 * (8 * 7 + 9 * 6) == 220
@@ -142,7 +142,7 @@ class TestSqra:
         rng = np.random.default_rng(3)
         beta = 1.5
         pot = GridPotential(5, 4, 0.3, rng.normal(size=20))
-        Q = sqra_generator(pot, beta).toarray()
+        Q = with_recomputed_diagonal(sqra_rates(pot, beta)).toarray()
         pi = np.exp(-beta * pot.values)
         flux = pi[:, None] * Q
         np.testing.assert_allclose(flux, flux.T, rtol=1e-12)
@@ -150,7 +150,7 @@ class TestSqra:
     def test_sparsity_pattern_equals_adjacency(self):
         rng = np.random.default_rng(4)
         pot = GridPotential(4, 6, 1.0, rng.normal(size=24))
-        Q = sqra_generator(pot, 2.0).tocoo()
+        Q = with_recomputed_diagonal(sqra_rates(pot, 2.0)).tocoo()
         got = {(i, j) for i, j in zip(Q.row, Q.col) if i != j}
         A = pot.adjacency.tocoo()
         assert got == set(zip(A.row.tolist(), A.col.tolist()))
@@ -158,7 +158,7 @@ class TestSqra:
     def test_rejects_bad_parameters(self):
         pot = GridPotential(2, 2, 1.0, np.zeros(4))
         with pytest.raises(ValueError):
-            sqra_generator(pot, 0.0)
+            sqra_rates(pot, 0.0)
         with pytest.raises(ValueError):
             GridPotential(2, 2, -1.0, np.zeros(4))
 
@@ -205,9 +205,10 @@ class TestProtocol:
 
     def test_triple_well_phases_equal_sqra_generators_closed_again(self):
         # the preset closes each phase once, from its off-diagonal rates, and
-        # gets the bytes of sqra_generator's closed matrices closed once more
+        # gets the bytes of the SQRA generators closed once more
         pot = presets.triple_well_grid_potential()
-        Q = {beta: sqra_generator(pot, beta) for beta in presets.TRIPLE_WELL_BETA}
+        Q = {beta: with_recomputed_diagonal(sqra_rates(pot, beta))
+             for beta in presets.TRIPLE_WELL_BETA}
         seq = presets.triple_well(1 / 12)
         want = rate_sequence_from_protocol(seq.grid, lambda k, span: Q[1.0 if k < 12 else 10.0])
         np.testing.assert_array_equal(seq.phase, want.phase)

@@ -23,6 +23,7 @@ from ajc.oracle import exact_propagator
 from conftest import (
     apply_forward,
     as_grid,
+    block_cond,
     closed_form_survival,
     committor_sparse_solve,
     dense_rate_matrix,
@@ -45,7 +46,7 @@ def absorbing_J():
 class TestJumpActivity:
     def test_no_rates_means_no_jumps(self):
         _, J = absorbing_J()
-        f = embed_spacelike(np.array([0.3, 0.7]), J.indexer, block=3)
+        f = SpaceTimeVector(np.r_[np.zeros(6), 0.3, 0.7], J.indexer)  # in block 3
         a, residual = jump_activity(J, f)
         np.testing.assert_array_equal(a.values, f.values)
         assert residual == 0.0
@@ -94,7 +95,7 @@ class TestJumpActivity:
                 koopman_solve(J, np.ones(2), 1)
             with pytest.raises(NonConvergence, match="singular diagonal block"):
                 jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
-        assert J.lus == {}
+        assert [s.lu for s in J.solvers.values()] == [None, None]
 
 
 class TestSynchronize:
@@ -150,7 +151,7 @@ class TestReconstructPropagator:
         for J in (two_state_J, triple_well_J):
             n, m = J.indexer.N, J.indexer.M
             F = np.hstack([np.eye(n), np.random.default_rng(4).random((n, 2))])
-            cond = max(np.linalg.cond(np.eye(n) - B.toarray(), np.inf) for B in J.diagonal_t)
+            cond = block_cond(J, forward=True)
             for l in (0, m // 2, m - 1):
                 got = reconstruct_propagator(J, F, l)
                 want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
@@ -160,12 +161,14 @@ class TestReconstructPropagator:
 
     def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
         scans = []
-        scan_forward = JumpMatrix.scan_forward
-        monkeypatch.setattr(JumpMatrix, "scan_forward",
-                            lambda J, X: scans.append(1) or scan_forward(J, X))
-        for l in (-1, two_state_J.indexer.M):
-            with pytest.raises(ValueError, match="invalid time block"):
-                reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), l)
+        for name in ("scan_forward", "scan_backward"):
+            monkeypatch.setattr(JumpMatrix, name, lambda J, X, scan=getattr(JumpMatrix, name):
+                                scans.append(1) or scan(J, X))
+        for solve in (lambda l: reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), l),
+                      lambda l: koopman_solve(two_state_J, np.ones(2), l)):
+            for l in (-1, two_state_J.indexer.M):
+                with pytest.raises(ValueError, match="invalid time block"):
+                    solve(l)
         assert scans == []
 
     def test_one_forward_scan(self, two_state_J, monkeypatch):
@@ -333,7 +336,7 @@ def test_solves_on_one_operator_share_its_factorizations(seq, monkeypatch):
     # one full block per phase, built by the first Koopman solve from the last
     # phase down; the committor borders them by its fixed cells, factoring none
     assert sizes == [n, n]
-    assert set(J.lus) == {id(D) for D in J.diagonal} and len(J.lus) == 2
+    assert set(J.solvers) == {id(D) for D in J.diagonal} and len(J.solvers) == 2
     for solve, got in zip(solves, shared):
         np.testing.assert_array_equal(got, solve(assemble(seq)))
 
