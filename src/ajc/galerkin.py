@@ -17,6 +17,11 @@ cells carrying the jumps still in flight.  The explicit matrix, whose
 nonzeros grow as M^2, exists only as rows: JumpMatrix.row_blocks yields
 them one time block at a time, which is how the .mtx export writes them,
 and JumpMatrix.matrix stacks them on request for checks.
+
+Up to _DENSE_MAX states, the scans and block solves multiply by dense
+copies of the factors (JumpMatrix.kernels): at that size one BLAS mat-vec
+or LAPACK solve costs less than scipy's sparse dispatch around the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -35,6 +40,17 @@ from .generator import RateMatrixSequence, TimeGrid
 # = sum_n (-x)^n / (n + 2)! through x^12 is exact to rounding; highest power first.
 _PSI_CUT = 0.2
 _PSI_SERIES = [(-1) ** n / math.factorial(n + 2) for n in range(12, -1, -1)]
+
+# The size rule: up to this many states the per-phase factors are dense
+# (BLAS gemv, LAPACK getrf/getrs), above it CSR and SuperLU.  Per call on
+# 5-point SQRA blocks, sparse vs dense, medians of five runs in us (one BLAS
+# thread, 2-core host): at N = 144 factor 401 vs 201, solve 14.7 vs 8.5,
+# transposed solve 13.7 vs 9.0, mat-vec 5.2 vs 4.2; at N = 196 transposed
+# solve 13.1 vs 15.1, mat-vec 7.0 vs 6.9; at N = 256 factor 767 vs 814,
+# transposed solve 14.9 vs 20.3, mat-vec 6.6 vs 12.1.  The crossover lies
+# between 169 and 196 states; 144 keeps a margin below it, and bounds the
+# dense copies at 166 kB per matrix.
+_DENSE_MAX = 144
 
 log = logging.getLogger(__name__)
 
@@ -87,6 +103,10 @@ class JumpMatrix:
     the time block (l, l), diag(psi^l / dt_l) R^l, and offdiag_t[l] is R^l
     transposed, as CSR for the forward direction.  Cells of one phase share
     these objects; ajc.operators keeps one solver per diagonal block object.
+    The scans multiply by kernels, which up to _DENSE_MAX states are dense
+    copies of R^l, R^l^T and the diagonal block, one set per phase object;
+    a dense kernel takes a stack of fewer than N columns one column at a
+    time (see _columns), so each column gets the bits it gets alone.
     """
 
     indexer: SpaceTimeIndexer
@@ -105,19 +125,22 @@ class JumpMatrix:
         of X; the caller may overwrite X[l] before its jumps join the carry.
         """
         leave = self.phi / self.grid.widths
+        Rt = self.kernels[1]
         carry = np.zeros_like(X[0])
         for l in range(self.indexer.M):
-            yield l, self.offdiag_t[l] @ (self.phi[:, l, None] * carry)
+            yield l, _dot(Rt[l], self.phi[:, l, None] * carry)
             carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
     def scan_backward(self, X: np.ndarray):
         """Scan J over the (M, N, c) blocks of X in descending time, yielding
         (k, inflow) with the jumps from block k into the later blocks of X."""
         leave = self.phi / self.grid.widths
+        R = self.kernels[0]
         carry = np.zeros_like(X[0])
         for k in range(self.indexer.M - 1, -1, -1):
             yield k, leave[:, k, None] * carry
-            carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * (self.offdiag[k] @ X[k])
+            jumps = _dot(R[k], X[k])
+            carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * jumps
 
     def block_survival(self, l: int) -> np.ndarray:
         """Per-cell probability of not having jumped into blocks <= l: from a
@@ -186,6 +209,22 @@ class JumpMatrix:
         return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
     @functools.cached_property
+    def kernels(self) -> tuple:
+        """(offdiag, offdiag_t, diagonal) as the scans and block solves
+        multiply by them, built on first use: these CSR tuples themselves
+        or, up to _DENSE_MAX states, dense copies, one per shared object."""
+        if self.indexer.N > _DENSE_MAX:
+            return self.offdiag, self.offdiag_t, self.diagonal
+        dense = {}
+
+        def densify(A):
+            if id(A) not in dense:
+                dense[id(A)] = A.toarray()
+            return dense[id(A)]
+        return tuple(tuple(map(densify, factors))
+                     for factors in (self.offdiag, self.offdiag_t, self.diagonal))
+
+    @functools.cached_property
     def solvers(self) -> dict:
         """The solver of each diagonal block object, keyed by its id: empty
         on first use, filled by the solves of ajc.operators, each block's by
@@ -196,6 +235,28 @@ class JumpMatrix:
     def block_cumulative(self) -> np.ndarray:
         """Dense (N*M, M) per-row jump mass into blocks <= l, built on first use."""
         return 1.0 - np.column_stack([self.block_survival(l) for l in range(self.indexer.M)])
+
+
+def _columns(f, X: np.ndarray) -> np.ndarray:
+    """f(X) for a kernel f (a mat-vec or a block solve) on an (N, c) stack X:
+    one contiguous column at a time for 1 < c < N, one call otherwise.
+
+    BLAS-3 and multi-column LAPACK calls round differently from gemv and a
+    one-column getrs, so this keeps each column of a narrower stack bit-equal
+    to that column alone.  A stack of N or more columns (a propagator's
+    transfer matrices) is checked against tolerances only, and one call
+    serves it.
+    """
+    n, c = X.shape
+    if 1 < c < n:
+        return np.hstack([f(X[:, [j]]) for j in range(c)])
+    return f(X)
+
+
+def _dot(A, X: np.ndarray) -> np.ndarray:
+    """A @ X for a kernel A of JumpMatrix.kernels: by _columns if A is dense;
+    a sparse product already gives each column the bits it gets alone."""
+    return _columns(A.__matmul__, X) if isinstance(A, np.ndarray) else A @ X
 
 
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
@@ -218,8 +279,9 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
             rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
             B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
             blocks[p, dt[l]] = B
-    log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d",
-             seq.N, seq.grid.M, len(seq.phases), len(blocks))
+    log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
+             seq.N, seq.grid.M, len(seq.phases), len(blocks),
+             "dense" if seq.N <= _DENSE_MAX else "sparse")
     diagonal = tuple(blocks[p, w] for p, w in zip(seq.phase, dt))
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
                       phi(q, dt), np.exp(-q * dt), diagonal,
@@ -233,6 +295,7 @@ def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
         raise ValueError("vector length must be N*M")
     G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
+    B = J.kernels[2]
     for k, inflow in J.scan_backward(G):
-        out[k] = J.diagonal[k] @ G[k] + inflow
+        out[k] = _dot(B[k], G[k]) + inflow
     return out.reshape(np.shape(g))

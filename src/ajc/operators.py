@@ -9,14 +9,18 @@ The propagator of a stack of at least N densities, such as the identity,
 is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
 repeated squaring: one N-column solve per run instead of one per cell.
-A solve sees a diagonal block only through its _Block: B, B^T, one sparse
-LU of I - B^T, both solve directions and their residual check.  The jump
+A solve sees a diagonal block only through its _Block: B, B^T, one LU of
+I - B^T, both solve directions and their residual check.  The jump
 operator keeps one per block object (JumpMatrix.solvers), so on a uniform
-grid one LU per protocol phase serves every solve on that operator.  A
-committor block with cells in A or B is solved on the same LU, bordered by
-those fixed cells and refined where the whole block is stiffer than its
-free part; only a block with more than 32 fixed cells, or whose LU cannot
-serve, is factored on its free cells, once per scan.
+grid one LU per protocol phase serves every solve on that operator.  One
+size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
+blocks, LAPACK getrf/getrs and BLAS mat-vecs, which take a stack of fewer
+than N columns one contiguous column at a time so that each column gets
+the bits it gets alone; above it CSR and SuperLU.  A committor block
+with cells in A or B is solved on the same LU, bordered by those fixed
+cells and refined where the whole block is stiffer than its free part;
+only a block with more than 32 fixed cells, or whose LU cannot serve, is
+factored on its free cells, once per scan, by the same kind of LU.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer
+from .galerkin import JumpMatrix, SpaceTimeIndexer, _columns
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
@@ -67,12 +72,27 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer) -> SpaceTimeVec
     return SpaceTimeVector(values, indexer)
 
 
-def _factor(operand: sp.csr_matrix) -> spla.SuperLU:
-    """Sparse LU of I - operand; a singular block raises NonConvergence."""
+def _factor(operand):
+    """The LU of I - operand, as a solver (rhs, trans) -> x of (I - operand) x
+    = rhs, or with trans of (I - operand^T) x = rhs; a singular block raises
+    NonConvergence.
+
+    A dense operand is factored by LAPACK getrf and solved by getrs, which
+    takes a stack of fewer than N columns one column at a time (_columns); a
+    sparse one by SuperLU on the minimum-degree ordering of A^T + A.
+    """
+    n = operand.shape[0]
+    if isinstance(operand, np.ndarray):
+        lu, piv, info = lapack.dgetrf(np.eye(n) - operand)
+        if info > 0:
+            raise NonConvergence(f"singular diagonal block: pivot {info} is exactly zero")
+        return lambda rhs, trans: _columns(
+            lambda b: lapack.dgetrs(lu, piv, b, trans=int(trans))[0], rhs)
     try:
-        return spla.splu(sp.eye(operand.shape[0], format="csc") - operand.tocsc())
+        lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise NonConvergence(f"singular diagonal block: {exc}") from exc
+    return lambda rhs, trans: lu.solve(rhs, trans="T" if trans else "N")
 
 
 def _checked(res: float) -> float:
@@ -103,13 +123,18 @@ class _Scan:
 
 class _Block:
     """One diagonal block B of J, shared by the cells of a phase: B, B^T and
-    the sparse LU of I - B^T, factored by the first solve that needs it.  A
-    forward solve, (I - B^T) x = rhs, uses the LU as it is; a backward one,
+    the LU of I - B^T, factored by the first solve that needs it.  A forward
+    solve, (I - B^T) x = rhs, uses the LU as it is; a backward one,
     (I - B) x = rhs, through the transposed triangular solve.
+
+    B is J's kernel: up to galerkin._DENSE_MAX states a dense array, with a
+    C-contiguous B^T and a LAPACK LU, which solve and multiply a stack of
+    fewer than N columns one column at a time; above it CSR and SuperLU.
     """
 
-    def __init__(self, B: sp.csr_matrix):
-        self.B, self.Bt, self.lu = B, B.T.tocsr(), None
+    def __init__(self, B):
+        self.B, self.lu = B, None
+        self.Bt = np.ascontiguousarray(B.T) if isinstance(B, np.ndarray) else B.T.tocsr()
 
     @classmethod
     def of(cls, J: JumpMatrix, l: int) -> "_Block":
@@ -117,11 +142,12 @@ class _Block:
         blocks, so their ids stay unique keys while J lives."""
         key = id(J.diagonal[l])
         if key not in J.solvers:
-            J.solvers[key] = cls(J.diagonal[l])
+            J.solvers[key] = cls(J.kernels[2][l])
         return J.solvers[key]
 
-    def factor(self, scan: _Scan) -> spla.SuperLU:
-        """The LU of I - B^T; a failed factorization is kept nowhere."""
+    def factor(self, scan: _Scan):
+        """The solver of I - B^T (see _factor); a failed factorization is
+        kept nowhere."""
         if self.lu is None:
             self.lu = _factor(self.Bt)
             scan.used[id(self)] = True
@@ -131,11 +157,8 @@ class _Block:
     def solve(self, rhs: np.ndarray, forward: bool, scan: _Scan) -> tuple[np.ndarray, float]:
         """Solve the whole block: x and its residual |x - B x - rhs|_inf (B^T
         forward), which must not exceed RESIDUAL_TOL."""
-        lu = self.factor(scan)
-        if forward:
-            x, operand = lu.solve(rhs), self.Bt
-        else:
-            x, operand = lu.solve(rhs, trans="T"), self.B
+        x = self.factor(scan)(rhs, not forward)
+        operand = self.Bt if forward else self.B
         return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
 
     def solve_masked(self, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
@@ -174,14 +197,14 @@ class _Block:
             lu = self.factor(scan)
             E = np.zeros((self.B.shape[0], c.size))
             E[c, np.arange(c.size)] = 1.0
-            W = lu.solve(E, trans="T")
+            W = lu(E, True)
             P = np.linalg.solve(W[c].T, W.T).T
         except (NonConvergence, np.linalg.LinAlgError):
             return None
         scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
 
         def bordered(rhs, v):
-            y = lu.solve(rhs, trans="T")
+            y = lu(rhs, True)
             y += P @ (v - y[c])
             y[c] = v
             return y
@@ -210,7 +233,7 @@ class _Block:
         def solve(rhs, x):
             rhs = (rhs + self.B @ np.where(free[:, None], 0.0, x))[free]
             x = x.copy()
-            x[free] = lu.solve(rhs)
+            x[free] = lu(rhs, False)
             return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
         return solve
 

@@ -3,8 +3,9 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
-from ajc import presets
+from ajc import galerkin, presets
 from ajc import operators
 from ajc.committor import TAIL_TO_B, SpaceTimeSet, coherence_defect, committor_solve
 from ajc.galerkin import JumpMatrix, SpaceTimeIndexer, apply_adjoint, assemble
@@ -316,9 +317,11 @@ def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
     ]
 
 
-@pytest.mark.parametrize("seq", [presets.triple_well(1 / 96), triple_well_grid_seq(8, 6)],
-                         ids=["triple-well-96", "grid-8x8"])
-def test_solves_on_one_operator_share_its_factorizations(seq, monkeypatch):
+@pytest.mark.parametrize("seq, kernel", [(presets.triple_well(1 / 96), "getrf"),
+                                         (triple_well_grid_seq(8, 6), "getrf"),
+                                         (triple_well_grid_seq(16, 6), "splu")],
+                         ids=["triple-well-96", "grid-8x8", "grid-16x16"])
+def test_solves_on_one_operator_share_its_factorizations(seq, kernel, monkeypatch):
     n, m = seq.N, seq.grid.M
     g = np.random.default_rng(8).random(n)
     f = embed_spacelike(np.full(n, 1.0 / n), SpaceTimeIndexer(n, m))
@@ -328,17 +331,51 @@ def test_solves_on_one_operator_share_its_factorizations(seq, monkeypatch):
               lambda J: jump_activity(J, f)[0].values,
               lambda J: koopman_solve(J, np.ones(n), m - 1).values,
               lambda J: committor_solve(J, A, B).values]
-    sizes = []
-    splu = spla.splu
-    monkeypatch.setattr(spla, "splu", lambda a, **kw: sizes.append(a.shape[0]) or splu(a, **kw))
+    built = []
+
+    def counted(name, factor):
+        return lambda a, **kw: built.append((name, a.shape[0])) or factor(a, **kw)
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    monkeypatch.setattr(lapack, "dgetrf", counted("getrf", lapack.dgetrf))
     J = assemble(seq)
     shared = [solve(J) for solve in solves]
     # one full block per phase, built by the first Koopman solve from the last
-    # phase down; the committor borders them by its fixed cells, factoring none
-    assert sizes == [n, n]
+    # phase down, dense up to galerkin._DENSE_MAX states; the committor
+    # borders them by its fixed cells, factoring none
+    assert built == [(kernel, n), (kernel, n)]
     assert set(J.solvers) == {id(D) for D in J.diagonal} and len(J.solvers) == 2
     for solve, got in zip(solves, shared):
         np.testing.assert_array_equal(got, solve(assemble(seq)))
+
+
+def stiff_protocol():
+    """4 states, off-diagonal rates from 1e-2 to 1e8, 3 phases over 6 cells."""
+    rng = np.random.default_rng(5)
+    rates = 10 ** rng.uniform(-2, 8, (3, 4, 4))  # diagonals are discarded
+    return RateMatrixSequence(TimeGrid.uniform(0, 1, 6),
+                              tuple(dense_rate_matrix(rates[k // 2]) for k in range(6)))
+
+
+@pytest.mark.parametrize("seq", [presets.triple_well(1 / 24), stiff_protocol()],
+                         ids=["triple-well-24", "stiff-4-state"])
+def test_dense_and_sparse_kernels_agree(seq, monkeypatch):
+    def solves():
+        J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        A, B = sets_in_every_block(J, [0], [n - 1])
+        f = embed_spacelike(np.full(n, 1.0 / n), J.indexer)
+        return J, [koopman_solve(J, np.random.default_rng(3).random(n), m - 1).values,
+                   committor_solve(J, A, B).values, jump_activity(J, f)[0].values,
+                   reconstruct_propagator(J, np.eye(n), m - 1)]
+    J, dense = solves()
+    monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+    J_sparse, sparse = solves()
+    assert isinstance(J.kernels[2][0], np.ndarray)
+    assert not isinstance(J_sparse.kernels[2][0], np.ndarray)
+    eps = np.finfo(float).eps
+    tol = 1e-13 + 10 * eps * max(block_cond(J), block_cond(J, forward=True))
+    for d, s in zip(dense, sparse):
+        assert np.abs(d - s).max() <= tol * np.abs(s).max()
 
 
 def sets_in_every_block(J, a_states, b_states):
@@ -381,20 +418,27 @@ def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
     assert np.abs(masked - bordered).max() <= 1e-13 * np.abs(masked).max()
 
 
-@pytest.mark.parametrize("rates, cells, a, b, log_tail", [
-    # a stiff cycle 0 -> 1 -> 2 -> 0 broken by A and B: one refinement step
-    ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1,
+@pytest.mark.parametrize("rates, cells, a, b, dense, log_tail", [
+    # the first three on SuperLU: a stiff cycle 0 -> 1 -> 2 -> 0 broken by A
+    # and B, one refinement step
+    ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1, False,
      "1 borders of 2 fixed cells, 0 masked factorizations, 1 refinement steps"),
     # stiffer: two steps leave the residual above a few ulps, so the free
     # cell is factored instead
-    ([[0, 6.5e12, 1.7e13], [0, 0, 3.7e15], [7.9e15, 0, 0]], 1, 1, 0,
+    ([[0, 6.5e12, 1.7e13], [0, 0, 3.7e15], [7.9e15, 0, 0]], 1, 1, 0, False,
      "1 borders of 2 fixed cells, 1 masked factorizations, 2 refinement steps"),
     # flip-flop at rate 1e17: I - B is exactly singular, so no border; each
     # of the two cells is its own phase
-    ([[0, 1e17, 0], [1e17, 0, 0], [0, 0, 0]], 2, 0, 2,
+    ([[0, 1e17, 0], [1e17, 0, 0], [0, 0, 0]], 2, 0, 2, False,
      "0 borders of 0 fixed cells, 2 masked factorizations, 0 refinement steps"),
-], ids=["refined", "refinement-falls-short", "singular"])
-def test_stiff_blocks_refine_or_factor_the_free_cells(rates, cells, a, b, log_tail, caplog):
+    # a stiff cycle on the dense LU: one refinement step
+    ([[0, 1.3e5, 0], [0, 0, 30], [6.4e8, 0, 0]], 1, 1, 2, True,
+     "1 borders of 2 fixed cells, 0 masked factorizations, 1 refinement steps"),
+], ids=["refined", "refinement-falls-short", "singular", "dense-refined"])
+def test_stiff_blocks_refine_or_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
+                                                      monkeypatch, caplog):
+    if not dense:
+        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     seq = RateMatrixSequence(TimeGrid.uniform(0, 1, cells),
                              tuple(dense_rate_matrix(rates) for _ in range(cells)))
     J = assemble(seq)
