@@ -63,8 +63,8 @@ def _load(args) -> tuple[dict, Path]:
         raise ajcio.ConfigError(f"config file not found: {cfg_path}")
     except json.JSONDecodeError as exc:
         raise ajcio.ConfigError(f"config {cfg_path} is not valid JSON: {exc}")
-    ajcio.check_keys(config, {"generator"} | _KEYS[args.command], f"{args.command} config",
-                     {"generator"})
+    ajcio.check_keys(config, {"generator"} | _COMMANDS[args.command][1],
+                     f"{args.command} config", {"generator"})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return config, out
@@ -98,6 +98,8 @@ def cmd_sample(args) -> int:
                                 f"<= horizon {horizon} <= grid horizon {seq.grid.horizon}")
     start = SpaceTimePoint(state, time)
     count = ajcio.parse_number(config.get("n_trajectories", 1), int, "n_trajectories")
+    if count < 1:
+        raise ajcio.ConfigError(f"n_trajectories must be positive, got {count}")
     rng = np.random.default_rng(args.seed)
     rows = []
     final_states = np.zeros(seq.N, dtype=int)
@@ -117,7 +119,8 @@ def cmd_sample(args) -> int:
 def cmd_propagate(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
-    fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N)
+    fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N,
+                                      "initial_density")
     block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     density = reconstruct_propagator(J, fbar, block)
     path = ajcio.write_csv(out / "density.csv", ["state", "mass"],
@@ -130,7 +133,7 @@ def cmd_propagate(args) -> int:
 def cmd_koopman(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
-    g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N)
+    g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N, "observable")
     block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     K = koopman_solve(J, g, block)
     path = ajcio.write_csv(out / "koopman.csv", ["state", "block", "value"],
@@ -160,7 +163,9 @@ def cmd_coherence(args) -> int:
     config, out = _load(args)
     seq, J = _assembled(args, config)
     C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C")
-    count_survival = bool(config.get("count_survival", False))
+    count_survival = config.get("count_survival", False)
+    if not isinstance(count_survival, bool):
+        raise ajcio.ConfigError(f"count_survival must be true or false, got {count_survival!r}")
     min_slack, violation_mass = coherence_defect(J, C, count_survival)
     path = ajcio.write_csv(out / "coherence.csv",
                            ["min_slack", "violation_mass", "count_survival"],
@@ -210,25 +215,15 @@ def cmd_convergence(args) -> int:
     return EXIT_OK
 
 
-# Top-level config keys each command reads besides "generator".
-_KEYS = {
-    "assemble": set(),
-    "sample": {"initial", "n_trajectories", "horizon"},
-    "propagate": {"initial_density", "block"},
-    "koopman": {"observable", "block"},
-    "committor": {"set_a", "set_b", "tail"},
-    "coherence": {"set_c", "count_survival"},
-    "convergence": {"dt_list"},
-}
-
+# Each command's handler and the top-level config keys it reads besides "generator".
 _COMMANDS = {
-    "assemble": cmd_assemble,
-    "sample": cmd_sample,
-    "propagate": cmd_propagate,
-    "koopman": cmd_koopman,
-    "committor": cmd_committor,
-    "coherence": cmd_coherence,
-    "convergence": cmd_convergence,
+    "assemble": (cmd_assemble, set()),
+    "sample": (cmd_sample, {"initial", "n_trajectories", "horizon"}),
+    "propagate": (cmd_propagate, {"initial_density", "block"}),
+    "koopman": (cmd_koopman, {"observable", "block"}),
+    "committor": (cmd_committor, {"set_a", "set_b", "tail"}),
+    "coherence": (cmd_coherence, {"set_c", "count_survival"}),
+    "convergence": (cmd_convergence, {"dt_list"}),
 }
 
 
@@ -241,7 +236,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except ajcio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,10 +18,11 @@ nonzeros grow as M^2, exists only as rows: JumpMatrix.row_blocks yields
 them one time block at a time, which is how the .mtx export writes them,
 and JumpMatrix.matrix stacks them on request for checks.
 
-Up to _DENSE_MAX states, the scans and block solves multiply by dense
-copies of the factors (JumpMatrix.kernels): at that size one BLAS mat-vec
-or LAPACK solve costs less than scipy's sparse dispatch around the same
-arithmetic.
+Each distinct (phase, width) pair has one record of the factors its cells
+multiply by, R, R^T, the diagonal block B and B^T, with a slot for the LU
+that ajc.operators makes on first use.  Up to _DENSE_MAX states they are
+dense: at that size one BLAS mat-vec or LAPACK solve costs less than
+scipy's sparse dispatch around the same arithmetic.
 """
 
 from __future__ import annotations
@@ -94,19 +95,36 @@ class SpaceTimeIndexer:
         return a % self.N, a // self.N
 
 
+@dataclass(eq=False)
+class _Factors:
+    """What the cells of one phase and width multiply by: R, R^T, the
+    diagonal block B = diag(psi / dt) R and B^T, plus lu, the solver of
+    I - B^T that ajc.operators sets on the first solve that needs it.
+
+    Up to _DENSE_MAX states all four are dense, the transposes C-contiguous
+    copies, since a transposed view rounds gemv differently; above it R and
+    B are CSR and their transposes the CSC views.  Records compare and hash
+    by identity.
+    """
+
+    R: object
+    Rt: object
+    B: object
+    Bt: object
+    lu: object = None
+
+
 @dataclass(frozen=True)
 class JumpMatrix:
     """Factored Galerkin operator over space-time cells.
 
-    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, the (N, M)
-    arrays phi and decay hold phi(q, dt) and exp(-q dt), and diagonal[l] is
-    the time block (l, l), diag(psi^l / dt_l) R^l, and offdiag_t[l] is R^l
-    transposed, as CSR for the forward direction.  Cells of one phase share
-    these objects; ajc.operators keeps one solver per diagonal block object.
-    The scans multiply by kernels, which up to _DENSE_MAX states are dense
-    copies of R^l, R^l^T and the diagonal block, one set per phase object;
-    a dense kernel takes a stack of fewer than N columns one column at a
-    time (see _columns), so each column gets the bits it gets alone.
+    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and the
+    (N, M) arrays phi, decay and within hold phi(q, dt), exp(-q dt) and
+    psi(q, dt) / dt, so the time block (l, l) is diag(within[:, l]) R^l.
+    blocks[block_of[l]] is cell l's _Factors record, one per distinct phase
+    and width, which the scans and ajc.operators' solves multiply by; a
+    dense kernel takes a stack of fewer than N columns one column at a time
+    (see _columns), so each column gets the bits it gets alone.
     """
 
     indexer: SpaceTimeIndexer
@@ -115,8 +133,9 @@ class JumpMatrix:
     offdiag: tuple
     phi: np.ndarray
     decay: np.ndarray
-    diagonal: tuple
-    offdiag_t: tuple
+    within: np.ndarray
+    blocks: tuple  # of _Factors
+    block_of: np.ndarray  # (M,) index into blocks
 
     def scan_forward(self, X: np.ndarray):
         """Scan J^T over the (M, N, c) blocks of X in ascending time.
@@ -125,21 +144,19 @@ class JumpMatrix:
         of X; the caller may overwrite X[l] before its jumps join the carry.
         """
         leave = self.phi / self.grid.widths
-        Rt = self.kernels[1]
         carry = np.zeros_like(X[0])
-        for l in range(self.indexer.M):
-            yield l, _dot(Rt[l], self.phi[:, l, None] * carry)
+        for l, b in enumerate(self.block_of):
+            yield l, _dot(self.blocks[b].Rt, self.phi[:, l, None] * carry)
             carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
     def scan_backward(self, X: np.ndarray):
         """Scan J over the (M, N, c) blocks of X in descending time, yielding
         (k, inflow) with the jumps from block k into the later blocks of X."""
         leave = self.phi / self.grid.widths
-        R = self.kernels[0]
         carry = np.zeros_like(X[0])
         for k in range(self.indexer.M - 1, -1, -1):
             yield k, leave[:, k, None] * carry
-            jumps = _dot(R[k], X[k])
+            jumps = _dot(self.blocks[self.block_of[k]].R, X[k])
             carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * jumps
 
     def block_survival(self, l: int) -> np.ndarray:
@@ -182,7 +199,8 @@ class JumpMatrix:
         cols = cols[order].astype(np.int32)
         jump = np.concatenate([R.data * self.phi[r, l]
                                for l, (R, r) in enumerate(zip(self.offdiag, rows))])[order]
-        within = np.concatenate([B.data for B in self.diagonal])[order]
+        within = np.concatenate([R.data * self.within[r, l]
+                                 for l, (R, r) in enumerate(zip(self.offdiag, rows))])[order]
         # row i of block k holds its entries of the cells l >= k
         lengths = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
         lengths = np.cumsum(lengths[:, ::-1], axis=1)[:, ::-1]
@@ -209,29 +227,6 @@ class JumpMatrix:
         return sp.csr_matrix((data, indices, indptr), shape=(size, size))
 
     @functools.cached_property
-    def kernels(self) -> tuple:
-        """(offdiag, offdiag_t, diagonal) as the scans and block solves
-        multiply by them, built on first use: these CSR tuples themselves
-        or, up to _DENSE_MAX states, dense copies, one per shared object."""
-        if self.indexer.N > _DENSE_MAX:
-            return self.offdiag, self.offdiag_t, self.diagonal
-        dense = {}
-
-        def densify(A):
-            if id(A) not in dense:
-                dense[id(A)] = A.toarray()
-            return dense[id(A)]
-        return tuple(tuple(map(densify, factors))
-                     for factors in (self.offdiag, self.offdiag_t, self.diagonal))
-
-    @functools.cached_property
-    def solvers(self) -> dict:
-        """The solver of each diagonal block object, keyed by its id: empty
-        on first use, filled by the solves of ajc.operators, each block's by
-        the first solve that needs it."""
-        return {}
-
-    @functools.cached_property
     def block_cumulative(self) -> np.ndarray:
         """Dense (N*M, M) per-row jump mass into blocks <= l, built on first use."""
         return 1.0 - np.column_stack([self.block_survival(l) for l in range(self.indexer.M)])
@@ -254,7 +249,7 @@ def _columns(f, X: np.ndarray) -> np.ndarray:
 
 
 def _dot(A, X: np.ndarray) -> np.ndarray:
-    """A @ X for a kernel A of JumpMatrix.kernels: by _columns if A is dense;
+    """A @ X for a kernel A of a _Factors record: by _columns if A is dense;
     a sparse product already gives each column the bits it gets alone."""
     return _columns(A.__matmul__, X) if isinstance(A, np.ndarray) else A @ X
 
@@ -263,29 +258,37 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q)),
     on the sequence's own outbound and offdiag tables.
 
-    Cells of one phase and one width share one diagonal block object, and
-    the transposes of the off-diagonal rates are built once per phase.
+    Cells of one phase and one width share one _Factors record, and the
+    records of one phase share its R and R^T.
     """
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
-    offdiag_t = {}  # phase -> R^T
-    blocks = {}  # (phase, width) -> diagonal block
+    dense = seq.N <= _DENSE_MAX
+
+    def with_transpose(A):
+        if not dense:
+            return A, A.T
+        A = A.toarray()
+        return A, np.ascontiguousarray(A.T)
+    rates = {}  # phase -> (R, R^T)
+    index = {}  # (phase, width) -> index into blocks
+    blocks = []
     for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
-        if p not in offdiag_t:
-            offdiag_t[p] = R.T.tocsr()
-        if (p, dt[l]) not in blocks:
-            # R's own pattern: JumpMatrix.matrix writes these data into R's slots
-            rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-            B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
-            blocks[p, dt[l]] = B
+        if (p, dt[l]) in index:
+            continue
+        if p not in rates:
+            rates[p] = with_transpose(R)
+        # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
+        rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
+        B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
+        index[p, dt[l]] = len(blocks)
+        blocks.append(_Factors(*rates[p], *with_transpose(B)))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
-             seq.N, seq.grid.M, len(seq.phases), len(blocks),
-             "dense" if seq.N <= _DENSE_MAX else "sparse")
-    diagonal = tuple(blocks[p, w] for p, w in zip(seq.phase, dt))
+             seq.N, seq.grid.M, len(seq.phases), len(blocks), "dense" if dense else "sparse")
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      phi(q, dt), np.exp(-q * dt), diagonal,
-                      tuple(offdiag_t[p] for p in seq.phase))
+                      phi(q, dt), np.exp(-q * dt), within, tuple(blocks),
+                      np.array([index[p, w] for p, w in zip(seq.phase, dt)]))
 
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
@@ -295,7 +298,6 @@ def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
         raise ValueError("vector length must be N*M")
     G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
-    B = J.kernels[2]
     for k, inflow in J.scan_backward(G):
-        out[k] = _dot(B[k], G[k]) + inflow
+        out[k] = _dot(J.blocks[J.block_of[k]].B, G[k]) + inflow
     return out.reshape(np.shape(g))

@@ -108,11 +108,17 @@ def check_keys(node, allowed, where: str, required=()) -> dict:
 
 
 def parse_number(node, kind, what: str):
-    """node converted by kind (int or float), or a ConfigError naming what."""
+    """node converted by kind (int or float), or a ConfigError naming what:
+    a boolean is no number, and an int must be integral (2.0 reads as 2)."""
     try:
-        return kind(node)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a number, got {node!r}") from None
+        value = None if isinstance(node, bool) else kind(node)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None:
+        raise ConfigError(f"{what} must be a number, got {node!r}")
+    if kind is int and isinstance(node, float) and value != node:
+        raise ConfigError(f"{what} must be an integer, got {node!r}")
+    return value
 
 
 def _list(node, what: str, length: int | None = None) -> list:
@@ -136,7 +142,8 @@ def _build_time_grid(node) -> TimeGrid:
     try:
         if "edges" in node:
             return TimeGrid(np.array(node["edges"], dtype=float))
-        return TimeGrid.uniform(node["t0"], node["t1"], int(node["cells"]))
+        t0, t1 = (parse_number(node[key], float, key) for key in ("t0", "t1"))
+        return TimeGrid.uniform(t0, t1, parse_number(node["cells"], int, "cells"))
     except KeyError as exc:
         raise ConfigError(f"time_grid needs 'edges' or 't0'/'t1'/'cells': missing {exc}")
     except (TypeError, ValueError) as exc:  # malformed numbers and TimeGrid's checks
@@ -182,8 +189,10 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         else:
             check_keys(node, allowed, "sqra generator with a potential list", {"nx", "ny", "h"})
             try:
-                pot = GridPotential(int(node["nx"]), int(node["ny"]),
-                                    float(node["h"]), np.array(pot_node, dtype=float))
+                pot = GridPotential(parse_number(node["nx"], int, "nx"),
+                                    parse_number(node["ny"], int, "ny"),
+                                    parse_number(node["h"], float, "h"),
+                                    np.array(pot_node, dtype=float))
             except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
                 raise ConfigError(f"sqra potential: {exc}") from exc
         cache = {b: sqra_rates(pot, b) for b in set(betas)}
@@ -252,20 +261,23 @@ def parse_tail(node):
     """The committor's tail policy, 'absorb_to_A', 'absorb_to_B' or a value
     in [0, 1], returned as given."""
     try:
-        tail_value(node)
+        if not isinstance(node, bool):
+            tail_value(node)
+            return node
     except (TypeError, ValueError):
-        raise ConfigError(f"tail must be {TAIL_TO_A!r}, {TAIL_TO_B!r} or a number in [0, 1], "
-                          f"got {node!r}") from None
-    return node
+        pass
+    raise ConfigError(f"tail must be {TAIL_TO_A!r}, {TAIL_TO_B!r} or a number in [0, 1], "
+                      f"got {node!r}")
 
 
-def parse_spatial_vector(node, N: int) -> np.ndarray:
-    """A spatial vector: explicit list, or an object with exactly one of
-    {"state": i} point mass, {"ones": true} and {"uniform": true}."""
+def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:
+    """A spatial vector, read from the config key what: a list of finite
+    numbers, or an object with exactly one of {"state": i} point mass,
+    {"ones": true} and {"uniform": true}."""
     if isinstance(node, dict):
-        check_keys(node, {"ones", "uniform", "state"}, "spatial vector")
+        check_keys(node, {"ones", "uniform", "state"}, what)
         if len(node) != 1:
-            raise ConfigError(f"spatial vector needs exactly one of 'ones', 'uniform', 'state', "
+            raise ConfigError(f"{what} needs exactly one of 'ones', 'uniform', 'state', "
                               f"got {', '.join(map(repr, sorted(node))) or 'none'}")
         (key, value), = node.items()
         if key == "state":
@@ -273,14 +285,17 @@ def parse_spatial_vector(node, N: int) -> np.ndarray:
             v[resolve_state(value, N)] = 1.0
             return v
         if value is not True:
-            raise ConfigError(f"spatial vector {key!r} must be true, got {value!r}")
+            raise ConfigError(f"{what} {key!r} must be true, got {value!r}")
         return np.ones(N) if key == "ones" else np.full(N, 1.0 / N)
     try:
         v = np.array(node, dtype=float)
     except (TypeError, ValueError):
-        raise ConfigError(f"spatial vector must be a list of numbers, got {node!r}") from None
+        raise ConfigError(f"{what} must be a list of numbers, got {node!r}") from None
     if v.shape != (N,):
-        raise ConfigError(f"spatial vector must have length {N}")
+        raise ConfigError(f"{what} must have length {N}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ConfigError(f"{what} must be finite: entry {bad[0]} is {v[bad[0]]}")
     return v
 
 

@@ -9,11 +9,12 @@ The propagator of a stack of at least N densities, such as the identity,
 is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
 repeated squaring: one N-column solve per run instead of one per cell.
-A solve sees a diagonal block only through its _Block: B, B^T, one LU of
-I - B^T, both solve directions and their residual check.  The jump
-operator keeps one per block object (JumpMatrix.solvers), so on a uniform
-grid one LU per protocol phase serves every solve on that operator.  One
-size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
+A solve sees a diagonal block only through the jump operator's record of
+it (JumpMatrix.blocks), one per phase and width: B, B^T and one LU of
+I - B^T, which the first solve that needs it factors and keeps there, so
+on a uniform grid one LU per protocol phase serves every solve on that
+operator, in both directions, each with its residual check.  One size
+rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs, which take a stack of fewer
 than N columns one contiguous column at a time so that each column gets
 the bits it gets alone; above it CSR and SuperLU.  A committor block
@@ -34,7 +35,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer, _columns
+from .galerkin import JumpMatrix, SpaceTimeIndexer, _columns, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
@@ -104,9 +105,9 @@ def _checked(res: float) -> float:
 
 @dataclass
 class _Scan:
-    """How one scan solved its blocks, for its INFO line: used maps the id
-    of each _Block whose whole LU it used to whether it factored it; masked
-    maps (block id, free mask) to the masked solver it made for them."""
+    """How one scan solved its blocks, for its INFO line: used maps each
+    block record whose whole LU it used to whether it factored it; masked
+    maps (record, free mask) to the masked solver it made for them."""
 
     used: dict = field(default_factory=dict)
     masked: dict = field(default_factory=dict)
@@ -121,121 +122,104 @@ class _Scan:
                  f"{len(self.used) - built} reused{tail}")
 
 
-class _Block:
-    """One diagonal block B of J, shared by the cells of a phase: B, B^T and
-    the LU of I - B^T, factored by the first solve that needs it.  A forward
-    solve, (I - B^T) x = rhs, uses the LU as it is; a backward one,
-    (I - B) x = rhs, through the transposed triangular solve.
+def _lu(block: _Factors, scan: _Scan):
+    """The solver of the record's I - B^T (see _factor), factored on first
+    use; a failed factorization is kept nowhere."""
+    if block.lu is None:
+        block.lu = _factor(block.Bt)
+        scan.used[block] = True
+    scan.used.setdefault(block, False)
+    return block.lu
 
-    B is J's kernel: up to galerkin._DENSE_MAX states a dense array, with a
-    C-contiguous B^T and a LAPACK LU, which solve and multiply a stack of
-    fewer than N columns one column at a time; above it CSR and SuperLU.
-    """
 
-    def __init__(self, B):
-        self.B, self.lu = B, None
-        self.Bt = np.ascontiguousarray(B.T) if isinstance(B, np.ndarray) else B.T.tocsr()
+def _solve(block: _Factors, rhs: np.ndarray, forward: bool,
+           scan: _Scan) -> tuple[np.ndarray, float]:
+    """Solve a whole diagonal block, (I - B^T) x = rhs forward and (I - B) x
+    = rhs backward, both on the LU of I - B^T: x and its residual
+    |x - B x - rhs|_inf (B^T forward), which must not exceed RESIDUAL_TOL."""
+    x = _lu(block, scan)(rhs, not forward)
+    operand = block.Bt if forward else block.B
+    return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
 
-    @classmethod
-    def of(cls, J: JumpMatrix, l: int) -> "_Block":
-        """J's _Block of diagonal block l, made on first use; J holds its
-        blocks, so their ids stay unique keys while J lives."""
-        key = id(J.diagonal[l])
-        if key not in J.solvers:
-            J.solvers[key] = cls(J.kernels[2][l])
-        return J.solvers[key]
 
-    def factor(self, scan: _Scan):
-        """The solver of I - B^T (see _factor); a failed factorization is
-        kept nowhere."""
-        if self.lu is None:
-            self.lu = _factor(self.Bt)
-            scan.used[id(self)] = True
-        scan.used.setdefault(id(self), False)
-        return self.lu
-
-    def solve(self, rhs: np.ndarray, forward: bool, scan: _Scan) -> tuple[np.ndarray, float]:
-        """Solve the whole block: x and its residual |x - B x - rhs|_inf (B^T
-        forward), which must not exceed RESIDUAL_TOL."""
-        x = self.factor(scan)(rhs, not forward)
-        operand = self.Bt if forward else self.B
-        return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
-
-    def solve_masked(self, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
-                     scan: _Scan) -> tuple[np.ndarray, float]:
-        """Solve (I - B) x = rhs on the cells of the boolean mask free, x
-        holding the other cells' fixed values: a new x and its residual on
-        the free rows, which must not exceed RESIDUAL_TOL.  The solver, made
-        once per scan, is the bordered LU or, where that cannot serve, an LU
-        of the free cells."""
-        key = (id(self), free.tobytes())
-        solver = scan.masked.get(key) or self._bordered(free, scan) or self._free_cells(free, scan)
+def _solve_masked(block: _Factors, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
+                  scan: _Scan) -> tuple[np.ndarray, float]:
+    """Solve (I - B) x = rhs on the cells of the boolean mask free, x
+    holding the other cells' fixed values: a new x and its residual on
+    the free rows, which must not exceed RESIDUAL_TOL.  The solver, made
+    once per scan, is the bordered LU or, where that cannot serve, an LU
+    of the free cells."""
+    key = (block, free.tobytes())
+    solver = (scan.masked.get(key) or _bordered(block, free, scan)
+              or _free_cells(block, free, scan))
+    solved = solver(rhs, x)
+    if solved is None:  # the border's refinement fell short
+        solver = _free_cells(block, free, scan)
         solved = solver(rhs, x)
-        if solved is None:  # the border's refinement fell short
-            solver = self._free_cells(free, scan)
-            solved = solver(rhs, x)
-        scan.masked[key] = solver
-        return solved[0], _checked(solved[1])
+    scan.masked[key] = solver
+    return solved[0], _checked(solved[1])
 
-    def _bordered(self, free: np.ndarray, scan: _Scan):
-        """A masked solver on the block's LU bordered by the cells c outside
-        free, or None when there are more than _BORDER_MAX of them or the LU
-        or W[c] is singular.
 
-        With W = (I - B)^-1 E_c, P = W W[c]^-1 is 1 on c, and y + P z leaves
-        the free rows of (I - B) y as they are, so y + P (v - y[c]) takes the
-        fixed values v on c: |c| column solves instead of a factorization.
-        A fixed cell can break a stiff cycle, so the whole block may be far
-        worse conditioned than its free part: the solver refines up to
-        _REFINE_STEPS times to a residual of a few ulps of x (which bounds
-        rhs there, B's rows summing below 1), else returns None.
-        """
-        c = np.flatnonzero(~free)
-        if c.size > _BORDER_MAX:
-            return None
-        try:
-            lu = self.factor(scan)
-            E = np.zeros((self.B.shape[0], c.size))
-            E[c, np.arange(c.size)] = 1.0
-            W = lu(E, True)
-            P = np.linalg.solve(W[c].T, W.T).T
-        except (NonConvergence, np.linalg.LinAlgError):
-            return None
-        scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
+def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
+    """A masked solver on the block's LU bordered by the cells c outside
+    free, or None when there are more than _BORDER_MAX of them or the LU
+    or W[c] is singular.
 
-        def bordered(rhs, v):
-            y = lu(rhs, True)
-            y += P @ (v - y[c])
-            y[c] = v
-            return y
+    With W = (I - B)^-1 E_c, P = W W[c]^-1 is 1 on c, and y + P z leaves
+    the free rows of (I - B) y as they are, so y + P (v - y[c]) takes the
+    fixed values v on c: |c| column solves instead of a factorization.
+    A fixed cell can break a stiff cycle, so the whole block may be far
+    worse conditioned than its free part: the solver refines up to
+    _REFINE_STEPS times to a residual of a few ulps of x (which bounds
+    rhs there, B's rows summing below 1), else returns None.
+    """
+    c = np.flatnonzero(~free)
+    if c.size > _BORDER_MAX:
+        return None
+    try:
+        lu = _lu(block, scan)
+        E = np.zeros((block.B.shape[0], c.size))
+        E[c, np.arange(c.size)] = 1.0
+        W = lu(E, True)
+        P = np.linalg.solve(W[c].T, W.T).T
+    except (NonConvergence, np.linalg.LinAlgError):
+        return None
+    scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
 
-        def solve(rhs, x):
-            x = bordered(rhs, x[c])
-            ulps = _REFINE_ULPS * np.finfo(float).eps * np.abs(x).max()
-            for step in range(_REFINE_STEPS + 1):
-                r = x - self.B @ x - rhs
-                r[c] = 0.0
-                res = np.abs(r).max(initial=0.0)
-                if res <= ulps:
-                    return x, res
-                if step < _REFINE_STEPS:
-                    x -= bordered(r, 0.0)
-                    scan.refinements += 1
-            return None
-        return solve
+    def bordered(rhs, v):
+        y = lu(rhs, True)
+        y += P @ (v - y[c])
+        y[c] = v
+        return y
 
-    def _free_cells(self, free: np.ndarray, scan: _Scan):
-        """A masked solver on an LU of the block's free cells."""
-        operand = self.B[free][:, free]
-        scan.factored += 1
-        lu = _factor(operand)
+    def solve(rhs, x):
+        x = bordered(rhs, x[c])
+        ulps = _REFINE_ULPS * np.finfo(float).eps * np.abs(x).max()
+        for step in range(_REFINE_STEPS + 1):
+            r = x - block.B @ x - rhs
+            r[c] = 0.0
+            res = np.abs(r).max(initial=0.0)
+            if res <= ulps:
+                return x, res
+            if step < _REFINE_STEPS:
+                x -= bordered(r, 0.0)
+                scan.refinements += 1
+        return None
+    return solve
 
-        def solve(rhs, x):
-            rhs = (rhs + self.B @ np.where(free[:, None], 0.0, x))[free]
-            x = x.copy()
-            x[free] = lu(rhs, False)
-            return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
-        return solve
+
+def _free_cells(block: _Factors, free: np.ndarray, scan: _Scan):
+    """A masked solver on an LU of the block's free cells."""
+    operand = block.B[free][:, free]
+    scan.factored += 1
+    lu = _factor(operand)
+
+    def solve(rhs, x):
+        rhs = (rhs + block.B @ np.where(free[:, None], 0.0, x))[free]
+        x = x.copy()
+        x[free] = lu(rhs, False)
+        return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
+    return solve
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
@@ -251,7 +235,7 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
     scan, residual = _Scan(), 0.0
     for l, inflow in J.scan_forward(blocks):
-        blocks[l], res = _Block.of(J, l).solve(blocks[l] + inflow, True, scan)
+        blocks[l], res = _solve(J.blocks[J.block_of[l]], blocks[l] + inflow, True, scan)
         residual = max(residual, res)
     scan.log("solve_forward", J.indexer.M)
     return X, float(residual)
@@ -271,11 +255,11 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
     scan = _Scan()
     for k, inflow in J.scan_backward(blocks):
-        f = free[k]
+        f, block = free[k], J.blocks[J.block_of[k]]
         if f.all():
-            blocks[k] = _Block.of(J, k).solve(b[k] + inflow, False, scan)[0]
+            blocks[k] = _solve(block, b[k] + inflow, False, scan)[0]
         elif f.any():
-            blocks[k] = _Block.of(J, k).solve_masked(b[k] + inflow, blocks[k], f, scan)[0]
+            blocks[k] = _solve_masked(block, b[k] + inflow, blocks[k], f, scan)[0]
     scan.log("solve_backward", int(free.any(axis=1).sum()),
              f", {scan.borders} borders of {scan.border_cells} fixed cells, "
              f"{scan.factored} masked factorizations, {scan.refinements} refinement steps")
@@ -355,12 +339,12 @@ def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     """
     leave = J.phi / J.grid.widths
     scan = _Scan()
-    carry, residual = _Block.of(J, 0).solve(fbar, True, scan)
+    carry, residual = _solve(J.blocks[J.block_of[0]], fbar, True, scan)
     carry *= leave[:, 0, None]
     runs = squarings = 0
-    for _, cells in itertools.groupby(range(1, l + 1), key=lambda k: id(J.diagonal[k])):
+    for b, cells in itertools.groupby(range(1, l + 1), key=J.block_of.__getitem__):
         k, n = next(cells), 1 + sum(1 for _ in cells)
-        Y, res = _Block.of(J, k).solve(J.offdiag_t[k].toarray() * J.phi[:, k], True, scan)
+        Y, res = _solve(J.blocks[b], J.offdiag[k].T.toarray() * J.phi[:, k], True, scan)
         T = np.diag(J.decay[:, k]) + leave[:, k, None] * Y
         carry = np.linalg.matrix_power(T, n) @ carry
         runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)

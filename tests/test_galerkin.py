@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 from scipy.sparse.linalg import spsolve
 
-from ajc import operators, presets
+from ajc import galerkin, operators, presets
 from ajc.galerkin import (
     SpaceTimeIndexer,
     apply_adjoint,
@@ -114,9 +114,34 @@ class TestAssemble:
         J = assemble(seq)
         pairs = list(zip(seq.phase.tolist(), seq.grid.widths.tolist()))
         first = {}
-        for pair, block in zip(pairs, J.diagonal):
-            assert first.setdefault(pair, block) is block
-        assert len({id(block) for block in J.diagonal}) == len(first)
+        for pair, b in zip(pairs, J.block_of):
+            assert first.setdefault(pair, b) == b
+        assert sorted(first.values()) == list(range(len(J.blocks)))
+
+    def test_sparse_transposes_are_views(self, monkeypatch):
+        # above the size rule R is the sequence's CSR and R^T, B^T its CSC views
+        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        seq = presets.triple_well(1 / 6)
+        J = assemble(seq)
+        for l, b in enumerate(J.block_of):
+            assert J.blocks[b].R is seq.offdiag[l]
+        for b in J.blocks:
+            assert sp.issparse(b.B)
+            for A, At in ((b.R, b.Rt), (b.B, b.Bt)):
+                assert all(np.shares_memory(getattr(A, a), getattr(At, a))
+                           for a in ("data", "indices", "indptr"))
+
+    def test_records_of_a_phase_share_one_dense_R(self):
+        # two phases, each over cells of two widths: four records, two Rs
+        Q0, Q1 = (presets.triple_well(1 / 6).phases[p] for p in (0, 1))
+        grid = TimeGrid(np.array([0.0, 0.125, 0.375, 0.5, 0.75, 0.875, 1.0]))
+        J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
+        assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]
+        first, second = J.blocks[:2], J.blocks[2:]
+        for one, other in (first, second):
+            assert isinstance(one.R, np.ndarray) and one.R.flags.c_contiguous
+            assert one.R is other.R and one.Rt is other.Rt and one.B is not other.B
+        assert first[0].R is not second[0].R
 
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]

@@ -171,25 +171,22 @@ class TestParsers:
             ajcio.parse_set([["B", 4]], 2, 4)
 
     def test_parse_spatial_vector(self):
-        np.testing.assert_array_equal(ajcio.parse_spatial_vector({"ones": True}, 3),
-                                      np.ones(3))
-        np.testing.assert_array_equal(ajcio.parse_spatial_vector({"uniform": True}, 4),
-                                      np.full(4, 0.25))
-        np.testing.assert_array_equal(ajcio.parse_spatial_vector({"state": "B"}, 2),
-                                      [0.0, 1.0])
-        np.testing.assert_array_equal(ajcio.parse_spatial_vector([0.5, 0.5], 2),
-                                      [0.5, 0.5])
+        for node, n, want in (({"ones": True}, 3, np.ones(3)),
+                              ({"uniform": True}, 4, np.full(4, 0.25)),
+                              ({"state": "B"}, 2, [0.0, 1.0]),
+                              ([0.5, 0.5], 2, [0.5, 0.5])):
+            np.testing.assert_array_equal(ajcio.parse_spatial_vector(node, n, "observable"), want)
         with pytest.raises(ajcio.ConfigError):
-            ajcio.parse_spatial_vector([1.0], 2)
+            ajcio.parse_spatial_vector([1.0], 2, "observable")
         with pytest.raises(ajcio.ConfigError):
-            ajcio.parse_spatial_vector({"bogus": 1}, 2)
+            ajcio.parse_spatial_vector({"bogus": 1}, 2, "observable")
         with pytest.raises(ajcio.ConfigError, match="exactly one of .* got 'ones', 'state'"):
-            ajcio.parse_spatial_vector({"ones": True, "state": 1}, 2)
+            ajcio.parse_spatial_vector({"ones": True, "state": 1}, 2, "observable")
         with pytest.raises(ajcio.ConfigError, match="exactly one of .* got none"):
-            ajcio.parse_spatial_vector({}, 2)
+            ajcio.parse_spatial_vector({}, 2, "observable")
         for form in ({"ones": False}, {"uniform": 1}, {"ones": "yes"}):
             with pytest.raises(ajcio.ConfigError, match="must be true"):
-                ajcio.parse_spatial_vector(form, 2)
+                ajcio.parse_spatial_vector(form, 2, "observable")
 
 
 class TestCli:
@@ -355,6 +352,30 @@ class TestCli:
         ("convergence", {"dt_list": [0.5, 1.0, 0.25]}, "dt=1 follows 0.5"),
         ("convergence", {"dt_list": [1.0, 0.3]}, "dt=0.3 does not divide the switch time 4"),
         ("koopman", {"observable": {"ones": True, "state": 1}}, "got 'ones', 'state'"),
+        ("koopman", {"block": 2.7}, "block must be an integer, got 2.7"),
+        ("propagate", {"block": True}, "block must be a number, got True"),
+        ("sample", {"initial": {"state": True}}, "state must be a number, got True"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0, 1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2.5}}},
+         "cells must be an integer, got 2.5"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0], "nx": 2.5, "ny": 1, "h": 1.0}},
+         "nx must be an integer, got 2.5"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": False, "t1": 2, "cells": 1}}},
+         "t0 must be a number, got False"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0], "nx": 2, "ny": 1, "h": True}},
+         "h must be a number, got True"),
+        ("committor", {"set_a": [["B", 7]], "set_b": [["A", 7]], "tail": True}, "tail must be"),
+        ("sample", {"n_trajectories": -3}, "n_trajectories must be positive, got -3"),
+        ("sample", {"n_trajectories": 1.5}, "n_trajectories must be an integer, got 1.5"),
+        ("coherence", {"set_c": [["A", 0]], "count_survival": "no"},
+         "count_survival must be true or false, got 'no'"),
+        ("koopman", {"observable": [float("nan"), 1.0]}, "observable must be finite"),
+        ("propagate", {"initial_density": [1e400, 0.0]}, "initial_density must be finite"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

@@ -96,7 +96,7 @@ class TestJumpActivity:
                 koopman_solve(J, np.ones(2), 1)
             with pytest.raises(NonConvergence, match="singular diagonal block"):
                 jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
-        assert [s.lu for s in J.solvers.values()] == [None, None]
+        assert [b.lu for b in J.blocks] == [None, None]
 
 
 class TestSynchronize:
@@ -343,7 +343,7 @@ def test_solves_on_one_operator_share_its_factorizations(seq, kernel, monkeypatc
     # phase down, dense up to galerkin._DENSE_MAX states; the committor
     # borders them by its fixed cells, factoring none
     assert built == [(kernel, n), (kernel, n)]
-    assert set(J.solvers) == {id(D) for D in J.diagonal} and len(J.solvers) == 2
+    assert len(J.blocks) == 2 and all(b.lu is not None for b in J.blocks)
     for solve, got in zip(solves, shared):
         np.testing.assert_array_equal(got, solve(assemble(seq)))
 
@@ -370,8 +370,8 @@ def test_dense_and_sparse_kernels_agree(seq, monkeypatch):
     J, dense = solves()
     monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     J_sparse, sparse = solves()
-    assert isinstance(J.kernels[2][0], np.ndarray)
-    assert not isinstance(J_sparse.kernels[2][0], np.ndarray)
+    assert isinstance(J.blocks[0].B, np.ndarray)
+    assert not isinstance(J_sparse.blocks[0].B, np.ndarray)
     eps = np.finfo(float).eps
     tol = 1e-13 + 10 * eps * max(block_cond(J), block_cond(J, forward=True))
     for d, s in zip(dense, sparse):
