@@ -183,7 +183,6 @@ def cmd_convergence(args) -> int:
         names = " or ".join(map(repr, presets.BUILDERS))
         raise ajcio.ConfigError(f"convergence requires a {names} preset")
     ajcio.check_keys(node, {"preset"}, "convergence generator")
-    builder = presets.BUILDERS[preset]
     dt_list = config.get("dt_list")
     if not dt_list or not isinstance(dt_list, list):
         raise ajcio.ConfigError("convergence requires a nonempty list 'dt_list'")
@@ -192,12 +191,7 @@ def cmd_convergence(args) -> int:
         if dt > before:
             raise ajcio.ConfigError(f"dt_list must be sorted descending: "
                                     f"dt={dt:g} follows {before:g}")
-    seqs = {}
-    for dt in dt_list:
-        try:
-            seqs[dt] = builder(dt)
-        except ValueError as exc:  # the preset's check that dt fits its switch time
-            raise ajcio.ConfigError(f"dt_list: {exc}") from exc
+    seqs = {dt: ajcio.build_sequence({"generator": dict(node, dt=dt)}) for dt in dt_list}
     study = convergence_study(seqs.__getitem__, dt_list)
     comments = []
     if study["slope"] is not None:

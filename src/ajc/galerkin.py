@@ -18,11 +18,11 @@ nonzeros grow as M^2, exists only as rows: JumpMatrix.row_blocks yields
 them one time block at a time, which is how the .mtx export writes them,
 and JumpMatrix.matrix stacks them on request for checks.
 
-Each distinct (phase, width) pair has one record of the factors its cells
-multiply by, R, R^T, the diagonal block B and B^T, with a slot for the LU
-that ajc.operators makes on first use.  Up to _DENSE_MAX states they are
-dense: at that size one BLAS mat-vec or LAPACK solve costs less than
-scipy's sparse dispatch around the same arithmetic.
+Each distinct (phase, width) pair has one record of what its cells
+multiply by, R and the diagonal block B, whose transposes are views, and
+a slot for the LU that ajc.operators makes on first use.  Up to _DENSE_MAX
+states they are dense: at that size one BLAS mat-vec or LAPACK solve costs
+less than scipy's sparse dispatch around the same arithmetic.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ _PSI_SERIES = [(-1) ** n / math.factorial(n + 2) for n in range(12, -1, -1)]
 # transposed solve 13.7 vs 9.0, mat-vec 5.2 vs 4.2; at N = 196 transposed
 # solve 13.1 vs 15.1, mat-vec 7.0 vs 6.9; at N = 256 factor 767 vs 814,
 # transposed solve 14.9 vs 20.3, mat-vec 6.6 vs 12.1.  The crossover lies
-# between 169 and 196 states; 144 keeps a margin below it, and bounds the
-# dense copies at 166 kB per matrix.
+# between 169 and 196 states; 144 keeps a margin below it, and bounds each
+# dense matrix at 166 kB.
 _DENSE_MAX = 144
 
 log = logging.getLogger(__name__)
@@ -97,20 +97,17 @@ class SpaceTimeIndexer:
 
 @dataclass(eq=False)
 class _Factors:
-    """What the cells of one phase and width multiply by: R, R^T, the
-    diagonal block B = diag(psi / dt) R and B^T, plus lu, the solver of
-    I - B^T that ajc.operators sets on the first solve that needs it.
+    """What the cells of one phase and width multiply by: R, the diagonal
+    block B = diag(psi / dt) R, and lu, the solver of I - B^T that
+    ajc.operators sets on the first solve that needs it.
 
-    Up to _DENSE_MAX states all four are dense, the transposes C-contiguous
-    copies, since a transposed view rounds gemv differently; above it R and
-    B are CSR and their transposes the CSC views.  Records compare and hash
-    by identity.
+    Up to _DENSE_MAX states R and B are dense arrays, above it CSR; either
+    way a kernel that needs a transpose reads the view .T, so a record holds
+    no copy.  Records compare and hash by identity.
     """
 
     R: object
-    Rt: object
     B: object
-    Bt: object
     lu: object = None
 
 
@@ -121,9 +118,9 @@ class JumpMatrix:
     Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and the
     (N, M) arrays phi, decay and within hold phi(q, dt), exp(-q dt) and
     psi(q, dt) / dt, so the time block (l, l) is diag(within[:, l]) R^l.
-    blocks[block_of[l]] is cell l's _Factors record, one per distinct phase
-    and width, which the scans and ajc.operators' solves multiply by; a
-    dense kernel takes a stack of fewer than N columns one column at a time
+    blocks[block_of[l]] is cell l's _Factors record, one per phase and
+    width, whose R, B and views .T the scans and ajc.operators' solves
+    multiply by; a dense kernel takes fewer than N columns one at a time
     (see _columns), so each column gets the bits it gets alone.
     """
 
@@ -146,7 +143,7 @@ class JumpMatrix:
         leave = self.phi / self.grid.widths
         carry = np.zeros_like(X[0])
         for l, b in enumerate(self.block_of):
-            yield l, _dot(self.blocks[b].Rt, self.phi[:, l, None] * carry)
+            yield l, _dot(self.blocks[b].R.T, self.phi[:, l, None] * carry)
             carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
     def scan_backward(self, X: np.ndarray):
@@ -259,31 +256,25 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     on the sequence's own outbound and offdiag tables.
 
     Cells of one phase and one width share one _Factors record, and the
-    records of one phase share its R and R^T.
+    records of one phase share its R.
     """
     dt = seq.grid.widths
     q = seq.outbound
     within = psi(q, dt) / dt
     dense = seq.N <= _DENSE_MAX
-
-    def with_transpose(A):
-        if not dense:
-            return A, A.T
-        A = A.toarray()
-        return A, np.ascontiguousarray(A.T)
-    rates = {}  # phase -> (R, R^T)
+    rates = {}  # phase -> R
     index = {}  # (phase, width) -> index into blocks
     blocks = []
     for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
         if (p, dt[l]) in index:
             continue
         if p not in rates:
-            rates[p] = with_transpose(R)
+            rates[p] = R.toarray() if dense else R
         # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
         rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
         B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
         index[p, dt[l]] = len(blocks)
-        blocks.append(_Factors(*rates[p], *with_transpose(B)))
+        blocks.append(_Factors(rates[p], B.toarray() if dense else B))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
              seq.N, seq.grid.M, len(seq.phases), len(blocks), "dense" if dense else "sparse")
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import reprlib
 from io import BytesIO
 from pathlib import Path
 
@@ -109,9 +110,10 @@ def check_keys(node, allowed, where: str, required=()) -> dict:
 
 def parse_number(node, kind, what: str):
     """node converted by kind (int or float), or a ConfigError naming what:
-    a boolean is no number, and an int must be integral (2.0 reads as 2)."""
+    a boolean or a string is no number, and an int must be integral (2.0
+    reads as 2)."""
     try:
-        value = None if isinstance(node, bool) else kind(node)
+        value = None if isinstance(node, (bool, str)) else kind(node)
     except (TypeError, ValueError, OverflowError):
         value = None
     if value is None:
@@ -128,6 +130,24 @@ def _list(node, what: str, length: int | None = None) -> list:
     return node
 
 
+def parse_numbers(node, what: str, length: int | None = None) -> np.ndarray:
+    """The flat list node, of the given length if any, as an array of finite
+    floats, or a ConfigError naming what; as for parse_number, a boolean or
+    a string is no number.  The entries' types are read in one pass, since
+    a potential may hold thousands."""
+    values = _list(node, what, length)
+    try:
+        v = None if {bool, str} & set(map(type, values)) else np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        v = None
+    if v is None or v.ndim != 1:
+        raise ConfigError(f"{what} must be a list of numbers, got {reprlib.repr(node)}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ConfigError(f"{what} must be finite: entry {bad[0]} is {v[bad[0]]}")
+    return v
+
+
 # Keys of the 'generator' section per kind: allowed, then required.
 _GENERATOR_KEYS = {
     "preset": ({"preset", "dt"}, {"preset"}),
@@ -141,7 +161,7 @@ def _build_time_grid(node) -> TimeGrid:
     check_keys(node, {"edges", "t0", "t1", "cells"}, "time_grid")
     try:
         if "edges" in node:
-            return TimeGrid(np.array(node["edges"], dtype=float))
+            return TimeGrid(parse_numbers(node["edges"], "time_grid edges"))
         t0, t1 = (parse_number(node[key], float, key) for key in ("t0", "t1"))
         return TimeGrid.uniform(t0, t1, parse_number(node["cells"], int, "cells"))
     except KeyError as exc:
@@ -177,12 +197,11 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
             raise ConfigError(f"preset {preset!r}: {exc}") from exc
     grid = _build_time_grid(node["time_grid"])
     if kind == "sqra":
-        betas = [parse_number(b, float, "beta_schedule entry")
-                 for b in _list(node["beta_schedule"], "beta_schedule")]
+        betas = parse_numbers(node["beta_schedule"], "beta_schedule").tolist()
         if len(betas) != grid.M:
             raise ConfigError("beta_schedule must have one entry per time cell")
-        if not all(0 < b < np.inf for b in betas):
-            raise ConfigError(f"beta_schedule entries must be positive and finite, got {betas}")
+        if not all(b > 0 for b in betas):
+            raise ConfigError(f"beta_schedule entries must be positive, got {betas}")
         pot_node = node.get("potential", "triple-well")
         if pot_node == "triple-well":
             pot = presets.triple_well_grid_potential()
@@ -192,28 +211,30 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
                 pot = GridPotential(parse_number(node["nx"], int, "nx"),
                                     parse_number(node["ny"], int, "ny"),
                                     parse_number(node["h"], float, "h"),
-                                    np.array(pot_node, dtype=float))
+                                    parse_numbers(pot_node, "potential"))
             except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
                 raise ConfigError(f"sqra potential: {exc}") from exc
         cache = {b: sqra_rates(pot, b) for b in set(betas)}
-        return rate_sequence_from_protocol(grid, lambda k, span: cache[betas[k]])
-    paths = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
-    if len(paths) != grid.M:
-        raise ConfigError("need one matrix file per time cell")
-    mats = []
-    for p in paths:
-        try:
-            mats.append(sp.csr_matrix(scipy.io.mmread(p)))
-        except Exception as exc:
-            raise ConfigError(f"cannot read rate matrix {p}: {exc}")
-        if mats[-1].shape[0] != mats[-1].shape[1]:
-            raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
-        if mats[-1].shape != mats[0].shape:
-            raise ConfigError(f"rate matrix {p} is {mats[-1].shape}, {paths[0]} is {mats[0].shape}")
-    try:
+        mats, sources = [cache[b] for b in betas], [f"sqra rates at beta {b!r}" for b in betas]
+    else:
+        sources = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
+        if len(sources) != grid.M:
+            raise ConfigError("need one matrix file per time cell")
+        mats = []
+        for p in sources:
+            try:
+                mats.append(sp.csr_matrix(scipy.io.mmread(p)))
+            except Exception as exc:
+                raise ConfigError(f"cannot read rate matrix {p}: {exc}")
+            if mats[-1].shape[0] != mats[-1].shape[1]:
+                raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
+            if mats[-1].shape != mats[0].shape:
+                raise ConfigError(f"rate matrix {p} is {mats[-1].shape}, "
+                                  f"{sources[0]} is {mats[0].shape}")
+    try:  # a file's bad rates, or an sqra beta's rates that overflow
         return rate_sequence_from_protocol(grid, lambda k, span: mats[k])
     except InvalidProtocol as exc:
-        raise ConfigError("; ".join(f"{paths[v.matrix]}: {v}" for v in exc.violations))
+        raise ConfigError("; ".join(f"{sources[v.matrix]}: {v}" for v in exc.violations))
 
 
 def resolve_state(token, N: int) -> int:
@@ -287,16 +308,7 @@ def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:
         if value is not True:
             raise ConfigError(f"{what} {key!r} must be true, got {value!r}")
         return np.ones(N) if key == "ones" else np.full(N, 1.0 / N)
-    try:
-        v = np.array(node, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must be a list of numbers, got {node!r}") from None
-    if v.shape != (N,):
-        raise ConfigError(f"{what} must have length {N}")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ConfigError(f"{what} must be finite: entry {bad[0]} is {v[bad[0]]}")
-    return v
+    return parse_numbers(node, what, N)
 
 
 def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:

@@ -10,11 +10,11 @@ is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
 repeated squaring: one N-column solve per run instead of one per cell.
 A solve sees a diagonal block only through the jump operator's record of
-it (JumpMatrix.blocks), one per phase and width: B, B^T and one LU of
-I - B^T, which the first solve that needs it factors and keeps there, so
-on a uniform grid one LU per protocol phase serves every solve on that
-operator, in both directions, each with its residual check.  One size
-rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
+it (JumpMatrix.blocks), one per phase and width: B, its view B^T and one
+LU of I - B^T, which the first solve that needs it factors and keeps
+there, so on a uniform grid one LU per protocol phase serves every solve
+on that operator, in both directions, each with its residual check.  One
+size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs, which take a stack of fewer
 than N columns one contiguous column at a time so that each column gets
 the bits it gets alone; above it CSR and SuperLU.  A committor block
@@ -126,7 +126,7 @@ def _lu(block: _Factors, scan: _Scan):
     """The solver of the record's I - B^T (see _factor), factored on first
     use; a failed factorization is kept nowhere."""
     if block.lu is None:
-        block.lu = _factor(block.Bt)
+        block.lu = _factor(block.B.T)
         scan.used[block] = True
     scan.used.setdefault(block, False)
     return block.lu
@@ -138,7 +138,7 @@ def _solve(block: _Factors, rhs: np.ndarray, forward: bool,
     = rhs backward, both on the LU of I - B^T: x and its residual
     |x - B x - rhs|_inf (B^T forward), which must not exceed RESIDUAL_TOL."""
     x = _lu(block, scan)(rhs, not forward)
-    operand = block.Bt if forward else block.B
+    operand = block.B.T if forward else block.B
     return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
 
 

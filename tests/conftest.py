@@ -167,7 +167,7 @@ def apply_forward(J, f):
     F = np.asarray(f, dtype=float).reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(F)
     for l, inflow in J.scan_forward(F):
-        out[l] = J.blocks[J.block_of[l]].Bt @ F[l] + inflow
+        out[l] = J.blocks[J.block_of[l]].B.T @ F[l] + inflow
     return out.reshape(np.shape(f))
 
 
@@ -175,7 +175,7 @@ def block_cond(J, forward=False):
     """The largest cond_inf(I - B) over J's diagonal blocks B, or, forward,
     of I - B^T, the matrix that a forward block solve factors."""
     eye = np.eye(J.indexer.N)
-    operands = (b.Bt if forward else b.B for b in J.blocks)
+    operands = (b.B.T if forward else b.B for b in J.blocks)
     return max(np.linalg.cond(eye - (A.toarray() if sp.issparse(A) else A), np.inf)
                for A in operands)
 

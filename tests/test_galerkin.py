@@ -1,3 +1,5 @@
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -16,7 +18,13 @@ from ajc.galerkin import (
     psi,
 )
 from ajc.committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, committor_solve
-from ajc.generator import RateMatrixSequence, TimeGrid
+from ajc.generator import (
+    GridPotential,
+    RateMatrixSequence,
+    TimeGrid,
+    rate_sequence_from_protocol,
+    sqra_rates,
+)
 from ajc.operators import (
     RESIDUAL_TOL,
     NonConvergence,
@@ -118,30 +126,33 @@ class TestAssemble:
             assert first.setdefault(pair, b) == b
         assert sorted(first.values()) == list(range(len(J.blocks)))
 
-    def test_sparse_transposes_are_views(self, monkeypatch):
-        # above the size rule R is the sequence's CSR and R^T, B^T its CSC views
-        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
-        seq = presets.triple_well(1 / 6)
-        J = assemble(seq)
-        for l, b in enumerate(J.block_of):
-            assert J.blocks[b].R is seq.offdiag[l]
-        for b in J.blocks:
-            assert sp.issparse(b.B)
-            for A, At in ((b.R, b.Rt), (b.B, b.Bt)):
-                assert all(np.shares_memory(getattr(A, a), getattr(At, a))
-                           for a in ("data", "indices", "indptr"))
-
-    def test_records_of_a_phase_share_one_dense_R(self):
+    def test_records_hold_R_B_and_lu_only(self, monkeypatch):
         # two phases, each over cells of two widths: four records, two Rs
         Q0, Q1 = (presets.triple_well(1 / 6).phases[p] for p in (0, 1))
         grid = TimeGrid(np.array([0.0, 0.125, 0.375, 0.5, 0.75, 0.875, 1.0]))
         J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
         assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]
+        assert {f.name for f in dataclasses.fields(J.blocks[0])} == {"R", "B", "lu"}
         first, second = J.blocks[:2], J.blocks[2:]
         for one, other in (first, second):
             assert isinstance(one.R, np.ndarray) and one.R.flags.c_contiguous
-            assert one.R is other.R and one.Rt is other.Rt and one.B is not other.B
+            assert one.R is other.R and one.B is not other.B
         assert first[0].R is not second[0].R
+        # a distinct beta per cell on a 12 x 12 grid, at the size rule: before
+        # any solve each record holds its B and its phase's R, 2 N^2 doubles
+        n = galerkin._DENSE_MAX
+        pot = GridPotential(12, 12, 0.1, np.sin(np.arange(n)))
+        seq = rate_sequence_from_protocol(TimeGrid.uniform(0.0, 1.0, 10),
+                                          lambda k, span: sqra_rates(pot, 1.0 + k))
+        J = assemble(seq)
+        held = {id(a): a.nbytes for b in J.blocks for a in (b.R, b.B)}
+        assert len(J.blocks) == 10 and all(b.lu is None for b in J.blocks)
+        assert sum(held.values()) == 2 * n * n * 8 * len(J.blocks)
+        # above the rule R is the sequence's own CSR
+        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(seq)
+        assert all(J.blocks[b].R is seq.offdiag[l] for l, b in enumerate(J.block_of))
+        assert all(sp.isspmatrix_csr(b.B) for b in J.blocks)
 
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]

@@ -12,7 +12,7 @@ import pytest
 import scipy.io
 
 import ajc
-from ajc import cli, presets
+from ajc import cli, galerkin, operators, presets
 from ajc import io as ajcio
 from ajc.cli import main
 from ajc.galerkin import assemble
@@ -376,6 +376,19 @@ class TestCli:
          "count_survival must be true or false, got 'no'"),
         ("koopman", {"observable": [float("nan"), 1.0]}, "observable must be finite"),
         ("propagate", {"initial_density": [1e400, 0.0]}, "initial_density must be finite"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1e300],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1}}},
+         "sqra rates at beta 1e+300: nonfinite violation"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [float("nan"), 1.0], "nx": 2, "ny": 1, "h": 1.0}},
+         "potential must be finite: entry 0 is nan"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"edges": [False, 2.0]}}},
+         "time_grid edges must be a list of numbers, got [False, 2.0]"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"edges": ["0", "2"]}}},
+         "time_grid edges must be a list of numbers, got ['0', '2']"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})
@@ -409,6 +422,12 @@ class TestCli:
         for n, text in enumerate(configs):
             cfg = write_config(tmp_path, json.loads(text), f"readme{n}.json")
             assert main(["assemble", "--config", cfg, "--out", str(tmp_path / str(n))]) == 0
+
+    def test_readme_states_the_size_rule_and_border_limit(self):
+        readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
+        assert f"up to {galerkin._DENSE_MAX} states these are dense" in readme
+        assert f"above {galerkin._DENSE_MAX} states they are sparse" in readme
+        assert f"up to {operators._BORDER_MAX} per block" in readme
 
     def test_info_log_reports_sizes_and_factorizations(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"}})
