@@ -15,7 +15,6 @@ from .generator import (
     rate_sequence_from_protocol,
     sqra_rates,
     validate_generator,
-    with_recomputed_diagonal,
 )
 from .jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
 from .galerkin import (
@@ -51,7 +50,6 @@ __all__ = [
     "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
     "four_neighbor_adjacency",
     "rate_sequence_from_protocol", "sqra_rates", "validate_generator",
-    "with_recomputed_diagonal",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",

@@ -43,6 +43,17 @@ class _UsageError(Exception):
     pass
 
 
+def _seed(text: str) -> int:
+    """The value of --seed: numpy's generators take integers >= 0 only."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return seed
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ajc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -51,7 +62,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (sampling)")
+        p.add_argument("--seed", type=_seed, default=0, help="RNG seed (sampling)")
     return parser
 
 
@@ -188,8 +199,8 @@ def cmd_convergence(args) -> int:
         raise ajcio.ConfigError("convergence requires a nonempty list 'dt_list'")
     dt_list = [ajcio.parse_number(dt, float, "dt_list entry") for dt in dt_list]
     for before, dt in zip(dt_list, dt_list[1:]):
-        if dt > before:
-            raise ajcio.ConfigError(f"dt_list must be sorted descending: "
+        if dt >= before:
+            raise ajcio.ConfigError(f"dt_list must be strictly descending: "
                                     f"dt={dt:g} follows {before:g}")
     seqs = {dt: ajcio.build_sequence({"generator": dict(node, dt=dt)}) for dt in dt_list}
     study = convergence_study(seqs.__getitem__, dt_list)
@@ -222,7 +233,12 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("AJC_LOG", "WARNING").upper())
+    level = os.environ.get("AJC_LOG", "WARNING")
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        print(f"usage error: AJC_LOG must name a logging level such as INFO or DEBUG, "
+              f"got {level!r}", file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=level.upper())
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -276,7 +276,7 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         index[p, dt[l]] = len(blocks)
         blocks.append(_Factors(rates[p], B.toarray() if dense else B))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
-             seq.N, seq.grid.M, len(seq.phases), len(blocks), "dense" if dense else "sparse")
+             seq.N, seq.grid.M, seq.phase.max() + 1, len(blocks), "dense" if dense else "sparse")
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
                       phi(q, dt), np.exp(-q * dt), within, tuple(blocks),
                       np.array([index[p, w] for p, w in zip(seq.phase, dt)]))

@@ -2,8 +2,9 @@
 
 A non-autonomous jump process is described here by a piecewise-constant
 rate matrix protocol: a time grid with M cells and one sparse rate matrix
-per cell.  All builders recompute the diagonal from the off-diagonal rates
-so that row sums vanish by construction.
+per cell.  Only off-diagonal rates are read: a sequence holds each phase as
+its off-diagonal rates R and outbound rates q, R's row sums, so rows close
+by construction, and forms the generator Q = R - diag(q) only on request.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-
-ROWSUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -80,76 +79,68 @@ class TimeGrid:
         return max(k, 0)
 
 
-def with_recomputed_diagonal(offdiag: sp.spmatrix) -> sp.csr_matrix:
-    """Return a rate matrix whose diagonal is the negative off-diagonal row sum.
-
-    Any diagonal present in the input is discarded; off-diagonal entries are
-    kept as given.
-    """
-    Q = sp.csr_matrix(offdiag, dtype=float).copy()
-    Q.setdiag(0.0)
-    Q.eliminate_zeros()
-    out = np.asarray(Q.sum(axis=1)).ravel()
-    Q = (Q - sp.diags(out)).tocsr()
-    return Q
+def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
+    """The off-diagonal nonzeros of a rate matrix as a CSR R with sorted
+    columns, and R's row sums q, the outbound rates; a diagonal is ignored."""
+    A = sp.coo_matrix(rates, dtype=float)
+    keep = (A.row != A.col) & (A.data != 0)
+    R = sp.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # validate_generator reports these
+        q = np.asarray(R.sum(axis=1)).ravel()
+    return R, q
 
 
 @dataclass(frozen=True)
 class RateMatrixSequence:
-    """Piecewise-constant generator: matrices[k] is valid on grid cell k.
+    """Piecewise-constant generator: rates[k] is valid on grid cell k.
 
-    The protocol's phases are its distinct rate matrices, told apart by
-    object identity: phases[phase[k]] is matrices[k], so cells of one phase
-    share one matrix.  outbound and offdiag are the per-cell tables that the
-    jump operator and the sampler share, built once per phase on first use.
+    Only the off-diagonal nonzeros of a rate matrix are read; its diagonal
+    is ignored.  The protocol's phases are its distinct rate matrices, told
+    apart by object identity, and each is split once into its off-diagonal
+    rates R and outbound rates q, R's row sums.  These are what the jump
+    operator and the sampler read: phase[k] is cell k's phase, offdiag[k]
+    its R (cells of one phase share one R) and outbound[:, k] its q.  The
+    generator Q = R - diag(q) is formed only on request (matrices).
     """
 
     grid: TimeGrid
-    matrices: tuple
-    phases: tuple = field(init=False, repr=False)
+    rates: dataclasses.InitVar[Sequence]
     phase: np.ndarray = field(init=False, repr=False)
+    offdiag: tuple = field(init=False, repr=False)
+    outbound: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, rates):
         first = {}  # id of an input matrix -> its phase
-        phases = []
-        for Q in self.matrices:
-            if id(Q) not in first:
-                first[id(Q)] = len(phases)
-                phases.append(sp.csr_matrix(Q, dtype=float))
-        phase = np.array([first[id(Q)] for Q in self.matrices], dtype=int)
+        split = []
+        for A in rates:
+            if id(A) not in first:
+                first[id(A)] = len(split)
+                split.append(_split(A))
+        phase = np.array([first[id(A)] for A in rates], dtype=int)
         if phase.size != self.grid.M:
             raise ValueError("need exactly one rate matrix per time cell")
-        n = phases[0].shape[0]
-        for Q in phases:
-            if Q.shape != (n, n):
+        n = split[0][0].shape[0]
+        for R, _ in split:
+            if R.shape != (n, n):
                 raise ValueError("all rate matrices must share the same dimension")
         phase.flags.writeable = False
-        object.__setattr__(self, "phases", tuple(phases))
+        q = np.column_stack([split[p][1] for p in phase])
+        q.flags.writeable = False
         object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "matrices", tuple(phases[p] for p in phase))
+        object.__setattr__(self, "offdiag", tuple(split[p][0] for p in phase))
+        object.__setattr__(self, "outbound", q)
 
     @property
     def N(self) -> int:
-        return self.phases[0].shape[0]
+        return self.offdiag[0].shape[0]
 
     @functools.cached_property
-    def outbound(self) -> np.ndarray:
-        """Read-only (N, M) array of outbound rates q_i^k = -Q_ii per state and cell."""
-        q_by_phase = [-Q.diagonal() for Q in self.phases]
-        q = np.column_stack([q_by_phase[p] for p in self.phase])
-        q.flags.writeable = False
-        return q
-
-    @functools.cached_property
-    def offdiag(self) -> tuple:
-        """Per-cell CSR matrices R^k of the off-diagonal rates q_ij^k, columns
-        sorted within each row; cells of one phase share one R."""
-        out = []
-        for Q in self.phases:
-            Q = Q.tocoo()
-            keep = Q.row != Q.col
-            out.append(sp.csr_matrix((Q.data[keep], (Q.row[keep], Q.col[keep])), shape=Q.shape))
-        return tuple(out[p] for p in self.phase)
+    def matrices(self) -> tuple:
+        """Per-cell generators Q^k = R^k - diag(q^k), formed on first use;
+        cells of one phase share one Q."""
+        first = np.unique(self.phase, return_index=True)[1]  # a cell of each phase
+        Q = [(self.offdiag[m] - sp.diags(self.outbound[:, m])).tocsr() for m in first]
+        return tuple(Q[p] for p in self.phase)
 
 
 @dataclass(frozen=True)
@@ -177,20 +168,16 @@ class InvalidProtocol(ValueError):
         self.violations = violations
 
 
-def _phase_violations(Q: sp.csr_matrix, R: sp.csr_matrix, q: np.ndarray) -> list[Violation]:
-    """Violations of one rate matrix Q with off-diagonal part R and outbound
-    rates q, each filed under matrix 0."""
+def _phase_violations(R: sp.csr_matrix, q: np.ndarray) -> list[Violation]:
+    """Violations of one phase with off-diagonal rates R and outbound rates
+    q, each filed under matrix 0."""
     coo = R.tocoo()
     finite = np.isfinite(coo.data)
-    with np.errstate(invalid="ignore"):  # inf - inf in a row with a non-finite rate
-        rowsums = np.asarray(Q.sum(axis=1)).ravel()
-    # tolerance is relative to the outbound rate so that large-rate rows
-    # are not flagged for unavoidable summation roundoff; a NaN sum is
-    # flagged too, unless a non-finite rate of its row is reported instead
-    off = ~(np.abs(rowsums) <= ROWSUM_TOL * np.maximum(1.0, q))
+    # rows close by construction, so the one row defect left is a row of
+    # finite rates whose sum overflows; a non-finite rate is reported itself
+    off = ~np.isfinite(q)
     off[coo.row[~finite]] = False
-    out = [Violation(0, "rowsum", int(i), None, abs(float(rowsums[i])))
-           for i in np.flatnonzero(off)]
+    out = [Violation(0, "rowsum", int(i), None, abs(float(q[i]))) for i in np.flatnonzero(off)]
     neg = finite & (coo.data < 0)
     out += [Violation(0, "negativity", int(i), int(j), float(-v))
             for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg])]
@@ -200,18 +187,16 @@ def _phase_violations(Q: sp.csr_matrix, R: sp.csr_matrix, q: np.ndarray) -> list
 
 
 def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
-    """Check row-sum, sign and finiteness invariants of every matrix in the
-    sequence.
+    """Check the sign and finiteness of every rate in the sequence, and that
+    every outbound rate is finite.
 
-    Each phase is checked once and its violations are reported for every
-    cell that uses it.  Returns an empty list iff the sequence is a valid
-    piecewise-constant generator.
+    Each phase is checked once, and its violations are filed under the
+    first cell of that phase.  Returns an empty list iff the sequence is a
+    valid piecewise-constant generator.
     """
     first = np.unique(seq.phase, return_index=True)[1]  # a cell of each phase
-    by_phase = [_phase_violations(Q, seq.offdiag[m], seq.outbound[:, m])
-                for Q, m in zip(seq.phases, first)]
-    return [dataclasses.replace(v, matrix=m)
-            for m, p in enumerate(seq.phase) for v in by_phase[p]]
+    return [dataclasses.replace(v, matrix=int(m)) for m in first
+            for v in _phase_violations(seq.offdiag[m], seq.outbound[:, m])]
 
 
 def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
@@ -271,8 +256,7 @@ def sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
 
     Rates are Phi * A_ij * exp(-beta (V_j - V_i) / 2) with the flat-potential
     rate Phi = 1 / (beta h^2); the pattern equals the adjacency pattern.  No
-    diagonal: this is what a builder for rate_sequence_from_protocol
-    returns, which closes the rows itself (with_recomputed_diagonal).
+    diagonal: a RateMatrixSequence reads only off-diagonal rates.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -290,25 +274,20 @@ def rate_sequence_from_protocol(
 ) -> RateMatrixSequence:
     """Build a RateMatrixSequence by calling builder(k, (t_k, t_{k+1})) per cell.
 
-    Diagonals are recomputed from the returned off-diagonal rates, once per
-    distinct object the builder returns, so a builder that returns one
-    object for all cells of a phase makes that phase one shared matrix.
-    Builder failures and invariant violations are reported with the cell
-    index.
+    The builder returns off-diagonal rates; a diagonal is ignored.  The
+    sequence splits each distinct object the builder returns once, so a
+    builder that returns one object for all cells of a phase makes that
+    phase one shared R and q.  Builder failures and invariant violations
+    are reported with the cell index.
     """
-    rebuilt = {}  # id of a builder output -> (output, its rate matrix)
-    mats = []
+    rates = []
     for k in range(grid.M):
         span = (float(grid.edges[k]), float(grid.edges[k + 1]))
         try:
-            raw = builder(k, span)
-            if id(raw) not in rebuilt:
-                # the output is held here, so its id is not reused
-                rebuilt[id(raw)] = raw, with_recomputed_diagonal(raw)
+            rates.append(builder(k, span))
         except Exception as exc:
             raise ValueError(f"builder failed on time cell {k} {span}: {exc}") from exc
-        mats.append(rebuilt[id(raw)][1])
-    seq = RateMatrixSequence(grid, tuple(mats))
+    seq = RateMatrixSequence(grid, rates)
     bad = validate_generator(seq)
     if bad:
         raise InvalidProtocol(bad)

@@ -49,7 +49,7 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
         if hi > lo:
             overlap = widths[k] if (lo, hi) == (edges[k], edges[k + 1]) else hi - lo
             if (p, overlap) not in factors:
-                factors[p, overlap] = expm(seq.phases[p].toarray(), overlap)
+                factors[p, overlap] = expm(seq.matrices[k].toarray(), overlap)
             P = P @ factors[p, overlap]
     return P
 
@@ -63,8 +63,8 @@ def convergence_study(seq_builder, dt_list) -> dict:
     plus the fitted log-log slope (None for a single step size).
     """
     dt_list = [float(dt) for dt in dt_list]
-    if sorted(dt_list, reverse=True) != dt_list:
-        raise ValueError("dt_list must be sorted descending")
+    if any(dt >= before for before, dt in zip(dt_list, dt_list[1:])):
+        raise ValueError(f"dt_list must be strictly descending, got {dt_list}")
     rows = []
     for dt in dt_list:
         seq = seq_builder(dt)

@@ -12,7 +12,6 @@ from ajc.generator import (
     TimeGrid,
     rate_sequence_from_protocol,
     sqra_rates,
-    with_recomputed_diagonal,
 )
 from ajc.jumpchain import _invert_hazard
 from ajc.operators import koopman_solve, reconstruct_propagator
@@ -61,7 +60,9 @@ def grid_2500_J():
 
 
 def dense_rate_matrix(offdiag_rows):
-    return with_recomputed_diagonal(sp.csr_matrix(np.array(offdiag_rows, dtype=float)))
+    """The generator whose off-diagonal rates are those of offdiag_rows."""
+    R = sp.csr_matrix(np.array(offdiag_rows, dtype=float))
+    return RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 1), (R,)).matrices[0]
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,7 @@ class TestAssemble:
 
     def test_records_hold_R_B_and_lu_only(self, monkeypatch):
         # two phases, each over cells of two widths: four records, two Rs
-        Q0, Q1 = (presets.triple_well(1 / 6).phases[p] for p in (0, 1))
+        Q0, Q1 = (presets.triple_well(1 / 6).matrices[k] for k in (0, -1))
         grid = TimeGrid(np.array([0.0, 0.125, 0.375, 0.5, 0.75, 0.875, 1.0]))
         J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
         assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ajc import generator, presets
+from ajc import presets
 from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
@@ -11,7 +11,6 @@ from ajc.generator import (
     rate_sequence_from_protocol,
     sqra_rates,
     validate_generator,
-    with_recomputed_diagonal,
 )
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
@@ -57,11 +56,22 @@ class TestValidateGenerator:
         assert validate_generator(seq) == []
 
     def test_rowsum_violation(self):
-        seq = seq_of(TimeGrid.uniform(0, 1, 1), [[-1.0, 1.0], [0.0, 0.5]])
+        # rows close by construction; finite rates whose sum overflows do not
+        seq = seq_of(TimeGrid.uniform(0, 1, 1), [[0, 1e308, 1e308], [1.0, 0, 0], [1.0, 0, 0]])
         bad = validate_generator(seq)
-        assert len(bad) == 1
-        assert bad[0].kind == "rowsum" and bad[0].row == 1
-        assert bad[0].magnitude == pytest.approx(0.5)
+        assert [(v.kind, v.row, v.col, v.magnitude) for v in bad] == \
+            [("rowsum", 0, None, np.inf)]
+
+    def test_diagonal_is_ignored(self):
+        # a wrong diagonal splits into the bytes of the off-diagonal part alone
+        off = np.array([[0, 1.0, 0.5], [2.0, 0, 0], [0, 0.25, 0]])
+        wrong = seq_of(TimeGrid.uniform(0, 1, 1), off + np.diag([3.0, -7.0, 0.0]))
+        alone = seq_of(TimeGrid.uniform(0, 1, 1), off)
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(wrong.offdiag[0], name), getattr(alone.offdiag[0], name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert wrong.outbound.tobytes() == alone.outbound.tobytes()
+        np.testing.assert_array_equal(wrong.outbound[:, 0], [1.5, 2.0, 0.25])
 
     def test_negativity_violation(self):
         seq = seq_of(TimeGrid.uniform(0, 1, 1), [[0.3, -0.3], [0.0, 0.0]])
@@ -76,15 +86,15 @@ class TestValidateGenerator:
         assert [(v.kind, v.row, v.col) for v in bad] == [("nonfinite", 0, 1)]
         assert "nonfinite violation at matrix 0, row 0, col 1" in str(bad[0])
 
-    def test_one_violation_per_cell_of_a_phase(self):
+    def test_one_report_per_phase(self):
+        # a phase's violations are filed once, under its first cell
         bad = dense_rate_matrix([[0, -1.0], [2.0, 0]])
         good = dense_rate_matrix([[0, 1.0], [1.0, 0]])
-        seq = RateMatrixSequence(TimeGrid.uniform(0, 3, 3), (bad, good, bad))
-        assert len(seq.phases) == 2
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 4, 4), (good, bad, good, bad))
+        assert seq.phase.tolist() == [0, 1, 0, 1]
         found = validate_generator(seq)
-        assert [(v.matrix, v.kind, v.row, v.col) for v in found] == \
-            [(0, "negativity", 0, 1), (2, "negativity", 0, 1)]
-        assert str(found[1]) == "negativity violation at matrix 2, row 0, col 1: 1.000e+00"
+        assert [(v.matrix, v.kind, v.row, v.col) for v in found] == [(1, "negativity", 0, 1)]
+        assert str(found[0]) == "negativity violation at matrix 1, row 0, col 1: 1.000e+00"
 
 
 class TestEmbeddedProbabilities:
@@ -116,7 +126,7 @@ class TestSqra:
     def test_flat_potential_gives_flat_rate(self):
         pot = GridPotential(3, 3, 0.5, np.full(9, 1.7))
         beta = 2.0
-        Q = with_recomputed_diagonal(sqra_rates(pot, beta))
+        Q = sqra_rates(pot, beta)
         phi = 1.0 / (beta * 0.25)
         off = Q.tocoo()
         mask = off.row != off.col
@@ -127,13 +137,13 @@ class TestSqra:
         beta = 3.0
         values = np.array([0.0, 2.0 / beta])
         pot = GridPotential(2, 1, 1.0, values)
-        Q = with_recomputed_diagonal(sqra_rates(pot, beta))
+        Q = sqra_rates(pot, beta)
         assert Q[0, 1] == pytest.approx(np.exp(-1.0) / beta, rel=1e-14)
         assert Q[1, 0] == pytest.approx(np.exp(1.0) / beta, rel=1e-14)
 
     def test_9x7_grid_edge_count(self):
         pot = GridPotential(9, 7, 0.5, np.zeros(63))
-        Q = with_recomputed_diagonal(sqra_rates(pot, 1.0))
+        Q = sqra_rates(pot, 1.0)
         coo = Q.tocoo()
         offdiag = np.count_nonzero(coo.row != coo.col)
         assert offdiag == 2 * (8 * 7 + 9 * 6) == 220
@@ -142,7 +152,7 @@ class TestSqra:
         rng = np.random.default_rng(3)
         beta = 1.5
         pot = GridPotential(5, 4, 0.3, rng.normal(size=20))
-        Q = with_recomputed_diagonal(sqra_rates(pot, beta)).toarray()
+        Q = sqra_rates(pot, beta).toarray()
         pi = np.exp(-beta * pot.values)
         flux = pi[:, None] * Q
         np.testing.assert_allclose(flux, flux.T, rtol=1e-12)
@@ -150,7 +160,7 @@ class TestSqra:
     def test_sparsity_pattern_equals_adjacency(self):
         rng = np.random.default_rng(4)
         pot = GridPotential(4, 6, 1.0, rng.normal(size=24))
-        Q = with_recomputed_diagonal(sqra_rates(pot, 2.0)).tocoo()
+        Q = sqra_rates(pot, 2.0).tocoo()
         got = {(i, j) for i, j in zip(Q.row, Q.col) if i != j}
         A = pot.adjacency.tocoo()
         assert got == set(zip(A.row.tolist(), A.col.tolist()))
@@ -189,33 +199,32 @@ class TestProtocol:
         for k in range(4, 8):
             np.testing.assert_array_equal(two_state_seq.matrices[k].toarray(), expected_late)
 
-    def test_one_rate_matrix_per_phase(self, monkeypatch):
-        calls = []
-        recompute = generator.with_recomputed_diagonal
-        monkeypatch.setattr(generator, "with_recomputed_diagonal",
-                            lambda Q: calls.append(Q) or recompute(Q))
+    def test_one_rate_matrix_per_phase(self):
         seq = presets.triple_well(1 / 96)
-        # one per distinct builder output, which holds the off-diagonal rates
-        assert len(calls) == 2
+        # one split per distinct builder output, shared by the cells of its phase
         np.testing.assert_array_equal(seq.phase, [0] * 96 + [1] * 96)
-        assert seq.matrices[0] is seq.phases[0] and seq.matrices[-1] is seq.phases[1]
-        assert seq.offdiag[0] is seq.offdiag[1]
+        assert seq.offdiag[0] is seq.offdiag[95] and seq.offdiag[96] is seq.offdiag[-1]
         assert seq.offdiag[95] is not seq.offdiag[96]
-        assert len(presets.two_state(0.5).phases) == 2
+        assert seq.matrices[0] is seq.matrices[95] and seq.matrices[96] is seq.matrices[-1]
+        assert seq.matrices[95] is not seq.matrices[96]
+        assert presets.two_state(0.5).phase.max() == 1
 
     def test_triple_well_phases_equal_sqra_generators_closed_again(self):
-        # the preset closes each phase once, from its off-diagonal rates, and
-        # gets the bytes of the SQRA generators closed once more
+        # the preset splits each phase once into the SQRA rates and their row
+        # sums, and its generators, read back, split into the same bytes
         pot = presets.triple_well_grid_potential()
-        Q = {beta: with_recomputed_diagonal(sqra_rates(pot, beta))
-             for beta in presets.TRIPLE_WELL_BETA}
         seq = presets.triple_well(1 / 12)
-        want = rate_sequence_from_protocol(seq.grid, lambda k, span: Q[1.0 if k < 12 else 10.0])
-        np.testing.assert_array_equal(seq.phase, want.phase)
-        for got, ref in zip(seq.phases, want.phases, strict=True):
-            for name in ("data", "indices", "indptr"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        again = RateMatrixSequence(seq.grid, seq.matrices)
+        np.testing.assert_array_equal(seq.phase, again.phase)
+        for k, beta in ((0, 1.0), (12, 10.0)):
+            R = sqra_rates(pot, beta)
+            q = np.asarray(R.sum(axis=1)).ravel()
+            for got in (seq, again):
+                for name in ("data", "indices", "indptr"):
+                    a, b = getattr(got.offdiag[k], name), getattr(R, name)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                assert got.outbound[:, k].tobytes() == q.tobytes()
+        assert seq.outbound.tobytes() == again.outbound.tobytes()
 
     def test_constant_builder(self):
         Q = dense_rate_matrix([[0, 1], [2, 0]])
@@ -249,6 +258,6 @@ class TestProtocol:
 
     def test_diagonal_recomputed(self):
         raw = sp.csr_matrix(np.array([[5.0, 1.0], [2.0, 7.0]]))
-        Q = with_recomputed_diagonal(raw)
+        Q = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (raw,)).matrices[0]
         np.testing.assert_allclose(np.asarray(Q.sum(axis=1)).ravel(), 0.0, atol=1e-15)
         assert Q[0, 1] == 1.0 and Q[1, 0] == 2.0

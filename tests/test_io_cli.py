@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse as sp
 
 import ajc
 from ajc import cli, galerkin, operators, presets
@@ -17,7 +18,8 @@ from ajc import io as ajcio
 from ajc.cli import main
 from ajc.galerkin import assemble
 from ajc.generator import RateMatrixSequence, TimeGrid, validate_generator
-from ajc.operators import embed_spacelike, jump_activity, synchronize
+from ajc.jumpchain import SpaceTimePoint, sample_trajectory
+from ajc.operators import embed_spacelike, jump_activity, koopman_solve, synchronize
 
 from conftest import dense_rate_matrix
 
@@ -111,6 +113,14 @@ class TestBuildSequence:
         seq = ajcio.build_sequence(config, base_dir=tmp_path)
         assert seq.grid.M == 2
         np.testing.assert_allclose(seq.matrices[0].toarray(), Q.toarray())
+
+    def test_no_generator_is_formed_on_the_way(self):
+        # the pipeline reads each phase's R and q; Q is built only on request
+        seq = ajcio.build_sequence({"generator": {"preset": "triple-well", "dt": 1 / 96}})
+        J = assemble(seq)
+        koopman_solve(J, np.ones(seq.N), J.indexer.M - 1)
+        sample_trajectory(seq, SpaceTimePoint(20, 0.0), seq.grid.horizon, 1)
+        assert "matrices" not in seq.__dict__
 
     def test_cli_resolves_files_against_the_config(self, tmp_path, monkeypatch):
         run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
@@ -276,6 +286,19 @@ class TestCli:
         assert main(["frobnicate"]) == 1
         assert main(["koopman"]) == 1
 
+    def test_negative_seed_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_STATE)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: argument --seed: must be an integer >= 0, got '-1'\n"
+
+    def test_unknown_log_level_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("AJC_LOG", "bogus")
+        cfg = write_config(tmp_path, TWO_STATE)
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: AJC_LOG must name a logging level such as INFO or DEBUG, got 'bogus'\n"
+
     def test_config_error_exit_2(self, tmp_path):
         assert main(["assemble", "--config", str(tmp_path / "absent.json")]) == 2
         bad = tmp_path / "bad.json"
@@ -299,6 +322,30 @@ class TestCli:
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
             err = capsys.readouterr().err
             assert "q0.mtx" in err and "row 0, col 1" in err and "q1.mtx" not in err
+
+    def test_files_with_an_overflowing_row_exit_2(self, tmp_path, capsys):
+        # finite rates whose sum, the outbound rate, overflows
+        rates = np.array([[0, 1.0, 0], [1e308, 0, 1e308], [1.0, 0, 0]])
+        scipy.io.mmwrite(tmp_path / "q0.mtx", sp.csr_matrix(np.minimum(rates, 1.0)))
+        scipy.io.mmwrite(tmp_path / "q1.mtx", sp.csr_matrix(rates))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files",
+            "time_grid": {"edges": [0.0, 1.0, 2.0]},
+            "matrices": ["q0.mtx", "q1.mtx"],
+        }})
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {tmp_path / 'q1.mtx'}: rowsum violation at matrix 1, row 1: inf\n"
+
+    def test_a_bad_phase_is_reported_once(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "sqra", "beta_schedule": [1.0] + [1e300] * 6,
+            "time_grid": {"t0": 0, "t1": 2, "cells": 7}}})
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        # every one of the 220 rates is an inf or a zero; the zeros are dropped
+        assert err.count("sqra rates at beta 1e+300: nonfinite violation at matrix 1,") == 110
+        assert err.count("violation") == 110
 
     @pytest.mark.parametrize("rate", ["nan", "inf"])
     def test_files_with_a_nonfinite_rate_exit_2(self, tmp_path, capsys, rate):
@@ -389,6 +436,8 @@ class TestCli:
         ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
                                    "time_grid": {"edges": ["0", "2"]}}},
          "time_grid edges must be a list of numbers, got ['0', '2']"),
+        ("convergence", {"dt_list": [1, 1]}, "dt_list must be strictly descending: dt=1 follows 1"),
+        ("convergence", {"dt_list": [2, 1, 1]}, "dt=1 follows 1"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

@@ -160,6 +160,11 @@ class TestErrorsAndConvergence:
         with pytest.raises(ValueError):
             convergence_study(presets.two_state, [0.5, 1.0])
 
+    @pytest.mark.parametrize("dt_list", [[1.0, 1.0], [2.0, 1.0, 1.0]])
+    def test_study_rejects_repeated_steps(self, dt_list):
+        with pytest.raises(ValueError, match="strictly descending"):
+            convergence_study(presets.two_state, dt_list)
+
     def test_misaligned_step_rejected(self):
         # the preset cannot discretize across its switching time
         with pytest.raises(ValueError):
