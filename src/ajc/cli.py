@@ -15,6 +15,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -112,13 +113,15 @@ def cmd_sample(args) -> int:
     if count < 1:
         raise ajcio.ConfigError(f"n_trajectories must be positive, got {count}")
     rng = np.random.default_rng(args.seed)
-    rows = []
-    final_states = np.zeros(seq.N, dtype=int)
-    for tid in range(count):
-        traj = sample_trajectory(seq, start, horizon, rng)
-        rows.extend((tid, int(i), repr(float(t)))
-                    for i, t in zip(traj.states, traj.times))
-        final_states[traj.states[-1]] += 1
+    started = perf_counter()
+    trajs = [sample_trajectory(seq, start, horizon, rng) for _ in range(count)]
+    seconds = perf_counter() - started
+    jumps = sum(len(traj) - 1 for traj in trajs)
+    log.info("sample: %d trajectories, %d jumps in %.3f s (%.0f jumps/s)",
+             count, jumps, seconds, jumps / seconds)
+    rows = [(tid, int(i), repr(float(t))) for tid, traj in enumerate(trajs)
+            for i, t in zip(traj.states, traj.times)]
+    final_states = np.bincount([traj.states[-1] for traj in trajs], minlength=seq.N)
     ajcio.write_csv(out / "trajectories.csv",
                     ["trajectory", "state_index", "jump_time"], rows)
     ajcio.write_csv(out / "final_state_histogram.csv", ["state_index", "count"],

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
     """Ordered partition of a finite time interval into M cells.
 
@@ -30,7 +31,7 @@ class TimeGrid:
     edges, whose widths are the edge differences.  Linspace edges differ
     from that width in the last bit, and cells of equal width must stay
     equal bit for bit, so that a phase's cells share one diagonal block and
-    one exponential.
+    one exponential.  Grids compare and hash by identity.
     """
 
     edges: np.ndarray
@@ -68,16 +69,6 @@ class TimeGrid:
     def horizon(self) -> float:
         return float(self.edges[-1])
 
-    def interval_of(self, t: float) -> int:
-        """Index k of the cell (edges[k], edges[k+1]] containing t.
-
-        The left endpoint t0 is assigned to the first cell.
-        """
-        if t < self.edges[0] or t > self.edges[-1]:
-            raise ValueError(f"time {t} outside grid [{self.edges[0]}, {self.edges[-1]}]")
-        k = int(np.searchsorted(self.edges, t, side="left")) - 1
-        return max(k, 0)
-
 
 def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
     """The off-diagonal nonzeros of a rate matrix as a CSR R with sorted
@@ -90,7 +81,7 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
     return R, q
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateMatrixSequence:
     """Piecewise-constant generator: rates[k] is valid on grid cell k.
 
@@ -100,7 +91,9 @@ class RateMatrixSequence:
     rates R and outbound rates q, R's row sums.  These are what the jump
     operator and the sampler read: phase[k] is cell k's phase, offdiag[k]
     its R (cells of one phase share one R) and outbound[:, k] its q.  The
-    generator Q = R - diag(q) is formed only on request (matrices).
+    generator Q = R - diag(q) is formed only on request (matrices), and so
+    is the sampler's table of each phase's embedded chain (embedded_chain).
+    Sequences compare and hash by identity.
     """
 
     grid: TimeGrid
@@ -141,6 +134,27 @@ class RateMatrixSequence:
         first = np.unique(self.phase, return_index=True)[1]  # a cell of each phase
         Q = [(self.offdiag[m] - sp.diags(self.outbound[:, m])).tocsr() for m in first]
         return tuple(Q[p] for p in self.phase)
+
+    @functools.cached_property
+    def embedded_chain(self) -> tuple:
+        """Per phase, the sampler's table of the embedded jump chain q_ij / q_i:
+        memoryviews of R's own indptr and indices and of each row's CDF over
+        its nonzeros, one float per nonzero of R in R's order.  Built by the
+        first sample."""
+        first = np.unique(self.phase, return_index=True)[1]  # a cell of each phase
+        chain = []
+        for m in first:
+            R = self.offdiag[m]
+            # times 1/q_i, not divided by q_i, and summed in order row by row:
+            # other roundings could move a draw.  A row without outbound
+            # rate is never drawn from.
+            with np.errstate(all="ignore"):
+                x = (R.data * np.repeat(1 / self.outbound[:, m], np.diff(R.indptr))).tolist()
+            ptr = R.indptr.tolist()
+            cdf = np.array([c for lo, hi in zip(ptr, ptr[1:])
+                            for c in itertools.accumulate(x[lo:hi])], dtype=float)
+            chain.append((memoryview(R.indptr), memoryview(R.indices), memoryview(cdf)))
+        return tuple(chain)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from ajc.generator import (
     rate_sequence_from_protocol,
     sqra_rates,
 )
-from ajc.jumpchain import _invert_hazard
+from ajc.jumpchain import TrajectorySample, _invert_hazard
 from ajc.operators import koopman_solve, reconstruct_propagator
 from ajc.oracle import exact_propagator
 
@@ -95,8 +95,58 @@ def survival(seq, i, s, t):
 def sample_jump_time(seq, i, s, u):
     """The sampler's jump time t with int_s^t q_i = -log(1-u), or None if
     past the horizon."""
-    hit = _invert_hazard(seq, i, s, u)
+    hit = _invert_hazard(seq.grid.edges.tolist(), seq.outbound[i].tolist(), s, u)
     return None if hit is None else hit[0]
+
+
+def interval_of(grid, t):
+    """Index k of the grid cell (edges[k], edges[k+1]] containing t.
+
+    The left endpoint t0 is assigned to the first cell.
+    """
+    if t < grid.edges[0] or t > grid.edges[-1]:
+        raise ValueError(f"time {t} outside grid [{grid.edges[0]}, {grid.edges[-1]}]")
+    k = int(np.searchsorted(grid.edges, t, side="left")) - 1
+    return max(k, 0)
+
+
+# The sampler as it was before its walk read plain floats: numpy scalars,
+# a search per inversion and a cumsum per drawn target.  The shipped
+# sampler must reproduce its trajectories bit for bit.
+
+def reference_invert_hazard(seq, i, s, u):
+    target = -np.log1p(-u)
+    edges = seq.grid.edges
+    rates = seq.outbound[i]
+    k0 = interval_of(seq.grid, s) if s > edges[0] else 0
+    acc = 0.0
+    for k in range(k0, seq.grid.M):
+        lo = max(s, float(edges[k]))
+        inc = rates[k] * (float(edges[k + 1]) - lo)
+        if inc > 0 and acc + inc >= target:
+            return lo + (target - acc) / rates[k], k
+        acc += inc
+    return None
+
+
+def reference_trajectory(seq, start, horizon, rng):
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    states = [int(start.state)]
+    times = [float(start.time)]
+    while True:
+        hit = reference_invert_hazard(seq, states[-1], times[-1], rng.random())
+        if hit is None or hit[0] > horizon:
+            break
+        (t, k), i = hit, states[-1]
+        R = seq.offdiag[k]
+        lo, hi = R.indptr[i], R.indptr[i + 1]
+        # times 1/q_i, not divided by it: keeps the seed -> trajectory bytes
+        cum = np.cumsum(R.data[lo:hi] * (1 / seq.outbound[i, k]))
+        j = int(R.indices[lo + np.searchsorted(cum, rng.random() * cum[-1], side="right")])
+        states.append(j)
+        times.append(t)
+    return TrajectorySample(np.array(states), np.array(times), float(horizon))
 
 
 def path_state_at(traj, t):
@@ -216,7 +266,7 @@ def kernel_density(seq, i, s, j, t):
     """
     if s >= t:
         return 0.0
-    Q = seq.matrices[seq.grid.interval_of(t)]
+    Q = seq.matrices[interval_of(seq.grid, t)]
     qij = Q[i, j] if i != j else 0.0
     if qij == 0.0:
         return 0.0

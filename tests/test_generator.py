@@ -41,13 +41,13 @@ class TestTimeGrid:
         edges = np.linspace(0, 2, 193)
         np.testing.assert_array_equal(TimeGrid(edges).widths, np.diff(edges))
 
-    def test_interval_convention_half_open_left(self):
-        grid = TimeGrid.uniform(0.0, 4.0, 4)
-        assert grid.interval_of(1.0) == 0  # boundary belongs to the cell ending there
-        assert grid.interval_of(1.5) == 1
-        assert grid.interval_of(0.0) == 0
-        with pytest.raises(ValueError):
-            grid.interval_of(4.5)
+    def test_grids_and_sequences_compare_and_hash_by_identity(self):
+        grid = TimeGrid.uniform(0, 1, 2)
+        assert grid == grid and grid != TimeGrid.uniform(0, 1, 2)
+        assert len({grid, grid, TimeGrid.uniform(0, 1, 2)}) == 2
+        seq = presets.two_state()
+        assert seq == seq and seq != presets.two_state()
+        assert len({seq, seq, presets.two_state()}) == 2
 
 
 class TestValidateGenerator:

@@ -490,6 +490,12 @@ class TestCli:
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert quiet.stderr == ""
+        cfg = write_config(tmp_path, {**TWO_STATE, "n_trajectories": 3})
+        argv = [sys.executable, "-m", "ajc.cli", "sample", "--config", cfg, "--out", str(tmp_path)]
+        err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
+                             text=True, check=True).stderr
+        assert re.search(r"sample: 3 trajectories, \d+ jumps in \d+\.\d{3} s "
+                         r"\(\d+ jumps/s\)", err)
 
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})

@@ -1,15 +1,23 @@
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ajc import assemble, presets
+from ajc import io as ajcio
+from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
 
 from conftest import (
     integrated_rate,
+    interval_of,
     kernel_density,
     path_state_at,
+    reference_trajectory,
     sample_jump_time,
     survival,
 )
@@ -20,7 +28,7 @@ A, B = 0, 1
 def rate_of(seq, i):
     """Outbound rate q_i(t) as a plain callable, for quadrature oracles."""
     def q(t):
-        return seq.outbound[i, seq.grid.interval_of(max(t, seq.grid.t0 + 1e-12))]
+        return seq.outbound[i, interval_of(seq.grid, max(t, seq.grid.t0 + 1e-12))]
     return q
 
 
@@ -134,10 +142,136 @@ class TestSampleTrajectory:
         assert a.states.tobytes() == b.states.tobytes()
         assert a.times.tobytes() == b.times.tobytes()
 
+    @pytest.mark.parametrize("state, time", [(-1, 7.99), (1.5, 0.0), (2, 0.0)],
+                             ids=["negative", "fractional", "past-the-last"])
+    def test_rejects_a_start_state_outside_the_states(self, two_state_seq, state, time):
+        with pytest.raises(ValueError, match="start state"):
+            sample_trajectory(two_state_seq, SpaceTimePoint(state, time), 8.0, 0)
+
     def test_states_alternate_and_times_increase(self, two_state_seq):
         traj = sample_trajectory(two_state_seq, SpaceTimePoint(A, 0.0), 8.0, 5)
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(np.diff(traj.states) != 0)
+
+
+@st.composite
+def protocols(draw):
+    """The grid and rates of a random protocol of up to 3 phases over up to
+    6 cells, with zero rates and absorbing rows, on a uniform grid or
+    explicit uneven edges."""
+    n = draw(st.integers(2, 5))
+    cells = draw(st.integers(1, 6))
+    rate = st.one_of(st.just(0.0), st.floats(0.05, 8.0))
+    phases = [sp.csr_matrix(np.reshape(draw(st.lists(rate, min_size=n * n, max_size=n * n)),
+                                       (n, n)))
+              for _ in range(draw(st.integers(1, 3)))]
+    cell_phase = draw(st.lists(st.integers(0, len(phases) - 1), min_size=cells, max_size=cells))
+    if draw(st.booleans()):
+        grid = TimeGrid.uniform(0.0, draw(st.floats(0.5, 5.0)), cells)
+    else:
+        widths = draw(st.lists(st.floats(0.05, 2.0), min_size=cells, max_size=cells))
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(widths)]))
+    return grid, [phases[p] for p in cell_phase]
+
+
+class TestSameTrajectoriesAsReference:
+    """The sampler repeats the trajectory bytes of the reference walk."""
+
+    @staticmethod
+    def assert_same(seq, start, horizon, seed, count):
+        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(count):
+            a = sample_trajectory(seq, start, horizon, ours)
+            b = reference_trajectory(seq, start, horizon, ref)
+            assert a.states.tobytes() == b.states.tobytes()
+            assert a.times.tobytes() == b.times.tobytes()
+            assert a.horizon == b.horizon
+
+    @settings(max_examples=100, deadline=None)
+    @given(protocol=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32))
+    def test_random_protocols(self, protocol, data, seed):
+        seq = RateMatrixSequence(*protocol)
+        edges = seq.grid.edges
+        where = data.draw(st.sampled_from(["t0", "interior edge", "inside"]))
+        if where == "interior edge" and seq.grid.M > 1:
+            time = float(edges[data.draw(st.integers(1, seq.grid.M - 1))])
+        elif where == "inside":
+            time = float(edges[0] + data.draw(st.floats(0.0, 1.0)) * (edges[-1] - edges[0]))
+        else:
+            time = seq.grid.t0
+        horizon = seq.grid.horizon
+        if data.draw(st.booleans()):  # stop short of the grid's end
+            horizon = time + data.draw(st.floats(0.0, 1.0)) * (horizon - time)
+        state = data.draw(st.integers(0, seq.N - 1))
+        self.assert_same(seq, SpaceTimePoint(state, time), horizon, seed, 20)
+
+    @pytest.mark.parametrize("seq", [presets.two_state(0.5), presets.triple_well(1 / 96),
+                                     presets.triple_well(1 / 3)],
+                             ids=["two-state", "triple-well-96", "triple-well-3"])
+    def test_presets_from_every_state(self, seq):
+        mid = float(seq.grid.edges[seq.grid.M // 2])
+        for state in range(seq.N):
+            for time in (seq.grid.t0, mid):
+                self.assert_same(seq, SpaceTimePoint(state, time), seq.grid.horizon, state, 2)
+
+    def test_pinned_triple_well_bytes(self):
+        # 126 trajectories of triple_well(1/24), each state twice in seeded
+        # order; the hash was recorded with the reference walk
+        seq = presets.triple_well(1 / 24)
+        rng = np.random.default_rng(1)
+        starts = rng.permutation(np.repeat(np.arange(seq.N), 2))
+        rng = np.random.default_rng(int(rng.integers(2 ** 63)))
+        digest, jumps = hashlib.sha256(), 0
+        for state in starts:
+            traj = sample_trajectory(seq, SpaceTimePoint(int(state), seq.grid.t0),
+                                     seq.grid.horizon, rng)
+            digest.update(traj.states.astype(np.int64).tobytes())
+            digest.update(traj.times.tobytes())
+            jumps += len(traj) - 1
+        assert jumps == 1879
+        assert digest.hexdigest() == (
+            "b088a1c5587c8cb67ab901dbb500757ab586fe32bdf099a928fced261df8cfb1")
+
+
+class TestEmbeddedChain:
+    @staticmethod
+    def assert_one_float_per_nonzero(seq):
+        first = np.unique(seq.phase, return_index=True)[1]
+        assert len(seq.embedded_chain) == first.size
+        for (indptr, indices, cdf), m in zip(seq.embedded_chain, first):
+            R = seq.offdiag[m]
+            assert cdf.format == "d" and len(cdf) == R.nnz
+            assert indptr.obj is R.indptr and indices.obj is R.indices  # not copies
+            # each row's slice is bit-equal to the cumsum the draw used to take
+            q = seq.outbound[:, m]
+            for i in np.flatnonzero(q):
+                lo, hi = R.indptr[i], R.indptr[i + 1]
+                assert (np.asarray(cdf)[lo:hi].tobytes()
+                        == np.cumsum(R.data[lo:hi] * (1 / q[i])).tobytes())
+
+    def test_built_by_the_first_sample_only(self):
+        seq = ajcio.build_sequence({"generator": {"preset": "triple-well"}})
+        assemble(seq)
+        assert "embedded_chain" not in seq.__dict__
+        sample_trajectory(seq, SpaceTimePoint(0, seq.grid.t0), seq.grid.horizon, 0)
+        assert "embedded_chain" in seq.__dict__
+        assert len(seq.embedded_chain) == 2
+        self.assert_one_float_per_nonzero(seq)
+
+    @settings(max_examples=50, deadline=None)
+    @given(protocol=protocols())
+    def test_one_float_per_nonzero_of_each_phase(self, protocol):
+        self.assert_one_float_per_nonzero(RateMatrixSequence(*protocol))
+
+
+class TestIntervalOf:
+    def test_interval_convention_half_open_left(self):
+        grid = TimeGrid.uniform(0.0, 4.0, 4)
+        assert interval_of(grid, 1.0) == 0  # boundary belongs to the cell ending there
+        assert interval_of(grid, 1.5) == 1
+        assert interval_of(grid, 0.0) == 0
+        with pytest.raises(ValueError):
+            interval_of(grid, 4.5)
 
 
 class TestPathStateAt:
