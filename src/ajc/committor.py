@@ -10,6 +10,8 @@ state decides A or B, and only otherwise does the tail policy apply.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,13 +46,22 @@ class SpaceTimeSet:
         lo, hi = blocks
         return cls(((i, k) for i in states for k in range(lo, hi + 1)), label)
 
+    @functools.cached_property
+    def _index(self) -> np.ndarray:
+        """The cells as (state, block) rows in the set's iteration order,
+        built on first use; an int beyond int64 makes an object array, whose
+        bounds test in mask is still exact."""
+        return np.array(list(itertools.chain.from_iterable(self.cells))).reshape(-1, 2)
+
     def mask(self, N: int, M: int) -> np.ndarray:
         """Boolean flat-index membership mask."""
+        i, k = self._index.T
+        outside = np.flatnonzero((i < 0) | (i >= N) | (k < 0) | (k >= M))
+        if outside.size:
+            at = outside[0]
+            raise ValueError(f"cell ({i[at]}, {k[at]}) outside the {N}x{M} space-time grid")
         out = np.zeros(N * M, dtype=bool)
-        for i, k in self.cells:
-            if not (0 <= i < N and 0 <= k < M):
-                raise ValueError(f"cell ({i}, {k}) outside the {N}x{M} space-time grid")
-            out[k * N + i] = True
+        out[k.astype(int) * N + i.astype(int)] = True
         return out
 
 

@@ -270,11 +270,14 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
             continue
         if p not in rates:
             rates[p] = R.toarray() if dense else R
-        # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
-        rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-        B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
+        if dense:
+            B = rates[p] * within[:, l, None]
+        else:
+            # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
+            rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
+            B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
         index[p, dt[l]] = len(blocks)
-        blocks.append(_Factors(rates[p], B.toarray() if dense else B))
+        blocks.append(_Factors(rates[p], B))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
              seq.N, seq.grid.M, seq.phase.max() + 1, len(blocks), "dense" if dense else "sparse")
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,

@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -72,44 +72,62 @@ class TimeGrid:
 
 def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
     """The off-diagonal nonzeros of a rate matrix as a CSR R with sorted
-    columns, and R's row sums q, the outbound rates; a diagonal is ignored."""
-    A = sp.coo_matrix(rates, dtype=float)
-    keep = (A.row != A.col) & (A.data != 0)
-    R = sp.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
+    columns, and R's row sums q, the outbound rates; a diagonal is ignored.
+
+    R is masked out of a copy of the input's CSR form with its duplicates
+    summed, so it shares no array with the caller, and is that copy whole
+    when there is nothing to drop.
+    """
+    A = sp.csr_matrix(rates, dtype=float, copy=True)
+    A.sum_duplicates()
+    n = A.shape[0]
+    data, indices, indptr = A.data, A.indices, A.indptr
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    keep = (rows != indices) & (data != 0)
+    if not keep.all():
+        data, indices = data[keep], indices[keep]
+        indptr = np.zeros_like(indptr)
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
+    # the constructor picks the index dtype, int32 wherever the indices fit
+    R = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    # R.sum(axis=1)'s own arithmetic: reduceat over the rows that hold an
+    # entry, +0.0 for the others (reduceat would give the next row's first)
+    q = np.zeros(n)
+    filled = np.flatnonzero(np.diff(R.indptr))
     with np.errstate(over="ignore", invalid="ignore"):  # validate_generator reports these
-        q = np.asarray(R.sum(axis=1)).ravel()
+        q[filled] = np.add.reduceat(R.data, R.indptr[filled])
     return R, q
 
 
 @dataclass(frozen=True, eq=False)
 class RateMatrixSequence:
-    """Piecewise-constant generator: rates[k] is valid on grid cell k.
+    """Piecewise-constant generator: offdiag[k] is valid on grid cell k.
 
-    Only the off-diagonal nonzeros of a rate matrix are read; its diagonal
-    is ignored.  The protocol's phases are its distinct rate matrices, told
-    apart by object identity, and each is split once into its off-diagonal
-    rates R and outbound rates q, R's row sums.  These are what the jump
-    operator and the sampler read: phase[k] is cell k's phase, offdiag[k]
-    its R (cells of one phase share one R) and outbound[:, k] its q.  The
-    generator Q = R - diag(q) is formed only on request (matrices), and so
-    is the sampler's table of each phase's embedded chain (embedded_chain).
-    Sequences compare and hash by identity.
+    The constructor takes one rate matrix per cell as offdiag and reads only
+    its off-diagonal nonzeros; its diagonal is ignored.  The protocol's
+    phases are its distinct rate matrices, told apart by object identity,
+    and each is split once into its off-diagonal rates R and outbound rates
+    q, R's row sums.  These are what the jump operator and the sampler
+    read: phase[k] is cell k's phase, offdiag[k] its R (cells of one phase
+    share one R) and outbound[:, k] its q, in a read-only C-ordered (N, M)
+    table.  The generator Q = R - diag(q) is formed only on request
+    (matrices), and so is the sampler's table of each phase's embedded chain
+    (embedded_chain).  Sequences compare and hash by identity.
     """
 
     grid: TimeGrid
-    rates: dataclasses.InitVar[Sequence]
+    offdiag: tuple = field(repr=False)
     phase: np.ndarray = field(init=False, repr=False)
-    offdiag: tuple = field(init=False, repr=False)
     outbound: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self, rates):
+    def __post_init__(self):
         first = {}  # id of an input matrix -> its phase
         split = []
-        for A in rates:
+        for A in self.offdiag:
             if id(A) not in first:
                 first[id(A)] = len(split)
                 split.append(_split(A))
-        phase = np.array([first[id(A)] for A in rates], dtype=int)
+        phase = np.array([first[id(A)] for A in self.offdiag], dtype=int)
         if phase.size != self.grid.M:
             raise ValueError("need exactly one rate matrix per time cell")
         n = split[0][0].shape[0]
@@ -117,7 +135,9 @@ class RateMatrixSequence:
             if R.shape != (n, n):
                 raise ValueError("all rate matrices must share the same dimension")
         phase.flags.writeable = False
-        q = np.column_stack([split[p][1] for p in phase])
+        # take, not q[:, phase]: the sampler reads outbound.ravel() per
+        # trajectory, which copies an F-ordered table every time
+        q = np.take(np.column_stack([q for _, q in split]), phase, axis=1)
         q.flags.writeable = False
         object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "offdiag", tuple(split[p][0] for p in phase))
@@ -208,23 +228,29 @@ def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
     first cell of that phase.  Returns an empty list iff the sequence is a
     valid piecewise-constant generator.
     """
-    first = np.unique(seq.phase, return_index=True)[1]  # a cell of each phase
-    return [dataclasses.replace(v, matrix=int(m)) for m in first
-            for v in _phase_violations(seq.offdiag[m], seq.outbound[:, m])]
+    out = []
+    for m in np.unique(seq.phase, return_index=True)[1]:  # a cell of each phase
+        R, q = seq.offdiag[m], seq.outbound[:, m]
+        if np.isfinite(q).all() and np.isfinite(R.data).all() and (R.data >= 0).all():
+            continue
+        out += [dataclasses.replace(v, matrix=int(m)) for v in _phase_violations(R, q)]
+    return out
 
 
 def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency of the nx-by-ny rectangular grid.
+    """Symmetric 0/1 adjacency of the nx-by-ny rectangular grid, as a CSR
+    with sorted columns.
 
     State index is row-major: index = row * nx + col with row in [0, ny).
     """
-    index = np.arange(nx * ny).reshape(ny, nx)
-    a = np.concatenate([index[:, :-1].ravel(), index[:-1].ravel()])  # left, upper ends
-    b = np.concatenate([index[:, 1:].ravel(), index[1:].ravel()])
-    rows, cols = np.concatenate([a, b]), np.concatenate([b, a])
-    adj = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(nx * ny, nx * ny))
-    adj.sort_indices()
-    return adj
+    i = np.arange(nx * ny)
+    row, col = np.divmod(i, nx)
+    # each state's neighbours in ascending order: up, left, right, down
+    cols = np.stack([i - nx, i - 1, i + 1, i + nx], axis=1)
+    ok = np.stack([row > 0, col > 0, col < nx - 1, row < ny - 1], axis=1)
+    indptr = np.zeros(nx * ny + 1, dtype=int)
+    np.cumsum(ok.sum(axis=1), out=indptr[1:])
+    return sp.csr_matrix((np.ones(indptr[-1]), cols[ok], indptr), shape=(nx * ny, nx * ny))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,21 +291,25 @@ class GridPotential:
         return hash(self._key())
 
 
-def sqra_rates(p: GridPotential, beta: float) -> sp.csr_matrix:
-    """Off-diagonal square-root-approximation rates for a potential on a grid.
+def sqra_rates(p: GridPotential, betas) -> tuple:
+    """Off-diagonal square-root-approximation rates for a potential on a
+    grid, one CSR per inverse temperature of the sequence betas.
 
     Rates are Phi * A_ij * exp(-beta (V_j - V_i) / 2) with the flat-potential
-    rate Phi = 1 / (beta h^2); the pattern equals the adjacency pattern.  No
-    diagonal: a RateMatrixSequence reads only off-diagonal rates.
+    rate Phi = 1 / (beta h^2).  They are formed for every beta by one
+    broadcast over the adjacency's own pattern, whose indices and indptr
+    each returned matrix shares.  No diagonal: a RateMatrixSequence reads
+    only off-diagonal rates.
     """
-    if beta <= 0:
+    betas = np.asarray(betas, dtype=float)
+    if not np.all(betas > 0):
         raise ValueError("beta must be positive")
-    phi = 1.0 / (beta * p.h ** 2)
-    A = p.adjacency.tocoo()
-    v = p.values
+    A, v = p.adjacency, p.values
+    rows = np.repeat(np.arange(p.N), np.diff(A.indptr))
+    phi = 1.0 / (betas * p.h ** 2)
     with np.errstate(over="ignore"):  # validate_generator reports an inf rate
-        data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
-    return sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
+        data = phi[:, None] * np.exp(-0.5 * betas[:, None] * (v[A.indices] - v[rows]))
+    return tuple(sp.csr_matrix((d, A.indices, A.indptr), shape=A.shape) for d in data)
 
 
 def rate_sequence_from_protocol(

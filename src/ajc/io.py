@@ -214,8 +214,9 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
                                     parse_numbers(pot_node, "potential"))
             except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
                 raise ConfigError(f"sqra potential: {exc}") from exc
-        cache = {b: sqra_rates(pot, b) for b in set(betas)}
-        mats, sources = [cache[b] for b in betas], [f"sqra rates at beta {b!r}" for b in betas]
+        distinct = list(dict.fromkeys(betas))
+        rates = dict(zip(distinct, sqra_rates(pot, distinct)))
+        mats, sources = [rates[b] for b in betas], [f"sqra rates at beta {b!r}" for b in betas]
     else:
         sources = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
         if len(sources) != grid.M:

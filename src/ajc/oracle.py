@@ -7,6 +7,16 @@ cells: exact_propagator's of exp(dt Q), and the sparse route's one
 propagator, operators.reconstruct_propagator, on all N unit masses at once,
 which is the product of the Galerkin chain's one-cell transfer matrices.
 Dense work is restricted to desk scale (N <= 500).
+
+The oracle's reach on stiff phases: scipy.linalg.expm is exact to 1.1e-16
+on a two-state generator with rates (1e6, 1e-3) over t = 1, and off by
+1.9e-9 against the closed form at rates (1e8, 1).  On the triple well's
+beta = 10 phase over t = 1 it is off by 4.2e-9 against a 60-digit
+eigendecomposition of the symmetrized generator, and the product of the
+per-cell exponentials by 6.0e-9.  One exponential per run of equal cells
+would move the errors in convergence.csv by about 3e-9, 1.4e-8 relative
+at dt = 1/3 and 2.5e-7 at dt = 1/48, without being more accurate, so
+exact_propagator keeps the per-cell product.
 """
 
 from __future__ import annotations
@@ -37,7 +47,9 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
     Ordered product of the interval exponentials over the overlap of each
     time cell with [s, t]; rows are distributions.  A whole cell overlaps
     for its grid width, so a phase on a uniform grid needs one exponential;
-    only the partial overlaps at s and t are differences of edges.
+    only the partial overlaps at s and t are differences of edges.  Each
+    exponential is of the dense Q = R - diag(q) formed from the cell's
+    offdiag and outbound rates.
     """
     if not (seq.grid.t0 <= s <= t <= seq.grid.horizon):
         raise ValueError("need t0 <= s <= t <= horizon")
@@ -49,7 +61,9 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
         if hi > lo:
             overlap = widths[k] if (lo, hi) == (edges[k], edges[k + 1]) else hi - lo
             if (p, overlap) not in factors:
-                factors[p, overlap] = expm(seq.matrices[k].toarray(), overlap)
+                Q = seq.offdiag[k].toarray()  # R has no diagonal: Q_ii = 0 - q_i
+                Q.flat[::seq.N + 1] -= seq.outbound[:, k]
+                factors[p, overlap] = expm(Q, overlap)
             P = P @ factors[p, overlap]
     return P
 

@@ -81,7 +81,7 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     pot = triple_well_grid_potential()
     beta_lo, beta_hi = TRIPLE_WELL_BETA
     # off-diagonal rates: rate_sequence_from_protocol closes each phase once
-    rates = {beta: sqra_rates(pot, beta) for beta in (beta_lo, beta_hi)}
+    rates = dict(zip(TRIPLE_WELL_BETA, sqra_rates(pot, TRIPLE_WELL_BETA)))
 
     def builder(k, span):
         mid = 0.5 * (span[0] + span[1])

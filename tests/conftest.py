@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
+    Violation,
     rate_sequence_from_protocol,
     sqra_rates,
 )
@@ -48,7 +51,7 @@ def triple_well_grid_seq(n_side, cells):
     offsets = h * (np.arange(n_side) - (n_side - 1) / 2)
     X, Y = np.meshgrid((x0 + x1) / 2 + offsets, (y0 + y1) / 2 + offsets)
     pot = GridPotential(n_side, n_side, h, presets.triple_well_potential(X, Y))
-    Q = {beta: sqra_rates(pot, beta) for beta in (1.0, 10.0)}
+    Q = dict(zip((1.0, 10.0), sqra_rates(pot, (1.0, 10.0))))
     return rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, cells),
                                       lambda k, span: Q[1.0 if 2 * k < cells else 10.0])
 
@@ -108,6 +111,56 @@ def interval_of(grid, t):
         raise ValueError(f"time {t} outside grid [{grid.edges[0]}, {grid.edges[-1]}]")
     k = int(np.searchsorted(grid.edges, t, side="left")) - 1
     return max(k, 0)
+
+
+# The set-up as it was before it read each phase's own CSR arrays: a COO
+# round trip per split, one scipy constructor per beta, a COO per phase in
+# validation.  The shipped split, rates and validation must give the same
+# bytes and the same violations.
+
+def reference_split(rates):
+    A = sp.coo_matrix(rates, dtype=float)
+    keep = (A.row != A.col) & (A.data != 0)
+    R = sp.csr_matrix((A.data[keep], (A.row[keep], A.col[keep])), shape=A.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.asarray(R.sum(axis=1)).ravel()
+    return R, q
+
+
+def reference_sqra_rates(p, beta):
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    phi = 1.0 / (beta * p.h ** 2)
+    A = p.adjacency.tocoo()
+    v = p.values
+    with np.errstate(over="ignore"):
+        data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
+    return sp.csr_matrix((data, (A.row, A.col)), shape=A.shape)
+
+
+def reference_phase_violations(R, q):
+    coo = R.tocoo()
+    finite = np.isfinite(coo.data)
+    off = ~np.isfinite(q)
+    off[coo.row[~finite]] = False
+    out = [Violation(0, "rowsum", int(i), None, abs(float(q[i]))) for i in np.flatnonzero(off)]
+    neg = finite & (coo.data < 0)
+    out += [Violation(0, "negativity", int(i), int(j), float(-v))
+            for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg])]
+    out += [Violation(0, "nonfinite", int(i), int(j), float(v))
+            for i, j, v in zip(coo.row[~finite], coo.col[~finite], coo.data[~finite])]
+    return out
+
+
+def reference_validate_generator(seq):
+    first = np.unique(seq.phase, return_index=True)[1]
+    return [dataclasses.replace(v, matrix=int(m)) for m in first
+            for v in reference_phase_violations(seq.offdiag[m], seq.outbound[:, m])]
+
+
+def csr_bytes(R):
+    """R's data, indices and indptr as (dtype, bytes) pairs."""
+    return [(a.dtype.str, a.tobytes()) for a in (R.data, R.indices, R.indptr)]
 
 
 # The sampler as it was before its walk read plain floats: numpy scalars,

@@ -36,6 +36,15 @@ class TestSpaceTimeSet:
         with pytest.raises(ValueError):
             SpaceTimeSet([(5, 0)]).mask(2, 3)
 
+    def test_mask_names_the_first_cell_outside(self):
+        # first in the set's own order, as a loop over its cells meets them;
+        # an index beyond int64 is out of range too
+        s = SpaceTimeSet([(0, 0), (1, 7), (-1, 2), (10 ** 30, 1), (1, 2)])
+        first = next(c for c in s.cells if not (0 <= c[0] < 2 and 0 <= c[1] < 3))
+        with pytest.raises(ValueError, match=rf"cell \({first[0]}, {first[1]}\) outside"):
+            s.mask(2, 3)
+        np.testing.assert_array_equal(SpaceTimeSet(()).mask(2, 3), np.zeros(6, dtype=bool))
+
 
 class TestCommittor:
     def test_matches_koopman_on_terminal_targets(self, two_state_J):

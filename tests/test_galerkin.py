@@ -142,8 +142,9 @@ class TestAssemble:
         # any solve each record holds its B and its phase's R, 2 N^2 doubles
         n = galerkin._DENSE_MAX
         pot = GridPotential(12, 12, 0.1, np.sin(np.arange(n)))
+        rates = sqra_rates(pot, 1.0 + np.arange(10))
         seq = rate_sequence_from_protocol(TimeGrid.uniform(0.0, 1.0, 10),
-                                          lambda k, span: sqra_rates(pot, 1.0 + k))
+                                          lambda k, span: rates[k])
         J = assemble(seq)
         held = {id(a): a.nbytes for b in J.blocks for a in (b.R, b.B)}
         assert len(J.blocks) == 10 and all(b.lu is None for b in J.blocks)

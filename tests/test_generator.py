@@ -1,12 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.vendor.pretty import pretty
 
+from ajc import io as ajcio
 from ajc import presets
 from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
+    _split,
     four_neighbor_adjacency,
     rate_sequence_from_protocol,
     sqra_rates,
@@ -14,7 +21,14 @@ from ajc.generator import (
 )
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
-from conftest import dense_rate_matrix, four_neighbor_adjacency_loop
+from conftest import (
+    csr_bytes,
+    dense_rate_matrix,
+    four_neighbor_adjacency_loop,
+    reference_split,
+    reference_sqra_rates,
+    reference_validate_generator,
+)
 
 
 def seq_of(grid, *mats):
@@ -126,7 +140,7 @@ class TestSqra:
     def test_flat_potential_gives_flat_rate(self):
         pot = GridPotential(3, 3, 0.5, np.full(9, 1.7))
         beta = 2.0
-        Q = sqra_rates(pot, beta)
+        Q, = sqra_rates(pot, [beta])
         phi = 1.0 / (beta * 0.25)
         off = Q.tocoo()
         mask = off.row != off.col
@@ -137,13 +151,13 @@ class TestSqra:
         beta = 3.0
         values = np.array([0.0, 2.0 / beta])
         pot = GridPotential(2, 1, 1.0, values)
-        Q = sqra_rates(pot, beta)
+        Q, = sqra_rates(pot, [beta])
         assert Q[0, 1] == pytest.approx(np.exp(-1.0) / beta, rel=1e-14)
         assert Q[1, 0] == pytest.approx(np.exp(1.0) / beta, rel=1e-14)
 
     def test_9x7_grid_edge_count(self):
         pot = GridPotential(9, 7, 0.5, np.zeros(63))
-        Q = sqra_rates(pot, 1.0)
+        Q, = sqra_rates(pot, [1.0])
         coo = Q.tocoo()
         offdiag = np.count_nonzero(coo.row != coo.col)
         assert offdiag == 2 * (8 * 7 + 9 * 6) == 220
@@ -152,7 +166,7 @@ class TestSqra:
         rng = np.random.default_rng(3)
         beta = 1.5
         pot = GridPotential(5, 4, 0.3, rng.normal(size=20))
-        Q = sqra_rates(pot, beta).toarray()
+        Q = sqra_rates(pot, [beta])[0].toarray()
         pi = np.exp(-beta * pot.values)
         flux = pi[:, None] * Q
         np.testing.assert_allclose(flux, flux.T, rtol=1e-12)
@@ -160,7 +174,7 @@ class TestSqra:
     def test_sparsity_pattern_equals_adjacency(self):
         rng = np.random.default_rng(4)
         pot = GridPotential(4, 6, 1.0, rng.normal(size=24))
-        Q = sqra_rates(pot, 2.0).tocoo()
+        Q = sqra_rates(pot, [2.0])[0].tocoo()
         got = {(i, j) for i, j in zip(Q.row, Q.col) if i != j}
         A = pot.adjacency.tocoo()
         assert got == set(zip(A.row.tolist(), A.col.tolist()))
@@ -168,7 +182,7 @@ class TestSqra:
     def test_rejects_bad_parameters(self):
         pot = GridPotential(2, 2, 1.0, np.zeros(4))
         with pytest.raises(ValueError):
-            sqra_rates(pot, 0.0)
+            sqra_rates(pot, [1.0, 0.0])
         with pytest.raises(ValueError):
             GridPotential(2, 2, -1.0, np.zeros(4))
 
@@ -217,7 +231,7 @@ class TestProtocol:
         again = RateMatrixSequence(seq.grid, seq.matrices)
         np.testing.assert_array_equal(seq.phase, again.phase)
         for k, beta in ((0, 1.0), (12, 10.0)):
-            R = sqra_rates(pot, beta)
+            R, = sqra_rates(pot, [beta])
             q = np.asarray(R.sum(axis=1)).ravel()
             for got in (seq, again):
                 for name in ("data", "indices", "indptr"):
@@ -261,3 +275,122 @@ class TestProtocol:
         Q = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (raw,)).matrices[0]
         np.testing.assert_allclose(np.asarray(Q.sum(axis=1)).ravel(), 0.0, atol=1e-15)
         assert Q[0, 1] == 1.0 and Q[1, 0] == 2.0
+
+
+class TestSequenceFields:
+    def test_every_field_is_an_attribute(self):
+        # hypothesis prints a failing example by its dataclass fields
+        seq = presets.two_state()
+        text = pretty(seq)
+        assert text.startswith("RateMatrixSequence(") and "offdiag=" in text
+        again = dataclasses.replace(seq)
+        assert again is not seq
+        np.testing.assert_array_equal(again.phase, seq.phase)
+        assert again.outbound.tobytes() == seq.outbound.tobytes()
+        for R, S in zip(again.offdiag, seq.offdiag):
+            assert csr_bytes(R) == csr_bytes(S)
+
+    @pytest.mark.parametrize("config", [
+        {"preset": "two-state"},
+        {"preset": "triple-well", "dt": 1 / 96},
+        {"type": "sqra", "time_grid": {"t0": 0.0, "t1": 2.0, "cells": 6},
+         "beta_schedule": [1, 1, 1, 10, 10, 10]},
+    ])
+    def test_outbound_is_one_c_ordered_table(self, config):
+        # the sampler reads outbound.ravel() once per trajectory: a view, no copy
+        seq = ajcio.build_sequence({"generator": config})
+        assert seq.outbound.flags.c_contiguous
+        assert np.shares_memory(seq.outbound, seq.outbound.ravel())
+
+    def test_offdiag_shares_no_array_with_the_input(self):
+        A = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (A,))
+        A.data[:] = 7.0
+        np.testing.assert_array_equal(seq.offdiag[0].data, [1.0, 2.0])
+
+
+# rates as the inputs of a protocol may hold them: zeros of both signs,
+# overflowing and non-finite values, and ordinary ones
+RATES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e308, np.inf, -np.inf, np.nan]),
+                  st.floats(-1e3, 1e3))
+
+
+@st.composite
+def rate_matrices(draw, n):
+    """One rate matrix of n states in one of the forms a protocol accepts.
+
+    At most 16 stored entries: scipy sorts a longer row with an unstable
+    sort, so the order in which three or more duplicates are summed there
+    is unspecified in the reference as well.
+    """
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    entries = draw(st.lists(st.tuples(cells, RATES), max_size=12))
+    cancel = draw(st.lists(st.sampled_from(entries), max_size=2)) if entries else []
+    entries += [(ij, -v) for ij, v in cancel]  # duplicates that cancel to 0
+    form = draw(st.sampled_from(["coo", "int coo", "csr unsorted", "csr int64", "dense",
+                                 "int dense"]))
+    rows = np.array([i for (i, _), _ in entries], dtype=int)
+    cols = np.array([j for (_, j), _ in entries], dtype=int)
+    vals = np.array([v for _, v in entries], dtype=float)
+    if form.startswith("int"):
+        vals = np.nan_to_num(vals, posinf=5, neginf=-5).clip(-1e3, 1e3).astype(np.int64)
+    if form.endswith("coo"):
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    if form.startswith("csr"):
+        # rows in order, columns as drawn: unsorted, with duplicates
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        A = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+        if form == "csr int64":  # the constructor would pick int32
+            A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        return A
+    dense = np.zeros((n, n), dtype=vals.dtype)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        np.add.at(dense, (rows, cols), vals)
+    return dense
+
+
+@st.composite
+def potentials(draw):
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    values = draw(st.lists(st.floats(-10, 10), min_size=nx * ny, max_size=nx * ny))
+    return GridPotential(nx, ny, draw(st.floats(0.01, 2.0)), np.array(values))
+
+
+class TestSameBytesAsReference:
+    """The split, the SQRA rates and the validation give the bytes and the
+    violations of the COO path they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 5).flatmap(rate_matrices))
+    def test_split(self, A):
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the inputs
+            R, q = _split(A)
+            ref, ref_q = reference_split(A)
+        # the reference sums duplicates after dropping zeros, so duplicates
+        # that cancel leave it an explicit 0.0, which the split drops
+        ref.eliminate_zeros()
+        assert csr_bytes(R) == csr_bytes(ref)
+        assert q.dtype == ref_q.dtype and q.tobytes() == ref_q.tobytes()
+        assert not np.signbit(q[np.diff(R.indptr) == 0]).any()  # absorbing rows: +0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(potentials(), st.lists(st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e300])),
+                                  min_size=1, max_size=4))
+    def test_sqra_rates(self, pot, betas):
+        got = sqra_rates(pot, betas)
+        assert len(got) == len(betas)
+        for R, beta in zip(got, betas):
+            assert csr_bytes(R) == csr_bytes(reference_sqra_rates(pot, beta))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(rate_matrices(n), min_size=1, max_size=3)),
+        st.lists(st.integers(0, 2), min_size=1, max_size=5))
+    def test_validation(self, phases, cells):
+        mats = [phases[c % len(phases)] for c in cells]
+        with np.errstate(invalid="ignore", over="ignore"):
+            seq = RateMatrixSequence(TimeGrid.uniform(0, 1, len(mats)), mats)
+        key = lambda found: [(v.matrix, v.kind, v.row, v.col, repr(v.magnitude))
+                             for v in found]
+        assert key(validate_generator(seq)) == key(reference_validate_generator(seq))

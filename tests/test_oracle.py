@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from ajc import oracle, presets
 from ajc.galerkin import assemble
+from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 from ajc.operators import reconstruct_propagator
 from ajc.oracle import convergence_study, exact_propagator, expm
@@ -55,6 +58,23 @@ class TestExactPropagator:
         expected = expm(Q1, 4.0) @ expm(Q2, 4.0)
         got = exact_propagator(two_state_seq, 0.0, 8.0)
         np.testing.assert_allclose(got, expected, rtol=1e-11)
+
+    @pytest.mark.parametrize("a, b, bound", [(1e6, 1e-3, np.finfo(float).eps),
+                                             (1e8, 1.0, 3e-9)])
+    def test_stiff_two_state_closed_form(self, a, b, bound):
+        # exp(Q) of Q = [[-a, a], [b, -b]] over t = 1, with the closed form
+        # evaluated at 40 digits and rounded once.  Rates (1e6, 1e-3) are
+        # exact to 1.1e-16; at (1e8, 1) scipy's scaling and squaring is off
+        # by 1.9e-9 in the column of the fast rate, the oracle's reach on
+        # stiff phases (see the ajc.oracle docstring)
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 1),
+                                 (sp.csr_matrix(np.array([[0.0, a], [b, 0.0]])),))
+        with mpmath.workdps(40):
+            a_, b_ = mpmath.mpf(a), mpmath.mpf(b)
+            s, e = a_ + b_, mpmath.exp(-(a_ + b_))
+            exact = np.array([[float((b_ + a_ * e) / s), float(a_ * (1 - e) / s)],
+                              [float(b_ * (1 - e) / s), float((a_ + b_ * e) / s)]])
+        assert np.abs(exact_propagator(seq, 0.0, 1.0) - exact).max() <= bound
 
     def test_one_exponential_per_phase_and_overlap(self, monkeypatch):
         seq = presets.triple_well(1 / 96)
