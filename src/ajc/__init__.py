@@ -12,9 +12,7 @@ from .generator import (
     TimeGrid,
     Violation,
     four_neighbor_adjacency,
-    rate_sequence_from_protocol,
     sqra_rates,
-    validate_generator,
 )
 from .jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
 from .galerkin import (
@@ -48,8 +46,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
-    "four_neighbor_adjacency",
-    "rate_sequence_from_protocol", "sqra_rates", "validate_generator",
+    "four_neighbor_adjacency", "sqra_rates",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",
     "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",

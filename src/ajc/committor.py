@@ -43,7 +43,10 @@ class SpaceTimeSet:
     @classmethod
     def rectangle(cls, states: Iterable[int], blocks: tuple[int, int],
                   label: str = "") -> "SpaceTimeSet":
+        """The states times the blocks lo..hi, both ends included."""
         lo, hi = blocks
+        if lo > hi:
+            raise ValueError(f"rectangle blocks [{lo}, {hi}] are reversed")
         return cls(((i, k) for i in states for k in range(lo, hi + 1)), label)
 
     @functools.cached_property

@@ -87,9 +87,6 @@ class SpaceTimeIndexer:
     def size(self) -> int:
         return self.N * self.M
 
-    def flat(self, i, k):
-        return np.asarray(k) * self.N + np.asarray(i)
-
     def unflat(self, a):
         a = np.asarray(a)
         return a % self.N, a // self.N
@@ -120,8 +117,7 @@ class JumpMatrix:
     psi(q, dt) / dt, so the time block (l, l) is diag(within[:, l]) R^l.
     blocks[block_of[l]] is cell l's _Factors record, one per phase and
     width, whose R, B and views .T the scans and ajc.operators' solves
-    multiply by; a dense kernel takes fewer than N columns one at a time
-    (see _columns), so each column gets the bits it gets alone.
+    multiply by.
     """
 
     indexer: SpaceTimeIndexer
@@ -143,7 +139,7 @@ class JumpMatrix:
         leave = self.phi / self.grid.widths
         carry = np.zeros_like(X[0])
         for l, b in enumerate(self.block_of):
-            yield l, _dot(self.blocks[b].R.T, self.phi[:, l, None] * carry)
+            yield l, self.blocks[b].R.T @ (self.phi[:, l, None] * carry)
             carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
     def scan_backward(self, X: np.ndarray):
@@ -153,7 +149,7 @@ class JumpMatrix:
         carry = np.zeros_like(X[0])
         for k in range(self.indexer.M - 1, -1, -1):
             yield k, leave[:, k, None] * carry
-            jumps = _dot(self.blocks[self.block_of[k]].R, X[k])
+            jumps = self.blocks[self.block_of[k]].R @ X[k]
             carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * jumps
 
     def block_survival(self, l: int) -> np.ndarray:
@@ -229,28 +225,6 @@ class JumpMatrix:
         return 1.0 - np.column_stack([self.block_survival(l) for l in range(self.indexer.M)])
 
 
-def _columns(f, X: np.ndarray) -> np.ndarray:
-    """f(X) for a kernel f (a mat-vec or a block solve) on an (N, c) stack X:
-    one contiguous column at a time for 1 < c < N, one call otherwise.
-
-    BLAS-3 and multi-column LAPACK calls round differently from gemv and a
-    one-column getrs, so this keeps each column of a narrower stack bit-equal
-    to that column alone.  A stack of N or more columns (a propagator's
-    transfer matrices) is checked against tolerances only, and one call
-    serves it.
-    """
-    n, c = X.shape
-    if 1 < c < n:
-        return np.hstack([f(X[:, [j]]) for j in range(c)])
-    return f(X)
-
-
-def _dot(A, X: np.ndarray) -> np.ndarray:
-    """A @ X for a kernel A of a _Factors record: by _columns if A is dense;
-    a sparse product already gives each column the bits it gets alone."""
-    return _columns(A.__matmul__, X) if isinstance(A, np.ndarray) else A @ X
-
-
 def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     """Factor the jump operator of a piecewise-constant protocol, O(M nnz(Q)),
     on the sequence's own outbound and offdiag tables.
@@ -293,5 +267,5 @@ def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
     G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
     for k, inflow in J.scan_backward(G):
-        out[k] = _dot(J.blocks[J.block_of[k]].B, G[k]) + inflow
+        out[k] = J.blocks[J.block_of[k]].B @ G[k] + inflow
     return out.reshape(np.shape(g))

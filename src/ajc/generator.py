@@ -9,11 +9,9 @@ by construction, and forms the generator Q = R - diag(q) only on request.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -94,7 +92,7 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
     # entry, +0.0 for the others (reduceat would give the next row's first)
     q = np.zeros(n)
     filled = np.flatnonzero(np.diff(R.indptr))
-    with np.errstate(over="ignore", invalid="ignore"):  # validate_generator reports these
+    with np.errstate(over="ignore", invalid="ignore"):  # RateMatrixSequence reports these
         q[filled] = np.add.reduceat(R.data, R.indptr[filled])
     return R, q
 
@@ -113,6 +111,11 @@ class RateMatrixSequence:
     table.  The generator Q = R - diag(q) is formed only on request
     (matrices), and so is the sampler's table of each phase's embedded chain
     (embedded_chain).  Sequences compare and hash by identity.
+
+    A sequence is valid by construction: the constructor refuses a protocol
+    of no states, and raises InvalidProtocol on a negative or non-finite
+    rate or an outbound rate that overflows, each phase's violations filed
+    under its first cell.
     """
 
     grid: TimeGrid
@@ -122,18 +125,24 @@ class RateMatrixSequence:
 
     def __post_init__(self):
         first = {}  # id of an input matrix -> its phase
-        split = []
-        for A in self.offdiag:
+        split, cells = [], []  # per phase: its R and q, its first cell
+        for k, A in enumerate(self.offdiag):
             if id(A) not in first:
                 first[id(A)] = len(split)
                 split.append(_split(A))
+                cells.append(k)
         phase = np.array([first[id(A)] for A in self.offdiag], dtype=int)
         if phase.size != self.grid.M:
             raise ValueError("need exactly one rate matrix per time cell")
         n = split[0][0].shape[0]
+        if n == 0:
+            raise ValueError("a protocol needs at least one state")
         for R, _ in split:
             if R.shape != (n, n):
                 raise ValueError("all rate matrices must share the same dimension")
+        bad = [v for k, (R, q) in zip(cells, split) for v in _phase_violations(R, q, k)]
+        if bad:
+            raise InvalidProtocol(bad)
         phase.flags.writeable = False
         # take, not q[:, phase]: the sampler reads outbound.ravel() per
         # trajectory, which copies an F-ordered table every time
@@ -179,7 +188,7 @@ class RateMatrixSequence:
 
 @dataclass(frozen=True)
 class Violation:
-    """One invariant defect found by validate_generator."""
+    """One invariant defect of a protocol, filed under a time cell."""
 
     matrix: int
     kind: str  # "rowsum", "negativity" or "nonfinite"
@@ -202,38 +211,24 @@ class InvalidProtocol(ValueError):
         self.violations = violations
 
 
-def _phase_violations(R: sp.csr_matrix, q: np.ndarray) -> list[Violation]:
+def _phase_violations(R: sp.csr_matrix, q: np.ndarray, cell: int) -> list[Violation]:
     """Violations of one phase with off-diagonal rates R and outbound rates
-    q, each filed under matrix 0."""
+    q, each filed under the time cell cell: the sign and finiteness of every
+    rate, and the finiteness of every outbound rate."""
+    if np.isfinite(q).all() and np.isfinite(R.data).all() and (R.data >= 0).all():
+        return []
     coo = R.tocoo()
     finite = np.isfinite(coo.data)
     # rows close by construction, so the one row defect left is a row of
     # finite rates whose sum overflows; a non-finite rate is reported itself
     off = ~np.isfinite(q)
     off[coo.row[~finite]] = False
-    out = [Violation(0, "rowsum", int(i), None, abs(float(q[i]))) for i in np.flatnonzero(off)]
+    out = [Violation(cell, "rowsum", int(i), None, abs(float(q[i]))) for i in np.flatnonzero(off)]
     neg = finite & (coo.data < 0)
-    out += [Violation(0, "negativity", int(i), int(j), float(-v))
+    out += [Violation(cell, "negativity", int(i), int(j), float(-v))
             for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg])]
-    out += [Violation(0, "nonfinite", int(i), int(j), float(v))
+    out += [Violation(cell, "nonfinite", int(i), int(j), float(v))
             for i, j, v in zip(coo.row[~finite], coo.col[~finite], coo.data[~finite])]
-    return out
-
-
-def validate_generator(seq: RateMatrixSequence) -> list[Violation]:
-    """Check the sign and finiteness of every rate in the sequence, and that
-    every outbound rate is finite.
-
-    Each phase is checked once, and its violations are filed under the
-    first cell of that phase.  Returns an empty list iff the sequence is a
-    valid piecewise-constant generator.
-    """
-    out = []
-    for m in np.unique(seq.phase, return_index=True)[1]:  # a cell of each phase
-        R, q = seq.offdiag[m], seq.outbound[:, m]
-        if np.isfinite(q).all() and np.isfinite(R.data).all() and (R.data >= 0).all():
-            continue
-        out += [dataclasses.replace(v, matrix=int(m)) for v in _phase_violations(R, q)]
     return out
 
 
@@ -255,10 +250,9 @@ def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True, eq=False)
 class GridPotential:
-    """Potential sampled on a rectangular grid with 4-neighbor adjacency.
-
-    Two potentials are equal when their nx, ny, h and values bytes are.
-    """
+    """Potential sampled on a rectangular grid of nx by ny states, at least
+    one each way, with 4-neighbor adjacency.  Potentials compare and hash by
+    identity."""
 
     nx: int
     ny: int
@@ -267,6 +261,9 @@ class GridPotential:
     adjacency: sp.csr_matrix = field(init=False)
 
     def __post_init__(self):
+        if self.nx < 1 or self.ny < 1:
+            raise ValueError(f"grid sizes nx and ny must be positive, got nx={self.nx}, "
+                             f"ny={self.ny}")
         values = np.asarray(self.values, dtype=float).ravel()
         if values.size != self.nx * self.ny:
             raise ValueError("potential values must have nx*ny entries")
@@ -279,24 +276,15 @@ class GridPotential:
     def N(self) -> int:
         return self.nx * self.ny
 
-    def _key(self) -> tuple:
-        return self.nx, self.ny, self.h, self.values.tobytes()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridPotential):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 def sqra_rates(p: GridPotential, betas) -> tuple:
     """Off-diagonal square-root-approximation rates for a potential on a
-    grid, one CSR per inverse temperature of the sequence betas.
+    grid, one CSR per entry of the inverse temperature schedule betas;
+    entries of one beta share one object, so a protocol of them has one
+    phase per beta.
 
     Rates are Phi * A_ij * exp(-beta (V_j - V_i) / 2) with the flat-potential
-    rate Phi = 1 / (beta h^2).  They are formed for every beta by one
+    rate Phi = 1 / (beta h^2).  They are formed for each distinct beta by one
     broadcast over the adjacency's own pattern, whose indices and indptr
     each returned matrix shares.  No diagonal: a RateMatrixSequence reads
     only off-diagonal rates.
@@ -304,35 +292,11 @@ def sqra_rates(p: GridPotential, betas) -> tuple:
     betas = np.asarray(betas, dtype=float)
     if not np.all(betas > 0):
         raise ValueError("beta must be positive")
+    distinct, which = np.unique(betas, return_inverse=True)
     A, v = p.adjacency, p.values
     rows = np.repeat(np.arange(p.N), np.diff(A.indptr))
-    phi = 1.0 / (betas * p.h ** 2)
-    with np.errstate(over="ignore"):  # validate_generator reports an inf rate
-        data = phi[:, None] * np.exp(-0.5 * betas[:, None] * (v[A.indices] - v[rows]))
-    return tuple(sp.csr_matrix((d, A.indices, A.indptr), shape=A.shape) for d in data)
-
-
-def rate_sequence_from_protocol(
-    grid: TimeGrid,
-    builder: Callable[[int, tuple[float, float]], sp.spmatrix],
-) -> RateMatrixSequence:
-    """Build a RateMatrixSequence by calling builder(k, (t_k, t_{k+1})) per cell.
-
-    The builder returns off-diagonal rates; a diagonal is ignored.  The
-    sequence splits each distinct object the builder returns once, so a
-    builder that returns one object for all cells of a phase makes that
-    phase one shared R and q.  Builder failures and invariant violations
-    are reported with the cell index.
-    """
-    rates = []
-    for k in range(grid.M):
-        span = (float(grid.edges[k]), float(grid.edges[k + 1]))
-        try:
-            rates.append(builder(k, span))
-        except Exception as exc:
-            raise ValueError(f"builder failed on time cell {k} {span}: {exc}") from exc
-    seq = RateMatrixSequence(grid, rates)
-    bad = validate_generator(seq)
-    if bad:
-        raise InvalidProtocol(bad)
-    return seq
+    phi = 1.0 / (distinct * p.h ** 2)
+    with np.errstate(over="ignore"):  # RateMatrixSequence reports an inf rate
+        data = phi[:, None] * np.exp(-0.5 * distinct[:, None] * (v[A.indices] - v[rows]))
+    rates = [sp.csr_matrix((d, A.indices, A.indptr), shape=A.shape) for d in data]
+    return tuple(rates[i] for i in which)

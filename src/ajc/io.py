@@ -24,7 +24,6 @@ from .generator import (
     InvalidProtocol,
     RateMatrixSequence,
     TimeGrid,
-    rate_sequence_from_protocol,
     sqra_rates,
 )
 from . import presets
@@ -214,9 +213,7 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
                                     parse_numbers(pot_node, "potential"))
             except (TypeError, ValueError) as exc:  # malformed numbers and GridPotential's checks
                 raise ConfigError(f"sqra potential: {exc}") from exc
-        distinct = list(dict.fromkeys(betas))
-        rates = dict(zip(distinct, sqra_rates(pot, distinct)))
-        mats, sources = [rates[b] for b in betas], [f"sqra rates at beta {b!r}" for b in betas]
+        mats, sources = sqra_rates(pot, betas), [f"sqra rates at beta {b!r}" for b in betas]
     else:
         sources = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
         if len(sources) != grid.M:
@@ -233,9 +230,11 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
                 raise ConfigError(f"rate matrix {p} is {mats[-1].shape}, "
                                   f"{sources[0]} is {mats[0].shape}")
     try:  # a file's bad rates, or an sqra beta's rates that overflow
-        return rate_sequence_from_protocol(grid, lambda k, span: mats[k])
+        return RateMatrixSequence(grid, mats)
     except InvalidProtocol as exc:
         raise ConfigError("; ".join(f"{sources[v.matrix]}: {v}" for v in exc.violations))
+    except ValueError as exc:  # a file of no states
+        raise ConfigError(f"rate matrix {sources[0]}: {exc}") from exc
 
 
 def resolve_state(token, N: int) -> int:
@@ -270,6 +269,9 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
         if isinstance(item, dict):
             check_keys(item, {"states", "blocks"}, f"set {label} rectangle", {"states", "blocks"})
             lo, hi = (parse_block(k, M) for k in _list(item["blocks"], f"set {label} blocks", 2))
+            if lo > hi:
+                raise ConfigError(f"set {label} blocks [{lo}, {hi}] are reversed: "
+                                  f"need first <= last")
             for tok in _list(item["states"], f"set {label} states"):
                 i = resolve_state(tok, N)
                 cells.update((i, k) for k in range(lo, hi + 1))

@@ -15,13 +15,14 @@ LU of I - B^T, which the first solve that needs it factors and keeps
 there, so on a uniform grid one LU per protocol phase serves every solve
 on that operator, in both directions, each with its residual check.  One
 size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
-blocks, LAPACK getrf/getrs and BLAS mat-vecs, which take a stack of fewer
-than N columns one contiguous column at a time so that each column gets
-the bits it gets alone; above it CSR and SuperLU.  A committor block
-with cells in A or B is solved on the same LU, bordered by those fixed
-cells and refined where the whole block is stiffer than its free part;
-only a block with more than 32 fixed cells, or whose LU cannot serve, is
-factored on its free cells, once per scan, by the same kind of LU.
+blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
+Kernels take the stack they are given; a propagator of fewer than N
+densities scans each alone, so each column gets the bits it gets alone.
+A committor block with cells in A or B is solved on the same LU,
+bordered by those fixed cells and refined where the whole block is
+stiffer than its free part; only a block with more than 32 fixed cells,
+or whose LU cannot serve, is factored on its free cells, once per scan,
+by the same kind of LU.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer, _columns, _Factors
+from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
@@ -78,8 +79,7 @@ def _factor(operand):
     = rhs, or with trans of (I - operand^T) x = rhs; a singular block raises
     NonConvergence.
 
-    A dense operand is factored by LAPACK getrf and solved by getrs, which
-    takes a stack of fewer than N columns one column at a time (_columns); a
+    A dense operand is factored by LAPACK getrf and solved by getrs; a
     sparse one by SuperLU on the minimum-degree ordering of A^T + A.
     """
     n = operand.shape[0]
@@ -87,8 +87,7 @@ def _factor(operand):
         lu, piv, info = lapack.dgetrf(np.eye(n) - operand)
         if info > 0:
             raise NonConvergence(f"singular diagonal block: pivot {info} is exactly zero")
-        return lambda rhs, trans: _columns(
-            lambda b: lapack.dgetrs(lu, piv, b, trans=int(trans))[0], rhs)
+        return lambda rhs, trans: lapack.dgetrs(lu, piv, rhs, trans=int(trans))[0]
     try:
         lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -180,7 +179,7 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
         lu = _lu(block, scan)
         E = np.zeros((block.B.shape[0], c.size))
         E[c, np.arange(c.size)] = 1.0
-        W = lu(E, True)
+        W = np.column_stack([lu(e, True) for e in E.T])  # each column's bits alone
         P = np.linalg.solve(W[c].T, W.T).T
     except (NonConvergence, np.linalg.LinAlgError):
         return None
@@ -305,8 +304,9 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     uniformly in the first time cell; the result has fbar's shape.  For
     fbar the identity, column i is the propagator's row for state i.
 
-    A density, or a stack of fewer than N, is scanned: its jump activity,
-    synchronized.  A stack of N or more is multiplied by one N x N transfer
+    A density is scanned: its jump activity, synchronized; a stack of fewer
+    than N is scanned one column at a time, so each column gets the bits
+    it gets alone.  A stack of N or more is multiplied by one N x N transfer
     matrix per run of cells that share a diagonal block, which costs less
     than c columns per cell; the two agree to the diagonal blocks'
     eps * cond, and on a stiff block either may raise NonConvergence where
@@ -319,7 +319,12 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     _check_block(J, l)
     if fbar.ndim == 2 and fbar.shape[1] >= n:
         return _propagate_by_runs(J, fbar, l)
-    F = np.zeros((J.indexer.size, *fbar.shape[1:]))
+    if fbar.ndim == 2:
+        out = np.empty_like(fbar)
+        for j in range(fbar.shape[1]):
+            out[:, j] = reconstruct_propagator(J, fbar[:, j], l)
+        return out
+    F = np.zeros(J.indexer.size)
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
 

@@ -5,13 +5,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .generator import (
-    GridPotential,
-    RateMatrixSequence,
-    TimeGrid,
-    rate_sequence_from_protocol,
-    sqra_rates,
-)
+from .generator import GridPotential, RateMatrixSequence, TimeGrid, sqra_rates
 
 TWO_STATE_SWITCH_TIME = 4.0
 TWO_STATE_HORIZON = 8.0
@@ -40,12 +34,9 @@ def two_state(dt: float = 1.0) -> RateMatrixSequence:
     grid = _uniform_grid(dt, TWO_STATE_SWITCH_TIME, TWO_STATE_HORIZON)
     a_to_b = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     b_to_a = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
-
-    def builder(k, span):
-        mid = 0.5 * (span[0] + span[1])
-        return a_to_b if mid < TWO_STATE_SWITCH_TIME else b_to_a
-
-    return rate_sequence_from_protocol(grid, builder)
+    mid = 0.5 * (grid.edges[:-1] + grid.edges[1:])  # each cell's phase is its midpoint's
+    return RateMatrixSequence(grid, [a_to_b if t < TWO_STATE_SWITCH_TIME else b_to_a
+                                     for t in mid])
 
 
 def triple_well_potential(x, y):
@@ -78,16 +69,9 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     dt must divide the switch time 1.
     """
     grid = _uniform_grid(dt, TRIPLE_WELL_SWITCH_TIME, TRIPLE_WELL_HORIZON)
-    pot = triple_well_grid_potential()
-    beta_lo, beta_hi = TRIPLE_WELL_BETA
-    # off-diagonal rates: rate_sequence_from_protocol closes each phase once
-    rates = dict(zip(TRIPLE_WELL_BETA, sqra_rates(pot, TRIPLE_WELL_BETA)))
-
-    def builder(k, span):
-        mid = 0.5 * (span[0] + span[1])
-        return rates[beta_lo if mid < TRIPLE_WELL_SWITCH_TIME else beta_hi]
-
-    return rate_sequence_from_protocol(grid, builder)
+    mid = 0.5 * (grid.edges[:-1] + grid.edges[1:])  # each cell's phase is its midpoint's
+    betas = np.where(mid < TRIPLE_WELL_SWITCH_TIME, *TRIPLE_WELL_BETA)
+    return RateMatrixSequence(grid, sqra_rates(triple_well_grid_potential(), betas))
 
 
 # Config name -> builder; a builder called without dt uses its own default.

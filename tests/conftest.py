@@ -13,7 +13,6 @@ from ajc.generator import (
     RateMatrixSequence,
     TimeGrid,
     Violation,
-    rate_sequence_from_protocol,
     sqra_rates,
 )
 from ajc.jumpchain import TrajectorySample, _invert_hazard
@@ -51,9 +50,8 @@ def triple_well_grid_seq(n_side, cells):
     offsets = h * (np.arange(n_side) - (n_side - 1) / 2)
     X, Y = np.meshgrid((x0 + x1) / 2 + offsets, (y0 + y1) / 2 + offsets)
     pot = GridPotential(n_side, n_side, h, presets.triple_well_potential(X, Y))
-    Q = dict(zip((1.0, 10.0), sqra_rates(pot, (1.0, 10.0))))
-    return rate_sequence_from_protocol(TimeGrid.uniform(0.0, 2.0, cells),
-                                      lambda k, span: Q[1.0 if 2 * k < cells else 10.0])
+    betas = np.where(2 * np.arange(cells) < cells, 1.0, 10.0)
+    return RateMatrixSequence(TimeGrid.uniform(0.0, 2.0, cells), sqra_rates(pot, betas))
 
 
 @pytest.fixture(scope="session")
@@ -63,9 +61,13 @@ def grid_2500_J():
 
 
 def dense_rate_matrix(offdiag_rows):
-    """The generator whose off-diagonal rates are those of offdiag_rows."""
-    R = sp.csr_matrix(np.array(offdiag_rows, dtype=float))
-    return RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 1), (R,)).matrices[0]
+    """The generator Q = R - diag(q), as a CSR, whose off-diagonal rates R
+    are those of offdiag_rows, with q R's row sums; a diagonal given is
+    ignored.  Bad rates are kept, to write invalid protocols with."""
+    R = np.array(offdiag_rows, dtype=float)
+    np.fill_diagonal(R, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, sums that overflow
+        return sp.csr_matrix(R - np.diag(R.sum(axis=1)))
 
 
 @pytest.fixture(scope="session")
@@ -100,6 +102,11 @@ def sample_jump_time(seq, i, s, u):
     past the horizon."""
     hit = _invert_hazard(seq.grid.edges.tolist(), seq.outbound[i].tolist(), s, u)
     return None if hit is None else hit[0]
+
+
+def flat(idx, i, k):
+    """Flat index of cell (state i, block k) under the indexer idx."""
+    return np.asarray(k) * idx.N + np.asarray(i)
 
 
 def interval_of(grid, t):

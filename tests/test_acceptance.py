@@ -28,6 +28,7 @@ from conftest import (
     as_grid,
     closed_form_survival,
     dense_rate_matrix,
+    flat,
     koopman_matrix_column,
     operator_norm_error,
     sample_jump_time,
@@ -91,7 +92,7 @@ class TestAcceptance:
                 cells = sample_first_jump_cells(two_state_seq, i, k, n, rng)
                 j = B if i == A else A  # the only jump partner
                 for l in range(k, idx.M):
-                    p = two_state_J.matrix[idx.flat(i, k), idx.flat(j, l)]
+                    p = two_state_J.matrix[flat(idx, i, k), flat(idx, j, l)]
                     freq = np.mean(cells == l)
                     se = np.sqrt(max(p * (1 - p), 1e-12) / n)
                     if abs(freq - p) > 3 * se:

@@ -12,7 +12,7 @@ from ajc.committor import (
 from ajc.galerkin import apply_adjoint
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
-from conftest import koopman_matrix_column
+from conftest import flat, koopman_matrix_column
 
 A, B = 0, 1
 
@@ -26,6 +26,8 @@ class TestSpaceTimeSet:
     def test_rectangle(self):
         s = SpaceTimeSet.rectangle([0, 2], (1, 2))
         assert s.cells == {(0, 1), (0, 2), (2, 1), (2, 2)}
+        with pytest.raises(ValueError, match=r"blocks \[2, 1\] are reversed"):
+            SpaceTimeSet.rectangle([0, 2], (2, 1))
 
     def test_mask_layout(self):
         s = SpaceTimeSet([(1, 0), (0, 2)])
@@ -100,8 +102,8 @@ class TestCommittor:
         to_b = committor_solve(two_state_J, a, b, tail=TAIL_TO_B)
         idx = two_state_J.indexer
         # state A is frozen on [4, 8]: the committor there is exactly the tail
-        assert to_a.values[idx.flat(A, 7)] == pytest.approx(1.0)
-        assert to_b.values[idx.flat(A, 7)] == pytest.approx(0.0)
+        assert to_a.values[flat(idx, A, 7)] == pytest.approx(1.0)
+        assert to_b.values[flat(idx, A, 7)] == pytest.approx(0.0)
 
     def test_monte_carlo_hitting_probability(self, two_state_seq, two_state_J):
         # c at (A, 0) with target "state B at any block" is the probability
@@ -109,7 +111,7 @@ class TestCommittor:
         a = SpaceTimeSet.rectangle([B], (0, 7))
         c = committor_solve(two_state_J, a, SpaceTimeSet([]),
                             tail=TAIL_TO_B)
-        got = c.values[two_state_J.indexer.flat(A, 0)]
+        got = c.values[flat(two_state_J.indexer, A, 0)]
 
         n = 20_000
         rng = np.random.default_rng(314)

@@ -22,7 +22,6 @@ from ajc.generator import (
     GridPotential,
     RateMatrixSequence,
     TimeGrid,
-    rate_sequence_from_protocol,
     sqra_rates,
 )
 from ajc.operators import (
@@ -41,6 +40,7 @@ from conftest import (
     closed_form_survival,
     committor_sparse_solve,
     dense_rate_matrix,
+    flat,
     kernel_density,
 )
 
@@ -102,11 +102,11 @@ class TestHelpers:
 class TestIndexer:
     def test_layout_time_outer_space_inner(self):
         idx = SpaceTimeIndexer(N=5, M=3)
-        assert idx.flat(0, 0) == 0
-        assert idx.flat(4, 0) == 4
-        assert idx.flat(0, 1) == 5
+        assert flat(idx, 0, 0) == 0
+        assert flat(idx, 4, 0) == 4
+        assert flat(idx, 0, 1) == 5
         i, k = idx.unflat(np.arange(idx.size))
-        assert np.array_equal(idx.flat(i, k), np.arange(idx.size))
+        assert np.array_equal(flat(idx, i, k), np.arange(idx.size))
 
 
 class TestAssemble:
@@ -142,9 +142,8 @@ class TestAssemble:
         # any solve each record holds its B and its phase's R, 2 N^2 doubles
         n = galerkin._DENSE_MAX
         pot = GridPotential(12, 12, 0.1, np.sin(np.arange(n)))
-        rates = sqra_rates(pot, 1.0 + np.arange(10))
-        seq = rate_sequence_from_protocol(TimeGrid.uniform(0.0, 1.0, 10),
-                                          lambda k, span: rates[k])
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 10),
+                                 sqra_rates(pot, 1.0 + np.arange(10)))
         J = assemble(seq)
         held = {id(a): a.nbytes for b in J.blocks for a in (b.R, b.B)}
         assert len(J.blocks) == 10 and all(b.lu is None for b in J.blocks)
@@ -162,7 +161,7 @@ class TestAssemble:
 
     def test_gap_entry(self, two_state_seq, two_state_J):
         idx = two_state_J.indexer
-        got = two_state_J.matrix[idx.flat(A, 0), idx.flat(B, 2)]
+        got = two_state_J.matrix[flat(idx, A, 0), flat(idx, B, 2)]
         assert got == pytest.approx((1 - np.exp(-1)) ** 2 * np.exp(-1), rel=1e-12)
         assert got == pytest.approx(quadrature_entry(two_state_seq, A, 0, B, 2), rel=1e-8)
 
@@ -170,7 +169,7 @@ class TestAssemble:
         J = assemble(positive_rates_seq)
         idx = J.indexer
         for (i, k, j, l) in [(0, 0, 1, 0), (0, 0, 2, 3), (1, 1, 0, 2), (2, 0, 1, 1)]:
-            got = J.matrix[idx.flat(i, k), idx.flat(j, l)]
+            got = J.matrix[flat(idx, i, k), flat(idx, j, l)]
             assert got == pytest.approx(
                 quadrature_entry(positive_rates_seq, i, k, j, l), rel=1e-7
             )
@@ -182,7 +181,7 @@ class TestAssemble:
         )
         J = assemble(seq)
         for k in range(4):
-            a = int(J.indexer.flat(0, k))
+            a = int(flat(J.indexer, 0, k))
             assert J.matrix[a].nnz == 0
             assert J.survival_mass[a] == pytest.approx(1.0)
 
@@ -255,7 +254,7 @@ class TestRowMass:
 
     def test_two_state_first_cell(self, two_state_J):
         # A leaves at rate 1 on [0,4] and is frozen afterwards
-        a = int(two_state_J.indexer.flat(A, 0))
+        a = int(flat(two_state_J.indexer, A, 0))
         jump, surv = two_state_J.matrix[a].sum(), two_state_J.survival_mass[a]
         expected_jump = 1.0 - np.exp(-4.0) * (np.e - 1.0)
         assert jump == pytest.approx(expected_jump, rel=1e-12)
@@ -268,7 +267,7 @@ class TestRowMass:
         dt = seq.grid.widths[-1]
         for i in range(seq.N):
             q = seq.outbound[i, M - 1]
-            a = int(J.indexer.flat(i, M - 1))
+            a = int(flat(J.indexer, i, M - 1))
             jump, surv = J.matrix[a].sum(), J.survival_mass[a]
             assert jump == pytest.approx(1 - (1 - np.exp(-q * dt)) / (q * dt), rel=1e-11)
             assert jump + surv == pytest.approx(1.0, abs=1e-12)
@@ -473,7 +472,7 @@ class TestApply:
     def test_last_block_support_stays_in_last_block(self, two_state_J):
         idx = two_state_J.indexer
         f = np.zeros(idx.size)
-        f[idx.flat(B, idx.M - 1)] = 1.0
+        f[flat(idx, B, idx.M - 1)] = 1.0
         out = apply_forward(two_state_J, f)
         assert np.all(out[: (idx.M - 1) * idx.N] == 0)
 

@@ -1,4 +1,5 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from ajc import io as ajcio
 from ajc import presets
 from ajc.generator import (
     GridPotential,
+    InvalidProtocol,
     RateMatrixSequence,
     TimeGrid,
     _split,
     four_neighbor_adjacency,
-    rate_sequence_from_protocol,
     sqra_rates,
-    validate_generator,
 )
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 
@@ -33,6 +33,13 @@ from conftest import (
 
 def seq_of(grid, *mats):
     return RateMatrixSequence(grid, tuple(sp.csr_matrix(np.array(m, float)) for m in mats))
+
+
+def violations(grid, *mats):
+    """The violations that refuse the sequence of these rate matrices."""
+    with pytest.raises(InvalidProtocol) as err:
+        RateMatrixSequence(grid, mats)
+    return err.value.violations
 
 
 class TestTimeGrid:
@@ -65,14 +72,16 @@ class TestTimeGrid:
 
 
 class TestValidateGenerator:
+    """A sequence is validated on construction."""
+
     def test_valid_absorbing_generator(self):
         seq = seq_of(TimeGrid.uniform(0, 1, 1), [[-1.0, 1.0], [0.0, 0.0]])
-        assert validate_generator(seq) == []
+        np.testing.assert_array_equal(seq.outbound[:, 0], [1.0, 0.0])
 
     def test_rowsum_violation(self):
         # rows close by construction; finite rates whose sum overflows do not
-        seq = seq_of(TimeGrid.uniform(0, 1, 1), [[0, 1e308, 1e308], [1.0, 0, 0], [1.0, 0, 0]])
-        bad = validate_generator(seq)
+        rates = sp.csr_matrix(np.array([[0, 1e308, 1e308], [1.0, 0, 0], [1.0, 0, 0]]))
+        bad = violations(TimeGrid.uniform(0, 1, 1), rates)
         assert [(v.kind, v.row, v.col, v.magnitude) for v in bad] == \
             [("rowsum", 0, None, np.inf)]
 
@@ -88,15 +97,14 @@ class TestValidateGenerator:
         np.testing.assert_array_equal(wrong.outbound[:, 0], [1.5, 2.0, 0.25])
 
     def test_negativity_violation(self):
-        seq = seq_of(TimeGrid.uniform(0, 1, 1), [[0.3, -0.3], [0.0, 0.0]])
-        kinds = {v.kind for v in validate_generator(seq)}
+        rates = sp.csr_matrix(np.array([[0.3, -0.3], [0.0, 0.0]]))
+        kinds = {v.kind for v in violations(TimeGrid.uniform(0, 1, 1), rates)}
         assert "negativity" in kinds
 
     @pytest.mark.parametrize("rate", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rate(self, rate):
         Q = dense_rate_matrix([[0, rate], [1.0, 0]])
-        seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (Q,))
-        bad = validate_generator(seq)
+        bad = violations(TimeGrid.uniform(0, 1, 1), Q)
         assert [(v.kind, v.row, v.col) for v in bad] == [("nonfinite", 0, 1)]
         assert "nonfinite violation at matrix 0, row 0, col 1" in str(bad[0])
 
@@ -104,11 +112,23 @@ class TestValidateGenerator:
         # a phase's violations are filed once, under its first cell
         bad = dense_rate_matrix([[0, -1.0], [2.0, 0]])
         good = dense_rate_matrix([[0, 1.0], [1.0, 0]])
-        seq = RateMatrixSequence(TimeGrid.uniform(0, 4, 4), (good, bad, good, bad))
-        assert seq.phase.tolist() == [0, 1, 0, 1]
-        found = validate_generator(seq)
+        found = violations(TimeGrid.uniform(0, 4, 4), good, bad, good, bad)
         assert [(v.matrix, v.kind, v.row, v.col) for v in found] == [(1, "negativity", 0, 1)]
         assert str(found[0]) == "negativity violation at matrix 1, row 0, col 1: 1.000e+00"
+
+    def test_a_negative_rate_is_refused(self):
+        # refused on construction, so neither assemble nor the sampler reads it
+        rates = sp.csr_matrix(np.array([[0.0, -1.0], [2.0, 0.0]]))
+        with pytest.raises(InvalidProtocol) as err:
+            RateMatrixSequence(TimeGrid.uniform(0, 2, 2), (rates, rates))
+        assert [(v.matrix, v.kind, v.row, v.col, v.magnitude) for v in err.value.violations] \
+            == [(0, "negativity", 0, 1, 1.0)]
+        assert str(err.value) == \
+            "invalid protocol: negativity violation at matrix 0, row 0, col 1: 1.000e+00"
+
+    def test_no_states_is_refused(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            RateMatrixSequence(TimeGrid.uniform(0, 1, 2), [sp.csr_matrix((0, 0))] * 2)
 
 
 class TestEmbeddedProbabilities:
@@ -128,15 +148,6 @@ class TestEmbeddedProbabilities:
 
 
 class TestSqra:
-    def test_potentials_compare_by_value(self):
-        pot = GridPotential(3, 3, 1.0, np.zeros(9))
-        assert pot == GridPotential(3, 3, 1.0, np.zeros((3, 3)))
-        assert hash(pot) == hash(GridPotential(3, 3, 1.0, np.zeros(9)))
-        for other in (GridPotential(3, 3, 1.0, np.ones(9)), GridPotential(3, 3, 0.5, np.zeros(9)),
-                      GridPotential(9, 1, 1.0, np.zeros(9)), None):
-            assert pot != other
-        assert len({pot, GridPotential(3, 3, 1.0, np.zeros(9))}) == 1
-
     def test_flat_potential_gives_flat_rate(self):
         pot = GridPotential(3, 3, 0.5, np.full(9, 1.7))
         beta = 2.0
@@ -185,6 +196,17 @@ class TestSqra:
             sqra_rates(pot, [1.0, 0.0])
         with pytest.raises(ValueError):
             GridPotential(2, 2, -1.0, np.zeros(4))
+        for nx, ny, values in ((-1, -2, np.zeros(2)), (0, 0, []), (0, 3, []), (2, 0, [])):
+            with pytest.raises(ValueError, match="nx and ny must be positive"):
+                GridPotential(nx, ny, 1.0, values)
+
+    def test_a_schedule_gives_one_matrix_per_beta(self):
+        pot = GridPotential(3, 2, 0.5, np.arange(6.0))
+        rates = sqra_rates(pot, [2.0, 1.0, 2.0, 2.0, 1.0])
+        assert [id(R) for R in rates] == [id(rates[i]) for i in (0, 1, 0, 0, 1)]
+        assert rates[0] is not rates[1]
+        for R, beta in zip(rates, (2.0, 1.0)):
+            assert csr_bytes(R) == csr_bytes(sqra_rates(pot, [beta])[0])
 
     def test_adjacency_degrees(self):
         A = four_neighbor_adjacency(9, 7)
@@ -215,7 +237,7 @@ class TestProtocol:
 
     def test_one_rate_matrix_per_phase(self):
         seq = presets.triple_well(1 / 96)
-        # one split per distinct builder output, shared by the cells of its phase
+        # one split per distinct rate matrix, shared by the cells of its phase
         np.testing.assert_array_equal(seq.phase, [0] * 96 + [1] * 96)
         assert seq.offdiag[0] is seq.offdiag[95] and seq.offdiag[96] is seq.offdiag[-1]
         assert seq.offdiag[95] is not seq.offdiag[96]
@@ -242,7 +264,8 @@ class TestProtocol:
 
     def test_constant_builder(self):
         Q = dense_rate_matrix([[0, 1], [2, 0]])
-        seq = rate_sequence_from_protocol(TimeGrid.uniform(0, 1, 5), lambda k, span: Q)
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 5), [Q] * 5)
+        assert seq.phase.tolist() == [0] * 5
         for M in seq.matrices:
             np.testing.assert_array_equal(M.toarray(), Q.toarray())
 
@@ -257,18 +280,10 @@ class TestProtocol:
             np.testing.assert_array_equal(triple_well_seq.matrices[k].toarray(), cold)
         assert not np.array_equal(hot, cold)
 
-    def test_builder_failure_reports_interval(self):
-        def builder(k, span):
-            if k == 2:
-                raise RuntimeError("boom")
-            return dense_rate_matrix([[0, 1], [1, 0]])
-
-        with pytest.raises(ValueError, match="cell 2"):
-            rate_sequence_from_protocol(TimeGrid.uniform(0, 1, 4), builder)
-
     def test_produced_sequences_are_valid(self, triple_well_seq, two_state_seq):
-        assert validate_generator(triple_well_seq) == []
-        assert validate_generator(two_state_seq) == []
+        for seq in (triple_well_seq, two_state_seq):
+            assert np.isfinite(seq.outbound).all() and (seq.outbound >= 0).all()
+            assert all((R.data > 0).all() for R in seq.offdiag)
 
     def test_diagonal_recomputed(self):
         raw = sp.csr_matrix(np.array([[5.0, 1.0], [2.0, 7.0]]))
@@ -388,9 +403,20 @@ class TestSameBytesAsReference:
         lambda n: st.lists(rate_matrices(n), min_size=1, max_size=3)),
         st.lists(st.integers(0, 2), min_size=1, max_size=5))
     def test_validation(self, phases, cells):
-        mats = [phases[c % len(phases)] for c in cells]
+        picks = [c % len(phases) for c in cells]
+        mats = [phases[p] for p in picks]
+        used = list(dict.fromkeys(picks))  # the protocol's phases, in order of first use
         with np.errstate(invalid="ignore", over="ignore"):
-            seq = RateMatrixSequence(TimeGrid.uniform(0, 1, len(mats)), mats)
+            split = [_split(phases[p]) for p in used]
+            try:
+                RateMatrixSequence(TimeGrid.uniform(0, 1, len(mats)), mats)
+                found = []
+            except InvalidProtocol as exc:
+                found = exc.violations
+        # what the constructor splits the protocol into, valid or not
+        phase = [used.index(p) for p in picks]
+        seen = SimpleNamespace(phase=np.array(phase), offdiag=[split[p][0] for p in phase],
+                               outbound=np.column_stack([split[p][1] for p in phase]))
         key = lambda found: [(v.matrix, v.kind, v.row, v.col, repr(v.magnitude))
                              for v in found]
-        assert key(validate_generator(seq)) == key(reference_validate_generator(seq))
+        assert key(found) == key(reference_validate_generator(seen))

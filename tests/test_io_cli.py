@@ -17,7 +17,7 @@ from ajc import cli, galerkin, operators, presets
 from ajc import io as ajcio
 from ajc.cli import main
 from ajc.galerkin import assemble
-from ajc.generator import RateMatrixSequence, TimeGrid, validate_generator
+from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 from ajc.operators import embed_spacelike, jump_activity, koopman_solve, synchronize
 
@@ -97,7 +97,6 @@ class TestBuildSequence:
         }}
         seq = ajcio.build_sequence(config)
         assert seq.N == 63 and seq.grid.M == 4
-        assert validate_generator(seq) == []
         assert (seq.matrices[0] != seq.matrices[1]).nnz == 0
         assert (seq.matrices[1] != seq.matrices[2]).nnz > 0
 
@@ -320,8 +319,8 @@ class TestCli:
         }})
         for command in ("koopman", "propagate"):
             assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
-            err = capsys.readouterr().err
-            assert "q0.mtx" in err and "row 0, col 1" in err and "q1.mtx" not in err
+            assert capsys.readouterr().err == (f"config error: {tmp_path / 'q0.mtx'}: negativity "
+                                               f"violation at matrix 0, row 0, col 1: 1.000e+00\n")
 
     def test_files_with_an_overflowing_row_exit_2(self, tmp_path, capsys):
         # finite rates whose sum, the outbound rate, overflows
@@ -336,6 +335,25 @@ class TestCli:
         assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: {tmp_path / 'q1.mtx'}: rowsum violation at matrix 1, row 1: inf\n"
+
+    def test_an_overflowing_beta_is_named_in_full(self, tmp_path, capsys):
+        # every rate of the beta that overflows, under its source, in order
+        pot = presets.triple_well_grid_potential()
+        adj, v = pot.adjacency.tocoo(), pot.values
+        want = "; ".join(f"sqra rates at beta 1e+300: nonfinite violation at matrix 0, "
+                         f"row {i}, col {j}: inf" for i, j in zip(adj.row, adj.col) if v[j] < v[i])
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "sqra", "beta_schedule": [1e300], "time_grid": {"t0": 0, "t1": 2, "cells": 1}}})
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: {want}\n"
+
+    def test_a_file_of_no_states_exit_2(self, tmp_path, capsys):
+        scipy.io.mmwrite(tmp_path / "q0.mtx", sp.csr_matrix((0, 0)))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files", "time_grid": {"edges": [0.0, 1.0]}, "matrices": ["q0.mtx"]}})
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: rate matrix {tmp_path / 'q0.mtx'}: "
+                                           f"a protocol needs at least one state\n")
 
     def test_a_bad_phase_is_reported_once(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"generator": {
@@ -438,6 +456,18 @@ class TestCli:
          "time_grid edges must be a list of numbers, got ['0', '2']"),
         ("convergence", {"dt_list": [1, 1]}, "dt_list must be strictly descending: dt=1 follows 1"),
         ("convergence", {"dt_list": [2, 1, 1]}, "dt=1 follows 1"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0], "nx": -1, "ny": -2, "h": 1.0}},
+         "sqra potential: grid sizes nx and ny must be positive, got nx=-1, ny=-2"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [], "nx": 0, "ny": 0, "h": 1.0}},
+         "sqra potential: grid sizes nx and ny must be positive, got nx=0, ny=0"),
+        ("committor", {"set_a": [["B", 7]], "set_b": {"states": [1], "blocks": [7, 0]}},
+         "set B blocks [7, 0] are reversed"),
+        ("coherence", {"set_c": {"states": [0], "blocks": [5, 2]}},
+         "set C blocks [5, 2] are reversed"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

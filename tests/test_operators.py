@@ -28,6 +28,7 @@ from conftest import (
     closed_form_survival,
     committor_sparse_solve,
     dense_rate_matrix,
+    flat,
     koopman_matrix_column,
     triple_well_grid_seq,
 )
@@ -105,15 +106,15 @@ class TestSynchronize:
         idx = J.indexer
         a = SpaceTimeVector(np.zeros(idx.size), idx)
         vals = a.values.copy()
-        vals[idx.flat(A, 2)] = 0.4
-        vals[idx.flat(B, 2)] = 0.6
+        vals[flat(idx, A, 2)] = 0.4
+        vals[flat(idx, B, 2)] = 0.6
         a = SpaceTimeVector(vals, idx)
         np.testing.assert_allclose(synchronize(J, a, 2), [0.4, 0.6])
 
     def test_single_mass_survival_weight(self, two_state_seq, two_state_J):
         idx = two_state_J.indexer
         vals = np.zeros(idx.size)
-        vals[idx.flat(B, 1)] = 1.0
+        vals[flat(idx, B, 1)] = 1.0
         a = SpaceTimeVector(vals, idx)
         got = synchronize(two_state_J, a, idx.M - 1)
         assert got[A] == 0.0
@@ -159,6 +160,7 @@ class TestReconstructPropagator:
                 assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
                 np.testing.assert_array_equal(reconstruct_propagator(J, F[:, :n - 1], l),
                                               want[:, :n - 1])
+                assert reconstruct_propagator(J, F[:, :0], l).shape == (n, 0)
 
     def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
         scans = []
