@@ -8,6 +8,7 @@ Koopman, committor and coherence problems on it.
 
 from .generator import (
     GridPotential,
+    InvalidProtocol,
     RateMatrixSequence,
     TimeGrid,
     Violation,
@@ -45,7 +46,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridPotential", "RateMatrixSequence", "TimeGrid", "Violation",
+    "GridPotential", "InvalidProtocol", "RateMatrixSequence", "TimeGrid", "Violation",
     "four_neighbor_adjacency", "sqra_rates",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",

@@ -19,10 +19,14 @@ them one time block at a time, which is how the .mtx export writes them,
 and JumpMatrix.matrix stacks them on request for checks.
 
 Each distinct (phase, width) pair has one record of what its cells
-multiply by, R and the diagonal block B, whose transposes are views, and
-a slot for the LU that ajc.operators makes on first use.  Up to _DENSE_MAX
-states they are dense: at that size one BLAS mat-vec or LAPACK solve costs
-less than scipy's sparse dispatch around the same arithmetic.
+multiply by: R and the diagonal block B, whose transposes are views, the
+closed forms phi, d = exp(-q dt) and phi / dt as (N, 1) columns, evaluated
+once per record rather than once per cell, and a slot for the LU that
+ajc.operators makes on first use.  The scans read each cell's record
+(JumpMatrix.cells), and J's (N, M) tables gather the records' columns.  Up
+to _DENSE_MAX states R and B are dense: at that size one BLAS mat-vec or
+LAPACK solve costs less than scipy's sparse dispatch around the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -95,8 +99,9 @@ class SpaceTimeIndexer:
 @dataclass(eq=False)
 class _Factors:
     """What the cells of one phase and width multiply by: R, the diagonal
-    block B = diag(psi / dt) R, and lu, the solver of I - B^T that
-    ajc.operators sets on the first solve that needs it.
+    block B = diag(psi / dt) R, the contiguous (N, 1) columns phi = phi(q,
+    dt), decay = exp(-q dt) and leave = phi / dt, and lu, the solver of
+    I - B^T that ajc.operators sets on the first solve that needs it.
 
     Up to _DENSE_MAX states R and B are dense arrays, above it CSR; either
     way a kernel that needs a transpose reads the view .T, so a record holds
@@ -105,6 +110,9 @@ class _Factors:
 
     R: object
     B: object
+    phi: np.ndarray
+    decay: np.ndarray
+    leave: np.ndarray
     lu: object = None
 
 
@@ -115,9 +123,10 @@ class JumpMatrix:
     Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and the
     (N, M) arrays phi, decay and within hold phi(q, dt), exp(-q dt) and
     psi(q, dt) / dt, so the time block (l, l) is diag(within[:, l]) R^l.
-    blocks[block_of[l]] is cell l's _Factors record, one per phase and
-    width, whose R, B and views .T the scans and ajc.operators' solves
-    multiply by.
+    cells[l] = blocks[block_of[l]] is cell l's _Factors record, one per
+    phase and width, whose R, B, views .T and columns phi, decay and leave
+    the scans and ajc.operators' solves multiply by; the tables are those
+    columns gathered per cell.
     """
 
     indexer: SpaceTimeIndexer
@@ -130,27 +139,30 @@ class JumpMatrix:
     blocks: tuple  # of _Factors
     block_of: np.ndarray  # (M,) index into blocks
 
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """Per time cell, its _Factors record."""
+        return tuple(self.blocks[b] for b in self.block_of.tolist())
+
     def scan_forward(self, X: np.ndarray):
         """Scan J^T over the (M, N, c) blocks of X in ascending time.
 
         Yields (l, inflow), the jumps into block l from the earlier blocks
         of X; the caller may overwrite X[l] before its jumps join the carry.
         """
-        leave = self.phi / self.grid.widths
         carry = np.zeros_like(X[0])
-        for l, b in enumerate(self.block_of):
-            yield l, self.blocks[b].R.T @ (self.phi[:, l, None] * carry)
-            carry = self.decay[:, l, None] * carry + leave[:, l, None] * X[l]
+        for l, f in enumerate(self.cells):
+            yield l, f.R.T @ (f.phi * carry)
+            carry = f.decay * carry + f.leave * X[l]
 
     def scan_backward(self, X: np.ndarray):
         """Scan J over the (M, N, c) blocks of X in descending time, yielding
         (k, inflow) with the jumps from block k into the later blocks of X."""
-        leave = self.phi / self.grid.widths
         carry = np.zeros_like(X[0])
         for k in range(self.indexer.M - 1, -1, -1):
-            yield k, leave[:, k, None] * carry
-            jumps = self.blocks[self.block_of[k]].R @ X[k]
-            carry = self.decay[:, k, None] * carry + self.phi[:, k, None] * jumps
+            f = self.cells[k]
+            yield k, f.leave * carry
+            carry = f.decay * carry + f.phi * (f.R @ X[k])
 
     def block_survival(self, l: int) -> np.ndarray:
         """Per-cell probability of not having jumped into blocks <= l: from a
@@ -230,33 +242,41 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     on the sequence's own outbound and offdiag tables.
 
     Cells of one phase and one width share one _Factors record, and the
-    records of one phase share its R.
+    records of one phase share its R.  The closed forms are evaluated once
+    per record, on its column of q, and the (N, M) tables gather them.
     """
     dt = seq.grid.widths
     q = seq.outbound
-    within = psi(q, dt) / dt
     dense = seq.N <= _DENSE_MAX
     rates = {}  # phase -> R
     index = {}  # (phase, width) -> index into blocks
-    blocks = []
-    for l, (p, R) in enumerate(zip(seq.phase, seq.offdiag)):
-        if (p, dt[l]) in index:
+    blocks, within = [], []
+    for l, (p, R) in enumerate(zip(seq.phase.tolist(), seq.offdiag)):
+        w = dt[l]
+        if (p, w) in index:
             continue
         if p not in rates:
             rates[p] = R.toarray() if dense else R
+        ql = q[:, l, None]
+        within.append(psi(ql, w) / w)
         if dense:
-            B = rates[p] * within[:, l, None]
+            B = rates[p] * within[-1]
         else:
             # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
             rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-            B = sp.csr_matrix((R.data * within[rows, l], R.indices, R.indptr), shape=R.shape)
-        index[p, dt[l]] = len(blocks)
-        blocks.append(_Factors(rates[p], B))
+            B = sp.csr_matrix((R.data * within[-1][rows, 0], R.indices, R.indptr), shape=R.shape)
+        jump = phi(ql, w)
+        index[p, w] = len(blocks)
+        blocks.append(_Factors(rates[p], B, jump, np.exp(-ql * w), jump / w))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
              seq.N, seq.grid.M, seq.phase.max() + 1, len(blocks), "dense" if dense else "sparse")
+    block_of = np.array([index[p, w] for p, w in zip(seq.phase.tolist(), dt)])
+
+    def table(columns):
+        return np.take(np.hstack(columns), block_of, axis=1)
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      phi(q, dt), np.exp(-q * dt), within, tuple(blocks),
-                      np.array([index[p, w] for p, w in zip(seq.phase, dt)]))
+                      table([f.phi for f in blocks]), table([f.decay for f in blocks]),
+                      table(within), tuple(blocks), block_of)
 
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
@@ -267,5 +287,5 @@ def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
     G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
     for k, inflow in J.scan_backward(G):
-        out[k] = J.blocks[J.block_of[k]].B @ G[k] + inflow
+        out[k] = J.cells[k].B @ G[k] + inflow
     return out.reshape(np.shape(g))

@@ -74,12 +74,18 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
 
     R is masked out of a copy of the input's CSR form with its duplicates
     summed, so it shares no array with the caller, and is that copy whole
-    when there is nothing to drop.
+    when there is nothing to drop.  A canonical float CSR input is copied
+    array by array; any other input goes through scipy's CSR constructor.
     """
-    A = sp.csr_matrix(rates, dtype=float, copy=True)
-    A.sum_duplicates()
-    n = A.shape[0]
-    data, indices, indptr = A.data, A.indices, A.indptr
+    if (sp.issparse(rates) and rates.format == "csr" and rates.dtype == float
+            and rates.has_canonical_format):
+        shape = rates.shape
+        data, indices, indptr = rates.data.copy(), rates.indices.copy(), rates.indptr.copy()
+    else:
+        A = sp.csr_matrix(rates, dtype=float, copy=True)
+        A.sum_duplicates()
+        shape, data, indices, indptr = A.shape, A.data, A.indices, A.indptr
+    n = shape[0]
     rows = np.repeat(np.arange(n), np.diff(indptr))
     keep = (rows != indices) & (data != 0)
     if not keep.all():
@@ -87,7 +93,7 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
         indptr = np.zeros_like(indptr)
         np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
     # the constructor picks the index dtype, int32 wherever the indices fit
-    R = sp.csr_matrix((data, indices, indptr), shape=A.shape)
+    R = sp.csr_matrix((data, indices, indptr), shape=shape)
     # R.sum(axis=1)'s own arithmetic: reduceat over the rows that hold an
     # entry, +0.0 for the others (reduceat would give the next row's first)
     q = np.zeros(n)

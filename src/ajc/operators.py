@@ -10,10 +10,13 @@ is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
 repeated squaring: one N-column solve per run instead of one per cell.
 A solve sees a diagonal block only through the jump operator's record of
-it (JumpMatrix.blocks), one per phase and width: B, its view B^T and one
-LU of I - B^T, which the first solve that needs it factors and keeps
-there, so on a uniform grid one LU per protocol phase serves every solve
-on that operator, in both directions, each with its residual check.  One
+it (JumpMatrix.blocks, per cell JumpMatrix.cells), one per phase and
+width: B, its view B^T, its closed-form columns and one LU of I - B^T,
+which the first solve that needs it factors and keeps there, so on a
+uniform grid one LU per protocol phase serves every solve on that
+operator, in both directions.  A scan keeps the right-hand side of each
+cell it solves on a whole block and, after the scan, checks the residuals
+of each record's cells against RESIDUAL_TOL in one product over them.  One
 size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
 Kernels take the stack they are given; a propagator of fewer than N
@@ -42,6 +45,7 @@ RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
 _REFINE_STEPS = 2  # at most, per bordered block
 _REFINE_ULPS = 4  # a bordered block refines while its residual exceeds this many ulps of x
+_REFINE_EPS = _REFINE_ULPS * np.finfo(float).eps
 
 log = logging.getLogger(__name__)
 
@@ -131,14 +135,34 @@ def _lu(block: _Factors, scan: _Scan):
     return block.lu
 
 
+def _residual(block: _Factors, x: np.ndarray, rhs: np.ndarray, forward: bool) -> float:
+    """|x - B x - rhs|_inf (B^T forward) over the columns of the (N, c) x,
+    which must not exceed RESIDUAL_TOL."""
+    operand = block.B.T if forward else block.B
+    return _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
+
+
 def _solve(block: _Factors, rhs: np.ndarray, forward: bool,
            scan: _Scan) -> tuple[np.ndarray, float]:
     """Solve a whole diagonal block, (I - B^T) x = rhs forward and (I - B) x
-    = rhs backward, both on the LU of I - B^T: x and its residual
-    |x - B x - rhs|_inf (B^T forward), which must not exceed RESIDUAL_TOL."""
+    = rhs backward, both on the LU of I - B^T: x and its residual."""
     x = _lu(block, scan)(rhs, not forward)
-    operand = block.B.T if forward else block.B
-    return x, _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
+    return x, _residual(block, x, rhs, forward)
+
+
+def _check_whole(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, whole: np.ndarray,
+                 forward: bool) -> float:
+    """The worst residual of the whole-block solves X[k] of rhs[k] over the
+    cells k of the boolean (M,) mask whole, each record's cells in one
+    product, each record's residual checked against RESIDUAL_TOL."""
+    n, worst = J.indexer.N, 0.0
+    for b, block in enumerate(J.blocks):
+        cells = np.flatnonzero(whole & (J.block_of == b))
+        if cells.size:
+            # the record's cells side by side, as the columns of one (N, c) stack
+            x, r = (A[cells].transpose(1, 0, 2).reshape(n, -1) for A in (X, rhs))
+            worst = max(worst, _residual(block, x, r, forward))
+    return worst
 
 
 def _solve_masked(block: _Factors, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
@@ -193,7 +217,7 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
 
     def solve(rhs, x):
         x = bordered(rhs, x[c])
-        ulps = _REFINE_ULPS * np.finfo(float).eps * np.abs(x).max()
+        ulps = _REFINE_EPS * np.abs(x).max()
         for step in range(_REFINE_STEPS + 1):
             r = x - block.B @ x - rhs
             r[c] = 0.0
@@ -226,16 +250,19 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
 
     F is a space-time vector or an (N*M, c) stack of them.  Each block is
     solved with the jumps from earlier blocks as inflow, against J's LU of
-    I - B^T.  Returns X and its worst block residual, which is the residual
+    I - B^T, and the block residuals are checked per record after the
+    scan.  Returns X and its worst block residual, which is the residual
     ||(I - J^T) X - F||_inf: each block's inflow is the one J^T sends it
     from the solved blocks.
     """
     X = np.array(F, dtype=float)
     blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
-    scan, residual = _Scan(), 0.0
+    rhs = np.empty_like(blocks)
+    scan = _Scan()
     for l, inflow in J.scan_forward(blocks):
-        blocks[l], res = _solve(J.blocks[J.block_of[l]], blocks[l] + inflow, True, scan)
-        residual = max(residual, res)
+        np.add(blocks[l], inflow, out=rhs[l])
+        blocks[l] = _lu(J.cells[l], scan)(rhs[l], False)
+    residual = _check_whole(J, blocks, rhs, np.ones(J.indexer.M, dtype=bool), True)
     scan.log("solve_forward", J.indexer.M)
     return X, float(residual)
 
@@ -246,19 +273,25 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     cells of the boolean mask free, by one scan in descending time.
 
     terminal is a spatial vector, the same in every block; cells outside
-    free keep their values from fixed.  Returns a new array.
+    free keep their values from fixed.  A block whose cells are all free
+    is solved on its record's LU and checked with the record's other such
+    blocks after the scan; a block with some fixed cells is solved masked
+    and checked at once.  Returns a new array.
     """
     shape = (J.indexer.M, J.indexer.N)
     b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
     x = np.array(fixed, dtype=float)
     blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
+    whole = free.all(axis=1)
+    solve, masked = whole.tolist(), (free.any(axis=1) & ~whole).tolist()
     scan = _Scan()
     for k, inflow in J.scan_backward(blocks):
-        f, block = free[k], J.blocks[J.block_of[k]]
-        if f.all():
-            blocks[k] = _solve(block, b[k] + inflow, False, scan)[0]
-        elif f.any():
-            blocks[k] = _solve_masked(block, b[k] + inflow, blocks[k], f, scan)[0]
+        if solve[k]:
+            b[k] += inflow  # b[k] is now the block's right-hand side
+            blocks[k] = _lu(J.cells[k], scan)(b[k], True)
+        elif masked[k]:
+            blocks[k] = _solve_masked(J.cells[k], b[k] + inflow, blocks[k], free[k], scan)[0]
+    _check_whole(J, blocks, b, whole, False)
     scan.log("solve_backward", int(free.any(axis=1).sum()),
              f", {scan.borders} borders of {scan.border_cells} fixed cells, "
              f"{scan.factored} masked factorizations, {scan.refinements} refinement steps")
@@ -342,15 +375,14 @@ def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     squaring of a nonnegative matrix.  Each run costs one N-column solve on
     J's LU, with its block residual checked.
     """
-    leave = J.phi / J.grid.widths
     scan = _Scan()
-    carry, residual = _solve(J.blocks[J.block_of[0]], fbar, True, scan)
-    carry *= leave[:, 0, None]
+    carry, residual = _solve(J.cells[0], fbar, True, scan)
+    carry *= J.cells[0].leave
     runs = squarings = 0
-    for b, cells in itertools.groupby(range(1, l + 1), key=J.block_of.__getitem__):
+    for f, cells in itertools.groupby(range(1, l + 1), key=J.cells.__getitem__):
         k, n = next(cells), 1 + sum(1 for _ in cells)
-        Y, res = _solve(J.blocks[b], J.offdiag[k].T.toarray() * J.phi[:, k], True, scan)
-        T = np.diag(J.decay[:, k]) + leave[:, k, None] * Y
+        Y, res = _solve(f, J.offdiag[k].T.toarray() * f.phi.T, True, scan)
+        T = np.diag(f.decay[:, 0]) + f.leave * Y
         carry = np.linalg.matrix_power(T, n) @ carry
         runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)
     scan.log("reconstruct_propagator", runs + 1,

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from ajc import assemble, presets
+from ajc import assemble, operators, presets
 from ajc.committor import tail_value
 from ajc.galerkin import phi
 from ajc.generator import (
@@ -68,6 +68,11 @@ def dense_rate_matrix(offdiag_rows):
     np.fill_diagonal(R, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, sums that overflow
         return sp.csr_matrix(R - np.diag(R.sum(axis=1)))
+
+
+# A 3-state cycle at q dt ~ 1e9 in one cell of width 1: its jump activity
+# reaches ~1e9, a few ulps of which exceed the absolute RESIDUAL_TOL.
+STIFF_CYCLE = [[0, 1e9, 1], [2e8, 0, 5], [1, 3e8, 0]]
 
 
 @pytest.fixture(scope="session")
@@ -209,6 +214,67 @@ def reference_trajectory(seq, start, horizon, rng):
     return TrajectorySample(np.array(states), np.array(times), float(horizon))
 
 
+# The scans as they were before they read each cell's record and checked
+# whole-block residuals once per record: per-cell slices of J's tables and
+# one residual check per solved cell.  The shipped scans and solves must
+# give the same bits.
+
+def reference_scan_forward(J, X):
+    leave = J.phi / J.grid.widths
+    carry = np.zeros_like(X[0])
+    for l, b in enumerate(J.block_of):
+        yield l, J.blocks[b].R.T @ (J.phi[:, l, None] * carry)
+        carry = J.decay[:, l, None] * carry + leave[:, l, None] * X[l]
+
+
+def reference_scan_backward(J, X):
+    leave = J.phi / J.grid.widths
+    carry = np.zeros_like(X[0])
+    for k in range(J.indexer.M - 1, -1, -1):
+        yield k, leave[:, k, None] * carry
+        jumps = J.blocks[J.block_of[k]].R @ X[k]
+        carry = J.decay[:, k, None] * carry + J.phi[:, k, None] * jumps
+
+
+def reference_solve(block, rhs, forward, scan):
+    x = operators._lu(block, scan)(rhs, not forward)
+    operand = block.B.T if forward else block.B
+    return x, operators._checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
+
+
+def reference_solve_forward(J, F):
+    X = np.array(F, dtype=float)
+    blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
+    scan, residual = operators._Scan(), 0.0
+    for l, inflow in reference_scan_forward(J, blocks):
+        blocks[l], res = reference_solve(J.blocks[J.block_of[l]], blocks[l] + inflow, True, scan)
+        residual = max(residual, res)
+    return X, float(residual)
+
+
+def reference_solve_backward(J, l, terminal, fixed, free):
+    shape = (J.indexer.M, J.indexer.N)
+    b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
+    x = np.array(fixed, dtype=float)
+    blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
+    scan = operators._Scan()
+    for k, inflow in reference_scan_backward(J, blocks):
+        f, block = free[k], J.blocks[J.block_of[k]]
+        if f.all():
+            blocks[k] = reference_solve(block, b[k] + inflow, False, scan)[0]
+        elif f.any():
+            blocks[k] = operators._solve_masked(block, b[k] + inflow, blocks[k], f, scan)[0]
+    return x
+
+
+def reference_apply_adjoint(J, g):
+    G = np.asarray(g, dtype=float).reshape(J.indexer.M, J.indexer.N, -1)
+    out = np.empty_like(G)
+    for k, inflow in reference_scan_backward(J, G):
+        out[k] = J.blocks[J.block_of[k]].B @ G[k] + inflow
+    return out.reshape(np.shape(g))
+
+
 def path_state_at(traj, t):
     """State of the reconstructed path at time t (right-continuous)."""
     if t < traj.times[0] or t > traj.horizon:
@@ -278,7 +344,7 @@ def apply_forward(J, f):
     F = np.asarray(f, dtype=float).reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(F)
     for l, inflow in J.scan_forward(F):
-        out[l] = J.blocks[J.block_of[l]].B.T @ F[l] + inflow
+        out[l] = J.cells[l].B.T @ F[l] + inflow
     return out.reshape(np.shape(f))
 
 

@@ -1,6 +1,10 @@
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
 import ajc
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -20,3 +24,12 @@ def test_every_public_name_has_a_caller():
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert sorted(set(ajc.__all__) - used) == []
+
+
+def test_invalid_protocol_is_public():
+    # the error every RateMatrixSequence construction can raise
+    with pytest.raises(ajc.InvalidProtocol) as info:
+        ajc.RateMatrixSequence(ajc.TimeGrid(np.array([0.0, 1.0])),
+                               (sp.csr_matrix(np.array([[0.0, -1.0], [1.0, 0.0]])),))
+    assert type(info.value) is ajc.generator.InvalidProtocol
+    assert "InvalidProtocol" in ajc.__all__

@@ -42,6 +42,9 @@ from conftest import (
     dense_rate_matrix,
     flat,
     kernel_density,
+    reference_apply_adjoint,
+    reference_solve_backward,
+    reference_solve_forward,
 )
 
 A, B = 0, 1
@@ -126,13 +129,19 @@ class TestAssemble:
             assert first.setdefault(pair, b) == b
         assert sorted(first.values()) == list(range(len(J.blocks)))
 
-    def test_records_hold_R_B_and_lu_only(self, monkeypatch):
+    def test_records_hold_kernels_columns_and_lu_only(self, monkeypatch):
         # two phases, each over cells of two widths: four records, two Rs
         Q0, Q1 = (presets.triple_well(1 / 6).matrices[k] for k in (0, -1))
         grid = TimeGrid(np.array([0.0, 0.125, 0.375, 0.5, 0.75, 0.875, 1.0]))
         J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
         assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]
-        assert {f.name for f in dataclasses.fields(J.blocks[0])} == {"R", "B", "lu"}
+        assert {f.name for f in dataclasses.fields(J.blocks[0])} == {
+            "R", "B", "phi", "decay", "leave", "lu"}
+        assert J.cells == tuple(J.blocks[b] for b in J.block_of)
+        assert J.cells is J.cells
+        for b in J.blocks:
+            for column in (b.phi, b.decay, b.leave):
+                assert column.shape == (J.indexer.N, 1) and column.flags.c_contiguous
         first, second = J.blocks[:2], J.blocks[2:]
         for one, other in (first, second):
             assert isinstance(one.R, np.ndarray) and one.R.flags.c_contiguous
@@ -153,6 +162,28 @@ class TestAssemble:
         J = assemble(seq)
         assert all(J.blocks[b].R is seq.offdiag[l] for l, b in enumerate(J.block_of))
         assert all(sp.isspmatrix_csr(b.B) for b in J.blocks)
+
+    def test_tables_gather_the_records_closed_forms(self):
+        # one phase over cells of three widths, an absorbing phase (q = 0),
+        # and q dt on both sides of _PSI_CUT; the widths are powers of two,
+        # so equal cells are equal bit for bit and share a record
+        Q0, Q1 = (presets.triple_well(1 / 6).matrices[k] for k in (0, -1))
+        Z = dense_rate_matrix(np.zeros(Q0.shape))
+        widths = 2.0 ** np.array([-10, -6, -10, -2, -6, -2, -10, -2, -6])
+        mats = (Q0, Q0, Q1, Q0, Z, Z, Q1, Q1, Q0)
+        grid = TimeGrid(np.concatenate([[0.0], np.cumsum(widths)]))
+        seq = RateMatrixSequence(grid, mats)
+        J = assemble(seq)
+        q, dt = seq.outbound, grid.widths
+        assert np.array_equal(dt, widths) and len(J.blocks) == 7
+        x = q * dt
+        assert (x == 0).any() and (x >= galerkin._PSI_CUT).any()
+        assert ((x > 0) & (x < galerkin._PSI_CUT)).any()
+        for got, want in ((J.phi, phi(q, dt)), (J.within, psi(q, dt) / dt),
+                          (J.decay, np.exp(-q * dt))):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        for l, f in enumerate(J.cells):
+            assert f.leave.tobytes() == (phi(q, dt) / dt)[:, l, None].tobytes()
 
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]
@@ -430,6 +461,51 @@ class TestRandomProtocols:
             return
         cond = block_cond(J)
         assert abs(lhs - rhs) <= 1e-14 + 10 * eps * cond
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_scans_equal_the_per_cell_reference(self, dense, seq, data, seed):
+        # the record-reading scans and the per-record residual checks give
+        # the per-cell scans' bits, and refuse the same solves
+        with pytest.MonkeyPatch.context() as mp:
+            if not dense:
+                mp.setattr(galerkin, "_DENSE_MAX", 0)
+            J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        q, dt = seq.outbound, seq.grid.widths
+        for got, want in ((J.phi, phi(q, dt)), (J.within, psi(q, dt) / dt),
+                          (J.decay, np.exp(-q * dt))):
+            assert got.tobytes() == want.tobytes()
+        l = data.draw(st.integers(0, m - 1))
+        rng = np.random.default_rng(seed)
+        g, f, G = rng.random(n), rng.random(J.indexer.size), rng.random(J.indexer.size)
+        F = rng.random((n, data.draw(st.integers(1, n - 1))))
+        _, sets = self.committor(J, data)
+
+        def refused(solve):
+            try:
+                return solve()
+            except NonConvergence:
+                return "refused"
+
+        def outputs():
+            return [refused(lambda: koopman_solve(J, g, l).values),
+                    refused(lambda: committor_solve(J, *sets).values),
+                    refused(lambda: jump_activity(J, SpaceTimeVector(f, J.indexer))[0].values),
+                    refused(lambda: reconstruct_propagator(J, F, l))]
+        got = outputs() + [apply_adjoint(J, G)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(operators, "solve_forward", reference_solve_forward)
+            mp.setattr(operators, "_solve_backward", reference_solve_backward)
+            mp.setattr("ajc.committor._solve_backward", reference_solve_backward)
+            want = outputs() + [reference_apply_adjoint(J, G)]
+        for a, b in zip(got, want):
+            if isinstance(b, str):
+                assert isinstance(a, str)
+            else:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @staticmethod
     def committor(J, data):

@@ -318,10 +318,16 @@ class TestSequenceFields:
         assert np.shares_memory(seq.outbound, seq.outbound.ravel())
 
     def test_offdiag_shares_no_array_with_the_input(self):
-        A = sp.csr_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
-        seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (A,))
-        A.data[:] = 7.0
-        np.testing.assert_array_equal(seq.offdiag[0].data, [1.0, 2.0])
+        # canonical CSRs, the one with nothing to drop as well
+        for rates in ([[0.0, 1.0], [2.0, 0.0]], [[-1.0, 1.0], [2.0, -2.0]]):
+            A = sp.csr_matrix(np.array(rates))
+            assert A.has_canonical_format
+            seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 1), (A,))
+            R = seq.offdiag[0]
+            assert not any(np.shares_memory(a, b) for a in (R.data, R.indices, R.indptr)
+                           for b in (A.data, A.indices, A.indptr))
+            A.data[:] = 7.0
+            np.testing.assert_array_equal(R.data, [1.0, 2.0])
 
 
 # rates as the inputs of a protocol may hold them: zeros of both signs,
@@ -342,8 +348,8 @@ def rate_matrices(draw, n):
     entries = draw(st.lists(st.tuples(cells, RATES), max_size=12))
     cancel = draw(st.lists(st.sampled_from(entries), max_size=2)) if entries else []
     entries += [(ij, -v) for ij, v in cancel]  # duplicates that cancel to 0
-    form = draw(st.sampled_from(["coo", "int coo", "csr unsorted", "csr int64", "dense",
-                                 "int dense"]))
+    form = draw(st.sampled_from(["coo", "int coo", "csr unsorted", "csr int64",
+                                 "csr canonical", "dense", "int dense"]))
     rows = np.array([i for (i, _), _ in entries], dtype=int)
     cols = np.array([j for (_, j), _ in entries], dtype=int)
     vals = np.array([v for _, v in entries], dtype=float)
@@ -358,6 +364,9 @@ def rate_matrices(draw, n):
         A = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
         if form == "csr int64":  # the constructor would pick int32
             A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
+        if form == "csr canonical":  # sorted, duplicates summed: copied array by array
+            A.sum_duplicates()
+            assert A.has_canonical_format
         return A
     dense = np.zeros((n, n), dtype=vals.dtype)
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf

@@ -21,7 +21,7 @@ from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 from ajc.operators import embed_spacelike, jump_activity, koopman_solve, synchronize
 
-from conftest import dense_rate_matrix
+from conftest import STIFF_CYCLE, dense_rate_matrix
 
 A, B = 0, 1
 
@@ -530,6 +530,14 @@ class TestCli:
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})
         assert main(["committor", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    def test_a_refused_stiff_cycle_exits_3(self, tmp_path, capsys):
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix(STIFF_CYCLE))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files", "time_grid": {"edges": [0.0, 1.0]}, "matrices": ["q0.mtx"]}})
+        assert main(["propagate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith("solver error: diagonal block residual ")
+        assert not (tmp_path / "density.csv").exists()
 
     def test_outputs_are_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, {

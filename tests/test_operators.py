@@ -22,6 +22,7 @@ from ajc.operators import (
 from ajc.oracle import exact_propagator
 
 from conftest import (
+    STIFF_CYCLE,
     apply_forward,
     as_grid,
     block_cond,
@@ -98,6 +99,36 @@ class TestJumpActivity:
             with pytest.raises(NonConvergence, match="singular diagonal block"):
                 jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
         assert [b.lu for b in J.blocks] == [None, None]
+
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_a_stiff_cycle_refuses_the_forward_scan(self, dense, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
+                                        (dense_rate_matrix(STIFF_CYCLE),)))
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        f = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(NonConvergence, match="diagonal block residual"):
+            jump_activity(J, embed_spacelike(f, J.indexer))
+        with pytest.raises(NonConvergence, match="diagonal block residual"):
+            reconstruct_propagator(J, f, 0)
+
+    def test_every_record_checks_its_residual(self, two_state_seq):
+        # a solver off by 1e-9 in one record alone: every scan that solves
+        # that record's cells on its whole block refuses
+        f = np.array([1.0, 0.0])
+        for b in range(2):
+            J = assemble(two_state_seq)
+            koopman_solve(J, np.ones(2), 7)  # factors both records
+            good = J.blocks[b].lu
+            J.blocks[b].lu = lambda rhs, trans, good=good: good(rhs, trans) + 1e-9
+            for solve in (lambda: koopman_solve(J, np.ones(2), 7),
+                          lambda: jump_activity(J, embed_spacelike(f, J.indexer)),
+                          lambda: reconstruct_propagator(J, f, 7),
+                          lambda: reconstruct_propagator(J, np.eye(2), 7)):
+                with pytest.raises(NonConvergence, match="diagonal block residual"):
+                    solve()
 
 
 class TestSynchronize:
