@@ -20,13 +20,13 @@ and JumpMatrix.matrix stacks them on request for checks.
 
 Each distinct (phase, width) pair has one record of what its cells
 multiply by: R and the diagonal block B, whose transposes are views, the
-closed forms phi, d = exp(-q dt) and phi / dt as (N, 1) columns, evaluated
-once per record rather than once per cell, and a slot for the LU that
-ajc.operators makes on first use.  The scans read each cell's record
-(JumpMatrix.cells), and J's (N, M) tables gather the records' columns.  Up
-to _DENSE_MAX states R and B are dense: at that size one BLAS mat-vec or
-LAPACK solve costs less than scipy's sparse dispatch around the same
-arithmetic.
+closed forms phi, d = exp(-q dt), phi / dt and psi / dt as (N, 1)
+columns, evaluated once per record rather than once per cell, and a slot
+for the LU that ajc.operators makes on first use.  The records are J's
+only per-cell numbers: the scans, the survival masses and the explicit
+rows all read each cell's record (JumpMatrix.cells).  Up to _DENSE_MAX
+states R and B are dense: at that size one BLAS mat-vec or LAPACK solve
+costs less than scipy's sparse dispatch around the same arithmetic.
 """
 
 from __future__ import annotations
@@ -99,9 +99,10 @@ class SpaceTimeIndexer:
 @dataclass(eq=False)
 class _Factors:
     """What the cells of one phase and width multiply by: R, the diagonal
-    block B = diag(psi / dt) R, the contiguous (N, 1) columns phi = phi(q,
-    dt), decay = exp(-q dt) and leave = phi / dt, and lu, the solver of
-    I - B^T that ajc.operators sets on the first solve that needs it.
+    block B = diag(within) R, the contiguous (N, 1) columns phi = phi(q,
+    dt), decay = exp(-q dt), leave = phi / dt and within = psi(q, dt) / dt,
+    and lu, the solver of I - B^T that ajc.operators sets on the first
+    solve that needs it.
 
     Up to _DENSE_MAX states R and B are dense arrays, above it CSR; either
     way a kernel that needs a transpose reads the view .T, so a record holds
@@ -113,6 +114,7 @@ class _Factors:
     phi: np.ndarray
     decay: np.ndarray
     leave: np.ndarray
+    within: np.ndarray
     lu: object = None
 
 
@@ -120,22 +122,19 @@ class _Factors:
 class JumpMatrix:
     """Factored Galerkin operator over space-time cells.
 
-    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and the
-    (N, M) arrays phi, decay and within hold phi(q, dt), exp(-q dt) and
-    psi(q, dt) / dt, so the time block (l, l) is diag(within[:, l]) R^l.
+    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and
     cells[l] = blocks[block_of[l]] is cell l's _Factors record, one per
-    phase and width, whose R, B, views .T and columns phi, decay and leave
-    the scans and ajc.operators' solves multiply by; the tables are those
-    columns gathered per cell.
+    phase and width.  The records are J's only per-cell numbers: the scans,
+    ajc.operators' solves, the survival masses and the rows multiply by
+    their R, B, views .T and columns phi, decay, leave and within, and the
+    time block (l, l) is cell l's B = diag(within) R^l.  outbound and
+    offdiag are the sequence's own arrays.
     """
 
     indexer: SpaceTimeIndexer
     grid: TimeGrid
     outbound: np.ndarray  # (N, M) rates q_i^l
     offdiag: tuple
-    phi: np.ndarray
-    decay: np.ndarray
-    within: np.ndarray
     blocks: tuple  # of _Factors
     block_of: np.ndarray  # (M,) index into blocks
 
@@ -168,10 +167,12 @@ class JumpMatrix:
         """Per-cell probability of not having jumped into blocks <= l: from a
         cell k <= l, phi_k / dt_k times the decay through cells k+1..l."""
         n, m = self.indexer.N, self.indexer.M
+        rows = self.block_of[:l + 1]
         S = np.ones((m, n))
-        S[:l + 1] = (self.phi / self.grid.widths).T[:l + 1]
+        S[:l + 1] = np.hstack([f.leave for f in self.blocks]).T[rows]
         # row k of the reversed running product is d^{k+1} ... d^l
-        S[:l] *= np.cumprod(self.decay[:, l:0:-1].T, axis=0)[::-1]
+        decay = np.hstack([f.decay for f in self.blocks]).T
+        S[:l] *= np.cumprod(decay[rows[:0:-1]], axis=0)[::-1]
         return S.ravel()
 
     @property
@@ -202,20 +203,19 @@ class JumpMatrix:
         cell = np.concatenate([l * n + r for l, r in enumerate(rows)])[order]  # flat(i, l)
         cols = np.concatenate([l * n + R.indices for l, R in enumerate(self.offdiag)])
         cols = cols[order].astype(np.int32)
-        jump = np.concatenate([R.data * self.phi[r, l]
-                               for l, (R, r) in enumerate(zip(self.offdiag, rows))])[order]
-        within = np.concatenate([R.data * self.within[r, l]
-                                 for l, (R, r) in enumerate(zip(self.offdiag, rows))])[order]
+        by_cell = list(zip(self.offdiag, rows, self.cells))
+        jump = np.concatenate([R.data * f.phi[r, 0] for R, r, f in by_cell])[order]
+        within = np.concatenate([R.data * f.within[r, 0] for R, r, f in by_cell])[order]
         # row i of block k holds its entries of the cells l >= k
         lengths = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
         lengths = np.cumsum(lengths[:, ::-1], axis=1)[:, ::-1]
-        leave = self.phi / self.grid.widths
+        decay = np.hstack([f.decay for f in self.blocks]).T[self.block_of]
         for k in range(m):
             mine = cell >= k * n
             # row l - k - 1 of left is phi_k/dt_k times d^{k+1} ... d^{l-1};
             # the entries of cell k itself get a negative offset
             at = cell[mine] - (k + 1) * n
-            left = np.cumprod(np.vstack([leave[:, k], self.decay[:, k + 1:m - 1].T]), axis=0)
+            left = np.cumprod(np.vstack([self.cells[k].leave.T, decay[k + 1:m - 1]]), axis=0)
             data = np.where(at < 0, within[mine], left.ravel()[at] * jump[mine])
             yield data, cols[mine], lengths[:, k]
 
@@ -243,14 +243,14 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
 
     Cells of one phase and one width share one _Factors record, and the
     records of one phase share its R.  The closed forms are evaluated once
-    per record, on its column of q, and the (N, M) tables gather them.
+    per record, on its column of q; J keeps no per-cell copy of them.
     """
     dt = seq.grid.widths
     q = seq.outbound
     dense = seq.N <= _DENSE_MAX
     rates = {}  # phase -> R
     index = {}  # (phase, width) -> index into blocks
-    blocks, within = [], []
+    blocks = []
     for l, (p, R) in enumerate(zip(seq.phase.tolist(), seq.offdiag)):
         w = dt[l]
         if (p, w) in index:
@@ -258,25 +258,21 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         if p not in rates:
             rates[p] = R.toarray() if dense else R
         ql = q[:, l, None]
-        within.append(psi(ql, w) / w)
+        within = psi(ql, w) / w
         if dense:
-            B = rates[p] * within[-1]
+            B = rates[p] * within
         else:
             # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
             rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-            B = sp.csr_matrix((R.data * within[-1][rows, 0], R.indices, R.indptr), shape=R.shape)
+            B = sp.csr_matrix((R.data * within[rows, 0], R.indices, R.indptr), shape=R.shape)
         jump = phi(ql, w)
         index[p, w] = len(blocks)
-        blocks.append(_Factors(rates[p], B, jump, np.exp(-ql * w), jump / w))
+        blocks.append(_Factors(rates[p], B, jump, np.exp(-ql * w), jump / w, within))
     log.info("assemble: N=%d M=%d phases=%d diagonal blocks=%d kernels=%s",
              seq.N, seq.grid.M, seq.phase.max() + 1, len(blocks), "dense" if dense else "sparse")
     block_of = np.array([index[p, w] for p, w in zip(seq.phase.tolist(), dt)])
-
-    def table(columns):
-        return np.take(np.hstack(columns), block_of, axis=1)
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
-                      table([f.phi for f in blocks]), table([f.decay for f in blocks]),
-                      table(within), tuple(blocks), block_of)
+                      tuple(blocks), block_of)
 
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:

@@ -215,25 +215,33 @@ def reference_trajectory(seq, start, horizon, rng):
 
 
 # The scans as they were before they read each cell's record and checked
-# whole-block residuals once per record: per-cell slices of J's tables and
-# one residual check per solved cell.  The shipped scans and solves must
-# give the same bits.
+# whole-block residuals once per record: per-cell closed forms evaluated
+# here from J's rates and widths, not read from the records under test,
+# and one residual check per solved cell.  The shipped scans and solves
+# must give the same bits.
+
+def reference_closed_forms(J):
+    """phi(q, dt), exp(-q dt) and phi / dt as (N, M) tables."""
+    q, dt = J.outbound, J.grid.widths
+    jump = phi(q, dt)
+    return jump, np.exp(-q * dt), jump / dt
+
 
 def reference_scan_forward(J, X):
-    leave = J.phi / J.grid.widths
+    jump, decay, leave = reference_closed_forms(J)
     carry = np.zeros_like(X[0])
     for l, b in enumerate(J.block_of):
-        yield l, J.blocks[b].R.T @ (J.phi[:, l, None] * carry)
-        carry = J.decay[:, l, None] * carry + leave[:, l, None] * X[l]
+        yield l, J.blocks[b].R.T @ (jump[:, l, None] * carry)
+        carry = decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
 
 def reference_scan_backward(J, X):
-    leave = J.phi / J.grid.widths
+    jump, decay, leave = reference_closed_forms(J)
     carry = np.zeros_like(X[0])
     for k in range(J.indexer.M - 1, -1, -1):
         yield k, leave[:, k, None] * carry
         jumps = J.blocks[J.block_of[k]].R @ X[k]
-        carry = J.decay[:, k, None] * carry + J.phi[:, k, None] * jumps
+        carry = decay[:, k, None] * carry + jump[:, k, None] * jumps
 
 
 def reference_solve(block, rhs, forward, scan):

@@ -64,6 +64,16 @@ def quadrature_entry(seq, i, k, j, l):
     return val / (e[k + 1] - e[k])
 
 
+def assert_records_hold_closed_forms(J, q, dt):
+    """Each cell's record holds phi, exp(-q dt), phi / dt and psi / dt of
+    that cell's rates and width, bit for bit."""
+    want = {"phi": phi(q, dt), "decay": np.exp(-q * dt), "leave": phi(q, dt) / dt,
+            "within": psi(q, dt) / dt}
+    for l, f in enumerate(J.cells):
+        for name, table in want.items():
+            assert getattr(f, name).tobytes() == table[:, l, None].tobytes(), (name, l)
+
+
 class TestHelpers:
     @settings(max_examples=200, deadline=None)
     @given(q=st.floats(min_value=1e-12, max_value=1e6), dt=st.floats(min_value=1e-6, max_value=10.0))
@@ -117,6 +127,9 @@ class TestAssemble:
         seq = presets.triple_well(1 / 96)
         assert seq.outbound is seq.outbound
         J = assemble(seq)
+        # J's only per-cell numbers are its records: no (N, M) closed-form table
+        assert {f.name for f in dataclasses.fields(J)} == {
+            "indexer", "grid", "outbound", "offdiag", "blocks", "block_of"}
         assert J.offdiag is seq.offdiag
         assert J.outbound is seq.outbound
 
@@ -136,11 +149,11 @@ class TestAssemble:
         J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
         assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]
         assert {f.name for f in dataclasses.fields(J.blocks[0])} == {
-            "R", "B", "phi", "decay", "leave", "lu"}
+            "R", "B", "phi", "decay", "leave", "within", "lu"}
         assert J.cells == tuple(J.blocks[b] for b in J.block_of)
         assert J.cells is J.cells
         for b in J.blocks:
-            for column in (b.phi, b.decay, b.leave):
+            for column in (b.phi, b.decay, b.leave, b.within):
                 assert column.shape == (J.indexer.N, 1) and column.flags.c_contiguous
         first, second = J.blocks[:2], J.blocks[2:]
         for one, other in (first, second):
@@ -163,7 +176,7 @@ class TestAssemble:
         assert all(J.blocks[b].R is seq.offdiag[l] for l, b in enumerate(J.block_of))
         assert all(sp.isspmatrix_csr(b.B) for b in J.blocks)
 
-    def test_tables_gather_the_records_closed_forms(self):
+    def test_records_hold_each_cells_closed_forms(self):
         # one phase over cells of three widths, an absorbing phase (q = 0),
         # and q dt on both sides of _PSI_CUT; the widths are powers of two,
         # so equal cells are equal bit for bit and share a record
@@ -179,11 +192,7 @@ class TestAssemble:
         x = q * dt
         assert (x == 0).any() and (x >= galerkin._PSI_CUT).any()
         assert ((x > 0) & (x < galerkin._PSI_CUT)).any()
-        for got, want in ((J.phi, phi(q, dt)), (J.within, psi(q, dt) / dt),
-                          (J.decay, np.exp(-q * dt))):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        for l, f in enumerate(J.cells):
-            assert f.leave.tobytes() == (phi(q, dt) / dt)[:, l, None].tobytes()
+        assert_records_hold_closed_forms(J, q, dt)
 
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]
@@ -474,10 +483,7 @@ class TestRandomProtocols:
             J = assemble(seq)
         n, m = J.indexer.N, J.indexer.M
         assert isinstance(J.blocks[0].B, np.ndarray) == dense
-        q, dt = seq.outbound, seq.grid.widths
-        for got, want in ((J.phi, phi(q, dt)), (J.within, psi(q, dt) / dt),
-                          (J.decay, np.exp(-q * dt))):
-            assert got.tobytes() == want.tobytes()
+        assert_records_hold_closed_forms(J, seq.outbound, seq.grid.widths)
         l = data.draw(st.integers(0, m - 1))
         rng = np.random.default_rng(seed)
         g, f, G = rng.random(n), rng.random(J.indexer.size), rng.random(J.indexer.size)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import logging
 import os
@@ -550,3 +551,45 @@ class TestCli:
                          "--seed", "11"]) == 0
             texts.append((out / "trajectories.csv").read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestPinnedOutputs:
+    # sha256 of each output of the triple well at dt = 1/24, recorded before
+    # J's (N, M) closed-form tables were dropped for its block records; the
+    # sparse run puts every record on CSR kernels, so both branches of
+    # JumpMatrix.row_blocks and of the solves are pinned
+    CONFIGS = {
+        "assemble": {},
+        "koopman": {"observable": [i % 5 for i in range(63)], "block": 35},
+        "committor": {"set_a": [{"states": [19, 20, 21], "blocks": [0, 47]}],
+                      "set_b": [{"states": [24], "blocks": [24, 47]}, [23, 10]]},
+        "propagate": {"initial_density": {"uniform": True}, "block": 30},
+    }
+    EXPORT = {
+        "jump_matrix.mtx": "db7ee8885a146a94b7a3acd4be82ffc92fcaa5d0b70dd78935042b3daa7afa62",
+        "jump_matrix.json": "d6db8c86a55ade3acbe6903e88af770af4099a7b4f7d399caf0fad363e4f3ae5",
+    }
+    SOLVES = {
+        "dense": {
+            "koopman.csv": "4a40b59dd2fd0e0453bdffc050ce729d7ecbeff5b7b275ec3a63c419d82bf3d3",
+            "committor.csv": "1d5db565eb15de32249c196a4287a132877a9dc8cbcaa6dffcbc68f145239361",
+            "density.csv": "21a503c9b1acf0aadc9704c99eec36e7d13d18a4efaa77611dccd4532bf44a5c",
+        },
+        "sparse": {
+            "koopman.csv": "0c6db0aeb5ef5aa4d8a820fbdb531d73025381aecd01001d15686f3e3a392ca6",
+            "committor.csv": "8da6c9607f3690b8ccc513bc883e2cb80f85f1686162a0a56cd670ff1a88a299",
+            "density.csv": "5e62fecb83463f42191a6d7d8de0818b3aed324876dfce1abba1c98defd02ba1",
+        },
+    }
+
+    @pytest.mark.parametrize("kernels", ["dense", "sparse"])
+    def test_output_bytes(self, kernels, tmp_path, monkeypatch, capsys):
+        if kernels == "sparse":
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        for command, extra in self.CONFIGS.items():
+            cfg = write_config(tmp_path, {"generator": {"preset": "triple-well", "dt": 1 / 24},
+                                          **extra}, name=f"{command}.json")
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in (*self.EXPORT, *self.SOLVES[kernels])}
+        assert got == {**self.EXPORT, **self.SOLVES[kernels]}
