@@ -2,6 +2,7 @@
 
 All outputs are text.  States and blocks are 0-based in every file; the
 2-state preset additionally accepts the state names "A" and "B".
+scipy.io loads on the first .mtx read or write.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from io import BytesIO
 from pathlib import Path
 
 import numpy as np
-import scipy.io
 import scipy.sparse as sp
 
 from .committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, tail_value
@@ -51,6 +51,7 @@ def _write_rows(fh, size: int, first: int, blocks: list) -> int:
     outside them, so rows and columns keep their global numbers and the
     values their formatting; the chunk's own header is dropped.
     """
+    import scipy.io
     data, indices, counts = (np.concatenate(a) for a in zip(*blocks))
     indptr = np.zeros(size + 1, dtype=np.int32)
     indptr[first + 1:first + 1 + counts.size] = np.cumsum(counts)
@@ -218,6 +219,7 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         sources = [base_dir / str(p) for p in _list(node["matrices"], "matrices")]
         if len(sources) != grid.M:
             raise ConfigError("need one matrix file per time cell")
+        import scipy.io
         mats = []
         for p in sources:
             try:

@@ -19,6 +19,8 @@ cell it solves on a whole block and, after the scan, checks the residuals
 of each record's cells against RESIDUAL_TOL in one product over them.  One
 size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
+scipy.linalg's LAPACK and scipy.sparse.linalg's SuperLU load on the first
+factorization, so a process that solves nothing never imports them.
 Kernels take the stack they are given; a propagator of fewer than N
 densities scans each alone, so each column gets the bits it gets alone.
 A committor block with cells in A or B is solved on the same LU,
@@ -36,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
@@ -88,10 +88,12 @@ def _factor(operand):
     """
     n = operand.shape[0]
     if isinstance(operand, np.ndarray):
+        from scipy.linalg import lapack
         lu, piv, info = lapack.dgetrf(np.eye(n) - operand)
         if info > 0:
             raise NonConvergence(f"singular diagonal block: pivot {info} is exactly zero")
         return lambda rhs, trans: lapack.dgetrs(lu, piv, rhs, trans=int(trans))[0]
+    import scipy.sparse.linalg as spla
     try:
         lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
@@ -279,9 +281,9 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     and checked at once.  Returns a new array.
     """
     shape = (J.indexer.M, J.indexer.N)
-    b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
+    b = (J.block_survival(l).reshape(shape) * terminal)[..., None]
     x = np.array(fixed, dtype=float)
-    blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
+    blocks, free = x.reshape(*shape, 1), free.reshape(shape)
     whole = free.all(axis=1)
     solve, masked = whole.tolist(), (free.any(axis=1) & ~whole).tolist()
     scan = _Scan()

@@ -6,7 +6,8 @@ assembly.  convergence_study compares two ordered products over the time
 cells: exact_propagator's of exp(dt Q), and the sparse route's one
 propagator, operators.reconstruct_propagator, on all N unit masses at once,
 which is the product of the Galerkin chain's one-cell transfer matrices.
-Dense work is restricted to desk scale (N <= 500).
+Dense work is restricted to desk scale (N <= 500).  scipy.linalg, for
+expm, loads on the first oracle exponential.
 
 The oracle's reach on stiff phases: scipy.linalg.expm is exact to 1.1e-16
 on a two-state generator with rates (1e6, 1e-3) over t = 1, and off by
@@ -22,7 +23,6 @@ exact_propagator keeps the per-cell product.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .galerkin import assemble
 from .generator import RateMatrixSequence
@@ -38,6 +38,7 @@ def expm(Q: np.ndarray, t: float = 1.0) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     if Q.shape[0] > DENSE_MAX_N:
         raise ValueError(f"dense oracle limited to N <= {DENSE_MAX_N}")
+    import scipy.linalg
     return scipy.linalg.expm(t * Q)
 
 

@@ -528,6 +528,28 @@ class TestCli:
         assert re.search(r"sample: 3 trajectories, \d+ jumps in \d+\.\d{3} s "
                          r"\(\d+ jumps/s\)", err)
 
+    def test_commands_load_only_the_scipy_modules_they_run(self, tmp_path):
+        # a fresh interpreter, since this one has imported all of scipy already
+        runs = [["sample", "--config", write_config(tmp_path, {
+                    "generator": {"preset": "triple-well"}, "initial": {"state": 0},
+                    "n_trajectories": 5}, "s.json"), "--out", "out"],
+                ["assemble", "--config", write_config(tmp_path, {
+                    "generator": {"preset": "triple-well"}}, "a.json"), "--out", "out"]]
+        script = ("import json, sys\n"
+                  "import ajc.cli\n"
+                  "mods = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.io')\n"
+                  "seen = [[m for m in mods if m in sys.modules]]\n"
+                  f"for argv in {runs!r}:\n"
+                  "    assert ajc.cli.main(argv) == 0\n"
+                  "    seen.append([m for m in mods if m in sys.modules])\n"
+                  "print(json.dumps(seen))\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(ajc.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, check=True).stdout
+        after_import, after_sample, after_assemble = json.loads(out.splitlines()[-1])
+        assert after_import == [] and after_sample == []
+        assert after_assemble == ["scipy.io"]
+
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})
         assert main(["committor", "--config", cfg, "--out", str(tmp_path)]) == 3
