@@ -1,7 +1,8 @@
 """Command-line front end.
 
-    ajc assemble|sample|propagate|koopman|committor|coherence|convergence
-        --config <file> [--out <dir>] [--seed <u64>]
+    ajc assemble|propagate|koopman|committor|coherence|convergence
+        --config <file> [--out <dir>]
+    ajc sample --config <file> [--out <dir>] [--seed <u64>]
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 solver
 failure.  AJC_LOG selects the logging level (DEBUG/INFO/WARNING/...).
@@ -63,7 +64,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=_seed, default=0, help="RNG seed (sampling)")
+        if name == "sample":
+            p.add_argument("--seed", type=_seed, default=0, help="RNG seed")
     return parser
 
 

@@ -21,13 +21,12 @@ size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
 scipy.linalg's LAPACK and scipy.sparse.linalg's SuperLU load on the first
 factorization, so a process that solves nothing never imports them.
-Kernels take the stack they are given; a propagator of fewer than N
-densities scans each alone, so each column gets the bits it gets alone.
-A committor block with cells in A or B is solved on the same LU,
-bordered by those fixed cells and refined where the whole block is
-stiffer than its free part; only a block with more than 32 fixed cells,
-or whose LU cannot serve, is factored on its free cells, once per scan,
-by the same kind of LU.
+Kernels take the stack they are given, so a propagator of fewer than N
+densities is one scan of that stack.  A committor block with cells in A
+or B is solved on the same LU, bordered by those fixed cells and checked
+at once on its free rows; a block with more than 32 fixed cells, or
+whose LU or border cannot serve, is factored on its free cells, once per
+scan, by the same kind of LU.
 """
 
 from __future__ import annotations
@@ -43,9 +42,7 @@ from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
-_REFINE_STEPS = 2  # at most, per bordered block
-_REFINE_ULPS = 4  # a bordered block refines while its residual exceeds this many ulps of x
-_REFINE_EPS = _REFINE_ULPS * np.finfo(float).eps
+_BORDER_EPS = 4 * np.finfo(float).eps  # a bordered solve's free-row residual, in units of max|x|
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +116,6 @@ class _Scan:
     borders: int = 0
     border_cells: int = 0
     factored: int = 0
-    refinements: int = 0
 
     def log(self, name: str, solved: int, tail: str = "") -> None:
         built = sum(self.used.values())
@@ -178,7 +174,7 @@ def _solve_masked(block: _Factors, rhs: np.ndarray, x: np.ndarray, free: np.ndar
     solver = (scan.masked.get(key) or _bordered(block, free, scan)
               or _free_cells(block, free, scan))
     solved = solver(rhs, x)
-    if solved is None:  # the border's refinement fell short
+    if solved is None:  # the border's residual fell short
         solver = _free_cells(block, free, scan)
         solved = solver(rhs, x)
     scan.masked[key] = solver
@@ -194,9 +190,9 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
     the free rows of (I - B) y as they are, so y + P (v - y[c]) takes the
     fixed values v on c: |c| column solves instead of a factorization.
     A fixed cell can break a stiff cycle, so the whole block may be far
-    worse conditioned than its free part: the solver refines up to
-    _REFINE_STEPS times to a residual of a few ulps of x (which bounds
-    rhs there, B's rows summing below 1), else returns None.
+    worse conditioned than its free part: a solve whose free-row residual
+    exceeds _BORDER_EPS * max|x| (which bounds rhs there, B's rows summing
+    below 1) returns None, and the caller factors the free cells instead.
     """
     c = np.flatnonzero(~free)
     if c.size > _BORDER_MAX:
@@ -211,25 +207,14 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
         return None
     scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
 
-    def bordered(rhs, v):
-        y = lu(rhs, True)
+    def solve(rhs, x):
+        y, v = lu(rhs, True), x[c]
         y += P @ (v - y[c])
         y[c] = v
-        return y
-
-    def solve(rhs, x):
-        x = bordered(rhs, x[c])
-        ulps = _REFINE_EPS * np.abs(x).max()
-        for step in range(_REFINE_STEPS + 1):
-            r = x - block.B @ x - rhs
-            r[c] = 0.0
-            res = np.abs(r).max(initial=0.0)
-            if res <= ulps:
-                return x, res
-            if step < _REFINE_STEPS:
-                x -= bordered(r, 0.0)
-                scan.refinements += 1
-        return None
+        r = y - block.B @ y - rhs
+        r[c] = 0.0
+        res = np.abs(r).max(initial=0.0)
+        return (y, res) if res <= _BORDER_EPS * np.abs(y).max() else None
     return solve
 
 
@@ -296,7 +281,7 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     _check_whole(J, blocks, b, whole, False)
     scan.log("solve_backward", int(free.any(axis=1).sum()),
              f", {scan.borders} borders of {scan.border_cells} fixed cells, "
-             f"{scan.factored} masked factorizations, {scan.refinements} refinement steps")
+             f"{scan.factored} masked factorizations")
     return x
 
 
@@ -339,9 +324,8 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     uniformly in the first time cell; the result has fbar's shape.  For
     fbar the identity, column i is the propagator's row for state i.
 
-    A density is scanned: its jump activity, synchronized; a stack of fewer
-    than N is scanned one column at a time, so each column gets the bits
-    it gets alone.  A stack of N or more is multiplied by one N x N transfer
+    A density, or a stack of fewer than N, is scanned: its jump activity,
+    synchronized.  A stack of N or more is multiplied by one N x N transfer
     matrix per run of cells that share a diagonal block, which costs less
     than c columns per cell; the two agree to the diagonal blocks'
     eps * cond, and on a stiff block either may raise NonConvergence where
@@ -354,12 +338,7 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     _check_block(J, l)
     if fbar.ndim == 2 and fbar.shape[1] >= n:
         return _propagate_by_runs(J, fbar, l)
-    if fbar.ndim == 2:
-        out = np.empty_like(fbar)
-        for j in range(fbar.shape[1]):
-            out[:, j] = reconstruct_propagator(J, fbar[:, j], l)
-        return out
-    F = np.zeros(J.indexer.size)
+    F = np.zeros((J.indexer.size, *fbar.shape[1:]))
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
 

@@ -292,6 +292,12 @@ class TestCli:
         assert capsys.readouterr().err == \
             "usage error: argument --seed: must be an integer >= 0, got '-1'\n"
 
+    def test_seed_on_a_command_that_draws_nothing_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_STATE)
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path), "--seed", "3"]) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --seed 3\n"
+        assert not (tmp_path / "koopman.csv").exists()
+
     def test_unknown_log_level_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("AJC_LOG", "bogus")
         cfg = write_config(tmp_path, TWO_STATE)
@@ -517,7 +523,7 @@ class TestCli:
                              text=True, check=True).stderr
         assert "assemble: N=63 M=6 phases=2 diagonal blocks=2" in err
         assert ("solve_backward: 6 blocks solved against 2 LU factorizations built, 0 reused, "
-                "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps") in err
+                "0 borders of 0 fixed cells, 0 masked factorizations") in err
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
         assert quiet.stderr == ""

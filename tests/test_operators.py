@@ -178,19 +178,22 @@ class TestReconstructPropagator:
     def test_a_stack_equals_its_columns(self, two_state_J, triple_well_J):
         # the identity stack is the oracle's propagator matrix, transposed; a
         # stack of N or more columns is an ordered product of transfer
-        # matrices, so it meets the columns' scans to the blocks' eps * cond,
-        # and a narrower one is scanned, so it equals them bit for bit
+        # matrices and a narrower one is one scan of the stack, so either
+        # meets the columns' scans to the blocks' eps * cond; a one-column
+        # stack is the density's own scan, bit for bit
         eps = np.finfo(float).eps
         for J in (two_state_J, triple_well_J):
             n, m = J.indexer.N, J.indexer.M
             F = np.hstack([np.eye(n), np.random.default_rng(4).random((n, 2))])
             cond = block_cond(J, forward=True)
             for l in (0, m // 2, m - 1):
-                got = reconstruct_propagator(J, F, l)
                 want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
-                assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
-                np.testing.assert_array_equal(reconstruct_propagator(J, F[:, :n - 1], l),
-                                              want[:, :n - 1])
+                tol = (1e-14 + 10 * eps * cond) * np.abs(want).max()
+                for got in (reconstruct_propagator(J, F, l),
+                            reconstruct_propagator(J, F[:, :n - 1], l)):
+                    assert np.abs(got - want[:, :got.shape[1]]).max() <= tol
+                np.testing.assert_array_equal(reconstruct_propagator(J, F[:, n:n + 1], l),
+                                              want[:, n:n + 1])
                 assert reconstruct_propagator(J, F[:, :0], l).shape == (n, 0)
 
     def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
@@ -316,7 +319,7 @@ def test_solves_log_blocks_against_factorizations(two_state_seq, caplog):
     assert caplog.messages == [
         "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused",
         "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused, "
-        "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps",
+        "0 borders of 0 fixed cells, 0 masked factorizations",
     ]
 
 
@@ -345,7 +348,7 @@ def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
         reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
     assert caplog.messages == [
         "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused, "
-        "0 borders of 0 fixed cells, 0 masked factorizations, 0 refinement steps",
+        "0 borders of 0 fixed cells, 0 masked factorizations",
         "solve_forward: 192 blocks solved against 0 LU factorizations built, 2 reused",
     ]
 
@@ -427,7 +430,7 @@ def test_bordered_committor_equals_a_sparse_solve(seq, nx, a, b, caplog):
     with caplog.at_level(logging.INFO, logger="ajc"):
         c = committor_solve(J, A, B).values
     assert caplog.messages[-1].endswith(
-        "2 borders of 20 fixed cells, 0 masked factorizations, 0 refinement steps")
+        "2 borders of 20 fixed cells, 0 masked factorizations")
     ref = committor_sparse_solve(J, A, B, TAIL_TO_B)
     assert 0.1 < ref[ref < 1].max()
     assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -446,30 +449,30 @@ def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
         monkeypatch.setattr(operators, "_BORDER_MAX", fixed)
         bordered = committor_solve(J, A, B).values
     assert [m.split("reused, ")[1] for m in caplog.messages] == [
-        "0 borders of 0 fixed cells, 2 masked factorizations, 0 refinement steps",
-        f"2 borders of {2 * fixed} fixed cells, 0 masked factorizations, 0 refinement steps"]
+        "0 borders of 0 fixed cells, 2 masked factorizations",
+        f"2 borders of {2 * fixed} fixed cells, 0 masked factorizations"]
     assert np.abs(masked - bordered).max() <= 1e-13 * np.abs(masked).max()
 
 
 @pytest.mark.parametrize("rates, cells, a, b, dense, log_tail", [
     # the first three on SuperLU: a stiff cycle 0 -> 1 -> 2 -> 0 broken by A
-    # and B, one refinement step
+    # and B leaves the border's residual above a few ulps, so the free cell
+    # is factored instead
     ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1, False,
-     "1 borders of 2 fixed cells, 0 masked factorizations, 1 refinement steps"),
-    # stiffer: two steps leave the residual above a few ulps, so the free
-    # cell is factored instead
+     "1 borders of 2 fixed cells, 1 masked factorizations"),
+    # stiffer, the same way
     ([[0, 6.5e12, 1.7e13], [0, 0, 3.7e15], [7.9e15, 0, 0]], 1, 1, 0, False,
-     "1 borders of 2 fixed cells, 1 masked factorizations, 2 refinement steps"),
+     "1 borders of 2 fixed cells, 1 masked factorizations"),
     # flip-flop at rate 1e17: I - B is exactly singular, so no border; each
     # of the two cells is its own phase
     ([[0, 1e17, 0], [1e17, 0, 0], [0, 0, 0]], 2, 0, 2, False,
-     "0 borders of 0 fixed cells, 2 masked factorizations, 0 refinement steps"),
-    # a stiff cycle on the dense LU: one refinement step
+     "0 borders of 0 fixed cells, 2 masked factorizations"),
+    # a stiff cycle on the dense LU
     ([[0, 1.3e5, 0], [0, 0, 30], [6.4e8, 0, 0]], 1, 1, 2, True,
-     "1 borders of 2 fixed cells, 0 masked factorizations, 1 refinement steps"),
-], ids=["refined", "refinement-falls-short", "singular", "dense-refined"])
-def test_stiff_blocks_refine_or_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
-                                                      monkeypatch, caplog):
+     "1 borders of 2 fixed cells, 1 masked factorizations"),
+], ids=["stiff-cycle", "stiffer-cycle", "singular", "dense-stiff-cycle"])
+def test_stiff_blocks_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
+                                            monkeypatch, caplog):
     if not dense:
         monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     seq = RateMatrixSequence(TimeGrid.uniform(0, 1, cells),
