@@ -7,6 +7,7 @@ Koopman, committor and coherence problems on it.
 """
 
 from .generator import (
+    CSR,
     GridPotential,
     InvalidProtocol,
     RateMatrixSequence,
@@ -46,7 +47,7 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GridPotential", "InvalidProtocol", "RateMatrixSequence", "TimeGrid", "Violation",
+    "CSR", "GridPotential", "InvalidProtocol", "RateMatrixSequence", "TimeGrid", "Violation",
     "four_neighbor_adjacency", "sqra_rates",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
     "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",

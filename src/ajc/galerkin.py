@@ -27,6 +27,9 @@ only per-cell numbers: the scans, the survival masses and the explicit
 rows all read each cell's record (JumpMatrix.cells).  Up to _DENSE_MAX
 states R and B are dense: at that size one BLAS mat-vec or LAPACK solve
 costs less than scipy's sparse dispatch around the same arithmetic.
+scipy.sparse loads only where sparse arithmetic runs: for the records
+above _DENSE_MAX, which wrap each phase's own CSR arrays, and for
+JumpMatrix.matrix.
 """
 
 from __future__ import annotations
@@ -37,9 +40,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .generator import RateMatrixSequence, TimeGrid
+from .generator import CSR, RateMatrixSequence, TimeGrid
 
 # exp(-x) + x - 1 cancels below the cut, where the series (exp(-x) + x - 1) / x^2
 # = sum_n (-x)^n / (n + 2)! through x^12 is exact to rounding; highest power first.
@@ -104,8 +106,9 @@ class _Factors:
     and lu, the solver of I - B^T that ajc.operators sets on the first
     solve that needs it.
 
-    Up to _DENSE_MAX states R and B are dense arrays, above it CSR; either
-    way a kernel that needs a transpose reads the view .T, so a record holds
+    Up to _DENSE_MAX states R and B are dense arrays, above it scipy.sparse
+    CSR matrices on the phase's own arrays and on R's pattern; either way a
+    kernel that needs a transpose reads the view .T, so a record holds
     no copy.  Records compare and hash by identity.
     """
 
@@ -122,7 +125,7 @@ class _Factors:
 class JumpMatrix:
     """Factored Galerkin operator over space-time cells.
 
-    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, and
+    Per time cell l: offdiag[l] holds the off-diagonal rates R^l, a CSR, and
     cells[l] = blocks[block_of[l]] is cell l's _Factors record, one per
     phase and width.  The records are J's only per-cell numbers: the scans,
     ajc.operators' solves, the survival masses and the rows multiply by
@@ -197,7 +200,7 @@ class JumpMatrix:
         r phi(q_i^l, dt_l).
         """
         n, m = self.indexer.N, self.indexer.M
-        rows = [np.repeat(np.arange(n), np.diff(R.indptr)) for R in self.offdiag]
+        rows = [R.rows() for R in self.offdiag]
         # stable by row i keeps each row's entries by cell, then in R^l's order
         order = np.argsort(np.concatenate(rows), kind="stable")
         cell = np.concatenate([l * n + r for l, r in enumerate(rows)])[order]  # flat(i, l)
@@ -220,8 +223,9 @@ class JumpMatrix:
             yield data, cols[mine], lengths[:, k]
 
     @functools.cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The explicit CSR matrix, built on first use: the row blocks stacked."""
+    def matrix(self):
+        """The explicit scipy.sparse CSR matrix, built on first use: the row
+        blocks stacked."""
         n, size = self.indexer.N, self.indexer.size
         data, indices = np.empty(self.nnz), np.empty(self.nnz, dtype=np.int32)
         indptr = np.zeros(size + 1, dtype=np.int64)
@@ -229,7 +233,7 @@ class JumpMatrix:
             start = indptr[k * n]
             data[start:start + d.size], indices[start:start + d.size] = d, c
             indptr[k * n + 1:(k + 1) * n + 1] = start + np.cumsum(lengths)
-        return sp.csr_matrix((data, indices, indptr), shape=(size, size))
+        return CSR(data, indices, indptr, (size, size)).as_scipy()
 
     @functools.cached_property
     def block_cumulative(self) -> np.ndarray:
@@ -256,15 +260,14 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         if (p, w) in index:
             continue
         if p not in rates:
-            rates[p] = R.toarray() if dense else R
+            rates[p] = R.toarray() if dense else R.as_scipy()
         ql = q[:, l, None]
         within = psi(ql, w) / w
         if dense:
             B = rates[p] * within
         else:
             # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
-            rows = np.repeat(np.arange(seq.N), np.diff(R.indptr))
-            B = sp.csr_matrix((R.data * within[rows, 0], R.indices, R.indptr), shape=R.shape)
+            B = CSR(R.data * within[R.rows(), 0], R.indices, R.indptr, R.shape).as_scipy()
         jump = phi(ql, w)
         index[p, w] = len(blocks)
         blocks.append(_Factors(rates[p], B, jump, np.exp(-ql * w), jump / w, within))

@@ -5,6 +5,12 @@ rate matrix protocol: a time grid with M cells and one sparse rate matrix
 per cell.  Only off-diagonal rates are read: a sequence holds each phase as
 its off-diagonal rates R and outbound rates q, R's row sums, so rows close
 by construction, and forms the generator Q = R - diag(q) only on request.
+
+R is a CSR, plain numpy arrays: the sampler, the validation and the dense
+records of the jump operator read them as they are.  scipy.sparse loads
+only where sparse arithmetic runs on them (CSR.as_scipy, which wraps the
+same arrays, and the generators of RateMatrixSequence.matrices) or where
+the input itself is a scipy matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +20,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,23 +73,73 @@ class TimeGrid:
         return float(self.edges[-1])
 
 
-def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
-    """The off-diagonal nonzeros of a rate matrix as a CSR R with sorted
-    columns, and R's row sums q, the outbound rates; a diagonal is ignored.
+def _index_dtype(largest: int):
+    """The index dtype scipy's CSR constructor picks for indices and indptr
+    entries up to largest: int32 wherever they fit."""
+    return np.int32 if largest <= np.iinfo(np.int32).max else np.int64
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """A sparse matrix in canonical compressed rows, as plain numpy arrays:
+    row i holds data[indptr[i]:indptr[i + 1]] in the columns indices[...],
+    sorted, without duplicates, and indices and indptr are int32 wherever
+    they fit.  as_scipy wraps the same arrays for sparse arithmetic.
+    Records compare and hash by identity."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+    def rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows(), self.indices] = self.data
+        return out
+
+    def as_scipy(self):
+        """A scipy.sparse CSR matrix on the record's own arrays, no copy;
+        scipy.sparse loads here on first use."""
+        import scipy.sparse as sp
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
+
+
+def _split(rates) -> tuple[CSR, np.ndarray]:
+    """The off-diagonal nonzeros of a rate matrix as a CSR R, and R's row
+    sums q, the outbound rates; a diagonal is ignored.
 
     R is masked out of a copy of the input's CSR form with its duplicates
     summed, so it shares no array with the caller, and is that copy whole
-    when there is nothing to drop.  A canonical float CSR input is copied
-    array by array; any other input goes through scipy's CSR constructor.
+    when there is nothing to drop.  The branch depends on the input's type
+    alone: a CSR, or a canonical float scipy CSR, is copied array by array;
+    any other scipy matrix (one with a tocsr method) goes through scipy's
+    CSR constructor; anything else is read as a dense 2-D array, whose
+    nonzeros in row-major order are that CSR form.
     """
-    if (sp.issparse(rates) and rates.format == "csr" and rates.dtype == float
-            and rates.has_canonical_format):
+    if isinstance(rates, CSR) or (hasattr(rates, "tocsr") and rates.format == "csr"
+                                  and rates.dtype == float and rates.has_canonical_format):
         shape = rates.shape
         data, indices, indptr = rates.data.copy(), rates.indices.copy(), rates.indptr.copy()
-    else:
+    elif hasattr(rates, "tocsr"):
+        import scipy.sparse as sp
         A = sp.csr_matrix(rates, dtype=float, copy=True)
         A.sum_duplicates()
         shape, data, indices, indptr = A.shape, A.data, A.indices, A.indptr
+    else:
+        A = np.asarray(rates, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"a rate matrix must be two-dimensional, got shape {A.shape}")
+        shape, (rows, indices) = A.shape, np.nonzero(A)
+        data, indptr = A[rows, indices], np.zeros(shape[0] + 1, dtype=int)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     n = shape[0]
     rows = np.repeat(np.arange(n), np.diff(indptr))
     keep = (rows != indices) & (data != 0)
@@ -92,8 +147,9 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
         data, indices = data[keep], indices[keep]
         indptr = np.zeros_like(indptr)
         np.cumsum(np.bincount(rows[keep], minlength=n), out=indptr[1:])
-    # the constructor picks the index dtype, int32 wherever the indices fit
-    R = sp.csr_matrix((data, indices, indptr), shape=shape)
+    index = _index_dtype(max(*shape, data.size))
+    R = CSR(data, indices.astype(index, copy=False), indptr.astype(index, copy=False),
+            tuple(shape))
     # R.sum(axis=1)'s own arithmetic: reduceat over the rows that hold an
     # entry, +0.0 for the others (reduceat would give the next row's first)
     q = np.zeros(n)
@@ -107,13 +163,14 @@ def _split(rates) -> tuple[sp.csr_matrix, np.ndarray]:
 class RateMatrixSequence:
     """Piecewise-constant generator: offdiag[k] is valid on grid cell k.
 
-    The constructor takes one rate matrix per cell as offdiag and reads only
-    its off-diagonal nonzeros; its diagonal is ignored.  The protocol's
+    The constructor takes one rate matrix per cell as offdiag, a CSR, a
+    scipy sparse matrix or a dense array, and reads only its off-diagonal
+    nonzeros; its diagonal is ignored.  The protocol's
     phases are its distinct rate matrices, told apart by object identity,
     and each is split once into its off-diagonal rates R and outbound rates
     q, R's row sums.  These are what the jump operator and the sampler
-    read: phase[k] is cell k's phase, offdiag[k] its R (cells of one phase
-    share one R) and outbound[:, k] its q, in a read-only C-ordered (N, M)
+    read: phase[k] is cell k's phase, offdiag[k] its R, a CSR (cells of one
+    phase share one R), and outbound[:, k] its q, in a read-only C-ordered (N, M)
     table.  The generator Q = R - diag(q) is formed only on request
     (matrices), and so is the sampler's table of each phase's embedded chain
     (embedded_chain).  Sequences compare and hash by identity.
@@ -164,10 +221,12 @@ class RateMatrixSequence:
 
     @functools.cached_property
     def matrices(self) -> tuple:
-        """Per-cell generators Q^k = R^k - diag(q^k), formed on first use;
-        cells of one phase share one Q."""
+        """Per-cell generators Q^k = R^k - diag(q^k) as scipy.sparse CSR
+        matrices, formed on first use; cells of one phase share one Q."""
+        import scipy.sparse as sp
         first = np.unique(self.phase, return_index=True)[1]  # a cell of each phase
-        Q = [(self.offdiag[m] - sp.diags(self.outbound[:, m])).tocsr() for m in first]
+        Q = [(self.offdiag[m].as_scipy() - sp.diags(self.outbound[:, m])).tocsr()
+             for m in first]
         return tuple(Q[p] for p in self.phase)
 
     @functools.cached_property
@@ -217,30 +276,29 @@ class InvalidProtocol(ValueError):
         self.violations = violations
 
 
-def _phase_violations(R: sp.csr_matrix, q: np.ndarray, cell: int) -> list[Violation]:
+def _phase_violations(R: CSR, q: np.ndarray, cell: int) -> list[Violation]:
     """Violations of one phase with off-diagonal rates R and outbound rates
     q, each filed under the time cell cell: the sign and finiteness of every
     rate, and the finiteness of every outbound rate."""
     if np.isfinite(q).all() and np.isfinite(R.data).all() and (R.data >= 0).all():
         return []
-    coo = R.tocoo()
-    finite = np.isfinite(coo.data)
+    row, col, data = R.rows(), R.indices, R.data
+    finite = np.isfinite(data)
     # rows close by construction, so the one row defect left is a row of
     # finite rates whose sum overflows; a non-finite rate is reported itself
     off = ~np.isfinite(q)
-    off[coo.row[~finite]] = False
+    off[row[~finite]] = False
     out = [Violation(cell, "rowsum", int(i), None, abs(float(q[i]))) for i in np.flatnonzero(off)]
-    neg = finite & (coo.data < 0)
+    neg = finite & (data < 0)
     out += [Violation(cell, "negativity", int(i), int(j), float(-v))
-            for i, j, v in zip(coo.row[neg], coo.col[neg], coo.data[neg])]
+            for i, j, v in zip(row[neg], col[neg], data[neg])]
     out += [Violation(cell, "nonfinite", int(i), int(j), float(v))
-            for i, j, v in zip(coo.row[~finite], coo.col[~finite], coo.data[~finite])]
+            for i, j, v in zip(row[~finite], col[~finite], data[~finite])]
     return out
 
 
-def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
-    """Symmetric 0/1 adjacency of the nx-by-ny rectangular grid, as a CSR
-    with sorted columns.
+def four_neighbor_adjacency(nx: int, ny: int) -> CSR:
+    """Symmetric 0/1 adjacency of the nx-by-ny rectangular grid, as a CSR.
 
     State index is row-major: index = row * nx + col with row in [0, ny).
     """
@@ -249,22 +307,23 @@ def four_neighbor_adjacency(nx: int, ny: int) -> sp.csr_matrix:
     # each state's neighbours in ascending order: up, left, right, down
     cols = np.stack([i - nx, i - 1, i + 1, i + nx], axis=1)
     ok = np.stack([row > 0, col > 0, col < nx - 1, row < ny - 1], axis=1)
-    indptr = np.zeros(nx * ny + 1, dtype=int)
+    index = _index_dtype(ok.size)
+    indptr = np.zeros(nx * ny + 1, dtype=index)
     np.cumsum(ok.sum(axis=1), out=indptr[1:])
-    return sp.csr_matrix((np.ones(indptr[-1]), cols[ok], indptr), shape=(nx * ny, nx * ny))
+    return CSR(np.ones(indptr[-1]), cols[ok].astype(index), indptr, (nx * ny, nx * ny))
 
 
 @dataclass(frozen=True, eq=False)
 class GridPotential:
     """Potential sampled on a rectangular grid of nx by ny states, at least
-    one each way, with 4-neighbor adjacency.  Potentials compare and hash by
-    identity."""
+    one each way, with 4-neighbor adjacency (a CSR) and a positive, finite
+    cell size h.  Potentials compare and hash by identity."""
 
     nx: int
     ny: int
     h: float
     values: np.ndarray
-    adjacency: sp.csr_matrix = field(init=False)
+    adjacency: CSR = field(init=False)
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
@@ -273,8 +332,8 @@ class GridPotential:
         values = np.asarray(self.values, dtype=float).ravel()
         if values.size != self.nx * self.ny:
             raise ValueError("potential values must have nx*ny entries")
-        if self.h <= 0:
-            raise ValueError("cell size h must be positive")
+        if not 0 < self.h < np.inf:
+            raise ValueError(f"cell size h must be positive and finite, got h={self.h}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "adjacency", four_neighbor_adjacency(self.nx, self.ny))
 
@@ -300,9 +359,8 @@ def sqra_rates(p: GridPotential, betas) -> tuple:
         raise ValueError("beta must be positive")
     distinct, which = np.unique(betas, return_inverse=True)
     A, v = p.adjacency, p.values
-    rows = np.repeat(np.arange(p.N), np.diff(A.indptr))
     phi = 1.0 / (distinct * p.h ** 2)
     with np.errstate(over="ignore"):  # RateMatrixSequence reports an inf rate
-        data = phi[:, None] * np.exp(-0.5 * distinct[:, None] * (v[A.indices] - v[rows]))
-    rates = [sp.csr_matrix((d, A.indices, A.indptr), shape=A.shape) for d in data]
+        data = phi[:, None] * np.exp(-0.5 * distinct[:, None] * (v[A.indices] - v[A.rows()]))
+    rates = [CSR(d, A.indices, A.indptr, A.shape) for d in data]
     return tuple(rates[i] for i in which)

@@ -2,7 +2,8 @@
 
 All outputs are text.  States and blocks are 0-based in every file; the
 2-state preset additionally accepts the state names "A" and "B".
-scipy.io loads on the first .mtx read or write.
+scipy.io, and scipy.sparse with it, loads on the first .mtx read or
+write; nothing else here loads scipy.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from io import BytesIO
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, tail_value
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
+    CSR,
     GridPotential,
     InvalidProtocol,
     RateMatrixSequence,
@@ -57,7 +58,7 @@ def _write_rows(fh, size: int, first: int, blocks: list) -> int:
     indptr[first + 1:first + 1 + counts.size] = np.cumsum(counts)
     indptr[first + 1 + counts.size:] = data.size
     buf = BytesIO()
-    scipy.io.mmwrite(buf, sp.csr_matrix((data, indices, indptr), shape=(size, size)),
+    scipy.io.mmwrite(buf, CSR(data, indices, indptr, (size, size)).as_scipy(),
                      symmetry="general")
     return fh.write(buf.getbuffer()[len(_mtx_header(size, data.size)):])
 
@@ -223,7 +224,7 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         mats = []
         for p in sources:
             try:
-                mats.append(sp.csr_matrix(scipy.io.mmread(p)))
+                mats.append(scipy.io.mmread(p))
             except Exception as exc:
                 raise ConfigError(f"cannot read rate matrix {p}: {exc}")
             if mats[-1].shape[0] != mats[-1].shape[1]:

@@ -19,8 +19,10 @@ cell it solves on a whole block and, after the scan, checks the residuals
 of each record's cells against RESIDUAL_TOL in one product over them.  One
 size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
 blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
-scipy.linalg's LAPACK and scipy.sparse.linalg's SuperLU load on the first
-factorization, so a process that solves nothing never imports them.
+scipy.linalg's LAPACK loads on the first dense factorization, and
+scipy.sparse with scipy.sparse.linalg's SuperLU on the first sparse one,
+so a process that solves nothing, or only dense blocks, never imports
+scipy.sparse.
 Kernels take the stack they are given, so a propagator of fewer than N
 densities is one scan of that stack.  A committor block with cells in A
 or B is solved on the same LU, bordered by those fixed cells and checked
@@ -36,7 +38,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
@@ -90,6 +91,7 @@ def _factor(operand):
         if info > 0:
             raise NonConvergence(f"singular diagonal block: pivot {info} is exactly zero")
         return lambda rhs, trans: lapack.dgetrs(lu, piv, rhs, trans=int(trans))[0]
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     try:
         lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(), permc_spec="MMD_AT_PLUS_A")
@@ -205,16 +207,22 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
         P = np.linalg.solve(W[c].T, W.T).T
     except (NonConvergence, np.linalg.LinAlgError):
         return None
-    scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
+    served = False
 
     def solve(rhs, x):
+        nonlocal served
         y, v = lu(rhs, True), x[c]
         y += P @ (v - y[c])
         y[c] = v
         r = y - block.B @ y - rhs
         r[c] = 0.0
         res = np.abs(r).max(initial=0.0)
-        return (y, res) if res <= _BORDER_EPS * np.abs(y).max() else None
+        if res > _BORDER_EPS * np.abs(y).max():
+            return None
+        if not served:  # the scan counts a border once it has served a solve
+            served = True
+            scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
+        return y, res
     return solve
 
 
@@ -362,7 +370,7 @@ def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     runs = squarings = 0
     for f, cells in itertools.groupby(range(1, l + 1), key=J.cells.__getitem__):
         k, n = next(cells), 1 + sum(1 for _ in cells)
-        Y, res = _solve(f, J.offdiag[k].T.toarray() * f.phi.T, True, scan)
+        Y, res = _solve(f, J.offdiag[k].toarray().T * f.phi.T, True, scan)
         T = np.diag(f.decay[:, 0]) + f.leave * Y
         carry = np.linalg.matrix_power(T, n) @ carry
         runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)

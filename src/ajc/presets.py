@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .generator import GridPotential, RateMatrixSequence, TimeGrid, sqra_rates
 
@@ -32,8 +31,8 @@ def two_state(dt: float = 1.0) -> RateMatrixSequence:
     dt must divide the switch time 4.
     """
     grid = _uniform_grid(dt, TWO_STATE_SWITCH_TIME, TWO_STATE_HORIZON)
-    a_to_b = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    b_to_a = sp.csr_matrix(np.array([[0.0, 0.0], [1.0, 0.0]]))
+    a_to_b = np.array([[0.0, 1.0], [0.0, 0.0]])
+    b_to_a = np.array([[0.0, 0.0], [1.0, 0.0]])
     mid = 0.5 * (grid.edges[:-1] + grid.edges[1:])  # each cell's phase is its midpoint's
     return RateMatrixSequence(grid, [a_to_b if t < TWO_STATE_SWITCH_TIME else b_to_a
                                      for t in mid])

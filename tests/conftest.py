@@ -143,7 +143,7 @@ def reference_sqra_rates(p, beta):
     if beta <= 0:
         raise ValueError("beta must be positive")
     phi = 1.0 / (beta * p.h ** 2)
-    A = p.adjacency.tocoo()
+    A = p.adjacency.as_scipy().tocoo()
     v = p.values
     with np.errstate(over="ignore"):
         data = phi * np.exp(-0.5 * beta * (v[A.col] - v[A.row]))
@@ -151,7 +151,7 @@ def reference_sqra_rates(p, beta):
 
 
 def reference_phase_violations(R, q):
-    coo = R.tocoo()
+    coo = R.as_scipy().tocoo()
     finite = np.isfinite(coo.data)
     off = ~np.isfinite(q)
     off[coo.row[~finite]] = False

@@ -170,10 +170,11 @@ class TestAssemble:
         held = {id(a): a.nbytes for b in J.blocks for a in (b.R, b.B)}
         assert len(J.blocks) == 10 and all(b.lu is None for b in J.blocks)
         assert sum(held.values()) == 2 * n * n * 8 * len(J.blocks)
-        # above the rule R is the sequence's own CSR
+        # above the rule R wraps the sequence's own CSR arrays
         monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
         J = assemble(seq)
-        assert all(J.blocks[b].R is seq.offdiag[l] for l, b in enumerate(J.block_of))
+        assert all(np.shares_memory(getattr(J.blocks[b].R, name), getattr(seq.offdiag[l], name))
+                   for l, b in enumerate(J.block_of) for name in ("data", "indices", "indptr"))
         assert all(sp.isspmatrix_csr(b.B) for b in J.blocks)
 
     def test_records_hold_each_cells_closed_forms(self):
@@ -341,6 +342,19 @@ def protocols(draw):
 
 
 class TestRandomProtocols:
+    @settings(max_examples=60, deadline=None)
+    @given(seq=protocols())
+    def test_dense_records_equal_scipy_toarray(self, seq):
+        # the dense records are built from the phases' numpy CSR arrays; the
+        # same arrays through scipy give the same bits
+        J = assemble(seq)
+        for l, f in enumerate(J.cells):
+            R = seq.offdiag[l]
+            want = sp.csr_matrix((R.data, R.indices, R.indptr), shape=R.shape).toarray()
+            within = psi(seq.outbound[:, l, None], seq.grid.widths[l]) / seq.grid.widths[l]
+            for got, ref in ((f.R, want), (f.B, want * within)):
+                assert (got.dtype, got.shape) == (ref.dtype, ref.shape)
+                assert got.tobytes() == ref.tobytes()
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), seed=st.integers(0, 2 ** 32 - 1))
     def test_scans_equal_the_explicit_matrix(self, seq, seed):

@@ -153,7 +153,7 @@ class TestSqra:
         beta = 2.0
         Q, = sqra_rates(pot, [beta])
         phi = 1.0 / (beta * 0.25)
-        off = Q.tocoo()
+        off = Q.as_scipy().tocoo()
         mask = off.row != off.col
         np.testing.assert_allclose(off.data[mask], phi)
 
@@ -162,14 +162,14 @@ class TestSqra:
         beta = 3.0
         values = np.array([0.0, 2.0 / beta])
         pot = GridPotential(2, 1, 1.0, values)
-        Q, = sqra_rates(pot, [beta])
+        Q = sqra_rates(pot, [beta])[0].toarray()
         assert Q[0, 1] == pytest.approx(np.exp(-1.0) / beta, rel=1e-14)
         assert Q[1, 0] == pytest.approx(np.exp(1.0) / beta, rel=1e-14)
 
     def test_9x7_grid_edge_count(self):
         pot = GridPotential(9, 7, 0.5, np.zeros(63))
         Q, = sqra_rates(pot, [1.0])
-        coo = Q.tocoo()
+        coo = Q.as_scipy().tocoo()
         offdiag = np.count_nonzero(coo.row != coo.col)
         assert offdiag == 2 * (8 * 7 + 9 * 6) == 220
 
@@ -185,9 +185,9 @@ class TestSqra:
     def test_sparsity_pattern_equals_adjacency(self):
         rng = np.random.default_rng(4)
         pot = GridPotential(4, 6, 1.0, rng.normal(size=24))
-        Q = sqra_rates(pot, [2.0])[0].tocoo()
+        Q = sqra_rates(pot, [2.0])[0].as_scipy().tocoo()
         got = {(i, j) for i, j in zip(Q.row, Q.col) if i != j}
-        A = pot.adjacency.tocoo()
+        A = pot.adjacency.as_scipy().tocoo()
         assert got == set(zip(A.row.tolist(), A.col.tolist()))
 
     def test_rejects_bad_parameters(self):
@@ -196,6 +196,9 @@ class TestSqra:
             sqra_rates(pot, [1.0, 0.0])
         with pytest.raises(ValueError):
             GridPotential(2, 2, -1.0, np.zeros(4))
+        for h in (np.inf, np.nan):  # an infinite h would freeze every rate at 0
+            with pytest.raises(ValueError, match=f"h must be positive and finite, got h={h}"):
+                GridPotential(2, 2, h, np.zeros(4))
         for nx, ny, values in ((-1, -2, np.zeros(2)), (0, 0, []), (0, 3, []), (2, 0, [])):
             with pytest.raises(ValueError, match="nx and ny must be positive"):
                 GridPotential(nx, ny, 1.0, values)
@@ -209,7 +212,7 @@ class TestSqra:
             assert csr_bytes(R) == csr_bytes(sqra_rates(pot, [beta])[0])
 
     def test_adjacency_degrees(self):
-        A = four_neighbor_adjacency(9, 7)
+        A = four_neighbor_adjacency(9, 7).as_scipy()
         deg = np.asarray(A.sum(axis=1)).ravel()
         assert sorted(np.unique(deg)) == [2, 3, 4]
         assert np.count_nonzero(deg == 2) == 4  # corners
@@ -254,7 +257,7 @@ class TestProtocol:
         np.testing.assert_array_equal(seq.phase, again.phase)
         for k, beta in ((0, 1.0), (12, 10.0)):
             R, = sqra_rates(pot, [beta])
-            q = np.asarray(R.sum(axis=1)).ravel()
+            q = np.asarray(R.as_scipy().sum(axis=1)).ravel()
             for got in (seq, again):
                 for name in ("data", "indices", "indptr"):
                     a, b = getattr(got.offdiag[k], name), getattr(R, name)

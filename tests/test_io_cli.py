@@ -346,7 +346,7 @@ class TestCli:
     def test_an_overflowing_beta_is_named_in_full(self, tmp_path, capsys):
         # every rate of the beta that overflows, under its source, in order
         pot = presets.triple_well_grid_potential()
-        adj, v = pot.adjacency.tocoo(), pot.values
+        adj, v = pot.adjacency.as_scipy().tocoo(), pot.values
         want = "; ".join(f"sqra rates at beta 1e+300: nonfinite violation at matrix 0, "
                          f"row {i}, col {j}: inf" for i, j in zip(adj.row, adj.col) if v[j] < v[i])
         cfg = write_config(tmp_path, {"generator": {
@@ -473,6 +473,16 @@ class TestCli:
          "sqra potential: grid sizes nx and ny must be positive, got nx=0, ny=0"),
         ("committor", {"set_a": [["B", 7]], "set_b": {"states": [1], "blocks": [7, 0]}},
          "set B blocks [7, 0] are reversed"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
+                                   "h": float("inf")}},
+         "sqra potential: cell size h must be positive and finite, got h=inf"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
+                                   "h": float("nan")}},
+         "sqra potential: cell size h must be positive and finite, got h=nan"),
         ("coherence", {"set_c": {"states": [0], "blocks": [5, 2]}},
          "set C blocks [5, 2] are reversed"),
     ])
@@ -536,25 +546,44 @@ class TestCli:
 
     def test_commands_load_only_the_scipy_modules_they_run(self, tmp_path):
         # a fresh interpreter, since this one has imported all of scipy already
-        runs = [["sample", "--config", write_config(tmp_path, {
-                    "generator": {"preset": "triple-well"}, "initial": {"state": 0},
-                    "n_trajectories": 5}, "s.json"), "--out", "out"],
-                ["assemble", "--config", write_config(tmp_path, {
-                    "generator": {"preset": "triple-well"}}, "a.json"), "--out", "out"]]
+        tw = {"generator": {"preset": "triple-well"}}
+        side = 13  # 169 states, above the dense size rule
+        assert side * side > galerkin._DENSE_MAX
+        grid = {"generator": {"type": "sqra", "time_grid": {"t0": 0, "t1": 2, "cells": 2},
+                              "beta_schedule": [1, 10], "nx": side, "ny": side, "h": 0.3,
+                              "potential": np.sin(np.arange(side * side)).tolist()}}
+        sample = ["sample", "--config", write_config(tmp_path, {
+            **tw, "initial": {"state": 0}, "n_trajectories": 5}, "s.json"), "--seed", "7"]
+        runs = [sample + ["--out", "out"],
+                ["coherence", "--config", write_config(tmp_path, {**tw, "set_c": [[20, 0]]},
+                                                       "c.json"), "--out", "out"],
+                ["koopman", "--config", write_config(tmp_path, tw, "k.json"), "--out", "out"],
+                ["assemble", "--config", write_config(tmp_path, tw, "a.json"), "--out", "out"],
+                ["koopman", "--config", write_config(tmp_path, grid, "g.json"), "--out", "out"]]
         script = ("import json, sys\n"
                   "import ajc.cli\n"
-                  "mods = ('scipy.linalg', 'scipy.sparse.linalg', 'scipy.io')\n"
-                  "seen = [[m for m in mods if m in sys.modules]]\n"
+                  "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                  "seen = [loaded()]\n"
                   f"for argv in {runs!r}:\n"
                   "    assert ajc.cli.main(argv) == 0\n"
-                  "    seen.append([m for m in mods if m in sys.modules])\n"
+                  "    seen.append(loaded())\n"
                   "print(json.dumps(seen))\n")
         env = dict(os.environ, PYTHONPATH=str(Path(ajc.__file__).resolve().parents[1]))
         out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                              capture_output=True, text=True, check=True).stdout
-        after_import, after_sample, after_assemble = json.loads(out.splitlines()[-1])
-        assert after_import == [] and after_sample == []
-        assert after_assemble == ["scipy.io"]
+        seen = [set(s) for s in json.loads(out.splitlines()[-1])]
+        after_import, after_sample, after_coherence, after_koopman = seen[:4]
+        assert after_import == after_sample == after_coherence == set()
+        assert "scipy.linalg" in after_koopman and "scipy.sparse" not in after_koopman
+        after_assemble, after_grid = seen[4:]
+        assert {"scipy.io", "scipy.sparse"} <= after_assemble
+        assert "scipy.sparse.linalg" not in after_assemble
+        assert "scipy.sparse.linalg" in after_grid
+        # the fresh process samples the bytes this one does
+        assert main(sample + ["--out", str(tmp_path / "here")]) == 0
+        digest = lambda path: hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest(tmp_path / "out" / "trajectories.csv") == \
+            digest(tmp_path / "here" / "trajectories.csv")
 
     def test_solver_error_exit_3(self, tmp_path):
         cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})
