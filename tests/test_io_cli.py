@@ -473,6 +473,8 @@ class TestCli:
          "sqra potential: grid sizes nx and ny must be positive, got nx=0, ny=0"),
         ("committor", {"set_a": [["B", 7]], "set_b": {"states": [1], "blocks": [7, 0]}},
          "set B blocks [7, 0] are reversed"),
+        ("coherence", {"set_c": {"states": [0], "blocks": [5, 2]}},
+         "set C blocks [5, 2] are reversed"),
         ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
                                    "time_grid": {"t0": 0, "t1": 2, "cells": 1},
                                    "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
@@ -483,8 +485,6 @@ class TestCli:
                                    "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
                                    "h": float("nan")}},
          "sqra potential: cell size h must be positive and finite, got h=nan"),
-        ("coherence", {"set_c": {"states": [0], "blocks": [5, 2]}},
-         "set C blocks [5, 2] are reversed"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})
