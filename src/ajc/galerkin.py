@@ -14,9 +14,10 @@ in cell (i, k) next jumps into cell (j, l) with probability
 so absorbing phases need no special casing.  Only these per-cell factors
 are stored, O(M nnz(Q)) numbers; every product is one scan over the time
 cells carrying the jumps still in flight.  The explicit matrix, whose
-nonzeros grow as M^2, exists only as rows: JumpMatrix.row_blocks yields
-them one time block at a time, which is how the .mtx export writes them,
-and JumpMatrix.matrix stacks them on request for checks.
+nonzeros grow as M^2, exists only as rows: JumpMatrix.block_rows builds
+those of a range of time blocks, the .mtx export writes them one chunk of
+blocks at a time, and JumpMatrix.matrix, built on request for checks, is
+all of them.
 
 Each distinct (phase, width) pair has one record of what its cells
 multiply by: R and the diagonal block B, whose transposes are views, the
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import CSR, RateMatrixSequence, TimeGrid
+from .generator import CSR, RateMatrixSequence, TimeGrid, _index_dtype
 
 # exp(-x) + x - 1 cancels below the cut, where the series (exp(-x) + x - 1) / x^2
 # = sum_n (-x)^n / (n + 2)! through x^12 is exact to rounding; highest power first.
@@ -189,51 +190,58 @@ class JumpMatrix:
         the rows of blocks 0..l, so nnz = sum_l (l + 1) nnz(R^l)."""
         return sum((l + 1) * R.nnz for l, R in enumerate(self.offdiag))
 
-    def row_blocks(self):
-        """Yield the rows of the explicit matrix one time block k at a time,
-        as (data, indices, row lengths) in CSR order.
-
-        Row (i, k) holds its entries for cells l = k..M-1 in turn, each in
-        the column order of R^l.  Every cell's entries are gathered once in
-        that row order; an entry of cell l > k is phi_k/dt_k times the decay
-        through cells k+1..l-1, accumulated left to right, times its jump
-        r phi(q_i^l, dt_l).
-        """
-        n, m = self.indexer.N, self.indexer.M
+    @functools.cached_property
+    def _row_order(self) -> tuple:
+        """Every cell's entries gathered once in the row order of the explicit
+        matrix: each entry's cell flat(i, l), column, jump r phi(q_i^l, dt_l)
+        and within-cell value r psi(q_i^l, dt_l) / dt_l, and the (N, M) row
+        lengths, the entries of row (i, k) being those of the cells l >= k."""
+        n = self.indexer.N
         rows = [R.rows() for R in self.offdiag]
         # stable by row i keeps each row's entries by cell, then in R^l's order
         order = np.argsort(np.concatenate(rows), kind="stable")
-        cell = np.concatenate([l * n + r for l, r in enumerate(rows)])[order]  # flat(i, l)
-        cols = np.concatenate([l * n + R.indices for l, R in enumerate(self.offdiag)])
-        cols = cols[order].astype(np.int32)
+        cell = np.concatenate([l * n + r for l, r in enumerate(rows)])[order]
+        cols = np.concatenate([l * n + R.indices for l, R in enumerate(self.offdiag)])[order]
         by_cell = list(zip(self.offdiag, rows, self.cells))
         jump = np.concatenate([R.data * f.phi[r, 0] for R, r, f in by_cell])[order]
         within = np.concatenate([R.data * f.within[r, 0] for R, r, f in by_cell])[order]
-        # row i of block k holds its entries of the cells l >= k
         lengths = np.column_stack([np.diff(R.indptr) for R in self.offdiag])
         lengths = np.cumsum(lengths[:, ::-1], axis=1)[:, ::-1]
+        return cell, cols, jump, within, lengths
+
+    def block_rows(self, first: int, last: int) -> CSR:
+        """The rows of time blocks first..last-1 of the explicit matrix, as a
+        CSR of its full (N*M)^2 shape whose other rows are empty.
+
+        Row (i, k) holds its entries for cells l = k..M-1 in turn, each in
+        the column order of R^l.  An entry of cell k is r psi(q_i^k, dt_k) /
+        dt_k; one of cell l > k is phi_k/dt_k times the decay through cells
+        k+1..l-1, accumulated left to right, times its jump r phi(q_i^l, dt_l).
+        """
+        n, m, size = self.indexer.N, self.indexer.M, self.indexer.size
+        cell, cols, jump, within, lengths = self._row_order
+        counts = lengths[:, first:last].T.ravel()
+        index = _index_dtype(max(size, int(counts.sum())))
+        indptr = np.zeros(size + 1, dtype=index)
+        np.cumsum(counts, out=indptr[first * n + 1:last * n + 1])
+        indptr[last * n + 1:] = indptr[last * n]
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
         decay = np.hstack([f.decay for f in self.blocks]).T[self.block_of]
-        for k in range(m):
+        for k in range(first, last):
             mine = cell >= k * n
             # row l - k - 1 of left is phi_k/dt_k times d^{k+1} ... d^{l-1};
             # the entries of cell k itself get a negative offset
             at = cell[mine] - (k + 1) * n
             left = np.cumprod(np.vstack([self.cells[k].leave.T, decay[k + 1:m - 1]]), axis=0)
-            data = np.where(at < 0, within[mine], left.ravel()[at] * jump[mine])
-            yield data, cols[mine], lengths[:, k]
+            lo, hi = indptr[k * n], indptr[(k + 1) * n]
+            data[lo:hi] = np.where(at < 0, within[mine], left.ravel()[at] * jump[mine])
+            indices[lo:hi] = cols[mine]
+        return CSR(data, indices, indptr, (size, size))
 
     @functools.cached_property
     def matrix(self):
-        """The explicit scipy.sparse CSR matrix, built on first use: the row
-        blocks stacked."""
-        n, size = self.indexer.N, self.indexer.size
-        data, indices = np.empty(self.nnz), np.empty(self.nnz, dtype=np.int32)
-        indptr = np.zeros(size + 1, dtype=np.int64)
-        for k, (d, c, lengths) in enumerate(self.row_blocks()):
-            start = indptr[k * n]
-            data[start:start + d.size], indices[start:start + d.size] = d, c
-            indptr[k * n + 1:(k + 1) * n + 1] = start + np.cumsum(lengths)
-        return CSR(data, indices, indptr, (size, size)).as_scipy()
+        """The explicit scipy.sparse CSR matrix, built on first use."""
+        return self.block_rows(0, self.indexer.M).as_scipy()
 
     @functools.cached_property
     def block_cumulative(self) -> np.ndarray:
@@ -266,7 +274,7 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         if dense:
             B = rates[p] * within
         else:
-            # R's own pattern: JumpMatrix.row_blocks writes the same data into R's slots
+            # R's own pattern: JumpMatrix.block_rows writes the same data into R's slots
             B = CSR(R.data * within[R.rows(), 0], R.indices, R.indptr, R.shape).as_scipy()
         jump = phi(ql, w)
         index[p, w] = len(blocks)

@@ -119,13 +119,11 @@ def _split(rates) -> tuple[CSR, np.ndarray]:
     R is masked out of a copy of the input's CSR form with its duplicates
     summed, so it shares no array with the caller, and is that copy whole
     when there is nothing to drop.  The branch depends on the input's type
-    alone: a CSR, or a canonical float scipy CSR, is copied array by array;
-    any other scipy matrix (one with a tocsr method) goes through scipy's
-    CSR constructor; anything else is read as a dense 2-D array, whose
-    nonzeros in row-major order are that CSR form.
+    alone: a CSR is copied array by array; a scipy matrix (one with a tocsr
+    method) goes through scipy's CSR constructor; anything else is read as
+    a dense 2-D array, whose nonzeros in row-major order are that CSR form.
     """
-    if isinstance(rates, CSR) or (hasattr(rates, "tocsr") and rates.format == "csr"
-                                  and rates.dtype == float and rates.has_canonical_format):
+    if isinstance(rates, CSR):
         shape = rates.shape
         data, indices, indptr = rates.data.copy(), rates.indices.copy(), rates.indptr.copy()
     elif hasattr(rates, "tocsr"):
@@ -336,10 +334,6 @@ class GridPotential:
             raise ValueError(f"cell size h must be positive and finite, got h={self.h}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "adjacency", four_neighbor_adjacency(self.nx, self.ny))
-
-    @property
-    def N(self) -> int:
-        return self.nx * self.ny
 
 
 def sqra_rates(p: GridPotential, betas) -> tuple:

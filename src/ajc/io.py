@@ -20,7 +20,6 @@ import numpy as np
 from .committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, tail_value
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
-    CSR,
     GridPotential,
     InvalidProtocol,
     RateMatrixSequence,
@@ -44,25 +43,6 @@ def _mtx_header(size: int, nnz: int) -> bytes:
     return f"%%MatrixMarket matrix coordinate real general\n%\n{size} {size} {nnz}\n".encode()
 
 
-def _write_rows(fh, size: int, first: int, blocks: list) -> int:
-    """Append the MatrixMarket entries of consecutive row blocks, the first
-    starting at row first; returns the bytes written.
-
-    The blocks go to mmwrite as one full-shape CSR whose indptr is flat
-    outside them, so rows and columns keep their global numbers and the
-    values their formatting; the chunk's own header is dropped.
-    """
-    import scipy.io
-    data, indices, counts = (np.concatenate(a) for a in zip(*blocks))
-    indptr = np.zeros(size + 1, dtype=np.int32)
-    indptr[first + 1:first + 1 + counts.size] = np.cumsum(counts)
-    indptr[first + 1 + counts.size:] = data.size
-    buf = BytesIO()
-    scipy.io.mmwrite(buf, CSR(data, indices, indptr, (size, size)).as_scipy(),
-                     symmetry="general")
-    return fh.write(buf.getbuffer()[len(_mtx_header(size, data.size)):])
-
-
 def save_jump_matrix(J: JumpMatrix, path) -> tuple[Path, Path]:
     """Write matrix.mtx plus a sidecar .json header; returns both paths.
 
@@ -74,14 +54,21 @@ def save_jump_matrix(J: JumpMatrix, path) -> tuple[Path, Path]:
     mtx = path.with_suffix(".mtx")
     header = path.with_suffix(".json")
     size, nnz = J.indexer.size, J.nnz
-    chunks, pending = 0, []
+    # block k holds the entries of the cells l >= k
+    per_block = np.cumsum([R.nnz for R in J.offdiag[::-1]])[::-1].tolist()
+    import scipy.io
+    chunks, first, pending = 0, 0, 0
     with open(mtx, "wb") as fh:
         written = fh.write(_mtx_header(size, nnz))
-        for k, block in enumerate(J.row_blocks(), start=1):
-            pending.append(block)
-            if sum(b[0].size for b in pending) >= _CHUNK_ENTRIES or k == J.indexer.M:
-                written += _write_rows(fh, size, (k - len(pending)) * J.indexer.N, pending)
-                chunks, pending = chunks + 1, []
+        for k, count in enumerate(per_block, start=1):
+            pending += count
+            if pending >= _CHUNK_ENTRIES or k == J.indexer.M:
+                # global row and column numbers and mmwrite's own formatting;
+                # the chunk's header is dropped
+                buf = BytesIO()
+                scipy.io.mmwrite(buf, J.block_rows(first, k).as_scipy(), symmetry="general")
+                written += fh.write(buf.getbuffer()[len(_mtx_header(size, pending)):])
+                chunks, first, pending = chunks + 1, k, 0
     log.info("save_jump_matrix: nnz=%d in %d chunks, %d bytes written", nnz, chunks, written)
     meta = {
         "N": J.indexer.N,
@@ -221,17 +208,18 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         if len(sources) != grid.M:
             raise ConfigError("need one matrix file per time cell")
         import scipy.io
-        mats = []
-        for p in sources:
+        read = {}  # each distinct file once, so the cells naming it share one phase
+        for p in dict.fromkeys(sources):
             try:
-                mats.append(scipy.io.mmread(p))
+                A = read[p] = scipy.io.mmread(p)
             except Exception as exc:
                 raise ConfigError(f"cannot read rate matrix {p}: {exc}")
-            if mats[-1].shape[0] != mats[-1].shape[1]:
-                raise ConfigError(f"rate matrix {p} is not square: {mats[-1].shape}")
-            if mats[-1].shape != mats[0].shape:
-                raise ConfigError(f"rate matrix {p} is {mats[-1].shape}, "
-                                  f"{sources[0]} is {mats[0].shape}")
+            if A.shape[0] != A.shape[1]:
+                raise ConfigError(f"rate matrix {p} is not square: {A.shape}")
+            if A.shape != read[sources[0]].shape:
+                raise ConfigError(f"rate matrix {p} is {A.shape}, "
+                                  f"{sources[0]} is {read[sources[0]].shape}")
+        mats = [read[p] for p in sources]
     try:  # a file's bad rates, or an sqra beta's rates that overflow
         return RateMatrixSequence(grid, mats)
     except InvalidProtocol as exc:

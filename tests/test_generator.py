@@ -367,7 +367,7 @@ def rate_matrices(draw, n):
         A = sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
         if form == "csr int64":  # the constructor would pick int32
             A.indices, A.indptr = A.indices.astype(np.int64), A.indptr.astype(np.int64)
-        if form == "csr canonical":  # sorted, duplicates summed: copied array by array
+        if form == "csr canonical":  # sorted, duplicates summed
             A.sum_duplicates()
             assert A.has_canonical_format
         return A

@@ -47,10 +47,9 @@ class TestSave:
         assert (meta["N"], meta["M"]) == (J.indexer.N, J.indexer.M)
         np.testing.assert_array_equal(meta["survival_mass"], J.survival_mass)
 
-    @pytest.mark.parametrize("case", ["two-state", "triple-well-3", "triple-well-24",
-                                      "random-edges"])
-    def test_streamed_bytes_equal_mmwrite_of_the_matrix(self, case, tmp_path, caplog):
-        if case == "random-edges":
+    @staticmethod
+    def export_case(case):
+        if case.startswith("random-edges"):
             # state 0 absorbing throughout, every other cell without rates
             rng = np.random.default_rng(23)
             edges = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, 6))])
@@ -62,16 +61,47 @@ class TestSave:
             seq = presets.two_state()
         else:  # triple well at dt = 1/3 or 1/24
             seq = presets.triple_well(1 / int(case.rsplit("-", 1)[1]))
-        J = assemble(seq)
+        return assemble(seq)
+
+    @pytest.mark.parametrize("case", ["two-state", "triple-well-3", "triple-well-24",
+                                      "random-edges", "random-edges-chunk-per-block"])
+    def test_streamed_bytes_equal_mmwrite_of_the_matrix(self, case, tmp_path, caplog,
+                                                        monkeypatch):
+        J = self.export_case(case)
+        if case.endswith("chunk-per-block"):
+            monkeypatch.setattr(ajcio, "_CHUNK_ENTRIES", 1)
         with caplog.at_level(logging.INFO, logger="ajc"):
             mtx, _ = ajcio.save_jump_matrix(J, tmp_path / "jm")
         assert "matrix" not in vars(J)
         want = BytesIO()
         scipy.io.mmwrite(want, J.matrix, symmetry="general")
         assert mtx.read_bytes() == want.getvalue()
-        chunks = 2 if case == "triple-well-24" else 1  # 258,720 entries
+        if case.endswith("chunk-per-block"):
+            chunks = J.indexer.M  # the last block, of cell 5 alone, has no entries
+        else:
+            chunks = 2 if case == "triple-well-24" else 1  # 258,720 entries
         assert (f"save_jump_matrix: nnz={J.matrix.nnz} in {chunks} chunks, "
                 f"{mtx.stat().st_size} bytes written") in caplog.messages
+
+    @pytest.mark.parametrize("case", ["two-state", "triple-well-3", "triple-well-24",
+                                      "random-edges"])
+    def test_block_rows_are_rows_of_the_matrix(self, case, tmp_path, monkeypatch):
+        J = self.export_case(case)
+        n, m = J.indexer.N, J.indexer.M
+        exported = []
+        block_rows = galerkin.JumpMatrix.block_rows
+        monkeypatch.setattr(galerkin.JumpMatrix, "block_rows",
+                            lambda J, a, b: exported.append((a, b)) or block_rows(J, a, b))
+        ajcio.save_jump_matrix(J, tmp_path / "jm")
+        monkeypatch.undo()
+        A = J.matrix
+        for a, b in {(m // 2, m // 2), (0, 1), (m - 1, m), (0, m), *exported}:
+            got = J.block_rows(a, b)
+            lo, hi = A.indptr[a * n], A.indptr[b * n]
+            assert got.shape == A.shape
+            for mine, want in ((got.data, A.data[lo:hi]), (got.indices, A.indices[lo:hi]),
+                               (got.indptr, np.clip(A.indptr, lo, hi) - lo)):
+                assert mine.dtype == want.dtype and mine.tobytes() == want.tobytes()
 
     def test_header_is_general_for_a_symmetric_matrix(self, tmp_path):
         # one cell, rate 1 both ways: the 2x2 matrix is symmetric
@@ -121,6 +151,20 @@ class TestBuildSequence:
         koopman_solve(J, np.ones(seq.N), J.indexer.M - 1)
         sample_trajectory(seq, SpaceTimePoint(20, 0.0), seq.grid.horizon, 1)
         assert "matrices" not in seq.__dict__
+
+    def test_a_file_named_for_several_cells_is_one_phase(self, tmp_path, capsys):
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix([[0, 2.0], [0.5, 0]]))
+        scipy.io.mmwrite(tmp_path / "q1.mtx", dense_rate_matrix([[0, -1.0], [0.5, 0]]))
+        config = {"generator": {"type": "files", "time_grid": {"t0": 0.0, "t1": 4.0, "cells": 4},
+                                "matrices": ["q0.mtx"] * 4}}
+        seq = ajcio.build_sequence(config, base_dir=tmp_path)
+        np.testing.assert_array_equal(seq.phase, [0, 0, 0, 0])
+        assert len(assemble(seq).blocks) == 1
+        config["generator"]["matrices"] = ["q0.mtx"] + ["q1.mtx"] * 3
+        cfg = write_config(tmp_path, config)
+        assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: {tmp_path / 'q1.mtx'}: negativity "
+                                           f"violation at matrix 1, row 0, col 1: 1.000e+00\n")
 
     def test_cli_resolves_files_against_the_config(self, tmp_path, monkeypatch):
         run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
@@ -614,7 +658,7 @@ class TestPinnedOutputs:
     # sha256 of each output of the triple well at dt = 1/24, recorded before
     # J's (N, M) closed-form tables were dropped for its block records; the
     # sparse run puts every record on CSR kernels, so both branches of
-    # JumpMatrix.row_blocks and of the solves are pinned
+    # JumpMatrix.block_rows and of the solves are pinned
     CONFIGS = {
         "assemble": {},
         "koopman": {"observable": [i % 5 for i in range(63)], "block": 35},
