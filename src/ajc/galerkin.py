@@ -148,21 +148,23 @@ class JumpMatrix:
         return tuple(self.blocks[b] for b in self.block_of.tolist())
 
     def scan_forward(self, X: np.ndarray):
-        """Scan J^T over the (M, N, c) blocks of X in ascending time.
+        """Scan J^T over the (k, N, c) blocks of X, the first k time blocks,
+        in ascending time.
 
         Yields (l, inflow), the jumps into block l from the earlier blocks
         of X; the caller may overwrite X[l] before its jumps join the carry.
         """
         carry = np.zeros_like(X[0])
-        for l, f in enumerate(self.cells):
+        for l, f in enumerate(self.cells[:len(X)]):
             yield l, f.R.T @ (f.phi * carry)
             carry = f.decay * carry + f.leave * X[l]
 
     def scan_backward(self, X: np.ndarray):
-        """Scan J over the (M, N, c) blocks of X in descending time, yielding
-        (k, inflow) with the jumps from block k into the later blocks of X."""
+        """Scan J over the (k, N, c) blocks of X, the first k time blocks, in
+        descending time, yielding (k, inflow) with the jumps from block k
+        into the later blocks of X; blocks after them send none."""
         carry = np.zeros_like(X[0])
-        for k in range(self.indexer.M - 1, -1, -1):
+        for k in range(len(X) - 1, -1, -1):
             f = self.cells[k]
             yield k, f.leave * carry
             carry = f.decay * carry + f.phi * (f.R @ X[k])
@@ -260,6 +262,7 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     dt = seq.grid.widths
     q = seq.outbound
     dense = seq.N <= _DENSE_MAX
+    kernel = CSR.toarray if dense else CSR.as_scipy
     rates = {}  # phase -> R
     index = {}  # (phase, width) -> index into blocks
     blocks = []
@@ -268,14 +271,11 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
         if (p, w) in index:
             continue
         if p not in rates:
-            rates[p] = R.toarray() if dense else R.as_scipy()
+            rates[p] = kernel(R)
         ql = q[:, l, None]
         within = psi(ql, w) / w
-        if dense:
-            B = rates[p] * within
-        else:
-            # R's own pattern: JumpMatrix.block_rows writes the same data into R's slots
-            B = CSR(R.data * within[R.rows(), 0], R.indices, R.indptr, R.shape).as_scipy()
+        # R's own pattern: JumpMatrix.block_rows writes the same data into R's slots
+        B = kernel(CSR(R.data * within[R.rows(), 0], R.indices, R.indptr, R.shape))
         jump = phi(ql, w)
         index[p, w] = len(blocks)
         blocks.append(_Factors(rates[p], B, jump, np.exp(-ql * w), jump / w, within))

@@ -149,6 +149,9 @@ def _build_time_grid(node) -> TimeGrid:
     check_keys(node, {"edges", "t0", "t1", "cells"}, "time_grid")
     try:
         if "edges" in node:
+            if len(node) > 1:
+                raise ValueError("give 'edges' or 't0'/'t1'/'cells', not both: got "
+                                 + ", ".join(map(repr, sorted(node))))
             return TimeGrid(parse_numbers(node["edges"], "time_grid edges"))
         t0, t1 = (parse_number(node[key], float, key) for key in ("t0", "t1"))
         return TimeGrid.uniform(t0, t1, parse_number(node["cells"], int, "cells"))
@@ -274,9 +277,10 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
 
 def parse_tail(node):
     """The committor's tail policy, 'absorb_to_A', 'absorb_to_B' or a value
-    in [0, 1], returned as given."""
+    in [0, 1], returned as given; as for parse_number, a boolean or another
+    string is no value."""
     try:
-        if not isinstance(node, bool):
+        if node in (TAIL_TO_A, TAIL_TO_B) or not isinstance(node, (bool, str)):
             tail_value(node)
             return node
     except (TypeError, ValueError):

@@ -1,10 +1,11 @@
 """Solvers on the factored jump operator.
 
 The jump operator is block upper-triangular over time blocks, so every
-solve here is one scan over the time cells: forward (I - J^T) X = F for
-jump activity and the propagator, of one density or a stack of them, whose
-worst block residual is the residual of the whole solve; backward
-(I - J) x = b for Koopman and committor values, through one private entry.
+solve here is one scan over the time cells by one routine, _scan: forward
+(I - J^T) X = F over all M blocks for jump activity and the propagator, of
+one density or a stack of them, whose worst block residual is the residual
+of the whole solve; backward (I - J) x = b over blocks l..0 for Koopman and
+committor values at the edge of block l, which the later blocks never reach.
 The propagator of a stack of at least N densities, such as the identity,
 is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
@@ -14,11 +15,9 @@ it (JumpMatrix.blocks, per cell JumpMatrix.cells), one per phase and
 width: B, its view B^T, its closed-form columns and one LU of I - B^T,
 which the first solve that needs it factors and keeps there, so on a
 uniform grid one LU per protocol phase serves every solve on that
-operator, in both directions.  A scan keeps the right-hand side of each
-cell it solves on a whole block and, after the scan, checks the residuals
-of each record's cells against RESIDUAL_TOL in one product over them.  One
-size rule, galerkin._DENSE_MAX states, picks the kernels: below it dense
-blocks, LAPACK getrf/getrs and BLAS mat-vecs; above it CSR and SuperLU.
+operator, in both directions.  One size rule, galerkin._DENSE_MAX states,
+picks the kernels: below it dense blocks, LAPACK getrf/getrs and BLAS
+mat-vecs; above it CSR and SuperLU.
 scipy.linalg's LAPACK loads on the first dense factorization, and
 scipy.sparse with scipy.sparse.linalg's SuperLU on the first sparse one,
 so a process that solves nothing, or only dense blocks, never imports
@@ -119,10 +118,11 @@ class _Scan:
     border_cells: int = 0
     factored: int = 0
 
-    def log(self, name: str, solved: int, tail: str = "") -> None:
+    def log(self, name: str, solved: int, tail: str = "", *args) -> None:
+        """The INFO line, tail a %-format of args: formatted only when INFO is on."""
         built = sum(self.used.values())
-        log.info(f"{name}: {solved} blocks solved against {built} LU factorizations built, "
-                 f"{len(self.used) - built} reused{tail}")
+        log.info("%s: %d blocks solved against %d LU factorizations built, %d reused" + tail,
+                 name, solved, built, len(self.used) - built, *args)
 
 
 def _lu(block: _Factors, scan: _Scan):
@@ -140,29 +140,6 @@ def _residual(block: _Factors, x: np.ndarray, rhs: np.ndarray, forward: bool) ->
     which must not exceed RESIDUAL_TOL."""
     operand = block.B.T if forward else block.B
     return _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
-
-
-def _solve(block: _Factors, rhs: np.ndarray, forward: bool,
-           scan: _Scan) -> tuple[np.ndarray, float]:
-    """Solve a whole diagonal block, (I - B^T) x = rhs forward and (I - B) x
-    = rhs backward, both on the LU of I - B^T: x and its residual."""
-    x = _lu(block, scan)(rhs, not forward)
-    return x, _residual(block, x, rhs, forward)
-
-
-def _check_whole(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, whole: np.ndarray,
-                 forward: bool) -> float:
-    """The worst residual of the whole-block solves X[k] of rhs[k] over the
-    cells k of the boolean (M,) mask whole, each record's cells in one
-    product, each record's residual checked against RESIDUAL_TOL."""
-    n, worst = J.indexer.N, 0.0
-    for b, block in enumerate(J.blocks):
-        cells = np.flatnonzero(whole & (J.block_of == b))
-        if cells.size:
-            # the record's cells side by side, as the columns of one (N, c) stack
-            x, r = (A[cells].transpose(1, 0, 2).reshape(n, -1) for A in (X, rhs))
-            worst = max(worst, _residual(block, x, r, forward))
-    return worst
 
 
 def _solve_masked(block: _Factors, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
@@ -240,56 +217,72 @@ def _free_cells(block: _Factors, free: np.ndarray, scan: _Scan):
     return solve
 
 
+def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
+          forward: bool) -> float:
+    """Solve the (k, N, c) blocks X, time blocks 0..k-1, of (I - J^T) X = rhs
+    in ascending time, or of (I - J) X = rhs in descending time, on the
+    cells of the boolean (k, N) mask free, or on the blocks of a (k, 1)
+    one; X holds the other cells' values.
+
+    rhs takes in each block's inflow from the blocks solved before it.  A
+    block whose cells are all free is solved on its record's LU, and each
+    record's such blocks are checked against RESIDUAL_TOL in one product
+    after the scan; one with fixed and free cells is solved masked and
+    checked at once, and one with no free cell is skipped.  Returns the
+    worst whole-block residual.
+    """
+    whole, some = free.all(axis=1), free.any(axis=1)
+    solve, masked = whole.tolist(), (some & ~whole).tolist()
+    scan = _Scan()
+    for k, inflow in (J.scan_forward if forward else J.scan_backward)(X):
+        if solve[k]:
+            rhs[k] += inflow
+            X[k] = _lu(J.cells[k], scan)(rhs[k], not forward)
+        elif masked[k]:
+            X[k] = _solve_masked(J.cells[k], rhs[k] + inflow, X[k], free[k], scan)[0]
+    n, worst, block_of = J.indexer.N, 0.0, J.block_of[:len(X)]
+    for b, block in enumerate(J.blocks):
+        cells = np.flatnonzero(whole & (block_of == b))
+        if cells.size:
+            # the record's cells side by side, as the columns of one (N, c) stack
+            x, r = (A[cells].transpose(1, 0, 2).reshape(n, -1) for A in (X, rhs))
+            worst = max(worst, _residual(block, x, r, forward))
+    if forward:
+        scan.log("solve_forward", len(X))
+    else:
+        scan.log("solve_backward", int(some.sum()), ", %d borders of %d fixed "
+                 "cells, %d masked factorizations", scan.borders, scan.border_cells, scan.factored)
+    return worst
+
+
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     """Solve (I - J^T) X = F by one scan in ascending time.
 
-    F is a space-time vector or an (N*M, c) stack of them.  Each block is
-    solved with the jumps from earlier blocks as inflow, against J's LU of
-    I - B^T, and the block residuals are checked per record after the
-    scan.  Returns X and its worst block residual, which is the residual
-    ||(I - J^T) X - F||_inf: each block's inflow is the one J^T sends it
-    from the solved blocks.
+    F is a space-time vector or an (N*M, c) stack of them.  Returns X and
+    its worst block residual, which is the residual ||(I - J^T) X - F||_inf:
+    each block's inflow is the one J^T sends it from the solved blocks.
     """
-    X = np.array(F, dtype=float)
-    blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
-    rhs = np.empty_like(blocks)
-    scan = _Scan()
-    for l, inflow in J.scan_forward(blocks):
-        np.add(blocks[l], inflow, out=rhs[l])
-        blocks[l] = _lu(J.cells[l], scan)(rhs[l], False)
-    residual = _check_whole(J, blocks, rhs, np.ones(J.indexer.M, dtype=bool), True)
-    scan.log("solve_forward", J.indexer.M)
-    return X, float(residual)
+    rhs = np.array(F, dtype=float)
+    X = np.empty_like(rhs)
+    m, n = J.indexer.M, J.indexer.N
+    return X, float(_scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
+                          np.ones((m, 1), dtype=bool), True))
 
 
 def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarray,
                     free: np.ndarray) -> np.ndarray:
     """Solve (I - J) x = (survival to the edge of block l) * terminal on the
-    cells of the boolean mask free, by one scan in descending time.
+    cells of the boolean mask free, by one scan of blocks l..0.
 
     terminal is a spatial vector, the same in every block; cells outside
-    free keep their values from fixed.  A block whose cells are all free
-    is solved on its record's LU and checked with the record's other such
-    blocks after the scan; a block with some fixed cells is solved masked
-    and checked at once.  Returns a new array.
+    free, and every cell of the blocks after l, keep their values from
+    fixed.  Returns a new array.
     """
-    shape = (J.indexer.M, J.indexer.N)
-    b = (J.block_survival(l).reshape(shape) * terminal)[..., None]
+    size = (l + 1) * J.indexer.N
+    shape = (l + 1, J.indexer.N)
     x = np.array(fixed, dtype=float)
-    blocks, free = x.reshape(*shape, 1), free.reshape(shape)
-    whole = free.all(axis=1)
-    solve, masked = whole.tolist(), (free.any(axis=1) & ~whole).tolist()
-    scan = _Scan()
-    for k, inflow in J.scan_backward(blocks):
-        if solve[k]:
-            b[k] += inflow  # b[k] is now the block's right-hand side
-            blocks[k] = _lu(J.cells[k], scan)(b[k], True)
-        elif masked[k]:
-            blocks[k] = _solve_masked(J.cells[k], b[k] + inflow, blocks[k], free[k], scan)[0]
-    _check_whole(J, blocks, b, whole, False)
-    scan.log("solve_backward", int(free.any(axis=1).sum()),
-             f", {scan.borders} borders of {scan.border_cells} fixed cells, "
-             f"{scan.factored} masked factorizations")
+    rhs = (J.block_survival(l)[:size].reshape(shape) * terminal)[..., None]
+    _scan(J, x[:size].reshape(*shape, 1), rhs, free[:size].reshape(shape), False)
     return x
 
 
@@ -364,19 +357,21 @@ def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
     squaring of a nonnegative matrix.  Each run costs one N-column solve on
     J's LU, with its block residual checked.
     """
-    scan = _Scan()
-    carry, residual = _solve(J.cells[0], fbar, True, scan)
-    carry *= J.cells[0].leave
+    scan, f = _Scan(), J.cells[0]
+    carry = _lu(f, scan)(fbar, False)
+    residual = _residual(f, carry, fbar, True)
+    carry *= f.leave
     runs = squarings = 0
     for f, cells in itertools.groupby(range(1, l + 1), key=J.cells.__getitem__):
         k, n = next(cells), 1 + sum(1 for _ in cells)
-        Y, res = _solve(f, J.offdiag[k].toarray().T * f.phi.T, True, scan)
+        rhs = J.offdiag[k].toarray().T * f.phi.T
+        Y = _lu(f, scan)(rhs, False)
+        residual = max(residual, _residual(f, Y, rhs, True))
         T = np.diag(f.decay[:, 0]) + f.leave * Y
         carry = np.linalg.matrix_power(T, n) @ carry
-        runs, squarings, residual = runs + 1, squarings + n.bit_length() - 1, max(residual, res)
-    scan.log("reconstruct_propagator", runs + 1,
-             f"; {l + 1} cells as block 0 and {runs} runs of equal cells, "
-             f"{squarings} squarings, worst block residual {residual:.1e}")
+        runs, squarings = runs + 1, squarings + n.bit_length() - 1
+    scan.log("reconstruct_propagator", runs + 1, "; %d cells as block 0 and %d runs of equal "
+             "cells, %d squarings, worst block residual %.1e", l + 1, runs, squarings, residual)
     return carry
 
 

@@ -529,6 +529,14 @@ class TestCli:
                                    "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
                                    "h": float("nan")}},
          "sqra potential: cell size h must be positive and finite, got h=nan"),
+        ("committor", {"set_a": [["B", 7]], "set_b": [["A", 7]], "tail": "0.5"},
+         "a number in [0, 1], got '0.5'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"edges": [0, 1], "cells": 3}}},
+         "not both: got 'cells', 'edges'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"edges": [0, 1], "t0": 5}}},
+         "not both: got 'edges', 't0'"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

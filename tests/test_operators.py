@@ -31,6 +31,7 @@ from conftest import (
     dense_rate_matrix,
     flat,
     koopman_matrix_column,
+    reference_solve_backward,
     triple_well_grid_seq,
 )
 
@@ -295,6 +296,28 @@ class TestKoopman:
         J = assemble(seq)
         K = koopman_matrix_column(J, A, 3)
         np.testing.assert_allclose(K.values, np.tile([1.0, 0.0], 4))
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_scans_blocks_up_to_l_only(self, dense, monkeypatch):
+        # blocks after l send no jumps into blocks up to l, so a solve to the
+        # edge of l scans l + 1 blocks and gives the bits of the scan of all M
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(presets.triple_well(1 / 24))
+        n, m = J.indexer.N, J.indexer.M
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        scanned = []
+        scan_backward = JumpMatrix.scan_backward
+        monkeypatch.setattr(JumpMatrix, "scan_backward", lambda J, X: (
+            scanned.append(k) or (k, inflow) for k, inflow in scan_backward(J, X)))
+        g = np.random.default_rng(5).random(n)
+        for l in (0, m // 2, m - 2):
+            scanned.clear()
+            K = koopman_solve(J, g, l).values
+            assert scanned == list(range(l, -1, -1))
+            with monkeypatch.context() as mp:
+                mp.setattr(operators, "_solve_backward", reference_solve_backward)
+                assert K.tobytes() == koopman_solve(J, g, l).values.tobytes()
 
 
 class TestDuality:
