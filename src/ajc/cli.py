@@ -89,19 +89,16 @@ def _assembled(args, config):
     return seq, assemble(seq)
 
 
-def cmd_assemble(args) -> int:
-    config, out = _load(args)
+def cmd_assemble(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     mtx, header = ajcio.save_jump_matrix(J, out / "jump_matrix")
     size = J.indexer.size
     print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.nnz} "
           f"sparsity={J.nnz / size ** 2:.4%}")
     print(f"wrote {mtx} and {header}")
-    return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    config, out = _load(args)
+def cmd_sample(args, config: dict, out: Path) -> None:
     seq = ajcio.build_sequence(config, Path(args.config).parent)
     start_node = ajcio.check_keys(config.get("initial", {}), {"state", "time"}, "initial")
     state = ajcio.resolve_state(start_node.get("state", 0), seq.N)
@@ -121,19 +118,17 @@ def cmd_sample(args) -> int:
     jumps = sum(len(traj) - 1 for traj in trajs)
     log.info("sample: %d trajectories, %d jumps in %.3f s (%.0f jumps/s)",
              count, jumps, seconds, jumps / seconds)
-    rows = [(tid, int(i), repr(float(t))) for tid, traj in enumerate(trajs)
-            for i, t in zip(traj.states, traj.times)]
+    rows = [(tid, i, repr(t)) for tid, traj in enumerate(trajs)
+            for i, t in zip(traj.states.tolist(), traj.times.tolist())]
     final_states = np.bincount([traj.states[-1] for traj in trajs], minlength=seq.N)
     ajcio.write_csv(out / "trajectories.csv",
                     ["trajectory", "state_index", "jump_time"], rows)
     ajcio.write_csv(out / "final_state_histogram.csv", ["state_index", "count"],
-                    [(i, int(c)) for i, c in enumerate(final_states)])
+                    list(enumerate(final_states.tolist())))
     print(f"wrote {count} trajectories to {out / 'trajectories.csv'}")
-    return EXIT_OK
 
 
-def cmd_propagate(args) -> int:
-    config, out = _load(args)
+def cmd_propagate(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N,
                                       "initial_density")
@@ -143,11 +138,9 @@ def cmd_propagate(args) -> int:
                            ajcio.spatial_csv_rows(density),
                            comments=[f"block={block} edge_time={seq.grid.edges[block + 1]}"])
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_koopman(args) -> int:
-    config, out = _load(args)
+def cmd_koopman(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N, "observable")
     block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
@@ -156,11 +149,9 @@ def cmd_koopman(args) -> int:
                            ajcio.spacetime_csv_rows(K.values, J.indexer),
                            comments=[f"terminal_block={block}"])
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_committor(args) -> int:
-    config, out = _load(args)
+def cmd_committor(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     A = ajcio.parse_set(config.get("set_a"), seq.N, J.indexer.M, "A")
     B = ajcio.parse_set(config.get("set_b"), seq.N, J.indexer.M, "B")
@@ -172,11 +163,9 @@ def cmd_committor(args) -> int:
                            ajcio.spacetime_csv_rows(c.values, J.indexer),
                            comments=[f"tail={tail}"])
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_coherence(args) -> int:
-    config, out = _load(args)
+def cmd_coherence(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C")
     count_survival = config.get("count_survival", False)
@@ -188,11 +177,9 @@ def cmd_coherence(args) -> int:
                            [(repr(min_slack), repr(violation_mass), count_survival)])
     print(f"min_slack={min_slack:.6g} violation_mass={violation_mass:.6g}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    config, out = _load(args)
+def cmd_convergence(args, config: dict, out: Path) -> None:
     node = config["generator"]
     preset = node.get("preset") if isinstance(node, dict) else None
     if not isinstance(preset, str) or preset not in presets.BUILDERS:
@@ -222,7 +209,6 @@ def cmd_convergence(args) -> int:
     if study["slope"] is not None:
         print(f"slope={study['slope']:.4f}")
     print(f"wrote {path}")
-    return EXIT_OK
 
 
 # Each command's handler and the top-level config keys it reads besides "generator".
@@ -251,7 +237,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _COMMANDS[args.command][0](args)
+        _COMMANDS[args.command][0](args, *_load(args))
+        return EXIT_OK
     except ajcio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,6 +35,11 @@ class TimeGrid:
     from that width in the last bit, and cells of equal width must stay
     equal bit for bit, so that a phase's cells share one diagonal block and
     one exponential.  Grids compare and hash by identity.
+
+    A cell width whose square overflows is refused, since the jump
+    operator's closed forms hold dt^2; so is a uniform grid of fewer than
+    one cell, or of more than numpy can allocate edges for, which fails
+    before anything is allocated.
     """
 
     edges: np.ndarray
@@ -44,13 +49,24 @@ class TimeGrid:
         edges = np.asarray(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("time grid needs at least two edges")
-        if not np.all(np.diff(edges) > 0):
+        with np.errstate(over="ignore"):  # an infinite width is refused below
+            widths = np.diff(edges)
+        if not np.all(widths > 0):
             raise ValueError("time grid edges must be strictly increasing")
+        widest = float(widths.max())
+        if not np.isfinite(widest * widest):
+            raise ValueError(f"time grid cell width {widest!r} is too wide: its square overflows")
         object.__setattr__(self, "edges", edges)
 
     @classmethod
     def uniform(cls, t0: float, t1: float, cells: int) -> "TimeGrid":
-        grid = cls(np.linspace(t0, t1, cells + 1))
+        if cells < 1:
+            raise ValueError(f"cells must be positive, got {cells}")
+        try:
+            edges = np.linspace(t0, t1, cells + 1)
+        except (MemoryError, ValueError):  # numpy's refusal, before it allocates
+            raise ValueError(f"{cells:.6g} cells are more than numpy can allocate") from None
+        grid = cls(edges)
         object.__setattr__(grid, "width", (grid.horizon - grid.t0) / cells)
         return grid
 

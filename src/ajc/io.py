@@ -195,7 +195,12 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
             raise ConfigError(f"beta_schedule entries must be positive, got {betas}")
         pot_node = node.get("potential", "triple-well")
         if pot_node == "triple-well":
+            check_keys(node, allowed - {"nx", "ny", "h"}, "sqra generator with the built-in "
+                       "triple-well potential")
             pot = presets.triple_well_grid_potential()
+        elif isinstance(pot_node, str):
+            raise ConfigError(f"sqra potential must be 'triple-well' or a list of numbers, "
+                              f"got {pot_node!r}")
         else:
             check_keys(node, allowed, "sqra generator with a potential list", {"nx", "ny", "h"})
             try:
@@ -324,9 +329,8 @@ def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:
 def spacetime_csv_rows(values: np.ndarray, idx: SpaceTimeIndexer):
     """(state, block, value) rows in flat-index order."""
     states, blocks = idx.unflat(np.arange(idx.size))
-    return [(int(i), int(k), repr(float(v)))
-            for i, k, v in zip(states, blocks, values)]
+    return list(zip(states.tolist(), blocks.tolist(), map(repr, values.tolist())))
 
 
 def spatial_csv_rows(values: np.ndarray):
-    return [(int(i), repr(float(v))) for i, v in enumerate(values)]
+    return list(enumerate(map(repr, values.tolist())))

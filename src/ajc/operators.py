@@ -2,10 +2,11 @@
 
 The jump operator is block upper-triangular over time blocks, so every
 solve here is one scan over the time cells by one routine, _scan: forward
-(I - J^T) X = F over all M blocks for jump activity and the propagator, of
-one density or a stack of them, whose worst block residual is the residual
-of the whole solve; backward (I - J) x = b over blocks l..0 for Koopman and
-committor values at the edge of block l, which the later blocks never reach.
+(I - J^T) X = F over all M blocks for jump activity, and over blocks 0..l
+for the propagator to the edge of block l, of one density or a stack of
+them, whose worst block residual is the residual of the whole solve;
+backward (I - J) x = b over blocks l..0 for Koopman and committor values
+at the edge of block l.  Blocks after l change neither solve.
 The propagator of a stack of at least N densities, such as the identity,
 is instead an ordered product of one-cell N x N transfer matrices, one per
 run of cells sharing a diagonal block, raised to the run's length by
@@ -256,15 +257,18 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve (I - J^T) X = F by one scan in ascending time.
+    """Solve (I - J^T) X = F on the time blocks 0..k-1 that F holds, by one
+    scan in ascending time.
 
-    F is a space-time vector or an (N*M, c) stack of them.  Returns X and
-    its worst block residual, which is the residual ||(I - J^T) X - F||_inf:
-    each block's inflow is the one J^T sends it from the solved blocks.
+    F is the first k*N entries of a space-time vector, or a (k*N, c) stack
+    of them, 1 <= k <= M; the later blocks send no jumps into these.
+    Returns X and its worst block residual, which is the residual
+    ||(I - J^T) X - F||_inf: each block's inflow is the one J^T sends it
+    from the solved blocks.
     """
     rhs = np.array(F, dtype=float)
     X = np.empty_like(rhs)
-    m, n = J.indexer.M, J.indexer.N
+    m, n = len(rhs) // J.indexer.N, J.indexer.N
     return X, float(_scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
                           np.ones((m, 1), dtype=bool), True))
 
@@ -312,10 +316,11 @@ def _check_block(J: JumpMatrix, l: int) -> None:
 
 
 def _synchronize(J: JumpMatrix, a: np.ndarray, l: int) -> np.ndarray:
-    """synchronize on an N*M vector a or on each column of an (N*M, c) stack."""
-    n = J.indexer.N
-    weighted = a.reshape(J.indexer.size, -1) * J.block_survival(l)[:, None]
-    return weighted[:(l + 1) * n].reshape(l + 1, n, *a.shape[1:]).sum(axis=0)
+    """synchronize on a space-time vector a, or on each column of a stack,
+    holding at least the blocks 0..l; later blocks are not read."""
+    n, size = J.indexer.N, (l + 1) * J.indexer.N
+    weighted = a[:size].reshape(size, -1) * J.block_survival(l)[:size, None]
+    return weighted.reshape(l + 1, n, *a.shape[1:]).sum(axis=0)
 
 
 def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
@@ -325,12 +330,12 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     uniformly in the first time cell; the result has fbar's shape.  For
     fbar the identity, column i is the propagator's row for state i.
 
-    A density, or a stack of fewer than N, is scanned: its jump activity,
-    synchronized.  A stack of N or more is multiplied by one N x N transfer
-    matrix per run of cells that share a diagonal block, which costs less
-    than c columns per cell; the two agree to the diagonal blocks'
-    eps * cond, and on a stiff block either may raise NonConvergence where
-    the other does not.
+    A density, or a stack of fewer than N, is scanned: its jump activity
+    on blocks 0..l, synchronized.  A stack of N or more is multiplied by
+    one N x N transfer matrix per run of cells that share a diagonal block,
+    which costs less than c columns per cell; the two agree to the
+    diagonal blocks' eps * cond, and on a stiff block either may raise
+    NonConvergence where the other does not.
     """
     fbar = np.asarray(fbar, dtype=float)
     n = J.indexer.N
@@ -339,7 +344,7 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     _check_block(J, l)
     if fbar.ndim == 2 and fbar.shape[1] >= n:
         return _propagate_by_runs(J, fbar, l)
-    F = np.zeros((J.indexer.size, *fbar.shape[1:]))
+    F = np.zeros(((l + 1) * n, *fbar.shape[1:]))
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
 

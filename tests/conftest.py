@@ -218,7 +218,8 @@ def reference_trajectory(seq, start, horizon, rng):
 # whole-block residuals once per record: per-cell closed forms evaluated
 # here from J's rates and widths, not read from the records under test,
 # and one residual check per solved cell.  The shipped scans and solves
-# must give the same bits.
+# must give the same bits.  The forward scan and solve take the leading
+# time blocks that X or F holds, as solve_forward does.
 
 def reference_closed_forms(J):
     """phi(q, dt), exp(-q dt) and phi / dt as (N, M) tables."""
@@ -230,7 +231,7 @@ def reference_closed_forms(J):
 def reference_scan_forward(J, X):
     jump, decay, leave = reference_closed_forms(J)
     carry = np.zeros_like(X[0])
-    for l, b in enumerate(J.block_of):
+    for l, b in enumerate(J.block_of[:len(X)]):
         yield l, J.blocks[b].R.T @ (jump[:, l, None] * carry)
         carry = decay[:, l, None] * carry + leave[:, l, None] * X[l]
 
@@ -252,7 +253,7 @@ def reference_solve(block, rhs, forward, scan):
 
 def reference_solve_forward(J, F):
     X = np.array(F, dtype=float)
-    blocks = X.reshape(J.indexer.M, J.indexer.N, -1)
+    blocks = X.reshape(len(X) // J.indexer.N, J.indexer.N, -1)
     scan, residual = operators._Scan(), 0.0
     for l, inflow in reference_scan_forward(J, blocks):
         blocks[l], res = reference_solve(J.blocks[J.block_of[l]], blocks[l] + inflow, True, scan)

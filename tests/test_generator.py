@@ -47,6 +47,20 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 1.0, 1.0]))
 
+    def test_rejects_widths_whose_square_overflows(self):
+        with pytest.raises(ValueError, match="width 5e\\+299 is too wide"):
+            TimeGrid.uniform(0.0, 1e300, 2)
+        with pytest.raises(ValueError, match="width inf is too wide"):
+            TimeGrid(np.array([-1e308, 1e308]))
+        assert TimeGrid.uniform(0.0, 2e154, 2).width == 1e154
+
+    def test_uniform_rejects_cell_counts_numpy_cannot_allocate(self):
+        for cells, shown in ((0, "cells must be positive, got 0"),
+                             (10 ** 15, "1e\\+15 cells are more than numpy can allocate"),
+                             (10 ** 30, "1e\\+30 cells are more than numpy can allocate")):
+            with pytest.raises(ValueError, match=shown):
+                TimeGrid.uniform(0.0, 2.0, cells)
+
     def test_uniform(self):
         grid = TimeGrid.uniform(0.0, 8.0, 8)
         assert grid.M == 8

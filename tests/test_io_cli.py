@@ -398,6 +398,19 @@ class TestCli:
         assert main(["koopman", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"config error: {want}\n"
 
+    def test_a_cell_width_whose_square_overflows_exit_2(self, tmp_path):
+        # the closed forms hold dt^2: 5e299 squared is refused by the grid,
+        # before any solve warns of an overflow
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "sqra", "beta_schedule": [1, 10], "time_grid": {"t0": 0, "t1": 1e300, "cells": 2}}})
+        argv = [sys.executable, "-m", "ajc.cli", "koopman", "--config", cfg, "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(ajc.__file__).resolve().parents[1]))
+        env.pop("AJC_LOG", None)
+        res = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr == ("config error: time_grid: time grid cell width 5e+299 is too wide: "
+                              "its square overflows\n")
+
     def test_a_file_of_no_states_exit_2(self, tmp_path, capsys):
         scipy.io.mmwrite(tmp_path / "q0.mtx", sp.csr_matrix((0, 0)))
         cfg = write_config(tmp_path, {"generator": {
@@ -537,6 +550,24 @@ class TestCli:
         ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
                                    "time_grid": {"edges": [0, 1], "t0": 5}}},
          "not both: got 'edges', 't0'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1, 10],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2},
+                                   "nx": 5, "h": 3.0}},
+         "built-in triple-well potential key 'h', 'nx'; allowed: beta_schedule"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1, 10],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2},
+                                   "potential": "triple-well", "ny": 2}},
+         "built-in triple-well potential key 'ny'; allowed: beta_schedule"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1, 10],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2},
+                                   "potential": "double-well"}},
+         "sqra potential must be 'triple-well' or a list of numbers, got 'double-well'"),
+        # grids whose edges numpy refuses at once, so nothing is allocated
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1e15}}},
+         "time_grid: 1e+15 cells are more than numpy can allocate"),
+        ("koopman", {"generator": {"preset": "two-state", "dt": 1e-300}},
+         "preset 'two-state': dt=1e-300: 8e+300 cells are more than numpy can allocate"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

@@ -244,6 +244,32 @@ class TestReconstructPropagator:
             got = reconstruct_propagator(J, np.eye(n), l)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_scans_blocks_up_to_l_only(self, dense, monkeypatch):
+        # blocks after l receive jumps but send none into blocks up to l, so
+        # a density propagated to the edge of l scans l + 1 blocks and gives
+        # the bits of the synchronized scan of all M
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(presets.triple_well(1 / 24))
+        n, m = J.indexer.N, J.indexer.M
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        rng = np.random.default_rng(6)
+        F = np.zeros((J.indexer.size, 3))
+        F[:n] = rng.random((n, 3))
+        wholes = [(F[:n, 0], operators.solve_forward(J, F[:, 0])[0]),
+                  (F[:n], operators.solve_forward(J, F)[0])]
+        scanned = []
+        scan_forward = JumpMatrix.scan_forward
+        monkeypatch.setattr(JumpMatrix, "scan_forward", lambda J, X: (
+            scanned.append(l) or (l, inflow) for l, inflow in scan_forward(J, X)))
+        for l in (0, m // 2, m - 2):
+            for fbar, X in wholes:
+                scanned.clear()
+                got = reconstruct_propagator(J, fbar, l)
+                assert scanned == list(range(l + 1))
+                assert got.tobytes() == operators._synchronize(J, X, l).tobytes()
+
 
 class TestKoopman:
     def test_ones_is_invariant(self, two_state_J, triple_well_J, grid_2500_J):
