@@ -51,13 +51,18 @@ _PSI_SERIES = [(-1) ** n / math.factorial(n + 2) for n in range(12, -1, -1)]
 
 # The size rule: up to this many states the per-phase factors are dense
 # (BLAS gemv, LAPACK getrf/getrs), above it CSR and SuperLU.  Per call on
-# 5-point SQRA blocks, sparse vs dense, medians of five runs in us (one BLAS
-# thread, 2-core host): at N = 144 factor 401 vs 201, solve 14.7 vs 8.5,
-# transposed solve 13.7 vs 9.0, mat-vec 5.2 vs 4.2; at N = 196 transposed
-# solve 13.1 vs 15.1, mat-vec 7.0 vs 6.9; at N = 256 factor 767 vs 814,
-# transposed solve 14.9 vs 20.3, mat-vec 6.6 vs 12.1.  The crossover lies
-# between 169 and 196 states; 144 keeps a margin below it, and bounds each
-# dense matrix at 166 kB.
+# the beta = 10 block of an n x n SQRA lattice, sparse vs dense, medians of
+# five runs in us (one BLAS thread, 2-core host).  A factor includes forming
+# I - B^T, about 90 us of the sparse one; SuperLU's own share is in
+# brackets.  N = 144: factor 167 (75) vs 106, solve 5.6 vs 4.4,
+# transposed solve 5.2 vs 5.8, mat-vec 2.7 vs 2.1; N = 169: factor 185
+# (100) vs 150, solve 6.1 vs 6.0, transposed solve 5.5 vs 7.1, mat-vec 2.7
+# vs 3.3; N = 196: factor 207 (126) vs 202, solve 6.9 vs 6.5, transposed
+# solve 5.9 vs 8.0, mat-vec 2.8 vs 4.3; N = 256: factor 261 (176) vs 465,
+# solve 8.2 vs 10.5, transposed solve 6.9 vs 11.4, mat-vec 2.9 vs 6.9.
+# Factors and forward solves cross over near 196 states, mat-vecs between
+# 144 and 169, and transposed solves near 121; 144 bounds each dense matrix
+# at 166 kB.
 _DENSE_MAX = 144
 
 log = logging.getLogger(__name__)

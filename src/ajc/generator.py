@@ -62,6 +62,9 @@ class TimeGrid:
     def uniform(cls, t0: float, t1: float, cells: int) -> "TimeGrid":
         if cells < 1:
             raise ValueError(f"cells must be positive, got {cells}")
+        for name, t in (("t0", t0), ("t1", t1)):
+            if not np.isfinite(t):
+                raise ValueError(f"{name} must be finite, got {t}")
         try:
             edges = np.linspace(t0, t1, cells + 1)
         except (MemoryError, ValueError):  # numpy's refusal, before it allocates

@@ -20,9 +20,11 @@ TRIPLE_WELL_BETA = (1.0, 10.0)
 def _uniform_grid(dt: float, switch: float, horizon: float) -> TimeGrid:
     """Cells of width dt on [0, horizon]; dt must be positive and divide the
     switch time so that each cell sees a constant rate, and give no more
-    cells than numpy can allocate."""
-    if not dt > 0 or abs(switch / dt - round(switch / dt)) > 1e-9:
+    cells than numpy can allocate, nor infinitely many."""
+    if not dt > 0 or np.isfinite(switch / dt) and abs(switch / dt - round(switch / dt)) > 1e-9:
         raise ValueError(f"dt={dt} does not divide the switch time {switch:g}")
+    if np.isinf(horizon / dt):  # which round() cannot take; switch <= horizon
+        raise ValueError(f"dt={dt}: inf cells are more than numpy can allocate")
     try:
         return TimeGrid.uniform(0.0, horizon, int(round(horizon / dt)))
     except ValueError as exc:  # too many cells

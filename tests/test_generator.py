@@ -61,6 +61,12 @@ class TestTimeGrid:
             with pytest.raises(ValueError, match=shown):
                 TimeGrid.uniform(0.0, 2.0, cells)
 
+    def test_uniform_rejects_non_finite_ends_by_name(self):
+        with pytest.raises(ValueError, match="t1 must be finite, got inf"):
+            TimeGrid.uniform(0.0, np.inf, 2)
+        with pytest.raises(ValueError, match="t0 must be finite, got -inf"):
+            TimeGrid.uniform(-np.inf, 0.0, 2)
+
     def test_uniform(self):
         grid = TimeGrid.uniform(0.0, 8.0, 8)
         assert grid.M == 8

@@ -517,10 +517,13 @@ def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
     # of the two cells is its own phase
     ([[0, 1e17, 0], [1e17, 0, 0], [0, 0, 0]], 2, 0, 2, False,
      "0 borders of 0 fixed cells, 2 masked factorizations"),
-    # a stiff cycle on the dense LU
-    ([[0, 1.3e5, 0], [0, 0, 30], [6.4e8, 0, 0]], 1, 1, 2, True,
+    # the first stiff cycle on the dense LU, the same way
+    ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1, True,
      "0 borders of 0 fixed cells, 1 masked factorizations"),
-], ids=["stiff-cycle", "stiffer-cycle", "singular", "dense-stiff-cycle"])
+    # a milder stiff cycle, whose border on the dense LU meets its residual
+    ([[0, 1.3e5, 0], [0, 0, 30], [6.4e8, 0, 0]], 1, 1, 2, True,
+     "1 borders of 2 fixed cells, 0 masked factorizations"),
+], ids=["stiff-cycle", "stiffer-cycle", "singular", "dense-stiff-cycle", "dense-bordered-cycle"])
 def test_stiff_blocks_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
                                             monkeypatch, caplog):
     if not dense:
