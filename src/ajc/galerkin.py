@@ -176,7 +176,13 @@ class JumpMatrix:
 
     def block_survival(self, l: int) -> np.ndarray:
         """Per-cell probability of not having jumped into blocks <= l: from a
-        cell k <= l, phi_k / dt_k times the decay through cells k+1..l."""
+        cell k <= l, phi_k / dt_k times the decay through cells k+1..l.  At
+        l = M - 1 this is survival_mass, which is read-only."""
+        if l == self.indexer.M - 1:
+            return self.survival_mass
+        return self._survival(l)
+
+    def _survival(self, l: int) -> np.ndarray:
         n, m = self.indexer.N, self.indexer.M
         rows = self.block_of[:l + 1]
         S = np.ones((m, n))
@@ -186,10 +192,14 @@ class JumpMatrix:
         S[:l] *= np.cumprod(decay[rows[:0:-1]], axis=0)[::-1]
         return S.ravel()
 
-    @property
+    @functools.cached_property
     def survival_mass(self) -> np.ndarray:
-        """Per-cell probability of never jumping before the horizon."""
-        return self.block_survival(self.indexer.M - 1)
+        """Per-cell probability of never jumping before the horizon, computed
+        once, read-only: the Koopman and committor solves to the last edge,
+        synchronize there and the .json sidecar share it."""
+        S = self._survival(self.indexer.M - 1)
+        S.flags.writeable = False
+        return S
 
     @property
     def nnz(self) -> int:

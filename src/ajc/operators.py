@@ -25,10 +25,12 @@ so a process that solves nothing, or only dense blocks, never imports
 scipy.sparse.
 Kernels take the stack they are given, so a propagator of fewer than N
 densities is one scan of that stack.  A committor block with cells in A
-or B is solved on the same LU, bordered by those fixed cells and checked
-at once on its free rows; a block with more than 32 fixed cells, or
-whose LU or border cannot serve, is factored on its free cells, once per
-scan, by the same kind of LU.
+or B is solved on the same LU, bordered by those fixed cells; a block
+with more than 32 fixed cells, or whose LU or border cannot serve, is
+factored on its free cells, once per scan, by the same kind of LU.  The
+masked blocks that share a record and a free mask are checked after the
+scan in one product, as whole blocks are; where a border falls short,
+the scan runs again with that group on its free cells from there.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
-_BORDER_EPS = 4 * np.finfo(float).eps  # a bordered solve's free-row residual, in units of max|x|
+_BORDER_EPS = 4 * np.finfo(float).eps  # a bordered solve's free-row residual, in units of max|y|
 
 log = logging.getLogger(__name__)
 
@@ -114,14 +116,9 @@ def _checked(res: float) -> float:
 @dataclass
 class _Scan:
     """How one scan solved its blocks, for its INFO line: used maps each
-    block record whose whole LU it used to whether it factored it; masked
-    maps (record, free mask) to the masked solver it made for them."""
+    block record whose whole LU it used to whether it factored it."""
 
     used: dict = field(default_factory=dict)
-    masked: dict = field(default_factory=dict)
-    borders: int = 0
-    border_cells: int = 0
-    factored: int = 0
 
     def log(self, name: str, solved: int, tail: str = "", *args) -> None:
         """The INFO line, tail a %-format of args: formatted only when INFO is on."""
@@ -147,38 +144,32 @@ def _residual(block: _Factors, x: np.ndarray, rhs: np.ndarray, forward: bool) ->
     return _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
 
 
-def _solve_masked(block: _Factors, rhs: np.ndarray, x: np.ndarray, free: np.ndarray,
-                  scan: _Scan) -> tuple[np.ndarray, float]:
-    """Solve (I - B) x = rhs on the cells of the boolean mask free, x
-    holding the other cells' fixed values: a new x and its residual on
-    the free rows, which must not exceed RESIDUAL_TOL.  The solver, made
-    once per scan, is the bordered LU or, where that cannot serve, an LU
-    of the free cells."""
-    key = (block, free.tobytes())
-    solver = (scan.masked.get(key) or _bordered(block, free, scan)
-              or _free_cells(block, free, scan))
-    solved = solver(rhs, x)
-    if solved is None:  # the border's residual fell short
-        solver = _free_cells(block, free, scan)
-        solved = solver(rhs, x)
-    scan.masked[key] = solver
-    return solved[0], _checked(solved[1])
+def _each(operand, Y: np.ndarray) -> np.ndarray:
+    """operand @ Y[i] for each (n, 1) block of the (k, n, 1) stack Y, each
+    with the bits of its own product: numpy's stacked matmul makes one gemv
+    per block of a dense operand, and a CSR's product with the blocks side
+    by side gives each column the bits of its own mat-vec."""
+    if isinstance(operand, np.ndarray):
+        return operand @ Y
+    return (operand @ Y[..., 0].T).T[..., None]
+
+
+def _free_rhs(B, free: np.ndarray, rhs: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """rhs + B X on the free rows, with X's free cells taken as 0, for
+    (k, N, 1) stacks rhs and X: what the free cells' own LU solves."""
+    return (rhs + _each(B, np.where(free[:, None], 0.0, X)))[:, free]
 
 
 def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
-    """A masked solver on the block's LU bordered by the cells c outside
-    free, or None when there are more than _BORDER_MAX of them or the LU
-    or W[c] is singular.
+    """A masked solver (rhs, x) -> y on the block's LU bordered by the
+    cells c outside free, or None when there are more than _BORDER_MAX of
+    them or the LU or W[c] is singular.
 
     With W = (I - B)^-1 E_c, P = W W[c]^-1 is 1 on c, and y + P z leaves
     the free rows of (I - B) y as they are, so y + P (v - y[c]) takes the
     fixed values v on c: |c| column solves instead of a factorization.
     P is W times the inverse of the |c| x |c| W[c], not a solve with N
-    right-hand sides.
-    A fixed cell can break a stiff cycle, so the whole block may be far
-    worse conditioned than its free part: a solve whose free-row residual
-    exceeds _BORDER_EPS * max|x| (which bounds rhs there, B's rows summing
-    below 1) returns None, and the caller factors the free cells instead.
+    right-hand sides.  The solver does not check y: _Group does.
     """
     c = np.flatnonzero(~free)
     if c.size > _BORDER_MAX:
@@ -191,37 +182,112 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
         P = W @ np.linalg.inv(W[c])
     except (NonConvergence, np.linalg.LinAlgError):
         return None
-    served = False
 
     def solve(rhs, x):
-        nonlocal served
         y, v = lu(rhs, True), x[c]
         y += P @ (v - y[c])
         y[c] = v
-        r = y - block.B @ y - rhs
-        r[c] = 0.0
-        res = np.abs(r).max(initial=0.0)
-        if res > _BORDER_EPS * np.abs(y).max():
-            return None
-        if not served:  # the scan counts a border once it has served a solve
-            served = True
-            scan.borders, scan.border_cells = scan.borders + 1, scan.border_cells + c.size
-        return y, res
+        return y
     return solve
 
 
-def _free_cells(block: _Factors, free: np.ndarray, scan: _Scan):
-    """A masked solver on an LU of the block's free cells."""
+def _free_cells(block: _Factors, free: np.ndarray):
+    """The block's free cells, B's rows and columns there, and a masked
+    solver (rhs, x) -> x on their LU."""
     operand = block.B[free][:, free]
-    scan.factored += 1
     lu = _factor(operand)
 
     def solve(rhs, x):
-        rhs = (rhs + block.B @ np.where(free[:, None], 0.0, x))[free]
         x = x.copy()
-        x[free] = lu(rhs, False)
-        return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
-    return solve
+        x[free] = lu(_free_rhs(block.B, free, rhs[None], x[None])[0], False)
+        return x
+    return operand, solve
+
+
+@dataclass(eq=False)
+class _Group:
+    """The masked blocks of one backward scan that share a record and a
+    free mask, and how they are solved.
+
+    The group's first block makes the border (see _bordered); its blocks
+    before the switch-th, in scan order, are solved on that border and the
+    others on an LU of the free cells, made on first use; without a border
+    switch is 0.  No block is checked as it is solved: failure() checks the
+    blocks of a pass in one product per group, and a scan that finds a
+    border short of its bound moves the switch to that block and scans
+    again.  ks holds the group's blocks in the order the last pass solved
+    them."""
+
+    block: _Factors
+    free: np.ndarray
+    border: object = None
+    cells: tuple | None = None  # (operand, solver) of the free cells
+    switch: int | None = None
+    ks: list = field(default_factory=list)
+
+    def solve(self, k: int, rhs: np.ndarray, x: np.ndarray, scan: _Scan) -> np.ndarray:
+        if self.border is None and self.switch is None:
+            self.border = _bordered(self.block, self.free, scan)
+            if self.border is None:
+                self.switch = 0
+        self.ks.append(k)
+        if self.switch is None or len(self.ks) <= self.switch:
+            return self.border(rhs, x)
+        if self.cells is None:
+            self.cells = _free_cells(self.block, self.free)
+        return self.cells[1](rhs, x)
+
+    def failure(self, X: np.ndarray, rhs: np.ndarray):
+        """The group's first block, in scan order, whose check fails, as
+        (k, its place in ks, its free-row residual, whether a border fell
+        short), or None.
+
+        A bordered block fails where its free-row residual exceeds
+        _BORDER_EPS * max|y|, which bounds rhs there, B's rows summing below
+        1; a fixed cell can break a stiff cycle, so the whole block may be
+        far worse conditioned than its free part.  Any block fails where its
+        free-row residual is not within RESIDUAL_TOL, NaN included.
+        """
+        ks = np.array(self.ks)
+        bordered = len(ks) if self.switch is None else min(self.switch, len(ks))
+        Y, R = X[ks], rhs[ks]
+        res, bound = np.empty(len(ks)), np.full(len(ks), np.inf)
+        if bordered:
+            y = Y[:bordered]
+            r = y - _each(self.block.B, y) - R[:bordered]
+            r[:, ~self.free] = 0.0
+            res[:bordered] = np.abs(r).max(axis=(1, 2), initial=0.0)
+            bound[:bordered] = _BORDER_EPS * np.abs(y).max(axis=(1, 2))
+        if bordered < len(ks):
+            x = Y[bordered:, self.free]
+            r = x - _each(self.cells[0], x) - _free_rhs(self.block.B, self.free,
+                                                          R[bordered:], Y[bordered:])
+            res[bordered:] = np.abs(r).max(axis=(1, 2), initial=0.0)
+        short = res > bound
+        failed = np.flatnonzero(short | ~(res <= RESIDUAL_TOL))
+        if failed.size:
+            j = int(failed[0])
+            return int(ks[j]), j, float(res[j]), bool(short[j])
+        return None
+
+
+def _groups(J: JumpMatrix, free: np.ndarray) -> list:
+    """Per block of the (k, N) mask free, its _Group if it has both fixed
+    and free cells, else None; blocks of one record and one mask share one."""
+    masked = np.flatnonzero(free.any(axis=1) & ~free.all(axis=1))
+    group = [None] * len(free)
+    if masked.size:
+        # one id per distinct mask; np.unique(rows, axis=0) gives the same
+        # ids, but sorts the rows as records of N fields, about 60x slower
+        rows = np.ascontiguousarray(free[masked])
+        ids = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))), return_inverse=True)[1]
+        made = {}
+        for k, i in zip(masked.tolist(), ids.ravel().tolist()):
+            key = (J.cells[k], i)
+            if key not in made:
+                made[key] = _Group(J.cells[k], free[k])
+            group[k] = made[key]
+    return group
 
 
 def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
@@ -234,19 +300,41 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     rhs takes in each block's inflow from the blocks solved before it.  A
     block whose cells are all free is solved on its record's LU, and each
     record's such blocks are checked against RESIDUAL_TOL in one product
-    after the scan; one with fixed and free cells is solved masked and
-    checked at once, and one with no free cell is skipped.  Returns the
-    worst whole-block residual.
+    after the scan; one with no free cell is skipped.  A backward scan
+    solves a block with fixed and free cells by its _Group, and checks each
+    group in one product after the scan; where a border fell short, it
+    scans again from the held rhs, that group's blocks going to its free
+    cells from the first that fell short, until no border does.  A pass
+    runs on after a short border, on values the next pass replaces, which
+    may overflow; so the scan silences numpy's overflow and invalid-value
+    warnings, and an overflow in a pass that stands ends in a refusal by
+    the checks.  Returns the worst whole-block residual.
     """
-    whole, some = free.all(axis=1), free.any(axis=1)
-    solve, masked = whole.tolist(), (some & ~whole).tolist()
+    whole = free.all(axis=1)
+    solve, group = whole.tolist(), _groups(J, free)
+    groups = list(dict.fromkeys(g for g in group if g is not None))
+    held = rhs.copy() if groups else None
     scan = _Scan()
-    for k, inflow in (J.scan_forward if forward else J.scan_backward)(X):
-        if solve[k]:
-            rhs[k] += inflow
-            X[k] = _lu(J.cells[k], scan)(rhs[k], not forward)
-        elif masked[k]:
-            X[k] = _solve_masked(J.cells[k], rhs[k] + inflow, X[k], free[k], scan)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            for g in groups:
+                g.ks.clear()
+            for k, inflow in (J.scan_forward if forward else J.scan_backward)(X):
+                rhs[k] += inflow
+                if solve[k]:
+                    X[k] = _lu(J.cells[k], scan)(rhs[k], not forward)
+                elif group[k] is not None:
+                    X[k] = group[k].solve(k, rhs[k], X[k], scan)
+            # the first failure in the descending scan; the later ones may follow from it
+            failed = max(filter(None, (g.failure(X, rhs) for g in groups)),
+                         key=lambda f: f[0], default=None)
+            if failed is None:
+                break
+            k, j, res, short = failed
+            if not short:
+                _checked(res)
+            group[k].switch = j
+            rhs[...] = held
     n, worst, block_of = J.indexer.N, 0.0, J.block_of[:len(X)]
     for b, block in enumerate(J.blocks):
         cells = np.flatnonzero(whole & (block_of == b))
@@ -257,8 +345,11 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     if forward:
         scan.log("solve_forward", len(X))
     else:
-        scan.log("solve_backward", int(some.sum()), ", %d borders of %d fixed "
-                 "cells, %d masked factorizations", scan.borders, scan.border_cells, scan.factored)
+        borders = [g for g in groups if g.border is not None and g.switch != 0]
+        scan.log("solve_backward", int(free.any(axis=1).sum()), ", %d borders of %d fixed "
+                 "cells, %d masked factorizations", len(borders),
+                 sum(int((~g.free).sum()) for g in borders),
+                 sum(g.cells is not None for g in groups))
     return worst
 
 

@@ -17,10 +17,16 @@ eigendecomposition of the symmetrized generator, and the product of the
 per-cell exponentials by 6.0e-9.  One exponential per run of equal cells
 would move the errors in convergence.csv by about 3e-9, 1.4e-8 relative
 at dt = 1/3 and 2.5e-7 at dt = 1/48, without being more accurate, so
-exact_propagator keeps the per-cell product.
+exact_propagator keeps one exponential per phase and overlap and raises
+it to the run's length by repeated squaring, as operators._propagate_by_runs
+does with the Galerkin side's transfer matrices: the same factors in
+about log2(n) products instead of n, which moves the errors in
+convergence.csv by at most 2.2e-13 relative for dt = 1/3 ... 1/48.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -50,22 +56,27 @@ def exact_propagator(seq: RateMatrixSequence, s: float, t: float) -> np.ndarray:
     for its grid width, so a phase on a uniform grid needs one exponential;
     only the partial overlaps at s and t are differences of edges.  Each
     exponential is of the dense Q = R - diag(q) formed from the cell's
-    offdiag and outbound rates.
+    offdiag and outbound rates.  A run of n consecutive cells with the same
+    exponential multiplies by its n-th power, by repeated squaring.
     """
     if not (seq.grid.t0 <= s <= t <= seq.grid.horizon):
         raise ValueError("need t0 <= s <= t <= horizon")
     edges, widths = seq.grid.edges, seq.grid.widths
-    factors = {}  # (phase, overlap) -> exp(overlap Q)
-    P = np.eye(seq.N)
-    for k, p in enumerate(seq.phase):
+    cells = []  # ((phase, overlap), cell) of each cell that overlaps [s, t]
+    for k, p in enumerate(seq.phase.tolist()):
         lo, hi = max(s, edges[k]), min(t, edges[k + 1])
         if hi > lo:
             overlap = widths[k] if (lo, hi) == (edges[k], edges[k + 1]) else hi - lo
-            if (p, overlap) not in factors:
-                Q = seq.offdiag[k].toarray()  # R has no diagonal: Q_ii = 0 - q_i
-                Q.flat[::seq.N + 1] -= seq.outbound[:, k]
-                factors[p, overlap] = expm(Q, overlap)
-            P = P @ factors[p, overlap]
+            cells.append(((p, overlap), k))
+    factors = {}  # (phase, overlap) -> exp(overlap Q)
+    P = np.eye(seq.N)
+    for key, run in itertools.groupby(cells, key=lambda cell: cell[0]):
+        ks = [k for _, k in run]
+        if key not in factors:
+            Q = seq.offdiag[ks[0]].toarray()  # R has no diagonal: Q_ii = 0 - q_i
+            Q.flat[::seq.N + 1] -= seq.outbound[:, ks[0]]
+            factors[key] = expm(Q, key[1])
+        P = P @ np.linalg.matrix_power(factors[key], len(ks))
     return P
 
 

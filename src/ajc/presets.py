@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .generator import GridPotential, RateMatrixSequence, TimeGrid, sqra_rates
@@ -68,6 +70,18 @@ def triple_well_grid_potential() -> GridPotential:
                          triple_well_potential(X, Y).ravel())
 
 
+@functools.cache
+def _triple_well_phases() -> dict:
+    """beta -> the triple well's SQRA rates at that beta, built once per
+    process on first use, read-only; a sequence copies what it stores, so
+    none shares an array with these."""
+    rates = sqra_rates(triple_well_grid_potential(), TRIPLE_WELL_BETA)
+    for R in rates:
+        for a in (R.data, R.indices, R.indptr):
+            a.flags.writeable = False
+    return dict(zip(TRIPLE_WELL_BETA, rates))
+
+
 def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     """Annealing protocol on [0, 2]: beta=1 for t < 1, beta=10 after.
 
@@ -76,7 +90,8 @@ def triple_well(dt: float = 1.0 / 3.0) -> RateMatrixSequence:
     grid = _uniform_grid(dt, TRIPLE_WELL_SWITCH_TIME, TRIPLE_WELL_HORIZON)
     mid = 0.5 * (grid.edges[:-1] + grid.edges[1:])  # each cell's phase is its midpoint's
     betas = np.where(mid < TRIPLE_WELL_SWITCH_TIME, *TRIPLE_WELL_BETA)
-    return RateMatrixSequence(grid, sqra_rates(triple_well_grid_potential(), betas))
+    phases = _triple_well_phases()
+    return RateMatrixSequence(grid, [phases[beta] for beta in betas.tolist()])
 
 
 # Config name -> builder; a builder called without dt uses its own default.

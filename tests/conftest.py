@@ -17,7 +17,7 @@ from ajc.generator import (
 )
 from ajc.jumpchain import TrajectorySample, _invert_hazard
 from ajc.operators import koopman_solve, reconstruct_propagator
-from ajc.oracle import exact_propagator
+from ajc.oracle import exact_propagator, expm
 
 A, B = 0, 1  # state names of the 2-state preset
 
@@ -261,18 +261,73 @@ def reference_solve_forward(J, F):
     return X, float(residual)
 
 
-def reference_solve_backward(J, l, terminal, fixed, free):
+# The masked blocks as they were solved before their checks moved after the
+# scan: each block checked at once, its (record, mask) pair going to an LU of
+# its free cells from the first block whose border falls short.  tally counts
+# what the INFO line reports: borders that served a solve, their fixed cells,
+# and free-cell LUs.
+
+def reference_bordered(block, free, scan, tally):
+    border = operators._bordered(block, free, scan)
+    if border is None:
+        return None
+    c, served = np.flatnonzero(~free), False
+
+    def solve(rhs, x):
+        nonlocal served
+        y = border(rhs, x)
+        r = y - block.B @ y - rhs
+        r[c] = 0.0
+        res = np.abs(r).max(initial=0.0)
+        if res > operators._BORDER_EPS * np.abs(y).max():
+            return None
+        if not served:
+            served = True
+            tally["borders"] += 1
+            tally["border_cells"] += c.size
+        return y, res
+    return solve
+
+
+def reference_free_cells(block, free, tally):
+    operand = block.B[free][:, free]
+    tally["factored"] += 1
+    lu = operators._factor(operand)
+
+    def solve(rhs, x):
+        rhs = (rhs + block.B @ np.where(free[:, None], 0.0, x))[free]
+        x = x.copy()
+        x[free] = lu(rhs, False)
+        return x, np.abs(x[free] - operand @ x[free] - rhs).max(initial=0.0)
+    return solve
+
+
+def reference_solve_masked(block, rhs, x, free, scan, masked, tally):
+    key = (block, free.tobytes())
+    solver = (masked.get(key) or reference_bordered(block, free, scan, tally)
+              or reference_free_cells(block, free, tally))
+    solved = solver(rhs, x)
+    if solved is None:  # the border's residual fell short
+        solver = reference_free_cells(block, free, tally)
+        solved = solver(rhs, x)
+    masked[key] = solver
+    return solved[0], operators._checked(solved[1])
+
+
+def reference_solve_backward(J, l, terminal, fixed, free, tally=None):
     shape = (J.indexer.M, J.indexer.N)
     b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
     x = np.array(fixed, dtype=float)
     blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
-    scan = operators._Scan()
+    scan, masked = operators._Scan(), {}
+    tally = {"borders": 0, "border_cells": 0, "factored": 0} if tally is None else tally
     for k, inflow in reference_scan_backward(J, blocks):
         f, block = free[k], J.blocks[J.block_of[k]]
         if f.all():
             blocks[k] = reference_solve(block, b[k] + inflow, False, scan)[0]
         elif f.any():
-            blocks[k] = operators._solve_masked(block, b[k] + inflow, blocks[k], f, scan)[0]
+            blocks[k] = reference_solve_masked(block, b[k] + inflow, blocks[k], f, scan,
+                                               masked, tally)[0]
     return x
 
 
@@ -376,6 +431,24 @@ def neumann_activity(J, f, tol=1e-13, n_max=10_000):
         if np.abs(term).sum() < tol:
             return total
     raise RuntimeError(f"Neumann series not below {tol} after {n_max} terms")
+
+
+def reference_exact_propagator(seq, s, t):
+    """exact_propagator as it was before it squared runs of equal cells: the
+    ordered product of one exponential per overlapping cell."""
+    edges, widths = seq.grid.edges, seq.grid.widths
+    factors = {}
+    P = np.eye(seq.N)
+    for k, p in enumerate(seq.phase):
+        lo, hi = max(s, edges[k]), min(t, edges[k + 1])
+        if hi > lo:
+            overlap = widths[k] if (lo, hi) == (edges[k], edges[k + 1]) else hi - lo
+            if (p, overlap) not in factors:
+                Q = seq.offdiag[k].toarray()
+                Q.flat[::seq.N + 1] -= seq.outbound[:, k]
+                factors[p, overlap] = expm(Q, overlap)
+            P = P @ factors[p, overlap]
+    return P
 
 
 def operator_norm_error(J, seq):

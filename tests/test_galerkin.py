@@ -233,6 +233,19 @@ class TestAssemble:
             _, l = J.indexer.unflat(coo.col)
             assert np.all(l >= k)
 
+    def test_survival_mass_is_computed_once_and_read_only(self):
+        # Koopman and the committor to the last edge, synchronize there and
+        # the .json sidecar share one array; other edges get a fresh one
+        J = assemble(presets.triple_well(1 / 12))
+        last = J.indexer.M - 1
+        S = J.survival_mass
+        assert J.block_survival(last) is S and J.survival_mass is S
+        assert not S.flags.writeable
+        with pytest.raises(ValueError):
+            S[0] = 0.0
+        assert S.tobytes() == J._survival(last).tobytes()
+        assert J.block_survival(0) is not J.block_survival(0)
+
     def test_entries_are_probabilities(self, two_state_J, triple_well_J):
         for J in (two_state_J, triple_well_J):
             assert J.matrix.data.min() >= 0.0

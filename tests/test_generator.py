@@ -285,6 +285,28 @@ class TestProtocol:
                 assert got.outbound[:, k].tobytes() == q.tobytes()
         assert seq.outbound.tobytes() == again.outbound.tobytes()
 
+    def test_triple_well_phases_are_built_once_and_copied(self):
+        # the preset builds its rates once per process; each sequence copies
+        # them, so writing into one changes neither another nor a later one
+        first, second = presets.triple_well(1 / 12), presets.triple_well(1 / 12)
+        memo = list(presets._triple_well_phases().values())
+        for k in (0, 12):
+            for name in ("data", "indices", "indptr"):
+                a = getattr(first.offdiag[k], name)
+                for b in [getattr(second.offdiag[k], name)] + [getattr(R, name) for R in memo]:
+                    assert not np.shares_memory(a, b)
+        first.offdiag[0].data[:] = -1.0
+        first.offdiag[12].data[:] = -1.0
+        later = presets.triple_well(1 / 12)
+        mid = 0.5 * (later.grid.edges[:-1] + later.grid.edges[1:])
+        betas = np.where(mid < presets.TRIPLE_WELL_SWITCH_TIME, *presets.TRIPLE_WELL_BETA)
+        want = RateMatrixSequence(later.grid, sqra_rates(presets.triple_well_grid_potential(),
+                                                         betas))
+        np.testing.assert_array_equal(later.phase, want.phase)
+        for got, ref in zip(later.offdiag, want.offdiag):
+            assert csr_bytes(got) == csr_bytes(ref)
+        assert later.outbound.tobytes() == want.outbound.tobytes()
+
     def test_constant_builder(self):
         Q = dense_rate_matrix([[0, 1], [2, 0]])
         seq = RateMatrixSequence(TimeGrid.uniform(0, 1, 5), [Q] * 5)

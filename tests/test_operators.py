@@ -538,6 +538,41 @@ def test_stiff_blocks_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
     np.testing.assert_allclose(c, committor_sparse_solve(J, A, B, TAIL_TO_B), rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_a_border_short_at_a_later_block_moves_its_group_from_there(dense, monkeypatch,
+                                                                    caplog):
+    # a stiff cycle, one phase in 3 cells, A and B in every block: one record
+    # and one mask, so one group, whose border serves the last block and falls
+    # short at an earlier one; the scan finds that only after it has scanned
+    # on, and scans again with the group on its free cells from that block
+    if not dense:
+        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+    Q = dense_rate_matrix([[0, 1e5, 0], [0, 0, 1000], [7e9, 0, 0]])
+    J = assemble(RateMatrixSequence(TimeGrid.uniform(0, 1, 3), (Q,) * 3))
+    assert len(J.blocks) == 1
+    A, B = sets_in_every_block(J, [1], [2])
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        c = committor_solve(J, A, B, 0.4).values
+    assert caplog.messages[-1].endswith("1 borders of 2 fixed cells, 1 masked factorizations")
+    tally = {"borders": 0, "border_cells": 0, "factored": 0}
+    with monkeypatch.context() as mp:
+        mp.setattr("ajc.committor._solve_backward",
+                   lambda *args: reference_solve_backward(*args, tally=tally))
+        assert c.tobytes() == committor_solve(J, A, B, 0.4).values.tobytes()
+    assert tally == {"borders": 1, "border_cells": 2, "factored": 1}
+    # a NaN fixed value makes a NaN residual, a failure on the border (the
+    # last block) and on the free cells (block 0) alike
+    n, m = J.indexer.N, J.indexer.M
+    free = ~(A.mask(n, m) | B.mask(n, m))
+    terminal = np.array([0.4, 1.0, 0.0])
+    for k in (m - 1, 0):
+        fixed = A.mask(n, m).astype(float)
+        fixed[k * n + 1] = np.nan
+        for solve in (operators._solve_backward, reference_solve_backward):
+            with pytest.raises(NonConvergence, match="residual nan"):
+                solve(J, m - 1, terminal, fixed, free)
+
+
 def test_solves_build_no_explicit_matrix():
     # triple well at dt = 1/96: the explicit matrix would hold 4,076,160 entries
     J = assemble(presets.triple_well(1 / 96))
