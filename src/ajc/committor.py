@@ -118,6 +118,8 @@ def coherence_defect(J: JumpMatrix, C: SpaceTimeSet,
     over C and the total positive violation mass; the indicator is forward
     coherent iff the slack is nonnegative.
     """
+    if not isinstance(count_survival, bool):
+        raise ValueError(f"count_survival must be True or False, got {count_survival!r}")
     n, m = J.indexer.N, J.indexer.M
     in_c = C.mask(n, m)
     if not in_c.any():

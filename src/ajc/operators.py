@@ -28,15 +28,17 @@ densities is one scan of that stack.  A committor block with cells in A
 or B is solved on the same LU, bordered by those fixed cells; a block
 with more than 32 fixed cells, or whose LU or border cannot serve, is
 factored on its free cells, once per scan, by the same kind of LU.  The
-masked blocks that share a record and a free mask are checked after the
-scan in one product, as whole blocks are; where a border falls short,
-the scan runs again with that group on its free cells from there.
+masked blocks that share a record and a free mask are one group with one
+solver, and are checked after the scan in one product, as whole blocks
+are; where a border falls short, the scan runs again with that whole
+group on its free cells.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +156,6 @@ def _each(operand, Y: np.ndarray) -> np.ndarray:
     return (operand @ Y[..., 0].T).T[..., None]
 
 
-def _free_rhs(B, free: np.ndarray, rhs: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """rhs + B X on the free rows, with X's free cells taken as 0, for
-    (k, N, 1) stacks rhs and X: what the free cells' own LU solves."""
-    return (rhs + _each(B, np.where(free[:, None], 0.0, X)))[:, free]
-
-
 def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
     """A masked solver (rhs, x) -> y on the block's LU bordered by the
     cells c outside free, or None when there are more than _BORDER_MAX of
@@ -192,82 +188,64 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
 
 
 def _free_cells(block: _Factors, free: np.ndarray):
-    """The block's free cells, B's rows and columns there, and a masked
-    solver (rhs, x) -> x on their LU."""
-    operand = block.B[free][:, free]
-    lu = _factor(operand)
+    """A masked solver (rhs, x) -> x on an LU of the block's free cells, B's
+    rows and columns there, with rhs taking in B x from the other cells."""
+    lu = _factor(block.B[free][:, free])
 
     def solve(rhs, x):
         x = x.copy()
-        x[free] = lu(_free_rhs(block.B, free, rhs[None], x[None])[0], False)
+        x[free] = lu((rhs + block.B @ np.where(free[:, None], 0.0, x))[free], False)
         return x
-    return operand, solve
+    return solve
 
 
 @dataclass(eq=False)
 class _Group:
     """The masked blocks of one backward scan that share a record and a
-    free mask, and how they are solved.
+    free mask, and the one solver of them all.
 
-    The group's first block makes the border (see _bordered); its blocks
-    before the switch-th, in scan order, are solved on that border and the
-    others on an LU of the free cells, made on first use; without a border
-    switch is 0.  No block is checked as it is solved: failure() checks the
-    blocks of a pass in one product per group, and a scan that finds a
-    border short of its bound moves the switch to that block and scans
-    again.  ks holds the group's blocks in the order the last pass solved
-    them."""
+    The solver is the border the group's first block makes (see
+    _bordered), or an LU of the free cells when there is none.  No block
+    is checked as it is solved: failure() checks the blocks of a pass in
+    one product, and a scan that finds the border short of its bound at
+    any block moves the whole group to its free cells and scans again.
+    ks holds the group's blocks in the order the last pass solved them."""
 
     block: _Factors
     free: np.ndarray
-    border: object = None
-    cells: tuple | None = None  # (operand, solver) of the free cells
-    switch: int | None = None
+    solver: object = None
+    bordered: bool = False
     ks: list = field(default_factory=list)
 
     def solve(self, k: int, rhs: np.ndarray, x: np.ndarray, scan: _Scan) -> np.ndarray:
-        if self.border is None and self.switch is None:
-            self.border = _bordered(self.block, self.free, scan)
-            if self.border is None:
-                self.switch = 0
+        if self.solver is None:
+            border = _bordered(self.block, self.free, scan)
+            self.solver = border or _free_cells(self.block, self.free)
+            self.bordered = border is not None
         self.ks.append(k)
-        if self.switch is None or len(self.ks) <= self.switch:
-            return self.border(rhs, x)
-        if self.cells is None:
-            self.cells = _free_cells(self.block, self.free)
-        return self.cells[1](rhs, x)
+        return self.solver(rhs, x)
 
     def failure(self, X: np.ndarray, rhs: np.ndarray):
         """The group's first block, in scan order, whose check fails, as
-        (k, its place in ks, its free-row residual, whether a border fell
-        short), or None.
+        (k, its free-row residual, whether the border fell short), or None.
 
-        A bordered block fails where its free-row residual exceeds
-        _BORDER_EPS * max|y|, which bounds rhs there, B's rows summing below
-        1; a fixed cell can break a stiff cycle, so the whole block may be
-        far worse conditioned than its free part.  Any block fails where its
-        free-row residual is not within RESIDUAL_TOL, NaN included.
+        Each block's residual is that of y - B y = rhs on its free rows.  A
+        bordered block fails where it exceeds _BORDER_EPS * max|y|, which
+        bounds rhs there, B's rows summing below 1; a fixed cell can break a
+        stiff cycle, so the whole block may be far worse conditioned than
+        its free part.  Any block fails where its residual is not within
+        RESIDUAL_TOL, NaN included.
         """
         ks = np.array(self.ks)
-        bordered = len(ks) if self.switch is None else min(self.switch, len(ks))
-        Y, R = X[ks], rhs[ks]
-        res, bound = np.empty(len(ks)), np.full(len(ks), np.inf)
-        if bordered:
-            y = Y[:bordered]
-            r = y - _each(self.block.B, y) - R[:bordered]
-            r[:, ~self.free] = 0.0
-            res[:bordered] = np.abs(r).max(axis=(1, 2), initial=0.0)
-            bound[:bordered] = _BORDER_EPS * np.abs(y).max(axis=(1, 2))
-        if bordered < len(ks):
-            x = Y[bordered:, self.free]
-            r = x - _each(self.cells[0], x) - _free_rhs(self.block.B, self.free,
-                                                          R[bordered:], Y[bordered:])
-            res[bordered:] = np.abs(r).max(axis=(1, 2), initial=0.0)
-        short = res > bound
+        Y = X[ks]
+        r = Y - _each(self.block.B, Y) - rhs[ks]
+        r[:, ~self.free] = 0.0
+        res = np.abs(r).max(axis=(1, 2), initial=0.0)
+        short = res > (_BORDER_EPS * np.abs(Y).max(axis=(1, 2)) if self.bordered else np.inf)
         failed = np.flatnonzero(short | ~(res <= RESIDUAL_TOL))
         if failed.size:
             j = int(failed[0])
-            return int(ks[j]), j, float(res[j]), bool(short[j])
+            return int(ks[j]), float(res[j]), bool(short[j])
         return None
 
 
@@ -303,12 +281,12 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     after the scan; one with no free cell is skipped.  A backward scan
     solves a block with fixed and free cells by its _Group, and checks each
     group in one product after the scan; where a border fell short, it
-    scans again from the held rhs, that group's blocks going to its free
-    cells from the first that fell short, until no border does.  A pass
-    runs on after a short border, on values the next pass replaces, which
-    may overflow; so the scan silences numpy's overflow and invalid-value
-    warnings, and an overflow in a pass that stands ends in a refusal by
-    the checks.  Returns the worst whole-block residual.
+    scans again from the held rhs with that whole group on its free cells,
+    until no border does.  A pass runs on after a short border, on values
+    the next pass replaces, which may overflow; so the scan silences
+    numpy's overflow and invalid-value warnings, and an overflow in a pass
+    that stands ends in a refusal by the checks.  Returns the worst
+    whole-block residual.
     """
     whole = free.all(axis=1)
     solve, group = whole.tolist(), _groups(J, free)
@@ -330,10 +308,11 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
                          key=lambda f: f[0], default=None)
             if failed is None:
                 break
-            k, j, res, short = failed
+            k, res, short = failed
             if not short:
                 _checked(res)
-            group[k].switch = j
+            g = group[k]
+            g.solver, g.bordered = _free_cells(g.block, g.free), False
             rhs[...] = held
     n, worst, block_of = J.indexer.N, 0.0, J.block_of[:len(X)]
     for b, block in enumerate(J.blocks):
@@ -345,11 +324,10 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     if forward:
         scan.log("solve_forward", len(X))
     else:
-        borders = [g for g in groups if g.border is not None and g.switch != 0]
+        borders = [g for g in groups if g.bordered]
         scan.log("solve_backward", int(free.any(axis=1).sum()), ", %d borders of %d fixed "
                  "cells, %d masked factorizations", len(borders),
-                 sum(int((~g.free).sum()) for g in borders),
-                 sum(g.cells is not None for g in groups))
+                 sum(int((~g.free).sum()) for g in borders), len(groups) - len(borders))
     return worst
 
 
@@ -393,6 +371,7 @@ def jump_activity(J: JumpMatrix, f: SpaceTimeVector) -> tuple[SpaceTimeVector, f
     The series is summed exactly as (I - J^T) a = f.  Returns the activity
     and the residual ||(I - J^T) a - f||_inf of that solve.
     """
+    _check_indexer(J, f)
     a, residual = solve_forward(J, f.values)
     return SpaceTimeVector(a, J.indexer), residual
 
@@ -403,13 +382,20 @@ def synchronize(J: JumpMatrix, a: SpaceTimeVector, l: int) -> np.ndarray:
     Each cell (i, k) with k <= l is weighted by its probability of not
     jumping again before that edge.
     """
+    _check_indexer(J, a)
     _check_block(J, l)
     return _synchronize(J, a.values, l)
 
 
-def _check_block(J: JumpMatrix, l: int) -> None:
-    if not 0 <= l < J.indexer.M:
-        raise ValueError("invalid time block")
+def _check_indexer(J: JumpMatrix, v: SpaceTimeVector) -> None:
+    if v.indexer != J.indexer:
+        raise ValueError(f"space-time vector over (N, M) = ({v.indexer.N}, {v.indexer.M}), "
+                         f"jump operator over ({J.indexer.N}, {J.indexer.M})")
+
+
+def _check_block(J: JumpMatrix, l) -> None:
+    if isinstance(l, bool) or not isinstance(l, numbers.Integral) or not 0 <= l < J.indexer.M:
+        raise ValueError(f"invalid time block {l!r}: need an integer in [0, {J.indexer.M})")
 
 
 def _synchronize(J: JumpMatrix, a: np.ndarray, l: int) -> np.ndarray:

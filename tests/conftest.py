@@ -262,36 +262,32 @@ def reference_solve_forward(J, F):
 
 
 # The masked blocks as they were solved before their checks moved after the
-# scan: each block checked at once, its (record, mask) pair going to an LU of
-# its free cells from the first block whose border falls short.  tally counts
-# what the INFO line reports: borders that served a solve, their fixed cells,
-# and free-cell LUs.
+# scan: each block checked at once.  A (record, mask) pair is solved on the
+# border its first block makes, or on an LU of its free cells; where the
+# border falls short at any block, the solve starts again with that pair on
+# its free cells.  tally counts what the INFO line reports of the pass that
+# stands: borders, their fixed cells, and free-cell LUs.
 
-def reference_bordered(block, free, scan, tally):
+class ShortBorder(Exception):
+    """A bordered block's free-row residual exceeds its bound."""
+
+
+def reference_bordered(block, free, scan):
     border = operators._bordered(block, free, scan)
     if border is None:
         return None
-    c, served = np.flatnonzero(~free), False
+    c = np.flatnonzero(~free)
 
     def solve(rhs, x):
-        nonlocal served
         y = border(rhs, x)
         r = y - block.B @ y - rhs
         r[c] = 0.0
-        res = np.abs(r).max(initial=0.0)
-        if res > operators._BORDER_EPS * np.abs(y).max():
-            return None
-        if not served:
-            served = True
-            tally["borders"] += 1
-            tally["border_cells"] += c.size
-        return y, res
+        return y, np.abs(r).max(initial=0.0)
     return solve
 
 
-def reference_free_cells(block, free, tally):
+def reference_free_cells(block, free):
     operand = block.B[free][:, free]
-    tally["factored"] += 1
     lu = operators._factor(operand)
 
     def solve(rhs, x):
@@ -302,32 +298,50 @@ def reference_free_cells(block, free, tally):
     return solve
 
 
-def reference_solve_masked(block, rhs, x, free, scan, masked, tally):
+def reference_solve_masked(block, rhs, x, free, scan, masked, short):
     key = (block, free.tobytes())
-    solver = (masked.get(key) or reference_bordered(block, free, scan, tally)
-              or reference_free_cells(block, free, tally))
-    solved = solver(rhs, x)
-    if solved is None:  # the border's residual fell short
-        solver = reference_free_cells(block, free, tally)
-        solved = solver(rhs, x)
-    masked[key] = solver
-    return solved[0], operators._checked(solved[1])
+    if key not in masked:
+        border = None if key in short else reference_bordered(block, free, scan)
+        masked[key] = (border or reference_free_cells(block, free), border is not None)
+    solver, bordered = masked[key]
+    y, res = solver(rhs, x)
+    if bordered and res > operators._BORDER_EPS * np.abs(y).max():
+        short.add(key)
+        raise ShortBorder
+    return y, operators._checked(res)
 
 
-def reference_solve_backward(J, l, terminal, fixed, free, tally=None):
+def reference_pass(J, l, terminal, fixed, free, short, masked):
     shape = (J.indexer.M, J.indexer.N)
     b = J.block_survival(l) * np.tile(terminal, J.indexer.M)
     x = np.array(fixed, dtype=float)
     blocks, b, free = x.reshape(*shape, 1), b.reshape(*shape, 1), free.reshape(shape)
-    scan, masked = operators._Scan(), {}
-    tally = {"borders": 0, "border_cells": 0, "factored": 0} if tally is None else tally
+    scan = operators._Scan()
     for k, inflow in reference_scan_backward(J, blocks):
         f, block = free[k], J.blocks[J.block_of[k]]
         if f.all():
             blocks[k] = reference_solve(block, b[k] + inflow, False, scan)[0]
         elif f.any():
             blocks[k] = reference_solve_masked(block, b[k] + inflow, blocks[k], f, scan,
-                                               masked, tally)[0]
+                                               masked, short)[0]
+    return x
+
+
+def reference_solve_backward(J, l, terminal, fixed, free, tally=None):
+    short = set()
+    while True:
+        masked = {}
+        try:
+            x = reference_pass(J, l, terminal, fixed, free, short, masked)
+        except ShortBorder:
+            continue
+        break
+    if tally is not None:
+        for (_, mask), (_, bordered) in masked.items():
+            cells = int((~np.frombuffer(mask, dtype=bool)).sum())
+            tally["borders"] += bordered
+            tally["border_cells"] += cells if bordered else 0
+            tally["factored"] += not bordered
     return x
 
 

@@ -166,3 +166,10 @@ class TestCoherence:
     def test_empty_set_raises(self, two_state_J):
         with pytest.raises(EmptyTarget):
             coherence_defect(two_state_J, SpaceTimeSet([]))
+
+    def test_count_survival_must_be_a_bool(self, two_state_J):
+        fiber = SpaceTimeSet.rectangle([A], (4, 7))
+        for flag in ("no", 1, None):
+            with pytest.raises(ValueError, match=f"count_survival must be True or False, "
+                                                 f"got {flag!r}"):
+                coherence_defect(two_state_J, fiber, flag)

@@ -200,8 +200,8 @@ class TestSameTrajectoriesAsReference:
         else:
             time = seq.grid.t0
         horizon = seq.grid.horizon
-        if data.draw(st.booleans()):  # stop short of the grid's end
-            horizon = time + data.draw(st.floats(0.0, 1.0)) * (horizon - time)
+        if data.draw(st.booleans()):  # stop short of the grid's end, rounding included
+            horizon = min(horizon, time + data.draw(st.floats(0.0, 1.0)) * (horizon - time))
         state = data.draw(st.integers(0, seq.N - 1))
         self.assert_same(seq, SpaceTimePoint(state, time), horizon, seed, 20)
 
