@@ -91,10 +91,11 @@ def _assembled(args, config):
 
 def cmd_assemble(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
-    mtx, header = ajcio.save_jump_matrix(J, out / "jump_matrix")
     size = J.indexer.size
+    # the size before the export, whose text grows as M^2
     print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.nnz} "
-          f"sparsity={J.nnz / size ** 2:.4%}")
+          f"sparsity={J.nnz / size ** 2:.4%}", flush=True)
+    mtx, header = ajcio.save_jump_matrix(J, out / "jump_matrix")
     print(f"wrote {mtx} and {header}")
 
 

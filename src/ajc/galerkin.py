@@ -36,6 +36,7 @@ JumpMatrix.matrix.
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -152,28 +153,6 @@ class JumpMatrix:
         """Per time cell, its _Factors record."""
         return tuple(self.blocks[b] for b in self.block_of.tolist())
 
-    def scan_forward(self, X: np.ndarray):
-        """Scan J^T over the (k, N, c) blocks of X, the first k time blocks,
-        in ascending time.
-
-        Yields (l, inflow), the jumps into block l from the earlier blocks
-        of X; the caller may overwrite X[l] before its jumps join the carry.
-        """
-        carry = np.zeros_like(X[0])
-        for l, f in enumerate(self.cells[:len(X)]):
-            yield l, f.R.T @ (f.phi * carry)
-            carry = f.decay * carry + f.leave * X[l]
-
-    def scan_backward(self, X: np.ndarray):
-        """Scan J over the (k, N, c) blocks of X, the first k time blocks, in
-        descending time, yielding (k, inflow) with the jumps from block k
-        into the later blocks of X; blocks after them send none."""
-        carry = np.zeros_like(X[0])
-        for k in range(len(X) - 1, -1, -1):
-            f = self.cells[k]
-            yield k, f.leave * carry
-            carry = f.decay * carry + f.phi * (f.R @ X[k])
-
     def block_survival(self, l: int) -> np.ndarray:
         """Per-cell probability of not having jumped into blocks <= l: from a
         cell k <= l, phi_k / dt_k times the decay through cells k+1..l.  At
@@ -183,14 +162,23 @@ class JumpMatrix:
         return self._survival(l)
 
     def _survival(self, l: int) -> np.ndarray:
-        n, m = self.indexer.N, self.indexer.M
-        rows = self.block_of[:l + 1]
-        S = np.ones((m, n))
-        S[:l + 1] = np.hstack([f.leave for f in self.blocks]).T[rows]
+        leave, decay = self.survival_factors
+        S = np.ones((self.indexer.M, self.indexer.N))
+        S[:l + 1] = leave[:l + 1]
         # row k of the reversed running product is d^{k+1} ... d^l
-        decay = np.hstack([f.decay for f in self.blocks]).T
-        S[:l] *= np.cumprod(decay[rows[:0:-1]], axis=0)[::-1]
+        S[:l] *= np.cumprod(decay[l:0:-1], axis=0)[::-1]
         return S.ravel()
+
+    @functools.cached_property
+    def survival_factors(self) -> tuple:
+        """Each cell's phi / dt and exp(-q dt), its record's leave and decay,
+        as two (M, N) tables gathered once, read-only: the survival masses
+        and block_rows read them."""
+        tables = tuple(np.hstack([getattr(f, name) for f in self.blocks]).T[self.block_of]
+                       for name in ("leave", "decay"))
+        for table in tables:
+            table.flags.writeable = False
+        return tables
 
     @functools.cached_property
     def survival_mass(self) -> np.ndarray:
@@ -243,13 +231,13 @@ class JumpMatrix:
         np.cumsum(counts, out=indptr[first * n + 1:last * n + 1])
         indptr[last * n + 1:] = indptr[last * n]
         data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
-        decay = np.hstack([f.decay for f in self.blocks]).T[self.block_of]
+        leave, decay = self.survival_factors
         for k in range(first, last):
             mine = cell >= k * n
             # row l - k - 1 of left is phi_k/dt_k times d^{k+1} ... d^{l-1};
             # the entries of cell k itself get a negative offset
             at = cell[mine] - (k + 1) * n
-            left = np.cumprod(np.vstack([self.cells[k].leave.T, decay[k + 1:m - 1]]), axis=0)
+            left = np.cumprod(np.vstack([leave[k], decay[k + 1:m - 1]]), axis=0)
             lo, hi = indptr[k * n], indptr[(k + 1) * n]
             data[lo:hi] = np.where(at < 0, within[mine], left.ravel()[at] * jump[mine])
             indices[lo:hi] = cols[mine]
@@ -301,13 +289,35 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
                       tuple(blocks), block_of)
 
 
+def _each(operand, Y: np.ndarray) -> np.ndarray:
+    """operand @ Y[i] for each (n, c) block of the (k, n, c) stack Y, each
+    with the bits of its own product: numpy's stacked matmul makes one BLAS
+    call per block of a dense operand, and a CSR's product with the blocks
+    side by side gives each column the bits of its own mat-vec."""
+    if isinstance(operand, np.ndarray):
+        return operand @ Y
+    k, n, c = Y.shape
+    return (operand @ Y.transpose(1, 0, 2).reshape(n, k * c)).reshape(-1, k, c).transpose(1, 0, 2)
+
+
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
-    """One backward pull of a space-time observable (matrix times vector)."""
+    """One backward pull of a space-time observable (matrix times vector).
+
+    Each run of cells that share a record takes its B g and R g as one
+    product each, with the bits of the per-cell products (_each); only the
+    carry of the jumps into later cells, elementwise, goes cell by cell.
+    """
     G = np.asarray(g, dtype=float)
     if G.shape[0] != J.indexer.size:
         raise ValueError("vector length must be N*M")
     G = G.reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(G)
-    for k, inflow in J.scan_backward(G):
-        out[k] = J.cells[k].B @ G[k] + inflow
+    carry = np.zeros_like(G[0])
+    for f, run in itertools.groupby(range(J.indexer.M - 1, -1, -1), key=J.cells.__getitem__):
+        ks = list(run)
+        lo, hi = ks[-1], ks[0] + 1
+        within, jumps = _each(f.B, G[lo:hi]), f.phi * _each(f.R, G[lo:hi])
+        for k in range(hi - lo - 1, -1, -1):
+            out[lo + k] = within[k] + f.leave * carry
+            carry = f.decay * carry + jumps[k]
     return out.reshape(np.shape(g))

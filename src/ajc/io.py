@@ -315,6 +315,10 @@ def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:
 
 
 def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:
+    """Write comment lines, the header and rows in csv.writer's default
+    dialect: rows is an iterable of rows, or their CSV text as
+    spacetime_csv_rows and spatial_csv_rows make it, which is written as
+    it is."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -322,15 +326,21 @@ def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        if isinstance(rows, str):
+            fh.write(rows)
+        else:
+            writer.writerows(rows)
     return path
 
 
-def spacetime_csv_rows(values: np.ndarray, idx: SpaceTimeIndexer):
-    """(state, block, value) rows in flat-index order."""
+def spacetime_csv_rows(values: np.ndarray, idx: SpaceTimeIndexer) -> str:
+    """(state, block, value) rows in flat-index order, as CSV text: the
+    bytes csv.writer gives the rows (i, k, repr(value)), built in one join."""
     states, blocks = idx.unflat(np.arange(idx.size))
-    return list(zip(states.tolist(), blocks.tolist(), map(repr, values.tolist())))
+    return "".join(map("{},{},{!r}\r\n".format, states.tolist(), blocks.tolist(),
+                       values.tolist()))
 
 
-def spatial_csv_rows(values: np.ndarray):
-    return list(enumerate(map(repr, values.tolist())))
+def spatial_csv_rows(values: np.ndarray) -> str:
+    """(state, value) rows as CSV text, as spacetime_csv_rows."""
+    return "".join(map("{},{!r}\r\n".format, range(len(values)), values.tolist()))

@@ -2,15 +2,22 @@
 
 The jump operator is block upper-triangular over time blocks, so every
 solve here is one scan over the time cells by one routine, _scan: forward
-(I - J^T) X = F over all M blocks for jump activity, and over blocks 0..l
-for the propagator to the edge of block l, of one density or a stack of
-them, whose worst block residual is the residual of the whole solve;
-backward (I - J) x = b over blocks l..0 for Koopman and committor values
-at the edge of block l.  Blocks after l change neither solve.
+(I - J^T) X = F over blocks 0..k-1 for jump activity and the propagator
+to the edge of block l, of one density or a stack of them, whose worst
+block residual is the residual of the whole solve; backward (I - J) x = b
+over blocks l..0 for Koopman and committor values at the edge of block l.
+Blocks after l change neither solve.
+The scan goes one run at a time, a run being consecutive cells that share
+a diagonal block record and a solver.  Within a run the scan is a linear
+recurrence with constant coefficients: a block is Y + G carry, with Y the
+solve of its own right-hand side and carry the jumps in flight into it,
+and the carry past it is T carry plus the jumps of Y, T the one-cell N x N
+transfer matrix.  A run long enough for the cost rule _by_transfer solves
+all its right-hand sides and G in two multi-column solves and carries by
+small products (the transfer route); a shorter one solves cell by cell.
 The propagator of a stack of at least N densities, such as the identity,
-is instead an ordered product of one-cell N x N transfer matrices, one per
-run of cells sharing a diagonal block, raised to the run's length by
-repeated squaring: one N-column solve per run instead of one per cell.
+needs only the last carry, the synchronized activity, so past block 0 its
+scan raises each run's T to the run's length by repeated squaring.
 A solve sees a diagonal block only through the jump operator's record of
 it (JumpMatrix.blocks, per cell JumpMatrix.cells), one per phase and
 width: B, its view B^T, its closed-form columns and one LU of I - B^T,
@@ -23,27 +30,24 @@ scipy.linalg's LAPACK loads on the first dense factorization, and
 scipy.sparse with scipy.sparse.linalg's SuperLU on the first sparse one,
 so a process that solves nothing, or only dense blocks, never imports
 scipy.sparse.
-Kernels take the stack they are given, so a propagator of fewer than N
-densities is one scan of that stack.  A committor block with cells in A
-or B is solved on the same LU, bordered by those fixed cells; a block
-with more than 32 fixed cells, or whose LU or border cannot serve, is
-factored on its free cells, once per scan, by the same kind of LU.  The
-masked blocks that share a record and a free mask are one group with one
-solver, and are checked after the scan in one product, as whole blocks
-are; where a border falls short, the scan runs again with that whole
-group on its free cells.
+A committor block with cells in A or B is solved on the same LU,
+bordered by those fixed cells; a block with more than 32 fixed cells, or
+whose LU or border cannot serve, is factored on its free cells, once per
+scan, by the same kind of LU.  The masked blocks that share a record and
+a free mask are one group with one solver, and are checked after the
+scan in one product, as whole blocks are; where a border falls short, the
+scan runs again with that whole group on its free cells.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
+from .galerkin import JumpMatrix, SpaceTimeIndexer, _each, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
@@ -118,15 +122,19 @@ def _checked(res: float) -> float:
 @dataclass
 class _Scan:
     """How one scan solved its blocks, for its INFO line: used maps each
-    block record whose whole LU it used to whether it factored it."""
+    block record whose whole LU it used to whether it factored it, and
+    cells counts, in the pass that stands, the cells by transfer runs,
+    those runs, their squarings, and the cells by the per-cell step."""
 
     used: dict = field(default_factory=dict)
+    cells: list = field(default_factory=lambda: [0, 0, 0, 0])
 
     def log(self, name: str, solved: int, tail: str = "", *args) -> None:
         """The INFO line, tail a %-format of args: formatted only when INFO is on."""
         built = sum(self.used.values())
-        log.info("%s: %d blocks solved against %d LU factorizations built, %d reused" + tail,
-                 name, solved, built, len(self.used) - built, *args)
+        log.info("%s: %d blocks solved against %d LU factorizations built, %d reused; %d cells "
+                 "by %d transfer runs with %d squarings, %d by the per-cell step" + tail,
+                 name, solved, built, len(self.used) - built, *self.cells, *args)
 
 
 def _lu(block: _Factors, scan: _Scan):
@@ -144,16 +152,6 @@ def _residual(block: _Factors, x: np.ndarray, rhs: np.ndarray, forward: bool) ->
     which must not exceed RESIDUAL_TOL."""
     operand = block.B.T if forward else block.B
     return _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
-
-
-def _each(operand, Y: np.ndarray) -> np.ndarray:
-    """operand @ Y[i] for each (n, 1) block of the (k, n, 1) stack Y, each
-    with the bits of its own product: numpy's stacked matmul makes one gemv
-    per block of a dense operand, and a CSR's product with the blocks side
-    by side gives each column the bits of its own mat-vec."""
-    if isinstance(operand, np.ndarray):
-        return operand @ Y
-    return (operand @ Y[..., 0].T).T[..., None]
 
 
 def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
@@ -217,13 +215,13 @@ class _Group:
     bordered: bool = False
     ks: list = field(default_factory=list)
 
-    def solve(self, k: int, rhs: np.ndarray, x: np.ndarray, scan: _Scan) -> np.ndarray:
+    def ready(self, scan: _Scan):
+        """The group's solver (rhs, x) -> y, made on first use."""
         if self.solver is None:
             border = _bordered(self.block, self.free, scan)
             self.solver = border or _free_cells(self.block, self.free)
             self.bordered = border is not None
-        self.ks.append(k)
-        return self.solver(rhs, x)
+        return self.solver
 
     def failure(self, X: np.ndarray, rhs: np.ndarray):
         """The group's first block, in scan order, whose check fails, as
@@ -249,60 +247,238 @@ class _Group:
         return None
 
 
-def _groups(J: JumpMatrix, free: np.ndarray) -> list:
-    """Per block of the (k, N) mask free, its _Group if it has both fixed
-    and free cells, else None; blocks of one record and one mask share one."""
-    masked = np.flatnonzero(free.any(axis=1) & ~free.all(axis=1))
-    group = [None] * len(free)
-    if masked.size:
-        # one id per distinct mask; np.unique(rows, axis=0) gives the same
-        # ids, but sorts the rows as records of N fields, about 60x slower
-        rows = np.ascontiguousarray(free[masked])
-        ids = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))), return_inverse=True)[1]
-        made = {}
-        for k, i in zip(masked.tolist(), ids.ravel().tolist()):
-            key = (J.cells[k], i)
-            if key not in made:
-                made[key] = _Group(J.cells[k], free[k])
-            group[k] = made[key]
-    return group
+def _groups(J: JumpMatrix, free: np.ndarray) -> tuple:
+    """The _Groups of the (k, N) mask free, the blocks with both fixed and
+    free cells that share one record and one mask, and per block the index
+    of its group, or _WHOLE where every cell is free and _NONE where none
+    is."""
+    index = np.where(free.all(axis=1), _WHOLE, _NONE)
+    masked = np.flatnonzero(free.any(axis=1) & (index == _NONE))
+    if not masked.size:
+        return [], index
+    # one id per distinct mask; np.unique(rows, axis=0) gives the same ids,
+    # but sorts the rows as records of N fields, about 60x slower
+    rows = np.ascontiguousarray(free[masked])
+    ids = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))), return_inverse=True)[1]
+    first, index[masked] = np.unique(J.block_of[masked] * len(masked) + ids.ravel(),
+                                     return_index=True, return_inverse=True)[1:]
+    return [_Group(J.cells[k], free[k]) for k in masked[first].tolist()], index
+
+
+# The cost rule of the transfer route (see _scan): a run of n cells of c
+# columns each at N states takes it where N^2 c <= _TRANSFER_WORK and
+# 2 n >= max(N, 32).  Per cell the route saves the per-cell step's small
+# calls and adds about 4 N^2 c flops in products (G times the carries, H
+# times each carry); per run it adds the N-column solve G, H = .. G and,
+# from 16 cells on, the squarings of _carries, each O(N^3).  Measured on
+# dense kernels, us per cell, per-cell step against transfer route, best
+# of 25 runs of a Koopman solve (backward, c = 1) and of a forward scan of
+# c columns, over two runs of n cells each (one BLAS thread, 2-core host):
+#   N = 16, c = 1:  n = 8 22.6 vs 26.0; n = 16 18.7 vs 17.5 backward,
+#                   9.2 vs 9.8 forward; n = 32 15.7 vs 12.3; n = 128
+#                   13.4 vs 6.3 backward, 12.4 vs 4.6 forward
+#   N = 16, c = 15: n = 16 24.2 vs 17.5; n = 128 28.5 vs 20.5
+#   N = 63, c = 1:  n = 16 14.0 vs 21.7; n = 32 11.3 vs 12.9 forward;
+#                   n = 64 18.5 vs 16.1; n = 128 11.5 vs 7.5
+#   N = 63, c = 4:  n = 32 24.2 vs 23.4; n = 64 48.5 vs 27.0
+#   N = 63, c = 16: n = 64 70.0 vs 110.7; n = 128 70.8 vs 168.0
+#   N = 144, c = 1: n = 64 35.7 vs 66.0; n = 128 33.9 vs 47.3
+# So runs pay from about 16 cells at N = 16 and 32 at N = 63, and not up
+# to 128 cells at N = 144 (N^2 = 20,736) nor at N = 63 with c = 16
+# (N^2 c = 63,504).  A propagator of a stack of at least N columns needs
+# no per-cell output, and takes the squarings at every run past block 0
+# (see reconstruct_propagator): today's c >= N rule.
+_TRANSFER_WORK = 2 ** 14
+
+# A cell's kind in a scan, besides the index of its _Group: solved on its
+# record's LU, not solved (no free cell), or past the blocks of X, with no
+# right-hand side and no output.
+_WHOLE, _NONE, _PAST = -1, -2, -3
+
+
+def _by_transfer(n: int, c: int, N: int) -> bool:
+    """The cost rule: whether a run of n cells of c columns each, at N
+    states, takes the transfer route rather than the per-cell step."""
+    return N * N * c <= _TRANSFER_WORK and 2 * n >= max(N, 32)
+
+
+def _side(A: np.ndarray) -> np.ndarray:
+    """The (m, N, c) blocks of A side by side, as one (N, m c) array."""
+    return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
+
+
+def _transfer(f: _Factors, solve, forward: bool) -> tuple:
+    """(D, G, H) of a run of record f's cells whose block solver is solve:
+    G solves the block for D, the inflow that a carry brings, so a block
+    is Y + G carry, Y the solve of its own right-hand side, and the carry
+    past it is T carry plus the jumps of Y, T = diag(decay) + H the
+    one-cell transfer matrix."""
+    n = f.leave.shape[0]
+    if forward:
+        D = (f.R if isinstance(f.R, np.ndarray) else f.R.toarray()).T * f.phi.T
+        G = solve(D, None)
+        return D, G, f.leave * G
+    D = np.diag(f.leave[:, 0])
+    G = solve(D, np.zeros((n, n)))
+    return D, G, f.phi * (f.R @ G)
+
+
+def _carries(d: np.ndarray, H: np.ndarray, Z: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """C[0] = carry and C[i + 1] = H C[i] + Z[i] + d C[i] for the (m, c, N)
+    rows Z, each carry a (c, N) row block.
+
+    d C is added last, as the per-cell step adds it, so that the large
+    diagonal term is rounded once.  The carries of every b-th cell go
+    first, b a power of two from sqrt(m) / 4 to sqrt(m) / 2, by
+    A^b = (diag(d) + H)^b held as diag(d^b) plus the rest and squared in
+    that form, with the run-in W of each b cells from a zero carry; then
+    the b - 1 cells after each of them, all at once: m / b + 2 b steps
+    instead of m.  At N = 63 and c = 1 that took 96 cells from 515 to
+    299 us and 960 cells from 5,167 to 1,678 us (b = 4 and 8; 2-core host,
+    one BLAS thread).
+    """
+    m, c, n = Z.shape
+    b = 1 << max(0, (m.bit_length() - 1) // 2 - 1)
+    nb = m // b
+    dp, Hp = d, H
+    for _ in range(b.bit_length() - 1):
+        Hp = dp[:, None] * Hp + Hp * dp + Hp @ Hp
+        dp = dp * dp
+
+    def step(X, Hk, Zk, dk):
+        return (X.reshape(-1, n) @ Hk.T).reshape(X.shape) + Zk + dk * X
+    C = np.empty((m + 1, c, n))
+    C[0] = carry
+    Zb, Cb = Z[:nb * b].reshape(nb, b, c, n), C[:nb * b].reshape(nb, b, c, n)
+    W = Zb[:, 0]
+    for i in range(1, b):
+        W = step(W, H, Zb[:, i], d)
+    for s in range(nb):
+        C[(s + 1) * b] = step(C[s * b], Hp, W[s], dp)
+    for i in range(b - 1):
+        Cb[:, i + 1] = step(Cb[:, i], H, Zb[:, i], d)
+    for i in range(nb * b, m):
+        C[i + 1] = step(C[i], H, Z[i], d)
+    return C
+
+
+def _run(f: _Factors, X: np.ndarray, rhs: np.ndarray, solve, G: np.ndarray, H: np.ndarray,
+         forward: bool, carry: np.ndarray, rows) -> np.ndarray:
+    """The transfer route over the m blocks X of one run, in time order:
+    their right-hand sides in one solve Y, the carries by _carries, then
+    X = Y + G carries on the solved rows, in one product, and rhs takes in
+    each block's inflow.  Returns the carry past the run."""
+    m, n, c = X.shape
+    Y = solve(_side(rhs), _side(X))
+    Z = (f.leave * Y if forward else f.phi * (f.R @ Y)).reshape(n, m, c).transpose(1, 2, 0)
+    # forward C[j] is the carry into block j, backward C[j + 1] is
+    if forward:
+        C = _carries(f.decay[:, 0], H, Z, carry.T)
+        into, out = C[:m], C[m]
+    else:
+        C = _carries(f.decay[:, 0], H, Z[::-1], carry.T)[::-1]
+        into, out = C[1:], C[0]
+    into = into.transpose(0, 2, 1)
+    Y[rows] += G[rows] @ _side(into)
+    X[...] = Y.reshape(n, m, c).transpose(1, 0, 2)
+    rhs += _each(f.R.T, f.phi * into) if forward else f.leave * into
+    return out.T.copy()
+
+
+def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: list,
+          forward: bool, scan: _Scan) -> tuple:
+    """One pass of _scan over its runs, (first, stop, kind) in ascending
+    time; returns the carry past the last cell and the worst residual of G
+    over the runs past X."""
+    n, c = X.shape[1:]
+    # no jumps are in flight into the first cell; one zero column broadcasts
+    # over the c columns and costs no N x c product
+    carry, worst, made = np.zeros((n, 1)), 0.0, {}
+    scan.cells = [0, 0, 0, 0]
+    for lo, hi, kind in (runs if forward else reversed(runs)):
+        f, m = J.cells[lo], hi - lo
+        ks = range(lo, hi) if forward else range(hi - 1, lo - 1, -1)
+        group = groups[kind] if kind >= 0 else None
+        if group is not None:
+            group.ks.extend(ks)
+            solve = group.ready(scan)
+        elif kind == _NONE:
+            solve = None
+        else:
+            lu, trans = _lu(f, scan), not forward
+            solve = lambda rhs, x, lu=lu, trans=trans: lu(rhs, trans)
+        if kind == _PAST or solve is not None and _by_transfer(m, c, n):
+            if (f, kind) not in made:
+                made[f, kind] = _transfer(f, solve, forward)
+            D, G, H = made[f, kind]
+            scan.cells[0] += m
+            scan.cells[1] += 1
+            if kind == _PAST:
+                # no right-hand side and no output: the run's only solve is G's
+                worst = max(worst, _residual(f, G, D, True))
+                carry = np.linalg.matrix_power(np.diag(f.decay[:, 0]) + H, m) @ carry
+                scan.cells[2] += m.bit_length() - 1
+            else:
+                carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry,
+                             slice(None) if group is None else group.free)
+        else:
+            scan.cells[3] += m
+            for k in ks:
+                rhs[k] += f.R.T @ (f.phi * carry) if forward else f.leave * carry
+                if solve is not None:
+                    X[k] = solve(rhs[k], X[k])
+                carry = f.decay * carry + (f.leave * X[k] if forward else f.phi * (f.R @ X[k]))
+    return carry, worst
 
 
 def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
-          forward: bool) -> float:
+          forward: bool, cells: int = 0) -> tuple:
     """Solve the (k, N, c) blocks X, time blocks 0..k-1, of (I - J^T) X = rhs
     in ascending time, or of (I - J) X = rhs in descending time, on the
     cells of the boolean (k, N) mask free, or on the blocks of a (k, 1)
-    one; X holds the other cells' values.
+    one; X holds the other cells' values.  A forward scan goes on through
+    cells k..cells-1 with no right-hand side and no output.
+
+    The scan goes one run at a time: consecutive cells of one record and
+    one kind, whole blocks, one _Group's, blocks with no free cell, or
+    cells past X.  Within a run block k is Y_k + G carry_k, Y_k the solve
+    of its own rhs, and the carry past it is T carry_k plus the jumps of
+    Y_k (see _transfer).  A run that the cost rule _by_transfer admits
+    takes the transfer route (_run); a run past X multiplies the carry by
+    T raised to its length, by repeated squaring; any other run takes the
+    per-cell step, the same recurrence with the solver applied to
+    rhs + inflow, cell by cell.
 
     rhs takes in each block's inflow from the blocks solved before it.  A
     block whose cells are all free is solved on its record's LU, and each
     record's such blocks are checked against RESIDUAL_TOL in one product
-    after the scan; one with no free cell is skipped.  A backward scan
-    solves a block with fixed and free cells by its _Group, and checks each
-    group in one product after the scan; where a border fell short, it
-    scans again from the held rhs with that whole group on its free cells,
-    until no border does.  A pass runs on after a short border, on values
-    the next pass replaces, which may overflow; so the scan silences
-    numpy's overflow and invalid-value warnings, and an overflow in a pass
-    that stands ends in a refusal by the checks.  Returns the worst
-    whole-block residual.
+    after the scan, as G of a run past X is when it is made; a block with
+    no free cell is not solved.  A backward scan solves a block with fixed
+    and free cells by its _Group, and checks each group in one product
+    after the scan; where a border fell short, it scans again from the
+    held rhs with that whole group on its free cells, until no border
+    does.  A pass runs on after a short border, on values the next pass
+    replaces, which may overflow; so the scan silences numpy's overflow
+    and invalid-value warnings, and an overflow in a pass that stands ends
+    in a refusal by the checks.  Returns the worst whole-block residual and
+    the carry past the last cell, which forward is the activity
+    synchronized to that cell's right edge.
     """
-    whole = free.all(axis=1)
-    solve, group = whole.tolist(), _groups(J, free)
-    groups = list(dict.fromkeys(g for g in group if g is not None))
+    groups, index = _groups(J, free)
+    # runs: where the record or the kind changes
+    cells = max(cells, len(X))
+    kinds = np.concatenate([index, np.full(cells - len(X), _PAST)])
+    block_of = J.block_of[:cells]
+    cuts = np.flatnonzero((block_of[1:] != block_of[:-1]) | (kinds[1:] != kinds[:-1])) + 1
+    bounds = [0, *cuts.tolist(), cells]
+    runs = list(zip(bounds, bounds[1:], kinds[bounds[:-1]].tolist()))
     held = rhs.copy() if groups else None
     scan = _Scan()
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             for g in groups:
                 g.ks.clear()
-            for k, inflow in (J.scan_forward if forward else J.scan_backward)(X):
-                rhs[k] += inflow
-                if solve[k]:
-                    X[k] = _lu(J.cells[k], scan)(rhs[k], not forward)
-                elif group[k] is not None:
-                    X[k] = group[k].solve(k, rhs[k], X[k], scan)
+            carry, worst = _pass(J, X, rhs, runs, groups, forward, scan)
             # the first failure in the descending scan; the later ones may follow from it
             failed = max(filter(None, (g.failure(X, rhs) for g in groups)),
                          key=lambda f: f[0], default=None)
@@ -311,24 +487,24 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
             k, res, short = failed
             if not short:
                 _checked(res)
-            g = group[k]
+            g = groups[index[k]]
             g.solver, g.bordered = _free_cells(g.block, g.free), False
             rhs[...] = held
-    n, worst, block_of = J.indexer.N, 0.0, J.block_of[:len(X)]
+    n, whole = J.indexer.N, index == _WHOLE
     for b, block in enumerate(J.blocks):
-        cells = np.flatnonzero(whole & (block_of == b))
-        if cells.size:
+        ks = np.flatnonzero(whole & (block_of[:len(X)] == b))
+        if ks.size:
             # the record's cells side by side, as the columns of one (N, c) stack
-            x, r = (A[cells].transpose(1, 0, 2).reshape(n, -1) for A in (X, rhs))
+            x, r = (_side(A[ks]) for A in (X, rhs))
             worst = max(worst, _residual(block, x, r, forward))
     if forward:
-        scan.log("solve_forward", len(X))
+        scan.log("solve_forward", cells)
     else:
         borders = [g for g in groups if g.bordered]
-        scan.log("solve_backward", int(free.any(axis=1).sum()), ", %d borders of %d fixed "
+        scan.log("solve_backward", int(free.any(axis=1).sum()), "; %d borders of %d fixed "
                  "cells, %d masked factorizations", len(borders),
                  sum(int((~g.free).sum()) for g in borders), len(groups) - len(borders))
-    return worst
+    return worst, carry
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
@@ -345,7 +521,7 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     X = np.empty_like(rhs)
     m, n = len(rhs) // J.indexer.N, J.indexer.N
     return X, float(_scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
-                          np.ones((m, 1), dtype=bool), True))
+                          np.ones((m, 1), dtype=bool), True)[0])
 
 
 def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarray,
@@ -413,10 +589,12 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     uniformly in the first time cell; the result has fbar's shape.  For
     fbar the identity, column i is the propagator's row for state i.
 
-    A density, or a stack of fewer than N, is scanned: its jump activity
-    on blocks 0..l, synchronized.  A stack of N or more is multiplied by
-    one N x N transfer matrix per run of cells that share a diagonal block,
-    which costs less than c columns per cell; the two agree to the
+    A density, or a stack of fewer than N, is its jump activity on blocks
+    0..l, synchronized, so it has the bits of synchronize after
+    jump_activity.  A stack of N or more is the carry of a scan that solves
+    block 0 and goes on with no output through cell l: one N x N transfer
+    matrix per run of cells sharing a diagonal block, raised to the run's
+    length, costs less than c columns per cell.  The two agree to the
     diagonal blocks' eps * cond, and on a stiff block either may raise
     NonConvergence where the other does not.
     """
@@ -426,41 +604,11 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
         raise ValueError("spatial density must have N rows")
     _check_block(J, l)
     if fbar.ndim == 2 and fbar.shape[1] >= n:
-        return _propagate_by_runs(J, fbar, l)
+        return _scan(J, np.empty((1, *fbar.shape)), fbar[None].copy(), np.ones((1, 1), dtype=bool),
+                     True, l + 1)[1]
     F = np.zeros(((l + 1) * n, *fbar.shape[1:]))
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
-
-
-def _propagate_by_runs(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarray:
-    """reconstruct_propagator of an (N, c) stack as an ordered product of
-    one-cell transfer matrices.
-
-    The forward scan's carry_{k+1}, the jumps still in flight past the
-    right edge of cell k, is diag(phi_0/dt_0) S_0 fbar for k = 0 and
-    T_k carry_k after, with S_k = (I - B_k^T)^-1 and
-    T_k = diag(d_k) + diag(phi_k/dt_k) S_k R_k^T diag(phi_k); carry_{l+1}
-    is the synchronized activity.  Cells that share one diagonal block
-    share phase and width, so one T: a run of n of them is T^n, by repeated
-    squaring of a nonnegative matrix.  Each run costs one N-column solve on
-    J's LU, with its block residual checked.
-    """
-    scan, f = _Scan(), J.cells[0]
-    carry = _lu(f, scan)(fbar, False)
-    residual = _residual(f, carry, fbar, True)
-    carry *= f.leave
-    runs = squarings = 0
-    for f, cells in itertools.groupby(range(1, l + 1), key=J.cells.__getitem__):
-        k, n = next(cells), 1 + sum(1 for _ in cells)
-        rhs = J.offdiag[k].toarray().T * f.phi.T
-        Y = _lu(f, scan)(rhs, False)
-        residual = max(residual, _residual(f, Y, rhs, True))
-        T = np.diag(f.decay[:, 0]) + f.leave * Y
-        carry = np.linalg.matrix_power(T, n) @ carry
-        runs, squarings = runs + 1, squarings + n.bit_length() - 1
-    scan.log("reconstruct_propagator", runs + 1, "; %d cells as block 0 and %d runs of equal "
-             "cells, %d squarings, worst block residual %.1e", l + 1, runs, squarings, residual)
-    return carry
 
 
 def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:

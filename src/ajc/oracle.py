@@ -18,10 +18,11 @@ per-cell exponentials by 6.0e-9.  One exponential per run of equal cells
 would move the errors in convergence.csv by about 3e-9, 1.4e-8 relative
 at dt = 1/3 and 2.5e-7 at dt = 1/48, without being more accurate, so
 exact_propagator keeps one exponential per phase and overlap and raises
-it to the run's length by repeated squaring, as operators._propagate_by_runs
-does with the Galerkin side's transfer matrices: the same factors in
-about log2(n) products instead of n, which moves the errors in
-convergence.csv by at most 2.2e-13 relative for dt = 1/3 ... 1/48.
+it to the run's length by repeated squaring, as the propagator's scan
+(operators._scan) does with the Galerkin side's transfer matrices: the
+same factors in about log2(n) products instead of n, which moves the
+errors in convergence.csv by at most 2.2e-13 relative for dt = 1/3 ...
+1/48.
 """
 
 from __future__ import annotations

@@ -418,10 +418,10 @@ def closed_form_survival(J, i, k):
 
 def apply_forward(J, f):
     """One forward jump of a space-time density (vector times matrix): the
-    library's forward scan plus each block's jumps within itself."""
+    per-cell forward scan plus each block's jumps within itself."""
     F = np.asarray(f, dtype=float).reshape(J.indexer.M, J.indexer.N, -1)
     out = np.empty_like(F)
-    for l, inflow in J.scan_forward(F):
+    for l, inflow in reference_scan_forward(J, F):
         out[l] = J.cells[l].B.T @ F[l] + inflow
     return out.reshape(np.shape(f))
 

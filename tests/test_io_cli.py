@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -251,6 +252,16 @@ class TestCli:
         assert "N=63 M=6 dimension=378 nnz=4620" in out
         assert (tmp_path / "jump_matrix.mtx").exists()
         assert (tmp_path / "jump_matrix.json").exists()
+
+    def test_assemble_states_the_size_before_it_writes(self, tmp_path, capsys, monkeypatch):
+        def full(J, path):
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(ajcio, "save_jump_matrix", full)
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"}})
+        with pytest.raises(OSError, match="No space left"):
+            main(["assemble", "--config", cfg, "--out", str(tmp_path)])
+        assert capsys.readouterr().out == \
+            "N=63 M=6 dimension=378 nnz=4620 sparsity=3.2334%\n"
 
     def test_assemble_builds_no_explicit_matrix(self, tmp_path, capsys, monkeypatch):
         built = []
@@ -626,7 +637,8 @@ class TestCli:
         err = subprocess.run(argv, env={**env, "AJC_LOG": "INFO"}, capture_output=True,
                              text=True, check=True).stderr
         assert "assemble: N=63 M=6 phases=2 diagonal blocks=2" in err
-        assert ("solve_backward: 6 blocks solved against 2 LU factorizations built, 0 reused, "
+        assert ("solve_backward: 6 blocks solved against 2 LU factorizations built, 0 reused; "
+                "0 cells by 0 transfer runs with 0 squarings, 6 by the per-cell step; "
                 "0 borders of 0 fixed cells, 0 masked factorizations") in err
         env.pop("AJC_LOG", None)
         quiet = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -702,6 +714,44 @@ class TestCli:
                          "--seed", "11"]) == 0
             texts.append((out / "trajectories.csv").read_bytes())
         assert texts[0] == texts[1]
+
+
+class TestCsvRows:
+    @staticmethod
+    def csv_writer_bytes(path, header, rows, comments=()):
+        with open(path, "w", newline="") as fh:
+            for line in comments:
+                fh.write(f"# {line}\n")
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    def test_rows_are_the_bytes_of_csv_writer(self, tmp_path):
+        # the pinned configs' solves, and values whose repr is unusual
+        J = assemble(presets.triple_well(1 / 24))
+        n, m = J.indexer.N, J.indexer.M
+        special = np.array([-0.0, 1e-300, 1e300, np.inf, -np.inf, np.nan, 5e-324, 0.1, 1 / 3])
+        spacetime = [koopman_solve(J, np.arange(n) % 5.0, 35).values,
+                     np.resize(special, J.indexer.size)]
+        spatial = [synchronize(J, jump_activity(J, embed_spacelike(np.full(n, 1 / n),
+                                                                   J.indexer))[0], 30),
+                   special]
+        header, comments = ["state", "block", "value"], ["terminal_block=35", "tail=0.5"]
+        for v in spacetime:
+            want = self.csv_writer_bytes(tmp_path / "want.csv", header, zip(
+                np.tile(np.arange(n), m).tolist(), np.repeat(np.arange(m), n).tolist(),
+                v.tolist()), comments)
+            got = ajcio.write_csv(tmp_path / "got.csv", header,
+                                  ajcio.spacetime_csv_rows(v, J.indexer), comments)
+            assert got.read_bytes() == want
+        for v in spatial:
+            want = self.csv_writer_bytes(tmp_path / "want.csv", ["state", "mass"],
+                                         enumerate(v.tolist()))
+            got = ajcio.write_csv(tmp_path / "got.csv", ["state", "mass"],
+                                  ajcio.spatial_csv_rows(v))
+            assert got.read_bytes() == want
+        assert b"-0.0\r\n" in got.read_bytes() and b",nan\r\n" in got.read_bytes()
 
 
 class TestPinnedOutputs:

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 from ajc import galerkin, presets
 from ajc import operators
 from ajc.committor import TAIL_TO_B, SpaceTimeSet, coherence_defect, committor_solve
-from ajc.galerkin import JumpMatrix, SpaceTimeIndexer, apply_adjoint, assemble
+from ajc.galerkin import SpaceTimeIndexer, apply_adjoint, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
     NonConvergence,
@@ -32,12 +32,23 @@ from conftest import (
     dense_rate_matrix,
     flat,
     koopman_matrix_column,
+    reference_apply_adjoint,
     reference_solve_backward,
+    reference_solve_forward,
     triple_well_grid_seq,
 )
 
 A, B = 0, 1
 TOL = 1e-10
+
+
+def counted_scans(monkeypatch) -> list:
+    """A list that each operators._scan call appends to, as (blocks with
+    output, cells scanned)."""
+    scans, scan = [], operators._scan
+    monkeypatch.setattr(operators, "_scan", lambda J, X, *args: scans.append(
+        (len(X), max([len(X), *args[3:]]))) or scan(J, X, *args))
+    return scans
 
 
 def absorbing_J():
@@ -208,10 +219,7 @@ class TestReconstructPropagator:
                 assert reconstruct_propagator(J, F[:, :0], l).shape == (n, 0)
 
     def test_bad_block_raises_before_a_solve(self, two_state_J, monkeypatch):
-        scans = []
-        for name in ("scan_forward", "scan_backward"):
-            monkeypatch.setattr(JumpMatrix, name, lambda J, X, scan=getattr(JumpMatrix, name):
-                                scans.append(1) or scan(J, X))
+        scans = counted_scans(monkeypatch)
         for solve in (lambda l: reconstruct_propagator(two_state_J, np.array([1.0, 0.0]), l),
                       lambda l: koopman_solve(two_state_J, np.ones(2), l)):
             for l in (-1, two_state_J.indexer.M, True, 1.5, "1"):
@@ -223,20 +231,19 @@ class TestReconstructPropagator:
                 == koopman_solve(two_state_J, np.ones(2), 1).values.tobytes())
 
     def test_one_forward_scan(self, two_state_J, monkeypatch):
-        # one scan per density, and none for a stack of N densities, which is
-        # a product of transfer matrices: no solve checks its residual by
-        # applying J again
-        scans = []
-        scan_forward = JumpMatrix.scan_forward
-        monkeypatch.setattr(JumpMatrix, "scan_forward",
-                            lambda J, X: scans.append(1) or scan_forward(J, X))
+        # one scan per density, and one for a stack of N densities, which has
+        # no output past block 0: no solve checks its residual by applying J
+        # again
+        scans = counted_scans(monkeypatch)
         per_call = []
         for solve in (lambda J: reconstruct_propagator(J, np.array([1.0, 0.0]), 7),
                       lambda J: reconstruct_propagator(J, np.eye(2), 7),
                       lambda J: jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))):
             solve(two_state_J)
             per_call.append(len(scans))
-        assert per_call == [1, 1, 2]
+        assert per_call == [1, 2, 3]
+        # (blocks with output, cells scanned) of each forward scan
+        assert scans == [(8, 8), (1, 8), (8, 8)]
 
     @pytest.mark.parametrize("preset, dt", [
         (presets.triple_well, 1 / 3), (presets.triple_well, 1 / 12),
@@ -245,8 +252,10 @@ class TestReconstructPropagator:
     ], ids=["triple-well-3", "triple-well-12", "triple-well-48", "triple-well-96",
             "two-state-1", "two-state-2", "two-state-16"])
     def test_runs_of_equal_cells_equal_the_scan(self, preset, dt):
-        # the identity stack as powers of one transfer matrix per phase,
-        # squared over runs of up to 95 cells, against the scan of that stack
+        # the identity stack as the carry of one scan with no output past
+        # block 0, each run of up to 95 cells one transfer matrix raised to
+        # its length, against the synchronized scan of that stack, which
+        # goes cell by cell or by transfer runs with output
         J = assemble(preset(dt))
         n, m = J.indexer.N, J.indexer.M
         F = np.zeros((J.indexer.size, n))
@@ -272,15 +281,14 @@ class TestReconstructPropagator:
         F[:n] = rng.random((n, 3))
         wholes = [(F[:n, 0], operators.solve_forward(J, F[:, 0])[0]),
                   (F[:n], operators.solve_forward(J, F)[0])]
-        scanned = []
-        scan_forward = JumpMatrix.scan_forward
-        monkeypatch.setattr(JumpMatrix, "scan_forward", lambda J, X: (
-            scanned.append(l) or (l, inflow) for l, inflow in scan_forward(J, X)))
+        scanned = counted_scans(monkeypatch)
         for l in (0, m // 2, m - 2):
             for fbar, X in wholes:
                 scanned.clear()
                 got = reconstruct_propagator(J, fbar, l)
-                assert scanned == list(range(l + 1))
+                assert scanned == [(l + 1, l + 1)]
+                # runs of 24 cells: the per-cell step, whose bits do not
+                # depend on where the scan stops
                 assert got.tobytes() == operators._synchronize(J, X, l).tobytes()
 
 
@@ -345,15 +353,12 @@ class TestKoopman:
         J = assemble(presets.triple_well(1 / 24))
         n, m = J.indexer.N, J.indexer.M
         assert isinstance(J.blocks[0].B, np.ndarray) == dense
-        scanned = []
-        scan_backward = JumpMatrix.scan_backward
-        monkeypatch.setattr(JumpMatrix, "scan_backward", lambda J, X: (
-            scanned.append(k) or (k, inflow) for k, inflow in scan_backward(J, X)))
+        scanned = counted_scans(monkeypatch)
         g = np.random.default_rng(5).random(n)
         for l in (0, m // 2, m - 2):
             scanned.clear()
             K = koopman_solve(J, g, l).values
-            assert scanned == list(range(l, -1, -1))
+            assert scanned == [(l + 1, l + 1)]
             with monkeypatch.context() as mp:
                 mp.setattr(operators, "_solve_backward", reference_solve_backward)
                 assert K.tobytes() == koopman_solve(J, g, l).values.tobytes()
@@ -379,25 +384,26 @@ def test_solves_log_blocks_against_factorizations(two_state_seq, caplog):
         reconstruct_propagator(J, np.array([1.0, 0.0]), 7)
         koopman_solve(J, np.ones(2), 7)
     assert caplog.messages == [
-        "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused",
-        "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused, "
+        "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused; "
+        "0 cells by 0 transfer runs with 0 squarings, 8 by the per-cell step",
+        "solve_backward: 8 blocks solved against 0 LU factorizations built, 2 reused; "
+        "0 cells by 0 transfer runs with 0 squarings, 8 by the per-cell step; "
         "0 borders of 0 fixed cells, 0 masked factorizations",
     ]
 
 
 def test_a_stack_logs_its_runs_and_squarings(two_state_seq, caplog):
-    # 8 cells: block 0, a run of cells 1-3 (one squaring) and one of 4-7 (two)
+    # 8 cells: block 0 by the per-cell step, then no output: a run of cells
+    # 1-3 (one squaring) and one of 4-7 (two)
     J = assemble(two_state_seq)
     with caplog.at_level(logging.INFO, logger="ajc"):
         reconstruct_propagator(J, np.eye(2), 7)
         reconstruct_propagator(J, np.eye(2), 2)
     assert caplog.messages == [
-        "reconstruct_propagator: 3 blocks solved against 2 LU factorizations built, 0 reused; "
-        "8 cells as block 0 and 2 runs of equal cells, 3 squarings, "
-        "worst block residual 0.0e+00",
-        "reconstruct_propagator: 2 blocks solved against 0 LU factorizations built, 1 reused; "
-        "3 cells as block 0 and 1 runs of equal cells, 1 squarings, "
-        "worst block residual 0.0e+00",
+        "solve_forward: 8 blocks solved against 2 LU factorizations built, 0 reused; "
+        "7 cells by 2 transfer runs with 3 squarings, 1 by the per-cell step",
+        "solve_forward: 3 blocks solved against 0 LU factorizations built, 1 reused; "
+        "2 cells by 1 transfer runs with 1 squarings, 1 by the per-cell step",
     ]
 
 
@@ -409,9 +415,11 @@ def test_one_factorization_per_phase_on_a_uniform_grid(caplog):
         koopman_solve(J, np.ones(n), m - 1)
         reconstruct_propagator(J, np.full(n, 1.0 / n), m - 1)
     assert caplog.messages == [
-        "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused, "
+        "solve_backward: 192 blocks solved against 2 LU factorizations built, 0 reused; "
+        "192 cells by 2 transfer runs with 0 squarings, 0 by the per-cell step; "
         "0 borders of 0 fixed cells, 0 masked factorizations",
-        "solve_forward: 192 blocks solved against 0 LU factorizations built, 2 reused",
+        "solve_forward: 192 blocks solved against 0 LU factorizations built, 2 reused; "
+        "192 cells by 2 transfer runs with 0 squarings, 0 by the per-cell step",
     ]
 
 
@@ -513,7 +521,7 @@ def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
         masked = committor_solve(J, A, B).values
         monkeypatch.setattr(operators, "_BORDER_MAX", fixed)
         bordered = committor_solve(J, A, B).values
-    assert [m.split("reused, ")[1] for m in caplog.messages] == [
+    assert [m.split("; ")[-1] for m in caplog.messages] == [
         "0 borders of 0 fixed cells, 2 masked factorizations",
         f"2 borders of {2 * fixed} fixed cells, 0 masked factorizations"]
     assert np.abs(masked - bordered).max() <= 1e-13 * np.abs(masked).max()
@@ -609,3 +617,106 @@ def test_solves_build_no_explicit_matrix():
     assert 0.0 <= c.values.min() and c.values.max() <= 1.0
     assert density.sum() == pytest.approx(1.0, abs=1e-9)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestTransferRuns:
+    """The transfer route of _scan against the per-cell references, within
+    (1e-14 + 10 eps cond_inf) max|entry|, cond that of the blocks each
+    direction factors."""
+
+    @staticmethod
+    def bound(J, forward=False):
+        return 1e-14 + 10 * np.finfo(float).eps * block_cond(J, forward)
+
+    @staticmethod
+    def references(mp):
+        mp.setattr(operators, "solve_forward", reference_solve_forward)
+        mp.setattr(operators, "_solve_backward", reference_solve_backward)
+        mp.setattr("ajc.committor._solve_backward", reference_solve_backward)
+
+    @pytest.mark.parametrize("dt", [1 / 96, 1 / 960], ids=["dt-96", "dt-960"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_solves_equal_the_per_cell_reference(self, dense, dt, monkeypatch, caplog):
+        # two runs of 96 or 960 equal cells: every scan goes by transfer runs
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(presets.triple_well(dt))
+        n, m = J.indexer.N, J.indexer.M
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        rng = np.random.default_rng(9)
+        g, f = rng.random(n), SpaceTimeVector(rng.random(J.indexer.size), J.indexer)
+        A, B = sets_in_every_block(J, [20, 19, 21, 11, 29], [24, 23, 25, 15, 33])
+
+        def outputs():
+            return [koopman_solve(J, g, m - 1).values, committor_solve(J, A, B).values,
+                    jump_activity(J, f)[0].values]
+        with caplog.at_level(logging.INFO, logger="ajc"):
+            got = outputs()
+        assert all(f"{m} cells by 2 transfer runs" in line for line in caplog.messages)
+        with monkeypatch.context() as mp:
+            self.references(mp)
+            want = outputs()
+        for a, b, forward in zip(got, want, (False, False, True)):
+            assert np.abs(a - b).max() <= self.bound(J, forward) * np.abs(b).max()
+        # coherence's pull takes each run's products at once, with the bits of each cell's
+        G = A.mask(n, m).astype(float)
+        assert apply_adjoint(J, G).tobytes() == reference_apply_adjoint(J, G).tobytes()
+
+    @pytest.mark.parametrize("border_max", [operators._BORDER_MAX, -1],
+                             ids=["bordered", "free-cells"])
+    def test_a_mask_that_changes_splits_the_run(self, border_max, monkeypatch, caplog):
+        # A holds state 19 too in blocks 40-59 of the first phase's 96 cells:
+        # the mask of blocks 0-39 and 60-95 is one group, whose two transfer
+        # runs (40 and 36 cells) share its G, around a run of 20 cells that
+        # is short of the rule and takes the per-cell step
+        monkeypatch.setattr(operators, "_BORDER_MAX", border_max)
+        J = assemble(presets.triple_well(1 / 96))
+        n, m = J.indexer.N, J.indexer.M
+        assert operators._by_transfer(36, 1, n) and not operators._by_transfer(20, 1, n)
+        A = SpaceTimeSet(SpaceTimeSet.rectangle([20], (0, m - 1)).cells
+                         | SpaceTimeSet.rectangle([19], (40, 59)).cells)
+        B = SpaceTimeSet.rectangle([24], (0, m - 1))
+        with caplog.at_level(logging.INFO, logger="ajc"):
+            c = committor_solve(J, A, B, 0.3).values
+        borders = "3 borders of 7 fixed cells, 0 masked" if border_max >= 0 else \
+            "0 borders of 0 fixed cells, 3 masked"
+        assert caplog.messages[-1].endswith(
+            f"172 cells by 3 transfer runs with 0 squarings, 20 by the per-cell step; "
+            f"{borders} factorizations")
+        with monkeypatch.context() as mp:
+            self.references(mp)
+            want = committor_solve(J, A, B, 0.3).values
+        assert np.abs(c - want).max() <= self.bound(J) * np.abs(want).max()
+
+    def test_propagators_of_1_to_n_columns(self):
+        # c = 1 goes by transfer runs, c = N - 1 by the per-cell step (its
+        # bits), c = N with no output past block 0
+        J = assemble(presets.triple_well(1 / 96))
+        n, m = J.indexer.N, J.indexer.M
+        F = np.random.default_rng(10).random((n, n))
+        for l in (m // 2 - 1, m - 1):
+            for c in (1, n - 1, n):
+                F0 = np.zeros(((l + 1) * n, c))
+                F0[:n] = F[:, :c]
+                want = operators._synchronize(J, reference_solve_forward(J, F0)[0], l)
+                got = reconstruct_propagator(J, F[:, :c], l)
+                assert np.abs(got - want).max() <= (
+                    self.bound(J, forward=True) * np.abs(want).max())
+                if c == n - 1:
+                    assert got.tobytes() == want.tobytes()
+
+    def test_a_short_run_beside_a_transfer_run_keeps_the_per_cell_bits(self):
+        # 20 cells of beta 1, then 60 of beta 10: the short run keeps the
+        # per-cell step's bits as long as it is scanned before the long one
+        phases = presets._triple_well_phases()
+        low, high = presets.TRIPLE_WELL_BETA
+        seq = RateMatrixSequence(TimeGrid.uniform(0, 2, 80),
+                                 [phases[low if k < 20 else high] for k in range(80)])
+        J = assemble(seq)
+        n, m = J.indexer.N, J.indexer.M
+        assert len(J.blocks) == 2
+        f = np.random.default_rng(11).random(J.indexer.size)
+        got, _ = operators.solve_forward(J, f)
+        want, _ = reference_solve_forward(J, f)
+        assert got[:20 * n].tobytes() == want[:20 * n].tobytes()
+        assert np.abs(got - want).max() <= self.bound(J, forward=True) * np.abs(want).max()
