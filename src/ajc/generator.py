@@ -29,12 +29,11 @@ class TimeGrid:
     Cell k (0-based) covers the half-open interval (edges[k], edges[k+1]],
     so a rate valid "at" a boundary is the one of the cell ending there.
 
-    width is the one width of every cell of a grid built by uniform, which
-    records it as (t1 - t0) / cells, and None for a grid built from explicit
-    edges, whose widths are the edge differences.  Linspace edges differ
-    from that width in the last bit, and cells of equal width must stay
-    equal bit for bit, so that a phase's cells share one diagonal block and
-    one exponential.  Grids compare and hash by identity.
+    edges is a read-only copy of the input; widths, read-only too, holds u =
+    (horizon - t0) / M for every cell if each edge difference lies within 8
+    ulps of max(|t0|, |horizon|) of u, and the differences otherwise, so a
+    phase on edges uniform to rounding has one diagonal block and one
+    exponential.  Grids compare and hash by identity.
 
     A cell width whose square overflows is refused, since the jump
     operator's closed forms hold dt^2; so is a uniform grid of fewer than
@@ -43,10 +42,10 @@ class TimeGrid:
     """
 
     edges: np.ndarray
-    width: float | None = field(default=None, init=False)
+    widths: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
+        edges = np.array(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
             raise ValueError("time grid needs at least two edges")
         with np.errstate(over="ignore"):  # an infinite width is refused below
@@ -56,7 +55,12 @@ class TimeGrid:
         widest = float(widths.max())
         if not np.isfinite(widest * widest):
             raise ValueError(f"time grid cell width {widest!r} is too wide: its square overflows")
+        u = (edges[-1] - edges[0]) / widths.size
+        if np.all(np.abs(widths - u) <= 8 * np.spacing(max(abs(edges[0]), abs(edges[-1])))):
+            widths = np.full(widths.size, u)
+        edges.flags.writeable = widths.flags.writeable = False
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "widths", widths)
 
     @classmethod
     def uniform(cls, t0: float, t1: float, cells: int) -> "TimeGrid":
@@ -69,19 +73,11 @@ class TimeGrid:
             edges = np.linspace(t0, t1, cells + 1)
         except (MemoryError, ValueError):  # numpy's refusal, before it allocates
             raise ValueError(f"{cells:.6g} cells are more than numpy can allocate") from None
-        grid = cls(edges)
-        object.__setattr__(grid, "width", (grid.horizon - grid.t0) / cells)
-        return grid
+        return cls(edges)
 
     @property
     def M(self) -> int:
         return self.edges.size - 1
-
-    @property
-    def widths(self) -> np.ndarray:
-        if self.width is None:
-            return np.diff(self.edges)
-        return np.full(self.M, self.width)
 
     @property
     def t0(self) -> float:
@@ -333,8 +329,8 @@ def four_neighbor_adjacency(nx: int, ny: int) -> CSR:
 @dataclass(frozen=True, eq=False)
 class GridPotential:
     """Potential sampled on a rectangular grid of nx by ny states, at least
-    one each way, with 4-neighbor adjacency (a CSR) and a positive, finite
-    cell size h.  Potentials compare and hash by identity."""
+    one each way, with read-only values, 4-neighbor adjacency (a CSR) and a
+    positive, finite cell size h.  Potentials compare and hash by identity."""
 
     nx: int
     ny: int
@@ -346,11 +342,12 @@ class GridPotential:
         if self.nx < 1 or self.ny < 1:
             raise ValueError(f"grid sizes nx and ny must be positive, got nx={self.nx}, "
                              f"ny={self.ny}")
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = np.array(self.values, dtype=float).ravel()
         if values.size != self.nx * self.ny:
             raise ValueError("potential values must have nx*ny entries")
         if not 0 < self.h < np.inf:
             raise ValueError(f"cell size h must be positive and finite, got h={self.h}")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "adjacency", four_neighbor_adjacency(self.nx, self.ny))
 

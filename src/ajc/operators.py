@@ -512,14 +512,16 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     scan in ascending time.
 
     F is the first k*N entries of a space-time vector, or a (k*N, c) stack
-    of them, 1 <= k <= M; the later blocks send no jumps into these.
-    Returns X and its worst block residual, which is the residual
+    of them, 1 <= k <= M, or refused; the later blocks send no jumps into
+    these.  Returns X and its worst block residual, which is the residual
     ||(I - J^T) X - F||_inf: each block's inflow is the one J^T sends it
     from the solved blocks.
     """
-    rhs = np.array(F, dtype=float)
+    rhs, n = np.array(F, dtype=float), J.indexer.N
+    m, rest = divmod(len(rhs), n)
+    if rest or not 1 <= m <= J.indexer.M:
+        raise ValueError(f"F of shape {rhs.shape} is not k*{n} rows for a k in 1..{J.indexer.M}")
     X = np.empty_like(rhs)
-    m, n = len(rhs) // J.indexer.N, J.indexer.N
     return X, float(_scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
                           np.ones((m, 1), dtype=bool), True)[0])
 

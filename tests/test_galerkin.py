@@ -195,6 +195,21 @@ class TestAssemble:
         assert ((x > 0) & (x < galerkin._PSI_CUT)).any()
         assert_records_hold_closed_forms(J, q, dt)
 
+    def test_linspace_edges_share_the_uniform_grids_records(self):
+        # explicit edges uniform to rounding: one record per phase, and the
+        # solves of the uniform grid to the byte
+        uniform = presets.triple_well(1 / 96)
+        explicit = RateMatrixSequence(TimeGrid(np.linspace(0, 2, 193)), uniform.offdiag)
+        A = SpaceTimeSet({(20, k) for k in range(192)}, "A")
+        B = SpaceTimeSet({(24, k) for k in range(100, 192)}, "B")
+        solved = []
+        for seq in (uniform, explicit):
+            J = assemble(seq)
+            assert len(J.blocks) == 2
+            solved.append([koopman_solve(J, np.arange(63.0), 150).values.tobytes(),
+                           committor_solve(J, A, B, TAIL_TO_B).values.tobytes()])
+        assert solved[0] == solved[1]
+
     def test_within_block_entry(self, two_state_seq, two_state_J):
         got = two_state_J.matrix[0, 1]
         assert got == pytest.approx(np.exp(-1.0), rel=1e-12)

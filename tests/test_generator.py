@@ -52,7 +52,7 @@ class TestTimeGrid:
             TimeGrid.uniform(0.0, 1e300, 2)
         with pytest.raises(ValueError, match="width inf is too wide"):
             TimeGrid(np.array([-1e308, 1e308]))
-        assert TimeGrid.uniform(0.0, 2e154, 2).width == 1e154
+        assert TimeGrid.uniform(0.0, 2e154, 2).widths.tolist() == [1e154, 1e154]
 
     def test_uniform_rejects_cell_counts_numpy_cannot_allocate(self):
         for cells, shown in ((0, "cells must be positive, got 0"),
@@ -73,14 +73,55 @@ class TestTimeGrid:
         np.testing.assert_allclose(grid.widths, 1.0)
 
     def test_uniform_cells_share_one_width(self):
-        # linspace edges differ in the last bit; the recorded width does not
+        # linspace edges differ in the last bit; the widths do not
         grid = TimeGrid.uniform(0, 2, 192)
         assert np.unique(np.diff(grid.edges)).size > 1
         assert np.unique(grid.widths).tolist() == [2 / 192]
         np.testing.assert_array_equal(grid.edges, np.linspace(0, 2, 193))
-        # explicit edges keep their differences
-        edges = np.linspace(0, 2, 193)
-        np.testing.assert_array_equal(TimeGrid(edges).widths, np.diff(edges))
+        # explicit edges uniform to rounding get the same width
+        assert TimeGrid(np.linspace(0, 2, 193)).widths.tobytes() == grid.widths.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.lists(st.tuples(st.sampled_from([-1.0, 1.0]),
+                                   st.one_of(st.just(0.0), st.floats(1e-8, 1e8))),
+                         min_size=2, max_size=2),
+           cells=st.integers(1, 10 ** 5))
+    def test_linspace_edges_get_the_uniform_width(self, ends, cells):
+        # every span of magnitudes 1e-8 to 1e8, negative or across zero
+        t0, t1 = sorted(sign * size for sign, size in ends)
+        if not t0 < t1:
+            return
+        try:
+            uniform = TimeGrid.uniform(t0, t1, cells)
+        except ValueError:  # cells narrower than the edges' rounding
+            with pytest.raises(ValueError, match="strictly increasing"):
+                TimeGrid(np.linspace(t0, t1, cells + 1))
+            return
+        explicit = TimeGrid(np.linspace(t0, t1, cells + 1))
+        assert explicit.widths.tobytes() == uniform.widths.tobytes()
+        assert uniform.widths.tobytes() == np.full(cells, (t1 - t0) / cells).tobytes()
+
+    @pytest.mark.parametrize("edges", [
+        np.concatenate([[0.0], np.cumsum(2.0 ** np.array([-10, -6, -10, -2, -6, -2, -10,
+                                                          -2, -6]))]),
+        np.concatenate([[0.0], np.cumsum(np.random.default_rng(23).uniform(0.05, 1.0, 6))]),
+        np.geomspace(1e-3, 2.0, 40),
+    ], ids=["powers-of-two", "random-edges", "geometric"])
+    def test_distinct_widths_are_the_edge_differences(self, edges):
+        # the 2^-k grid of test_records_hold_each_cells_closed_forms and the
+        # edges of the random-edges export case
+        assert TimeGrid(edges).widths.tobytes() == np.diff(edges).tobytes()
+
+    def test_a_grid_keeps_a_read_only_copy_of_its_edges(self):
+        edges = np.linspace(0, 1, 3)
+        grid = TimeGrid(edges)
+        edges[1] = 5.0
+        assert grid.edges.tolist() == [0.0, 0.5, 1.0] and grid.widths.tolist() == [0.5, 0.5]
+        uniform = TimeGrid.uniform(0, 1, 2)
+        for array in (grid.edges, grid.widths, uniform.edges, uniform.widths):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 9.0
+        assert uniform.horizon == 1.0
 
     def test_grids_and_sequences_compare_and_hash_by_identity(self):
         grid = TimeGrid.uniform(0, 1, 2)
@@ -209,6 +250,14 @@ class TestSqra:
         got = {(i, j) for i, j in zip(Q.row, Q.col) if i != j}
         A = pot.adjacency.as_scipy().tocoo()
         assert got == set(zip(A.row.tolist(), A.col.tolist()))
+
+    def test_a_potential_keeps_a_read_only_copy_of_its_values(self):
+        values = np.zeros(4)
+        pot = GridPotential(2, 2, 1.0, values)
+        values[0] = 3.0
+        assert pot.values.tolist() == [0.0] * 4
+        with pytest.raises(ValueError, match="read-only"):
+            pot.values[0] = 3.0
 
     def test_rejects_bad_parameters(self):
         pot = GridPotential(2, 2, 1.0, np.zeros(4))

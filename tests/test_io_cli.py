@@ -274,6 +274,28 @@ class TestCli:
         assert (f"nnz={J.matrix.nnz} sparsity={J.matrix.nnz / size ** 2:.4%}"
                 in capsys.readouterr().out)
 
+    def test_linspace_edges_write_the_uniform_grids_bytes(self, tmp_path, caplog):
+        # edges uniform to rounding give two phases two diagonal blocks,
+        # and the outputs of the uniform grid to the byte
+        outputs = []
+        for time_grid in ({"edges": np.linspace(0, 2, 7).tolist()},
+                          {"t0": 0, "t1": 2, "cells": 6}):
+            generator = {"type": "sqra", "time_grid": time_grid,
+                         "beta_schedule": [1, 1, 1, 10, 10, 10]}
+            sets = {"set_a": {"states": [20], "blocks": [0, 5]},
+                    "set_b": {"states": [24], "blocks": [0, 5]}}
+            out = tmp_path / str(len(outputs))
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="ajc"):
+                for command, extra in (("koopman", {}), ("committor", sets)):
+                    cfg = write_config(tmp_path, {"generator": generator, **extra})
+                    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            assert [m for m in caplog.messages if m.startswith("assemble:")] == 2 * [
+                "assemble: N=63 M=6 phases=2 diagonal blocks=2 kernels=dense"]
+            outputs.append([(out / name).read_bytes()
+                            for name in ("koopman.csv", "committor.csv")])
+        assert outputs[0] == outputs[1]
+
     def test_sample(self, tmp_path):
         cfg = write_config(tmp_path, {
             **TWO_STATE, "initial": {"state": "A"}, "n_trajectories": 20,

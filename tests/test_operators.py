@@ -143,6 +143,12 @@ class TestJumpActivity:
                 with pytest.raises(NonConvergence, match="diagonal block residual"):
                     solve()
 
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (18,), (0,), (18, 2)])
+    def test_solve_forward_refuses_f_of_no_k_blocks(self, two_state_J, shape):
+        # N = 2, M = 8: F holds k*2 entries per column for some 1 <= k <= 8
+        with pytest.raises(ValueError, match=re.escape(f"F of shape {shape} is not")):
+            operators.solve_forward(two_state_J, np.ones(shape))
+
 
 class TestSynchronize:
     def test_absorbing_block_passthrough(self):
