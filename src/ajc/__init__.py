@@ -20,12 +20,12 @@ from .jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
 from .galerkin import (
     JumpMatrix,
     SpaceTimeIndexer,
-    apply_adjoint,
     assemble,
 )
 from .operators import (
     NonConvergence,
     SpaceTimeVector,
+    apply_adjoint,
     embed_spacelike,
     jump_activity,
     koopman_solve,
@@ -50,8 +50,8 @@ __all__ = [
     "CSR", "GridPotential", "InvalidProtocol", "RateMatrixSequence", "TimeGrid", "Violation",
     "four_neighbor_adjacency", "sqra_rates",
     "SpaceTimePoint", "TrajectorySample", "sample_trajectory",
-    "JumpMatrix", "SpaceTimeIndexer", "apply_adjoint", "assemble",
-    "NonConvergence", "SpaceTimeVector", "embed_spacelike", "jump_activity",
+    "JumpMatrix", "SpaceTimeIndexer", "assemble",
+    "NonConvergence", "SpaceTimeVector", "apply_adjoint", "embed_spacelike", "jump_activity",
     "koopman_solve", "reconstruct_propagator", "synchronize",
     "EmptyTarget", "SpaceTimeSet", "coherence_defect", "committor_solve",
     "convergence_study", "exact_propagator", "expm",

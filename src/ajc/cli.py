@@ -21,7 +21,7 @@ from time import perf_counter
 import numpy as np
 
 from . import io as ajcio
-from .committor import EmptyTarget, coherence_defect, committor_solve
+from .committor import coherence_defect, committor_solve
 from .galerkin import assemble
 from .jumpchain import SpaceTimePoint, sample_trajectory
 from .operators import NonConvergence, koopman_solve, reconstruct_propagator
@@ -155,6 +155,8 @@ def cmd_koopman(args, config: dict, out: Path) -> None:
 def cmd_committor(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     A = ajcio.parse_set(config.get("set_a"), seq.N, J.indexer.M, "A")
+    if not A.cells:
+        raise ajcio.ConfigError("set_a is empty: the committor needs a target set")
     B = ajcio.parse_set(config.get("set_b"), seq.N, J.indexer.M, "B")
     if A.cells & B.cells:
         raise ajcio.ConfigError(f"set_a and set_b share the cells {sorted(A.cells & B.cells)}")
@@ -169,6 +171,8 @@ def cmd_committor(args, config: dict, out: Path) -> None:
 def cmd_coherence(args, config: dict, out: Path) -> None:
     seq, J = _assembled(args, config)
     C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C")
+    if not C.cells:
+        raise ajcio.ConfigError("set_c is empty: coherence needs a set")
     count_survival = config.get("count_survival", False)
     if not isinstance(count_survival, bool):
         raise ajcio.ConfigError(f"count_survival must be true or false, got {count_survival!r}")
@@ -243,7 +247,7 @@ def main(argv=None) -> int:
     except ajcio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NonConvergence, EmptyTarget) as exc:
+    except NonConvergence as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

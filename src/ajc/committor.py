@@ -17,8 +17,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .galerkin import JumpMatrix, apply_adjoint
-from .operators import SpaceTimeVector, _solve_backward
+from .galerkin import JumpMatrix
+from .operators import SpaceTimeVector, _solve_backward, apply_adjoint
 
 TAIL_TO_A = "absorb_to_A"
 TAIL_TO_B = "absorb_to_B"
@@ -70,14 +70,17 @@ class SpaceTimeSet:
 
 def tail_value(tail) -> float:
     """The committor value a tail policy gives a trajectory that never jumps
-    into A or B before the horizon."""
-    if tail == TAIL_TO_B:
-        return 0.0
-    if tail == TAIL_TO_A:
-        return 1.0
-    v = float(tail)
+    into A or B before the horizon: 0 for TAIL_TO_B, 1 for TAIL_TO_A, or a
+    number in [0, 1]; a boolean, another string or bytes is no number."""
+    if isinstance(tail, str) and tail in (TAIL_TO_A, TAIL_TO_B):
+        return float(tail == TAIL_TO_A)
+    try:
+        v = np.nan if isinstance(tail, (bool, str, bytes)) else float(tail)
+    except (TypeError, ValueError, OverflowError):
+        v = np.nan
     if not 0.0 <= v <= 1.0:
-        raise ValueError("tail value must lie in [0, 1]")
+        raise ValueError(f"tail must be {TAIL_TO_A!r}, {TAIL_TO_B!r} or a number in [0, 1], "
+                         f"got {tail!r}")
     return v
 
 

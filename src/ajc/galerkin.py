@@ -36,7 +36,6 @@ JumpMatrix.matrix.
 from __future__ import annotations
 
 import functools
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -299,25 +298,3 @@ def _each(operand, Y: np.ndarray) -> np.ndarray:
     k, n, c = Y.shape
     return (operand @ Y.transpose(1, 0, 2).reshape(n, k * c)).reshape(-1, k, c).transpose(1, 0, 2)
 
-
-def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
-    """One backward pull of a space-time observable (matrix times vector).
-
-    Each run of cells that share a record takes its B g and R g as one
-    product each, with the bits of the per-cell products (_each); only the
-    carry of the jumps into later cells, elementwise, goes cell by cell.
-    """
-    G = np.asarray(g, dtype=float)
-    if G.shape[0] != J.indexer.size:
-        raise ValueError("vector length must be N*M")
-    G = G.reshape(J.indexer.M, J.indexer.N, -1)
-    out = np.empty_like(G)
-    carry = np.zeros_like(G[0])
-    for f, run in itertools.groupby(range(J.indexer.M - 1, -1, -1), key=J.cells.__getitem__):
-        ks = list(run)
-        lo, hi = ks[-1], ks[0] + 1
-        within, jumps = _each(f.B, G[lo:hi]), f.phi * _each(f.R, G[lo:hi])
-        for k in range(hi - lo - 1, -1, -1):
-            out[lo + k] = within[k] + f.leave * carry
-            carry = f.decay * carry + jumps[k]
-    return out.reshape(np.shape(g))

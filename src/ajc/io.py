@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .committor import TAIL_TO_A, TAIL_TO_B, SpaceTimeSet, tail_value
+from .committor import SpaceTimeSet, tail_value
 from .galerkin import JumpMatrix, SpaceTimeIndexer
 from .generator import (
     GridPotential,
@@ -281,17 +281,13 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
 
 
 def parse_tail(node):
-    """The committor's tail policy, 'absorb_to_A', 'absorb_to_B' or a value
-    in [0, 1], returned as given; as for parse_number, a boolean or another
-    string is no value."""
+    """The committor's tail policy, returned as given where
+    committor.tail_value takes it."""
     try:
-        if node in (TAIL_TO_A, TAIL_TO_B) or not isinstance(node, (bool, str)):
-            tail_value(node)
-            return node
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"tail must be {TAIL_TO_A!r}, {TAIL_TO_B!r} or a number in [0, 1], "
-                      f"got {node!r}")
+        tail_value(node)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return node
 
 
 def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:

@@ -33,10 +33,11 @@ scipy.sparse.
 A committor block with cells in A or B is solved on the same LU,
 bordered by those fixed cells; a block with more than 32 fixed cells, or
 whose LU or border cannot serve, is factored on its free cells, once per
-scan, by the same kind of LU.  The masked blocks that share a record and
-a free mask are one group with one solver, and are checked after the
-scan in one product, as whole blocks are; where a border falls short, the
-scan runs again with that whole group on its free cells.
+scan, by the same kind of LU.  The blocks that share a record and a free
+mask are one group with one solver, the record's LU where every cell is
+free, and one check after the scan; where a border falls short, the scan
+runs again with that whole group on its free cells.  apply_adjoint, J g,
+runs through the backward scan with no free cell, which solves nothing.
 """
 
 from __future__ import annotations
@@ -121,11 +122,13 @@ def _checked(res: float) -> float:
 
 @dataclass
 class _Scan:
-    """How one scan solved its blocks, for its INFO line: used maps each
-    block record whose whole LU it used to whether it factored it, and
-    cells counts, in the pass that stands, the cells by transfer runs,
-    those runs, their squarings, and the cells by the per-cell step."""
+    """How one scan solved its blocks, for the INFO line its caller logs:
+    groups are its _Groups, used maps each block record whose whole LU it
+    used to whether it factored it, and cells counts, in the pass that
+    stands, the cells by transfer runs, those runs, their squarings, and
+    the cells by the per-cell step."""
 
+    groups: list = field(default_factory=list)
     used: dict = field(default_factory=dict)
     cells: list = field(default_factory=lambda: [0, 0, 0, 0])
 
@@ -145,13 +148,6 @@ def _lu(block: _Factors, scan: _Scan):
         scan.used[block] = True
     scan.used.setdefault(block, False)
     return block.lu
-
-
-def _residual(block: _Factors, x: np.ndarray, rhs: np.ndarray, forward: bool) -> float:
-    """|x - B x - rhs|_inf (B^T forward) over the columns of the (N, c) x,
-    which must not exceed RESIDUAL_TOL."""
-    operand = block.B.T if forward else block.B
-    return _checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
 
 
 def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
@@ -199,15 +195,11 @@ def _free_cells(block: _Factors, free: np.ndarray):
 
 @dataclass(eq=False)
 class _Group:
-    """The masked blocks of one backward scan that share a record and a
-    free mask, and the one solver of them all.
-
-    The solver is the border the group's first block makes (see
-    _bordered), or an LU of the free cells when there is none.  No block
-    is checked as it is solved: failure() checks the blocks of a pass in
-    one product, and a scan that finds the border short of its bound at
-    any block moves the whole group to its free cells and scans again.
-    ks holds the group's blocks in the order the last pass solved them."""
+    """The blocks of one scan that share a record and a free mask, and their
+    one solver: the record's LU, in the scan's direction, where every cell
+    is free, else the border the first block makes (see _bordered), or an
+    LU of the free cells.  check() checks them after a pass; ks holds them
+    in the order it solved them, and rows is free, a slice if all are."""
 
     block: _Factors
     free: np.ndarray
@@ -215,54 +207,69 @@ class _Group:
     bordered: bool = False
     ks: list = field(default_factory=list)
 
-    def ready(self, scan: _Scan):
-        """The group's solver (rhs, x) -> y, made on first use."""
+    def ready(self, scan: _Scan, forward: bool):
+        """The group's solver (rhs, x) -> y, made on first use, with rows."""
         if self.solver is None:
-            border = _bordered(self.block, self.free, scan)
-            self.solver = border or _free_cells(self.block, self.free)
-            self.bordered = border is not None
+            if self.free.all():
+                self.rows, lu = slice(None), _lu(self.block, scan)
+                self.solver = lambda rhs, x: lu(rhs, not forward)
+            else:
+                self.rows, border = self.free, _bordered(self.block, self.free, scan)
+                self.solver = border or _free_cells(self.block, self.free)
+                self.bordered = border is not None
         return self.solver
 
-    def failure(self, X: np.ndarray, rhs: np.ndarray):
-        """The group's first block, in scan order, whose check fails, as
-        (k, its free-row residual, whether the border fell short), or None.
+    def check(self, X: np.ndarray, rhs: np.ndarray, forward: bool) -> tuple:
+        """The worst free-row residual of y - B y = rhs (B^T forward) over
+        the group's blocks, and the first of them in scan order that fails,
+        as (k, its residual, whether the border fell short), or None.
 
-        Each block's residual is that of y - B y = rhs on its free rows.  A
-        bordered block fails where it exceeds _BORDER_EPS * max|y|, which
-        bounds rhs there, B's rows summing below 1; a fixed cell can break a
-        stiff cycle, so the whole block may be far worse conditioned than
-        its free part.  Any block fails where its residual is not within
-        RESIDUAL_TOL, NaN included.
+        A block fails where its residual is not within RESIDUAL_TOL, NaN
+        included, or, bordered, exceeds _BORDER_EPS * max|y|, which bounds
+        rhs there, B's rows summing below 1: a fixed cell can break a stiff
+        cycle, so the whole block may be far worse conditioned than its
+        free part.  Unbordered blocks are checked side by side in one
+        product, and one by one only where the worst fails.
         """
         ks = np.array(self.ks)
-        Y = X[ks]
-        r = Y - _each(self.block.B, Y) - rhs[ks]
-        r[:, ~self.free] = 0.0
-        res = np.abs(r).max(axis=(1, 2), initial=0.0)
-        short = res > (_BORDER_EPS * np.abs(Y).max(axis=(1, 2)) if self.bordered else np.inf)
+        operand = self.block.B.T if forward else self.block.B
+        if self.bordered:
+            Y = X[ks]
+            r = Y - _each(operand, Y) - rhs[ks]
+            r[:, ~self.free] = 0.0
+            res = np.abs(r).max(axis=(1, 2), initial=0.0)
+            bound = _BORDER_EPS * np.abs(Y).max(axis=(1, 2))
+        else:
+            x = _side(X[ks])
+            r = np.abs(x - operand @ x - _side(rhs[ks]))[self.rows]
+            worst = r.max(initial=0.0)
+            if worst <= RESIDUAL_TOL:
+                return worst, None
+            res, bound = r.reshape(len(r), len(ks), -1).max(axis=(0, 2), initial=0.0), np.inf
+        short = res > bound
         failed = np.flatnonzero(short | ~(res <= RESIDUAL_TOL))
-        if failed.size:
-            j = int(failed[0])
-            return int(ks[j]), float(res[j]), bool(short[j])
-        return None
+        j = int(failed[0]) if failed.size else None
+        return res.max(), None if j is None else (int(ks[j]), float(res[j]), bool(short[j]))
 
 
 def _groups(J: JumpMatrix, free: np.ndarray) -> tuple:
-    """The _Groups of the (k, N) mask free, the blocks with both fixed and
-    free cells that share one record and one mask, and per block the index
-    of its group, or _WHOLE where every cell is free and _NONE where none
-    is."""
-    index = np.where(free.all(axis=1), _WHOLE, _NONE)
-    masked = np.flatnonzero(free.any(axis=1) & (index == _NONE))
-    if not masked.size:
+    """The _Groups of the (k, N) or (k, 1) mask free, the blocks with a free
+    cell that share one record and one mask, and per block the index of its
+    group, or _NONE where no cell is free.  Where every cell is free, the
+    groups are one per record, in J.blocks' order."""
+    if free.all():
+        return [_Group(f, free[0]) for f in J.blocks], J.block_of[:len(free)]
+    index = np.full(len(free), _NONE)
+    solved = np.flatnonzero(free.any(axis=1))
+    if not solved.size:
         return [], index
     # one id per distinct mask; np.unique(rows, axis=0) gives the same ids,
     # but sorts the rows as records of N fields, about 60x slower
-    rows = np.ascontiguousarray(free[masked])
+    rows = np.ascontiguousarray(free[solved])
     ids = np.unique(rows.view(np.dtype((np.void, rows.shape[1]))), return_inverse=True)[1]
-    first, index[masked] = np.unique(J.block_of[masked] * len(masked) + ids.ravel(),
+    first, index[solved] = np.unique(J.block_of[solved] * len(solved) + ids.ravel(),
                                      return_index=True, return_inverse=True)[1:]
-    return [_Group(J.cells[k], free[k]) for k in masked[first].tolist()], index
+    return [_Group(J.cells[k], free[k]) for k in solved[first].tolist()], index
 
 
 # The cost rule of the transfer route (see _scan): a run of n cells of c
@@ -290,10 +297,7 @@ def _groups(J: JumpMatrix, free: np.ndarray) -> tuple:
 # (see reconstruct_propagator): today's c >= N rule.
 _TRANSFER_WORK = 2 ** 14
 
-# A cell's kind in a scan, besides the index of its _Group: solved on its
-# record's LU, not solved (no free cell), or past the blocks of X, with no
-# right-hand side and no output.
-_WHOLE, _NONE, _PAST = -1, -2, -3
+_NONE = -1  # the kind in a scan of a block with no free cell, which no _Group solves
 
 
 def _by_transfer(n: int, c: int, N: int) -> bool:
@@ -396,37 +400,37 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
     carry, worst, made = np.zeros((n, 1)), 0.0, {}
     scan.cells = [0, 0, 0, 0]
     for lo, hi, kind in (runs if forward else reversed(runs)):
-        f, m = J.cells[lo], hi - lo
+        f, m, past = J.cells[lo], hi - lo, lo >= len(X)
         ks = range(lo, hi) if forward else range(hi - 1, lo - 1, -1)
-        group = groups[kind] if kind >= 0 else None
-        if group is not None:
+        group = None if kind == _NONE else groups[kind]
+        solve = None if group is None else group.ready(scan, forward)
+        if group is not None and not past:
             group.ks.extend(ks)
-            solve = group.ready(scan)
-        elif kind == _NONE:
-            solve = None
-        else:
-            lu, trans = _lu(f, scan), not forward
-            solve = lambda rhs, x, lu=lu, trans=trans: lu(rhs, trans)
-        if kind == _PAST or solve is not None and _by_transfer(m, c, n):
-            if (f, kind) not in made:
-                made[f, kind] = _transfer(f, solve, forward)
-            D, G, H = made[f, kind]
+        if past or solve is not None and _by_transfer(m, c, n):
+            if group not in made:
+                made[group] = _transfer(f, solve, forward)
+            D, G, H = made[group]
             scan.cells[0] += m
             scan.cells[1] += 1
-            if kind == _PAST:
+            if past:
                 # no right-hand side and no output: the run's only solve is G's
-                worst = max(worst, _residual(f, G, D, True))
+                worst = max(worst, _checked(np.abs(G - f.B.T @ G - D).max(initial=0.0)))
                 carry = np.linalg.matrix_power(np.diag(f.decay[:, 0]) + H, m) @ carry
                 scan.cells[2] += m.bit_length() - 1
             else:
-                carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry,
-                             slice(None) if group is None else group.free)
+                carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry, group.rows)
+        elif solve is None:
+            # no free cell, so backward: the run's jumps in one product, each block's own bits
+            scan.cells[3] += m
+            jumps = f.phi * _each(f.R, X[lo:hi])
+            for k in ks:
+                rhs[k] += f.leave * carry
+                carry = f.decay * carry + jumps[k - lo]
         else:
             scan.cells[3] += m
             for k in ks:
                 rhs[k] += f.R.T @ (f.phi * carry) if forward else f.leave * carry
-                if solve is not None:
-                    X[k] = solve(rhs[k], X[k])
+                X[k] = solve(rhs[k], X[k])
                 carry = f.decay * carry + (f.leave * X[k] if forward else f.phi * (f.R @ X[k]))
     return carry, worst
 
@@ -436,52 +440,51 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     """Solve the (k, N, c) blocks X, time blocks 0..k-1, of (I - J^T) X = rhs
     in ascending time, or of (I - J) X = rhs in descending time, on the
     cells of the boolean (k, N) mask free, or on the blocks of a (k, 1)
-    one; X holds the other cells' values.  A forward scan goes on through
-    cells k..cells-1 with no right-hand side and no output.
+    one; X holds the other cells' values.  A forward scan, on an all-free
+    mask, goes on through cells k..cells-1 with no rhs and no output.
 
     The scan goes one run at a time: consecutive cells of one record and
-    one kind, whole blocks, one _Group's, blocks with no free cell, or
-    cells past X.  Within a run block k is Y_k + G carry_k, Y_k the solve
-    of its own rhs, and the carry past it is T carry_k plus the jumps of
-    Y_k (see _transfer).  A run that the cost rule _by_transfer admits
-    takes the transfer route (_run); a run past X multiplies the carry by
-    T raised to its length, by repeated squaring; any other run takes the
-    per-cell step, the same recurrence with the solver applied to
+    one kind, one _Group's blocks, blocks with no free cell, or cells past
+    X.  Within a run block k is Y_k + G carry_k, Y_k the solve of its own
+    rhs, and the carry past it is T carry_k plus the jumps of Y_k (see
+    _transfer).  A run that the cost rule _by_transfer admits takes the
+    transfer route (_run); a run past X checks G and multiplies the carry
+    by T raised to its length, by repeated squaring; any other run takes
+    the per-cell step, the same recurrence with the solver applied to
     rhs + inflow, cell by cell.
 
-    rhs takes in each block's inflow from the blocks solved before it.  A
-    block whose cells are all free is solved on its record's LU, and each
-    record's such blocks are checked against RESIDUAL_TOL in one product
-    after the scan, as G of a run past X is when it is made; a block with
-    no free cell is not solved.  A backward scan solves a block with fixed
-    and free cells by its _Group, and checks each group in one product
-    after the scan; where a border fell short, it scans again from the
-    held rhs with that whole group on its free cells, until no border
-    does.  A pass runs on after a short border, on values the next pass
-    replaces, which may overflow; so the scan silences numpy's overflow
-    and invalid-value warnings, and an overflow in a pass that stands ends
-    in a refusal by the checks.  Returns the worst whole-block residual and
-    the carry past the last cell, which forward is the activity
-    synchronized to that cell's right edge.
+    rhs takes in each block's inflow from the blocks solved before it; a
+    block with no free cell is not solved, so with no free cell at all the
+    scan is apply_adjoint's.  Each group is checked after the scan; where
+    a border fell short, the scan runs again from the held rhs with that
+    whole group on its free cells, until no border does.  A pass runs on
+    after a short border, on values the next pass replaces, which may
+    overflow; so the scan silences numpy's overflow and invalid-value
+    warnings, and an overflow in a pass that stands ends in a refusal by
+    the checks.  Returns the worst residual of the solved blocks, the
+    carry past the last cell, which forward is the activity synchronized
+    to that cell's right edge, and the _Scan.
     """
     groups, index = _groups(J, free)
-    # runs: where the record or the kind changes
     cells = max(cells, len(X))
-    kinds = np.concatenate([index, np.full(cells - len(X), _PAST)])
+    # a cell past X runs on its record's group, one per record on an all-free mask
+    kinds = np.concatenate([index, J.block_of[len(X):cells]])
     block_of = J.block_of[:cells]
+    # runs: where the record or the kind changes, and where X ends
     cuts = np.flatnonzero((block_of[1:] != block_of[:-1]) | (kinds[1:] != kinds[:-1])) + 1
-    bounds = [0, *cuts.tolist(), cells]
+    bounds = sorted({0, *cuts.tolist(), len(X), cells})
     runs = list(zip(bounds, bounds[1:], kinds[bounds[:-1]].tolist()))
-    held = rhs.copy() if groups else None
-    scan = _Scan()
+    held = None if all(g.free.all() for g in groups) else rhs.copy()
+    scan = _Scan(groups)
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             for g in groups:
                 g.ks.clear()
             carry, worst = _pass(J, X, rhs, runs, groups, forward, scan)
-            # the first failure in the descending scan; the later ones may follow from it
-            failed = max(filter(None, (g.failure(X, rhs) for g in groups)),
-                         key=lambda f: f[0], default=None)
+            checks = [g.check(X, rhs, forward) for g in groups if g.ks]
+            # the first failure in scan order; the later ones may follow from it
+            failed = max(filter(None, (f for _, f in checks)),
+                         key=lambda f: -f[0] if forward else f[0], default=None)
             if failed is None:
                 break
             k, res, short = failed
@@ -490,21 +493,7 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
             g = groups[index[k]]
             g.solver, g.bordered = _free_cells(g.block, g.free), False
             rhs[...] = held
-    n, whole = J.indexer.N, index == _WHOLE
-    for b, block in enumerate(J.blocks):
-        ks = np.flatnonzero(whole & (block_of[:len(X)] == b))
-        if ks.size:
-            # the record's cells side by side, as the columns of one (N, c) stack
-            x, r = (_side(A[ks]) for A in (X, rhs))
-            worst = max(worst, _residual(block, x, r, forward))
-    if forward:
-        scan.log("solve_forward", cells)
-    else:
-        borders = [g for g in groups if g.bordered]
-        scan.log("solve_backward", int(free.any(axis=1).sum()), "; %d borders of %d fixed "
-                 "cells, %d masked factorizations", len(borders),
-                 sum(int((~g.free).sum()) for g in borders), len(groups) - len(borders))
-    return worst, carry
+    return max([worst, *(w for w, _ in checks)]), carry, scan
 
 
 def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
@@ -522,8 +511,10 @@ def solve_forward(J: JumpMatrix, F: np.ndarray) -> tuple[np.ndarray, float]:
     if rest or not 1 <= m <= J.indexer.M:
         raise ValueError(f"F of shape {rhs.shape} is not k*{n} rows for a k in 1..{J.indexer.M}")
     X = np.empty_like(rhs)
-    return X, float(_scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
-                          np.ones((m, 1), dtype=bool), True)[0])
+    worst, _, scan = _scan(J, X.reshape(m, n, -1), rhs.reshape(m, n, -1),
+                           np.ones((m, 1), dtype=bool), True)
+    scan.log("solve_forward", m)
+    return X, float(worst)
 
 
 def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarray,
@@ -539,7 +530,12 @@ def _solve_backward(J: JumpMatrix, l: int, terminal: np.ndarray, fixed: np.ndarr
     shape = (l + 1, J.indexer.N)
     x = np.array(fixed, dtype=float)
     rhs = (J.block_survival(l)[:size].reshape(shape) * terminal)[..., None]
-    _scan(J, x[:size].reshape(*shape, 1), rhs, free[:size].reshape(shape), False)
+    free = free[:size].reshape(shape)
+    scan = _scan(J, x[:size].reshape(*shape, 1), rhs, free, False)[2]
+    borders = [g for g in scan.groups if g.bordered]
+    scan.log("solve_backward", int(free.any(axis=1).sum()), "; %d borders of %d fixed cells, "
+             "%d masked factorizations", len(borders), sum(int((~g.free).sum()) for g in borders),
+             sum(not g.free.all() for g in scan.groups) - len(borders))
     return x
 
 
@@ -606,8 +602,10 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
         raise ValueError("spatial density must have N rows")
     _check_block(J, l)
     if fbar.ndim == 2 and fbar.shape[1] >= n:
-        return _scan(J, np.empty((1, *fbar.shape)), fbar[None].copy(), np.ones((1, 1), dtype=bool),
-                     True, l + 1)[1]
+        _, carry, scan = _scan(J, np.empty((1, *fbar.shape)), fbar[None].copy(),
+                               np.ones((1, 1), dtype=bool), True, l + 1)
+        scan.log("solve_forward", l + 1)
+        return carry
     F = np.zeros(((l + 1) * n, *fbar.shape[1:]))
     F[:n] = fbar
     return _synchronize(J, solve_forward(J, F)[0], l)
@@ -628,3 +626,22 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
     _check_block(J, l)
     free = np.arange(J.indexer.size) < (l + 1) * n
     return SpaceTimeVector(_solve_backward(J, l, g, np.zeros(J.indexer.size), free), J.indexer)
+
+
+def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
+    """One backward pull of a space-time observable, J g, for an (N*M,) g
+    or each column of an (N*M, c) one, c >= 1; any other shape is refused.
+    It is the backward scan with no free cell: each block's B g, one
+    product per record with each block's bits (_each), takes in the jumps
+    in flight from the later cells, and nothing is solved."""
+    G = np.asarray(g, dtype=float)
+    if G.ndim not in (1, 2) or len(G) != J.indexer.size or not G.size:
+        raise ValueError(f"g of shape {G.shape} is not ({J.indexer.size},) or "
+                         f"({J.indexer.size}, c) with c >= 1")
+    X = G.reshape(J.indexer.M, J.indexer.N, -1)
+    rhs = np.empty_like(X)
+    for b, f in enumerate(J.blocks):
+        ks = np.flatnonzero(J.block_of == b)
+        rhs[ks] = _each(f.B, X[ks])
+    _scan(J, X, rhs, np.zeros((J.indexer.M, 1), dtype=bool), False)
+    return rhs.reshape(G.shape)

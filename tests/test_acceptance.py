@@ -13,10 +13,11 @@ import scipy.stats
 from ajc import io as ajcio
 from ajc import presets
 from ajc.committor import SpaceTimeSet, committor_solve
-from ajc.galerkin import apply_adjoint, assemble
+from ajc.galerkin import assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import sample_trajectory, SpaceTimePoint
 from ajc.operators import (
+    apply_adjoint,
     embed_spacelike,
     jump_activity,
     koopman_solve,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from ajc.committor import (
     SpaceTimeSet,
     coherence_defect,
     committor_solve,
+    tail_value,
 )
-from ajc.galerkin import apply_adjoint
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
+from ajc.operators import apply_adjoint
 
 from conftest import flat, koopman_matrix_column
 
@@ -138,6 +141,19 @@ class TestCommittor:
         with pytest.raises(ValueError):
             committor_solve(two_state_J, SpaceTimeSet([(B, 7)]),
                             SpaceTimeSet([(A, 7)]), tail=1.5)
+
+    @pytest.mark.parametrize("tail", [True, False, "0.5", " 1 ", b"1", "absorb_to_C",
+                                      b"absorb_to_A", None, [0.5], -0.5, float("nan"), 10 ** 400,
+                                      np.array([0.5, 0.5]), np.array(["absorb_to_A"])],
+                             ids=lambda tail: repr(tail)[:16])
+    def test_a_tail_is_a_policy_name_or_a_number(self, two_state_J, tail):
+        # the rule io.parse_tail applies to a config: a boolean, another
+        # string or bytes is no number, and the refusal names the value
+        named = re.escape(f"got {tail!r}")
+        with pytest.raises(ValueError, match=named):
+            tail_value(tail)
+        with pytest.raises(ValueError, match=named):
+            committor_solve(two_state_J, SpaceTimeSet([(B, 7)]), SpaceTimeSet([(A, 7)]), tail)
 
 
 class TestCoherence:

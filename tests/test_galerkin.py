@@ -12,7 +12,6 @@ from scipy.sparse.linalg import spsolve
 from ajc import galerkin, operators, presets
 from ajc.galerkin import (
     SpaceTimeIndexer,
-    apply_adjoint,
     assemble,
     phi,
     psi,
@@ -28,6 +27,7 @@ from ajc.operators import (
     RESIDUAL_TOL,
     NonConvergence,
     SpaceTimeVector,
+    apply_adjoint,
     jump_activity,
     koopman_solve,
     reconstruct_propagator,
@@ -543,12 +543,13 @@ class TestRandomProtocols:
                     refused(lambda: committor_solve(J, *sets).values),
                     refused(lambda: jump_activity(J, SpaceTimeVector(f, J.indexer))[0].values),
                     refused(lambda: reconstruct_propagator(J, F, l))]
-        got = outputs() + [apply_adjoint(J, G)]
+        G3 = rng.random((J.indexer.size, 3))
+        got = outputs() + [apply_adjoint(J, G), apply_adjoint(J, G3)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(operators, "solve_forward", reference_solve_forward)
             mp.setattr(operators, "_solve_backward", reference_solve_backward)
             mp.setattr("ajc.committor._solve_backward", reference_solve_backward)
-            want = outputs() + [reference_apply_adjoint(J, G)]
+            want = outputs() + [reference_apply_adjoint(J, G), reference_apply_adjoint(J, G3)]
         for a, b in zip(got, want):
             if isinstance(b, str):
                 assert isinstance(a, str)

@@ -713,9 +713,26 @@ class TestCli:
         assert digest(tmp_path / "out" / "trajectories.csv") == \
             digest(tmp_path / "here" / "trajectories.csv")
 
-    def test_solver_error_exit_3(self, tmp_path):
-        cfg = write_config(tmp_path, {**TWO_STATE, "set_a": [], "set_b": []})
-        assert main(["committor", "--config", cfg, "--out", str(tmp_path)]) == 3
+    @pytest.mark.parametrize("command, config, key", [
+        ("committor", {"set_a": [], "set_b": []}, "set_a"),
+        ("committor", {"set_b": [["A", 7]]}, "set_a"),
+        ("coherence", {"set_c": []}, "set_c"),
+    ], ids=["committor", "committor-no-set_a", "coherence"])
+    def test_an_empty_target_set_exits_2(self, tmp_path, capsys, command, config, key):
+        cfg = write_config(tmp_path, {**TWO_STATE, **config})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {key} is empty")
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_coherence_logs_no_solve(self, tmp_path, monkeypatch, caplog):
+        # the pull of the indicator is the backward scan that solves nothing
+        monkeypatch.setenv("AJC_LOG", "INFO")
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"},
+                                      "set_c": {"states": [20, 19, 21], "blocks": [0, 5]}})
+        with caplog.at_level(logging.INFO, logger="ajc"):
+            assert main(["coherence", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert caplog.messages == [
+            "assemble: N=63 M=6 phases=2 diagonal blocks=2 kernels=dense"]
 
     def test_a_refused_stiff_cycle_exits_3(self, tmp_path, capsys):
         scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix(STIFF_CYCLE))

@@ -9,11 +9,12 @@ from scipy.linalg import lapack
 from ajc import galerkin, presets
 from ajc import operators
 from ajc.committor import TAIL_TO_B, SpaceTimeSet, coherence_defect, committor_solve
-from ajc.galerkin import SpaceTimeIndexer, apply_adjoint, assemble
+from ajc.galerkin import SpaceTimeIndexer, assemble
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.operators import (
     NonConvergence,
     SpaceTimeVector,
+    apply_adjoint,
     embed_spacelike,
     jump_activity,
     koopman_solve,
@@ -33,6 +34,7 @@ from conftest import (
     flat,
     koopman_matrix_column,
     reference_apply_adjoint,
+    reference_scan_forward,
     reference_solve_backward,
     reference_solve_forward,
     triple_well_grid_seq,
@@ -148,6 +150,33 @@ class TestJumpActivity:
         # N = 2, M = 8: F holds k*2 entries per column for some 1 <= k <= 8
         with pytest.raises(ValueError, match=re.escape(f"F of shape {shape} is not")):
             operators.solve_forward(two_state_J, np.ones(shape))
+
+    @pytest.mark.parametrize("dt", [1 / 3, 1 / 96], ids=["per-cell", "transfer"])
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_solve_forward_returns_its_worst_block_residual(self, dense, dt, monkeypatch):
+        # max over blocks of |x - B^T x - f|_inf, f the block's F plus the
+        # inflow from the blocks before it, computed here: the same formula
+        # up to the rounding of the products and of the inflow, a few ulps of
+        # max|x|
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(presets.triple_well(dt))
+        n, m = J.indexer.N, J.indexer.M
+        for c in (1, 3):
+            F = np.random.default_rng(3).random((J.indexer.size, c))
+            X, residual = operators.solve_forward(J, F)
+            blocks, rhs = X.reshape(m, n, c), F.reshape(m, n, c)
+            want = max(np.abs(blocks[l] - J.cells[l].B.T @ blocks[l] - rhs[l] - inflow).max()
+                       for l, inflow in reference_scan_forward(J, blocks))
+            assert 0.0 < want <= operators.RESIDUAL_TOL
+            assert abs(residual - want) <= 4 * np.spacing(np.abs(X).max())
+
+
+@pytest.mark.parametrize("shape", [(16, 1, 1), (16, 2, 3), (), (3,), (15, 2), (2, 8), (16, 0)])
+def test_apply_adjoint_refuses_g_of_another_shape(two_state_J, shape):
+    # N = 2, M = 8: g is (16,) or (16, c) with c >= 1
+    with pytest.raises(ValueError, match=re.escape(f"g of shape {shape} is not (16,)")):
+        apply_adjoint(two_state_J, np.ones(shape))
 
 
 class TestSynchronize:
@@ -604,6 +633,19 @@ def test_a_border_short_at_a_later_block_moves_its_whole_group(dense, monkeypatc
         for solve in (operators._solve_backward, reference_solve_backward):
             with pytest.raises(NonConvergence, match="residual nan"):
                 solve(J, m - 1, terminal, fixed, free)
+
+
+def test_a_committor_with_no_free_cell_solves_nothing(two_state_J, caplog):
+    # A and B cover every cell: the scan goes cell by cell and solves no block
+    m = two_state_J.indexer.M
+    with caplog.at_level(logging.INFO, logger="ajc"):
+        c = committor_solve(two_state_J, SpaceTimeSet.rectangle([A], (0, m - 1)),
+                            SpaceTimeSet.rectangle([B], (0, m - 1))).values
+    assert c.tolist() == [1.0, 0.0] * m
+    assert caplog.messages == [
+        "solve_backward: 0 blocks solved against 0 LU factorizations built, 0 reused; "
+        "0 cells by 0 transfer runs with 0 squarings, 8 by the per-cell step; "
+        "0 borders of 0 fixed cells, 0 masked factorizations"]
 
 
 def test_solves_build_no_explicit_matrix():
