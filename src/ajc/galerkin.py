@@ -286,15 +286,3 @@ def assemble(seq: RateMatrixSequence) -> JumpMatrix:
     block_of = np.array([index[p, w] for p, w in zip(seq.phase.tolist(), dt)])
     return JumpMatrix(SpaceTimeIndexer(seq.N, seq.grid.M), seq.grid, q, seq.offdiag,
                       tuple(blocks), block_of)
-
-
-def _each(operand, Y: np.ndarray) -> np.ndarray:
-    """operand @ Y[i] for each (n, c) block of the (k, n, c) stack Y, each
-    with the bits of its own product: numpy's stacked matmul makes one BLAS
-    call per block of a dense operand, and a CSR's product with the blocks
-    side by side gives each column the bits of its own mat-vec."""
-    if isinstance(operand, np.ndarray):
-        return operand @ Y
-    k, n, c = Y.shape
-    return (operand @ Y.transpose(1, 0, 2).reshape(n, k * c)).reshape(-1, k, c).transpose(1, 0, 2)
-

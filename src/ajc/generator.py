@@ -330,7 +330,7 @@ def four_neighbor_adjacency(nx: int, ny: int) -> CSR:
 class GridPotential:
     """Potential sampled on a rectangular grid of nx by ny states, at least
     one each way, with read-only values, 4-neighbor adjacency (a CSR) and a
-    positive, finite cell size h.  Potentials compare and hash by identity."""
+    cell size h > 0 with h^2 finite.  Potentials compare and hash by identity."""
 
     nx: int
     ny: int
@@ -347,6 +347,8 @@ class GridPotential:
             raise ValueError("potential values must have nx*ny entries")
         if not 0 < self.h < np.inf:
             raise ValueError(f"cell size h must be positive and finite, got h={self.h}")
+        if not np.isfinite(float(self.h) * float(self.h)):
+            raise ValueError(f"cell size h={self.h!r} is too large: its square overflows")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "adjacency", four_neighbor_adjacency(self.nx, self.ny))

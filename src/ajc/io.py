@@ -170,7 +170,7 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
     if not isinstance(node, dict):
         raise ConfigError(f"generator must be a JSON object, got {node!r}")
     kind = "preset" if "preset" in node else node.get("type")
-    if kind not in _GENERATOR_KEYS:
+    if not isinstance(kind, str) or kind not in _GENERATOR_KEYS:
         raise ConfigError(f"generator needs a 'preset' or a known 'type', got {node}")
     allowed, required = _GENERATOR_KEYS[kind]
     check_keys(node, allowed, f"{kind} generator", required)

@@ -36,8 +36,9 @@ whose LU or border cannot serve, is factored on its free cells, once per
 scan, by the same kind of LU.  The blocks that share a record and a free
 mask are one group with one solver, the record's LU where every cell is
 free, and one check after the scan; where a border falls short, the scan
-runs again with that whole group on its free cells.  apply_adjoint, J g,
-runs through the backward scan with no free cell, which solves nothing.
+runs again with that whole group on its free cells.  A block with no
+free cell is not solved; its right-hand side takes J X, so apply_adjoint,
+J g, is the backward scan with no free cell.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .galerkin import JumpMatrix, SpaceTimeIndexer, _each, _Factors
+from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
 RESIDUAL_TOL = 1e-10
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
@@ -311,6 +312,17 @@ def _side(A: np.ndarray) -> np.ndarray:
     return A.transpose(1, 0, 2).reshape(A.shape[1], -1)
 
 
+def _each(operand, Y: np.ndarray) -> np.ndarray:
+    """operand @ Y[i] for each (n, c) block of the (k, n, c) stack Y, each
+    with the bits of its own product: numpy's stacked matmul makes one BLAS
+    call per block of a dense operand, and a CSR's product with the blocks
+    side by side gives each column the bits of its own mat-vec."""
+    if isinstance(operand, np.ndarray):
+        return operand @ Y
+    k, n, c = Y.shape
+    return (operand @ _side(Y)).reshape(-1, k, c).transpose(1, 0, 2)
+
+
 def _transfer(f: _Factors, solve, forward: bool) -> tuple:
     """(D, G, H) of a run of record f's cells whose block solver is solve:
     G solves the block for D, the inflow that a carry brings, so a block
@@ -420,8 +432,9 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
             else:
                 carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry, group.rows)
         elif solve is None:
-            # no free cell, so backward: the run's jumps in one product, each block's own bits
+            # no free cell, so backward: rhs takes J X; B X and the jumps are one product each
             scan.cells[3] += m
+            rhs[lo:hi] = _each(f.B, X[lo:hi])
             jumps = f.phi * _each(f.R, X[lo:hi])
             for k in ks:
                 rhs[k] += f.leave * carry
@@ -454,16 +467,17 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
     rhs + inflow, cell by cell.
 
     rhs takes in each block's inflow from the blocks solved before it; a
-    block with no free cell is not solved, so with no free cell at all the
-    scan is apply_adjoint's.  Each group is checked after the scan; where
-    a border fell short, the scan runs again from the held rhs with that
-    whole group on its free cells, until no border does.  A pass runs on
-    after a short border, on values the next pass replaces, which may
-    overflow; so the scan silences numpy's overflow and invalid-value
-    warnings, and an overflow in a pass that stands ends in a refusal by
-    the checks.  Returns the worst residual of the solved blocks, the
-    carry past the last cell, which forward is the activity synchronized
-    to that cell's right edge, and the _Scan.
+    block with no free cell is not solved, and its rhs becomes J X, its
+    B X plus that inflow: with no free cell the scan is apply_adjoint's.
+    Each group is checked after the scan; where a border fell short, the
+    scan runs again from the held rhs with that whole group on its free
+    cells, until no border does.  A pass runs on after a short border, on
+    values the next pass replaces, which may overflow; so the scan
+    silences numpy's overflow and invalid-value warnings, and an overflow
+    in a pass that stands ends in a refusal by the checks.  Returns the
+    worst residual of the solved blocks, the carry past the last cell,
+    which forward is the activity synchronized to that cell's right edge,
+    and the _Scan.
     """
     groups, index = _groups(J, free)
     cells = max(cells, len(X))
@@ -630,18 +644,13 @@ def koopman_solve(J: JumpMatrix, g: np.ndarray, l: int) -> SpaceTimeVector:
 
 def apply_adjoint(J: JumpMatrix, g: np.ndarray) -> np.ndarray:
     """One backward pull of a space-time observable, J g, for an (N*M,) g
-    or each column of an (N*M, c) one, c >= 1; any other shape is refused.
-    It is the backward scan with no free cell: each block's B g, one
-    product per record with each block's bits (_each), takes in the jumps
-    in flight from the later cells, and nothing is solved."""
+    or each column of an (N*M, c) one, c >= 1, any other shape refused: the
+    backward scan with no free cell, which leaves J g in its rhs."""
     G = np.asarray(g, dtype=float)
     if G.ndim not in (1, 2) or len(G) != J.indexer.size or not G.size:
         raise ValueError(f"g of shape {G.shape} is not ({J.indexer.size},) or "
                          f"({J.indexer.size}, c) with c >= 1")
     X = G.reshape(J.indexer.M, J.indexer.N, -1)
     rhs = np.empty_like(X)
-    for b, f in enumerate(J.blocks):
-        ks = np.flatnonzero(J.block_of == b)
-        rhs[ks] = _each(f.B, X[ks])
     _scan(J, X, rhs, np.zeros((J.indexer.M, 1), dtype=bool), False)
     return rhs.reshape(G.shape)

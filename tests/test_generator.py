@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +269,11 @@ class TestSqra:
         for h in (np.inf, np.nan):  # an infinite h would freeze every rate at 0
             with pytest.raises(ValueError, match=f"h must be positive and finite, got h={h}"):
                 GridPotential(2, 2, h, np.zeros(4))
+        for h in (1e300, 1.4e154):  # h^2 overflows, and the rates divide by it
+            with pytest.raises(ValueError, match=re.escape(f"h={h!r} is too large: its square")):
+                GridPotential(2, 2, h, np.zeros(4))
+        widest = GridPotential(2, 2, 1.3e154, np.zeros(4))
+        assert np.isfinite(sqra_rates(widest, [1.0])[0].data).all()
         for nx, ny, values in ((-1, -2, np.zeros(2)), (0, 0, []), (0, 3, []), (2, 0, [])):
             with pytest.raises(ValueError, match="nx and ny must be positive"):
                 GridPotential(nx, ny, 1.0, values)

@@ -612,6 +612,15 @@ class TestCli:
         ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1, 10],
                                    "time_grid": {"t0": -float("inf"), "t1": 1, "cells": 2}}},
          "time_grid: t0 must be finite, got -inf"),
+        # a type that is no string cannot name a generator
+        ("koopman", {"generator": {"type": ["sqra"]}},
+         "generator needs a 'preset' or a known 'type'"),
+        ("koopman", {"generator": {"type": {}}}, "generator needs a 'preset' or a known 'type'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 1},
+                                   "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
+                                   "h": 1e300}},
+         "sqra potential: cell size h=1e+300 is too large: its square overflows"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})

@@ -10,7 +10,7 @@ from ajc import galerkin, presets
 from ajc import operators
 from ajc.committor import TAIL_TO_B, SpaceTimeSet, coherence_defect, committor_solve
 from ajc.galerkin import SpaceTimeIndexer, assemble
-from ajc.generator import RateMatrixSequence, TimeGrid
+from ajc.generator import RateMatrixSequence, TimeGrid, sqra_rates
 from ajc.operators import (
     NonConvergence,
     SpaceTimeVector,
@@ -177,6 +177,22 @@ def test_apply_adjoint_refuses_g_of_another_shape(two_state_J, shape):
     # N = 2, M = 8: g is (16,) or (16, c) with c >= 1
     with pytest.raises(ValueError, match=re.escape(f"g of shape {shape} is not (16,)")):
         apply_adjoint(two_state_J, np.ones(shape))
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_apply_adjoint_with_a_record_per_cell(dense, monkeypatch):
+    # beta ramps over 200 cells of the triple-well lattice: every cell is its
+    # own record and its own run
+    if not dense:
+        monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+    m = 200
+    betas = np.linspace(1, 10, m)
+    J = assemble(RateMatrixSequence(TimeGrid.uniform(0.0, 2.0, m),
+                                    sqra_rates(presets.triple_well_grid_potential(), betas)))
+    assert len(J.blocks) == m and isinstance(J.blocks[0].B, np.ndarray) == dense
+    rng = np.random.default_rng(11)
+    for g in (rng.random(J.indexer.size), rng.random((J.indexer.size, 3))):
+        assert apply_adjoint(J, g).tobytes() == reference_apply_adjoint(J, g).tobytes()
 
 
 class TestSynchronize:
