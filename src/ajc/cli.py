@@ -14,6 +14,7 @@ import argparse
 import json
 import logging
 import os
+import reprlib
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -109,9 +110,13 @@ def cmd_sample(args, config: dict, out: Path) -> None:
         raise ajcio.ConfigError(f"need grid start {seq.grid.t0} <= initial time {time} "
                                 f"<= horizon {horizon} <= grid horizon {seq.grid.horizon}")
     start = SpaceTimePoint(state, time)
-    count = ajcio.parse_number(config.get("n_trajectories", 1), int, "n_trajectories")
+    node = config.get("n_trajectories", 1)
+    count = ajcio.parse_number(node, int, "n_trajectories")
     if count < 1:
         raise ajcio.ConfigError(f"n_trajectories must be positive, got {count}")
+    if count > sys.maxsize:  # the longest list Python can hold
+        raise ajcio.ConfigError(f"n_trajectories must be at most {sys.maxsize}, "
+                                f"got {reprlib.repr(node)}")
     rng = np.random.default_rng(args.seed)
     started = perf_counter()
     trajs = [sample_trajectory(seq, start, horizon, rng) for _ in range(count)]

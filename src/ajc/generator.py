@@ -185,8 +185,9 @@ class RateMatrixSequence:
     read: phase[k] is cell k's phase, offdiag[k] its R, a CSR (cells of one
     phase share one R), and outbound[:, k] its q, in a read-only C-ordered (N, M)
     table.  The generator Q = R - diag(q) is formed only on request
-    (matrices), and so is the sampler's table of each phase's embedded chain
-    (embedded_chain).  Sequences compare and hash by identity.
+    (matrices), and so are the sampler's tables: each phase's embedded chain
+    (embedded_chain) and the grid, rates and hazard increments its walk
+    reads (sampler_table).  Sequences compare and hash by identity.
 
     A sequence is valid by construction: the constructor refuses a protocol
     of no states, and raises InvalidProtocol on a negative or non-finite
@@ -220,8 +221,8 @@ class RateMatrixSequence:
         if bad:
             raise InvalidProtocol(bad)
         phase.flags.writeable = False
-        # take, not q[:, phase]: the sampler reads outbound.ravel() per
-        # trajectory, which copies an F-ordered table every time
+        # take, not q[:, phase]: C order, so each state's row, which the
+        # sampler reads, is contiguous
         q = np.take(np.column_stack([q for _, q in split]), phase, axis=1)
         q.flags.writeable = False
         object.__setattr__(self, "phase", phase)
@@ -241,6 +242,21 @@ class RateMatrixSequence:
         Q = [(self.offdiag[m].as_scipy() - sp.diags(self.outbound[:, m])).tocsr()
              for m in first]
         return tuple(Q[p] for p in self.phase)
+
+    @functools.cached_property
+    def sampler_table(self) -> tuple:
+        """What the sampler's walk over the cells reads, built by the first
+        sample: (edges, phase, rates, increments), the edges and phases as
+        plain lists, and per state i read-only float64 memoryviews of its
+        outbound rates q_i^k (rows of outbound) and of each whole cell's
+        hazard increment q_i^k * (t_{k+1} - t_k), one float per state and
+        cell.  The widths are the edges' differences, not grid.widths, so
+        each increment is the walk's own product bit for bit."""
+        with np.errstate(over="ignore"):  # an infinite increment is a sure jump
+            increments = self.outbound * np.diff(self.grid.edges)
+        increments.flags.writeable = False
+        return (self.grid.edges.tolist(), self.phase.tolist(),
+                tuple(map(memoryview, self.outbound)), tuple(map(memoryview, increments)))
 
     @functools.cached_property
     def embedded_chain(self) -> tuple:

@@ -3,17 +3,23 @@
 The chain lives on space-time points (state, jump time).  With a
 piecewise-constant protocol all waiting-time integrals are finite sums, so
 the inverse-CDF sampler is evaluated in closed form by walking the time
-cells.  The target of a jump is drawn from the embedded chain q_ij / q_i of
-the jump cell's phase, whose row CDFs the sequence builds on the first
-sample and keeps (RateMatrixSequence.embedded_chain).  The walk reads the
-grid, the outbound rates and those CDFs as plain Python floats and ints and
-searches them with bisect; its one numpy call per jump is np.log1p, whose
-rounding the seeded trajectories depend on.
+cells.  The walk reads a table the sequence builds on its first sample and
+keeps (RateMatrixSequence.sampler_table): the edges and phases as plain
+lists, and per state its outbound rate and its hazard increment over each
+whole cell, one float per state and cell.  It computes the partial cell
+holding the current time from that time and adds the stored increment of
+every later cell, in cell order, so a jump time has the bits of the
+cell-by-cell sum.  The target of a jump is drawn from the embedded chain
+q_ij / q_i of the jump cell's phase, whose row CDFs the sequence builds on
+the first sample too (RateMatrixSequence.embedded_chain), searched with
+bisect.  The walk's one numpy call per jump is np.log1p, whose rounding
+the seeded trajectories depend on.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -41,8 +47,14 @@ class TrajectorySample:
         times = np.asarray(self.times, dtype=float)
         if states.size != times.size or states.size == 0:
             raise ValueError("states and times must be equally sized and nonempty")
-        if np.any(np.diff(times) <= 0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("jump times must be strictly increasing")
+        # increasing with finite ends: finite throughout
+        first, last = float(times[0]), float(times[-1])
+        if not (math.isfinite(first) and math.isfinite(last)):
+            raise ValueError(f"jump times must be finite, got {first} to {last}")
+        if not last <= self.horizon:
+            raise ValueError(f"horizon {self.horizon} is before the last jump time {last}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "times", times)
 
@@ -50,24 +62,32 @@ class TrajectorySample:
         return self.states.size
 
 
-def _invert_hazard(edges, rates, s: float, u: float):
+def _invert_hazard(edges, rates, increments, s: float, u: float):
     """Inverse CDF of the non-homogeneous exponential waiting time.
 
-    edges are the grid's edges and rates the state's outbound rate in each
-    cell, both as sequences of plain floats.  Returns (t, k) with the jump
-    time and the index of its time cell, or None when the accumulated hazard
-    never reaches -log(1-u) before the horizon (the jump falls past the end
-    of the grid).
+    edges are the grid's edges, and rates and increments the state's
+    outbound rate and hazard increment in each cell (one row of the
+    sequence's sampler_table), all sequences of plain floats.  Returns
+    (t, k) with the jump time and the index of its time cell, or None when
+    the accumulated hazard never reaches -log(1-u) before the horizon (the
+    jump falls past the end of the grid).
     """
     target = -float(np.log1p(-u))  # not math.log1p: it rounds differently
-    acc, lo = 0.0, s
-    # from the cell (edges[k], edges[k+1]] holding s; t0 belongs to the first
-    for k in range(max(bisect.bisect_left(edges, s) - 1, 0), len(edges) - 1):
-        hi, rate = edges[k + 1], rates[k]
-        inc = rate * (hi - lo)
+    # from s to the end of the cell (edges[k], edges[k+1]] holding it; t0
+    # belongs to the first cell
+    k = max(bisect.bisect_left(edges, s) - 1, 0)
+    if k >= len(rates):
+        return None
+    rate = rates[k]
+    acc = rate * (edges[k + 1] - s)
+    if acc > 0 and acc >= target:
+        return s + target / rate, k
+    # each later cell whole, summed in cell order as a walk from s would
+    for k in range(k + 1, len(rates)):
+        inc = increments[k]
         if inc > 0 and acc + inc >= target:
-            return lo + (target - acc) / rate, k
-        acc, lo = acc + inc, hi
+            return edges[k] + (target - acc) / rates[k], k
+        acc += inc
     return None
 
 
@@ -92,17 +112,13 @@ def sample_trajectory(
     i = start.state
     if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < seq.N:
         raise ValueError(f"start state must be an integer in [0, {seq.N}), got {i!r}")
-    # plain floats and ints: numpy scalar arithmetic costs more than the walk
-    M = seq.grid.M
-    edges = seq.grid.edges.tolist()
-    phase = memoryview(seq.phase)
-    rates = memoryview(seq.outbound.ravel())  # row i is rates[i*M:(i+1)*M]
+    edges, phase, rates, increments = seq.sampler_table
     chain = seq.embedded_chain
     states = [int(i)]
     times = [float(start.time)]
     while True:
         i = states[-1]
-        hit = _invert_hazard(edges, rates[i * M:(i + 1) * M], times[-1], rng.random())
+        hit = _invert_hazard(edges, rates[i], increments[i], times[-1], rng.random())
         if hit is None or hit[0] > horizon:
             break
         t, k = hit

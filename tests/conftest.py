@@ -105,7 +105,8 @@ def survival(seq, i, s, t):
 def sample_jump_time(seq, i, s, u):
     """The sampler's jump time t with int_s^t q_i = -log(1-u), or None if
     past the horizon."""
-    hit = _invert_hazard(seq.grid.edges.tolist(), seq.outbound[i].tolist(), s, u)
+    edges, _, rates, increments = seq.sampler_table
+    hit = _invert_hazard(edges, rates[i], increments[i], s, u)
     return None if hit is None else hit[0]
 
 

@@ -627,6 +627,19 @@ class TestCli:
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("count", [1e300, sys.maxsize + 1, 10 ** 400],
+                             ids=["1e300", "maxsize-plus-one", "beyond-float"])
+    def test_more_trajectories_than_a_list_holds_exit_2(self, tmp_path, capsys, monkeypatch,
+                                                        count):
+        # refused before the first trajectory: such a config is never run
+        def never(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(cli, "sample_trajectory", never)
+        cfg = write_config(tmp_path, {**TWO_STATE, "n_trajectories": count})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"n_trajectories must be at most {sys.maxsize}, got" in capsys.readouterr().err
+
     def test_internal_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(*args):
             raise ValueError("internal")

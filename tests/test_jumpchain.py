@@ -1,5 +1,6 @@
 import hashlib
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -120,6 +121,20 @@ class TestSampleJumpTime:
             assert F == pytest.approx(u, abs=1e-12)
 
 
+class TestTrajectorySample:
+    @pytest.mark.parametrize("times, horizon", [
+        ([0.0, np.nan], 1.0), ([np.nan, 1.0], 1.0), ([0.0, np.inf], 1.0),
+        ([0.0, 1.0], np.nan), ([0.0, 1.0], -5.0),
+    ], ids=["nan-last", "nan-first", "inf-last", "nan-horizon", "horizon-before-last-jump"])
+    def test_refuses(self, times, horizon):
+        with pytest.raises(ValueError):
+            TrajectorySample(np.array([0, 1]), np.array(times), horizon)
+
+    def test_accepts_a_jump_at_the_horizon(self):
+        traj = TrajectorySample(np.array([0, 1]), np.array([0.0, 1.0]), 1.0)
+        assert len(traj) == 2
+
+
 class TestSampleTrajectory:
     def test_absorbing_start_is_single_point(self, two_state_seq):
         traj = sample_trajectory(two_state_seq, SpaceTimePoint(A, 5.0), 8.0, 123)
@@ -214,6 +229,14 @@ class TestSameTrajectoriesAsReference:
             for time in (seq.grid.t0, mid):
                 self.assert_same(seq, SpaceTimePoint(state, time), seq.grid.horizon, state, 2)
 
+    def test_a_long_grid(self):
+        # M = 5,000: a bit moved by summing stored increments would show here
+        seq = presets.triple_well(1 / 2500)
+        mid = float(seq.grid.edges[seq.grid.M // 2 + 1])
+        for state in (0, 20, 31, 62):
+            for time in (seq.grid.t0, mid):
+                self.assert_same(seq, SpaceTimePoint(state, time), seq.grid.horizon, state, 2)
+
     def test_pinned_triple_well_bytes(self):
         # 126 trajectories of triple_well(1/24), each state twice in seeded
         # order; the hash was recorded with the reference walk
@@ -253,15 +276,68 @@ class TestEmbeddedChain:
         seq = ajcio.build_sequence({"generator": {"preset": "triple-well"}})
         assemble(seq)
         assert "embedded_chain" not in seq.__dict__
+        assert "sampler_table" not in seq.__dict__
         sample_trajectory(seq, SpaceTimePoint(0, seq.grid.t0), seq.grid.horizon, 0)
         assert "embedded_chain" in seq.__dict__
         assert len(seq.embedded_chain) == 2
         self.assert_one_float_per_nonzero(seq)
+        chain, table = seq.embedded_chain, seq.sampler_table
+        sample_trajectory(seq, SpaceTimePoint(5, seq.grid.t0), seq.grid.horizon, 1)
+        assert seq.embedded_chain is chain and seq.sampler_table is table  # once per sequence
+        TestSamplerTable.assert_one_float_per_state_and_cell(seq)
 
     @settings(max_examples=50, deadline=None)
     @given(protocol=protocols())
     def test_one_float_per_nonzero_of_each_phase(self, protocol):
         self.assert_one_float_per_nonzero(RateMatrixSequence(*protocol))
+
+
+class TestSamplerTable:
+    @staticmethod
+    def assert_one_float_per_state_and_cell(seq):
+        edges, phase, rates, increments = seq.sampler_table
+        N, M = seq.outbound.shape
+        assert edges == seq.grid.edges.tolist() and phase == seq.phase.tolist()
+        for rows in (rates, increments):
+            # one read-only (N, M) float64 table, a memoryview per state row
+            base = rows[0].obj.base
+            assert base.shape == (N, M) and base.dtype == np.float64
+            assert not base.flags.writeable
+            assert len(rows) == N
+            assert all(r.obj.base is base and r.readonly and r.format == "d" and len(r) == M
+                       for r in rows)
+        assert rates[0].obj.base is seq.outbound  # not a copy
+        # each whole cell's increment is the walk's own product, bit for bit
+        for i in range(N):
+            q = seq.outbound[i].tolist()
+            assert increments[i].tolist() == [q[k] * (edges[k + 1] - edges[k]) for k in range(M)]
+
+    @settings(max_examples=50, deadline=None)
+    @given(protocol=protocols())
+    def test_one_float_per_state_and_cell(self, protocol):
+        self.assert_one_float_per_state_and_cell(RateMatrixSequence(*protocol))
+
+    def test_the_walk_keeps_digits_a_prefix_sum_loses(self):
+        # state 0 leaves at 1e9 in cell 0 and at 1e-3 after it: a prefix sum
+        # H(t_k) holds 1e9 in every later entry, so its differences keep
+        # about 7 digits of the 1e-3 increments (1.1e-4 off), while the
+        # walk from s sums only what lies after s
+        fast, slow = np.array([[0.0, 1e9], [1.0, 0.0]]), np.array([[0.0, 1e-3], [1.0, 0.0]])
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 5.0, 5), [fast] + [slow] * 4)
+        s, u = 1.25, 0.002
+        t = sample_jump_time(seq, 0, s, u)
+        with mpmath.workdps(40):
+            target = -mpmath.log1p(-mpmath.mpf(u))
+            acc, lo, exact = mpmath.mpf(0), mpmath.mpf(s), None
+            for k in range(1, seq.grid.M):
+                rate, hi = mpmath.mpf(seq.outbound[0, k]), mpmath.mpf(seq.grid.edges[k + 1])
+                if acc + rate * (hi - lo) >= target:
+                    exact = lo + (target - acc) / rate
+                    break
+                acc += rate * (hi - lo)
+                lo = hi
+            assert exact is not None and 3 < exact < 4
+            assert abs(t - exact) <= 4 * np.spacing(t)
 
 
 class TestIntervalOf:
