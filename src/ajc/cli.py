@@ -74,24 +74,27 @@ def _load(args) -> tuple[dict, Path]:
     cfg_path = Path(args.config)
     try:
         config = json.loads(cfg_path.read_text())
-    except FileNotFoundError:
-        raise ajcio.ConfigError(f"config file not found: {cfg_path}")
     except json.JSONDecodeError as exc:
         raise ajcio.ConfigError(f"config {cfg_path} is not valid JSON: {exc}")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, or not text
+        raise ajcio.ConfigError(f"cannot read config {cfg_path}: {exc}")
     ajcio.check_keys(config, {"generator"} | _COMMANDS[args.command][1],
                      f"{args.command} config", {"generator"})
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file, or a path under one
+        raise _UsageError(f"--out {out} cannot be made a directory: {exc.strerror}")
     return config, out
 
 
 def _assembled(args, config):
     seq = ajcio.build_sequence(config, Path(args.config).parent)
-    return seq, assemble(seq)
+    return seq, assemble(seq), ajcio.state_names(config)
 
 
 def cmd_assemble(args, config: dict, out: Path) -> None:
-    seq, J = _assembled(args, config)
+    J = _assembled(args, config)[1]
     size = J.indexer.size
     # the size before the export, whose text grows as M^2
     print(f"N={J.indexer.N} M={J.indexer.M} dimension={size} nnz={J.nnz} "
@@ -103,7 +106,7 @@ def cmd_assemble(args, config: dict, out: Path) -> None:
 def cmd_sample(args, config: dict, out: Path) -> None:
     seq = ajcio.build_sequence(config, Path(args.config).parent)
     start_node = ajcio.check_keys(config.get("initial", {}), {"state", "time"}, "initial")
-    state = ajcio.resolve_state(start_node.get("state", 0), seq.N)
+    state = ajcio.resolve_state(start_node.get("state", 0), seq.N, ajcio.state_names(config))
     time = ajcio.parse_number(start_node.get("time", seq.grid.t0), float, "initial time")
     horizon = ajcio.parse_number(config.get("horizon", seq.grid.horizon), float, "horizon")
     if not seq.grid.t0 <= time <= horizon <= seq.grid.horizon:
@@ -135,9 +138,9 @@ def cmd_sample(args, config: dict, out: Path) -> None:
 
 
 def cmd_propagate(args, config: dict, out: Path) -> None:
-    seq, J = _assembled(args, config)
+    seq, J, names = _assembled(args, config)
     fbar = ajcio.parse_spatial_vector(config.get("initial_density", {"state": 0}), seq.N,
-                                      "initial_density")
+                                      "initial_density", names)
     block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     density = reconstruct_propagator(J, fbar, block)
     path = ajcio.write_csv(out / "density.csv", ["state", "mass"],
@@ -147,8 +150,9 @@ def cmd_propagate(args, config: dict, out: Path) -> None:
 
 
 def cmd_koopman(args, config: dict, out: Path) -> None:
-    seq, J = _assembled(args, config)
-    g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N, "observable")
+    seq, J, names = _assembled(args, config)
+    g = ajcio.parse_spatial_vector(config.get("observable", {"ones": True}), seq.N,
+                                   "observable", names)
     block = ajcio.parse_block(config.get("block", J.indexer.M - 1), J.indexer.M)
     K = koopman_solve(J, g, block)
     path = ajcio.write_csv(out / "koopman.csv", ["state", "block", "value"],
@@ -158,11 +162,11 @@ def cmd_koopman(args, config: dict, out: Path) -> None:
 
 
 def cmd_committor(args, config: dict, out: Path) -> None:
-    seq, J = _assembled(args, config)
-    A = ajcio.parse_set(config.get("set_a"), seq.N, J.indexer.M, "A")
+    seq, J, names = _assembled(args, config)
+    A = ajcio.parse_set(config.get("set_a"), seq.N, J.indexer.M, "A", names)
     if not A.cells:
         raise ajcio.ConfigError("set_a is empty: the committor needs a target set")
-    B = ajcio.parse_set(config.get("set_b"), seq.N, J.indexer.M, "B")
+    B = ajcio.parse_set(config.get("set_b"), seq.N, J.indexer.M, "B", names)
     if A.cells & B.cells:
         raise ajcio.ConfigError(f"set_a and set_b share the cells {sorted(A.cells & B.cells)}")
     tail = ajcio.parse_tail(config.get("tail", "absorb_to_B"))
@@ -174,8 +178,8 @@ def cmd_committor(args, config: dict, out: Path) -> None:
 
 
 def cmd_coherence(args, config: dict, out: Path) -> None:
-    seq, J = _assembled(args, config)
-    C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C")
+    seq, J, names = _assembled(args, config)
+    C = ajcio.parse_set(config.get("set_c"), seq.N, J.indexer.M, "C", names)
     if not C.cells:
         raise ajcio.ConfigError("set_c is empty: coherence needs a set")
     count_survival = config.get("count_survival", False)
@@ -235,20 +239,17 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     level = os.environ.get("AJC_LOG", "WARNING")
-    if not isinstance(logging.getLevelName(level.upper()), int):
-        print(f"usage error: AJC_LOG must name a logging level such as INFO or DEBUG, "
-              f"got {level!r}", file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(level=level.upper())
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        if not isinstance(logging.getLevelName(level.upper()), int):
+            raise _UsageError(f"AJC_LOG must name a logging level such as INFO or DEBUG, "
+                              f"got {level!r}")
+        logging.basicConfig(level=level.upper())
+        args = _build_parser().parse_args(argv)
+        _COMMANDS[args.command][0](args, *_load(args))
+        return EXIT_OK
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        _COMMANDS[args.command][0](args, *_load(args))
-        return EXIT_OK
     except ajcio.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

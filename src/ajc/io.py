@@ -1,7 +1,7 @@
 """File formats: MatrixMarket matrices, JSON configs, CSV results.
 
-All outputs are text.  States and blocks are 0-based in every file; the
-2-state preset additionally accepts the state names "A" and "B".
+All outputs are text.  States and blocks are 0-based in every file; only
+a config of the 2-state preset also accepts the state names "A" and "B".
 scipy.io, and scipy.sparse with it, loads on the first .mtx read or
 write; nothing else here loads scipy.
 """
@@ -236,12 +236,20 @@ def build_sequence(config: dict, base_dir: Path | None = None) -> RateMatrixSequ
         raise ConfigError(f"rate matrix {sources[0]}: {exc}") from exc
 
 
-def resolve_state(token, N: int) -> int:
+_NAMES = {"A": 0, "B": 1}
+
+
+def state_names(config: dict) -> dict:
+    """The state names of a config build_sequence read: "A", "B" or none."""
+    return _NAMES if config["generator"].get("preset") == "two-state" else {}
+
+
+def resolve_state(token, N: int, names: dict = _NAMES) -> int:
     if isinstance(token, str):
-        names = {"A": 0, "B": 1}
         if token in names and names[token] < N:
             return names[token]
-        raise ConfigError(f"unknown state name {token!r}")
+        raise ConfigError(f"unknown state name {token!r}" if names else
+                          f"state name {token!r}: only the two-state preset names its states")
     i = parse_number(token, int, "state")
     if not 0 <= i < N:
         raise ConfigError(f"state index {i} out of range [0, {N})")
@@ -256,7 +264,7 @@ def parse_block(token, M: int) -> int:
     return k
 
 
-def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
+def parse_set(node, N: int, M: int, label: str = "", names: dict = _NAMES) -> SpaceTimeSet:
     """Sets are lists of [state, block] pairs or rectangles
     {"states": [...], "blocks": [lo, hi]}; a list may mix both forms."""
     if node is None:
@@ -272,11 +280,11 @@ def parse_set(node, N: int, M: int, label: str = "") -> SpaceTimeSet:
                 raise ConfigError(f"set {label} blocks [{lo}, {hi}] are reversed: "
                                   f"need first <= last")
             for tok in _list(item["states"], f"set {label} states"):
-                i = resolve_state(tok, N)
+                i = resolve_state(tok, N, names)
                 cells.update((i, k) for k in range(lo, hi + 1))
         else:
             i, k = _list(item, f"set {label} cell", 2)
-            cells.add((resolve_state(i, N), parse_block(k, M)))
+            cells.add((resolve_state(i, N, names), parse_block(k, M)))
     return SpaceTimeSet(cells, label)
 
 
@@ -290,10 +298,10 @@ def parse_tail(node):
     return node
 
 
-def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:
+def parse_spatial_vector(node, N: int, what: str, names: dict = _NAMES) -> np.ndarray:
     """A spatial vector, read from the config key what: a list of finite
-    numbers, or an object with exactly one of {"state": i} point mass,
-    {"ones": true} and {"uniform": true}."""
+    numbers, or an object with exactly one of {"state": i} point mass, i an
+    index or one of names, {"ones": true} and {"uniform": true}."""
     if isinstance(node, dict):
         check_keys(node, {"ones", "uniform", "state"}, what)
         if len(node) != 1:
@@ -302,7 +310,7 @@ def parse_spatial_vector(node, N: int, what: str) -> np.ndarray:
         (key, value), = node.items()
         if key == "state":
             v = np.zeros(N)
-            v[resolve_state(value, N)] = 1.0
+            v[resolve_state(value, N, names)] = 1.0
             return v
         if value is not True:
             raise ConfigError(f"{what} {key!r} must be true, got {value!r}")

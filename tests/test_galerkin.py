@@ -583,7 +583,7 @@ class TestRandomProtocols:
     @settings(max_examples=60, deadline=None)
     @given(seq=protocols(), data=st.data())
     def test_committor_equals_a_sparse_solve(self, seq, data):
-        # the bordered blocks against one solve of the masked free system
+        # the masked blocks against one solve of the masked free system
         J = assemble(seq)
         c, sets = self.committor(J, data)
         assert np.abs(c - committor_sparse_solve(J, *sets)).max() <= self.bound(J)

@@ -1,4 +1,5 @@
 import csv
+import gzip
 import hashlib
 import json
 import logging
@@ -393,6 +394,51 @@ class TestCli:
         cfg = write_config(tmp_path, {**TWO_STATE, "initial": {"time": -3.0}})
         assert main(["sample", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("case", ["directory", "gzip"])
+    def test_an_unreadable_config_exit_2(self, tmp_path, capsys, case):
+        cfg = tmp_path / "run.json.gz"
+        if case == "directory":
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(gzip.compress(json.dumps(TWO_STATE).encode()))
+        assert main(["koopman", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {cfg}: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", ["a-file", "under-a-file"])
+    def test_an_out_that_is_no_directory_exit_1(self, tmp_path, capsys, case):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" / ("sub" if case == "under-a-file" else "")
+        cfg = write_config(tmp_path, TWO_STATE)
+        assert main(["koopman", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage error: --out {out} cannot be made a directory: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, extra, token", [
+        ("koopman", {"observable": {"state": "B"}}, "B"),
+        ("propagate", {"initial_density": {"state": "A"}}, "A"),
+        ("committor", {"set_a": [["A", 0]], "set_b": [[24, 0]]}, "A"),
+        ("coherence", {"set_c": {"states": [20, "B"], "blocks": [0, 5]}}, "B"),
+        ("sample", {"initial": {"state": "A"}}, "A"),
+    ], ids=["koopman", "propagate", "committor", "coherence", "sample"])
+    def test_state_names_belong_to_the_two_state_preset(self, tmp_path, capsys, command,
+                                                         extra, token):
+        cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"}, **extra})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (f"config error: state name {token!r}: only the "
+                                           f"two-state preset names its states\n")
+        assert list(tmp_path.glob("*.csv")) == []
+
+    def test_a_two_state_files_generator_refuses_state_names(self, tmp_path, capsys):
+        for k in range(2):
+            scipy.io.mmwrite(tmp_path / f"q{k}.mtx", dense_rate_matrix([[0, 2.0], [0.5, 0]]))
+        cfg = write_config(tmp_path, {"generator": {
+            "type": "files", "time_grid": {"edges": [0, 1, 2]}, "matrices": ["q0.mtx", "q1.mtx"]},
+            "set_a": [["A", 1]], "set_b": [[1, 1]]})
+        assert main(["committor", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "state name 'A': only the two-state preset" in capsys.readouterr().err
+
     def test_files_with_a_negative_rate_exit_2(self, tmp_path, capsys):
         scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix([[0, -1.0], [2.0, 0]]))
         scipy.io.mmwrite(tmp_path / "q1.mtx", dense_rate_matrix([[0, 1.0], [1.0, 0]]))
@@ -672,7 +718,8 @@ class TestCli:
         readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text().split())
         assert f"up to {galerkin._DENSE_MAX} states these are dense" in readme
         assert f"above {galerkin._DENSE_MAX} states they are sparse" in readme
-        assert f"up to {operators._BORDER_MAX} per block" in readme
+        assert f"up to {operators._BORDER_MAX} per block on sparse records" in readme
+        assert "on dense records every masked block is solved on an LU of its free cells" in readme
 
     def test_info_log_reports_sizes_and_factorizations(self, tmp_path):
         cfg = write_config(tmp_path, {"generator": {"preset": "triple-well"}})
@@ -821,7 +868,8 @@ class TestPinnedOutputs:
     # sparse run puts every record on CSR kernels, so both branches of
     # JumpMatrix.block_rows and of the solves are pinned.  The dense
     # committor and the three sparse solves were renewed when SuperLU's
-    # supernode settings and the border's P = W W[c]^-1 moved their last bits
+    # supernode settings and the border's P = W W[c]^-1 moved their last bits,
+    # and the dense committor again when dense blocks stopped being bordered
     CONFIGS = {
         "assemble": {},
         "koopman": {"observable": [i % 5 for i in range(63)], "block": 35},
@@ -836,7 +884,7 @@ class TestPinnedOutputs:
     SOLVES = {
         "dense": {
             "koopman.csv": "4a40b59dd2fd0e0453bdffc050ce729d7ecbeff5b7b275ec3a63c419d82bf3d3",
-            "committor.csv": "44b23912c5c756e08dbd9c794716eddb082bb492f269d592b2f0f95744b8e300",
+            "committor.csv": "aaf5505545cd95db1f16ab989f1b7b403d8157f3778f6ff1b0fb2b84270e07f5",
             "density.csv": "21a503c9b1acf0aadc9704c99eec36e7d13d18a4efaa77611dccd4532bf44a5c",
         },
         "sparse": {

@@ -497,9 +497,11 @@ def test_solves_on_one_operator_share_its_factorizations(seq, kernel, monkeypatc
     J = assemble(seq)
     shared = [solve(J) for solve in solves]
     # one full block per phase, built by the first Koopman solve from the last
-    # phase down, dense up to galerkin._DENSE_MAX states; the committor
-    # borders them by its fixed cells, factoring none
-    assert built == [(kernel, n), (kernel, n)]
+    # phase down, dense up to galerkin._DENSE_MAX states; on SuperLU the
+    # committor borders them by its fixed cells, factoring none, and on getrf
+    # it factors the free cells of its two masks, B's in the last phase first
+    masked = [(kernel, n - 1), (kernel, n - 2)] if kernel == "getrf" else []
+    assert built == [(kernel, n), (kernel, n), *masked]
     assert len(J.blocks) == 2 and all(b.lu is not None for b in J.blocks)
     for solve, got in zip(solves, shared):
         np.testing.assert_array_equal(got, solve(assemble(seq)))
@@ -545,10 +547,12 @@ def sets_in_every_block(J, a_states, b_states):
                                           (triple_well_grid_seq(8, 6), 8, 25, 30),
                                           (triple_well_grid_seq(50, 6), 50, 912, 937)],
                          ids=["triple-well", "grid-8x8", "grid-50x50"])
-def test_bordered_committor_equals_a_sparse_solve(seq, nx, a, b, caplog):
-    # five fixed cells each of A and B in every block, as on the benchmark;
-    # on the 50x50 grid, the benchmark's sets, whose bordered residuals on
-    # SuperLU read 2.9-3.9 ulps of max|y| against _BORDER_EPS's 4
+def test_bordered_committor_equals_a_sparse_solve(seq, nx, a, b, monkeypatch, caplog):
+    # five fixed cells each of A and B in every block, as on the benchmark,
+    # on SuperLU, the one kernel that borders; on the 50x50 grid, the
+    # benchmark's sets, whose bordered residuals read 2.9-3.9 ulps of max|y|
+    # against _BORDER_EPS's 4
+    monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     J = assemble(seq)
     A, B = sets_in_every_block(J, *([s, s - 1, s + 1, s - nx, s + nx] for s in (a, b)))
     with caplog.at_level(logging.INFO, logger="ajc"):
@@ -560,9 +564,20 @@ def test_bordered_committor_equals_a_sparse_solve(seq, nx, a, b, caplog):
     assert np.abs(c - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+def test_committor_on_dense_records_stays_in_0_1():
+    # tw-fine's sets on getrf, which factors the free cells; a border on the
+    # record's LU left values at 1 + 2.2e-16
+    J = assemble(presets.triple_well(1 / 96))
+    assert isinstance(J.blocks[0].B, np.ndarray)
+    A, B = sets_in_every_block(J, *([s, s - 1, s + 1, s - 9, s + 9] for s in (20, 24)))
+    c = committor_solve(J, A, B).values
+    assert 0.0 <= c.min() and c.max() <= 1.0
+
+
 def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
-    # 8x8 grid with its left and right three columns in A and B: 48 fixed
-    # cells per block, more than a border takes
+    # 8x8 grid on SuperLU with its left and right three columns in A and B:
+    # 48 fixed cells per block, more than a border takes
+    monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     J = assemble(triple_well_grid_seq(8, 6))
     A, B = sets_in_every_block(J, [i for i in range(64) if i % 8 < 3],
                                [i for i in range(64) if i % 8 > 4])
@@ -595,9 +610,10 @@ def test_many_fixed_cells_factor_the_free_cells(monkeypatch, caplog):
     # the first stiff cycle on the dense LU, the same way
     ([[0, 1e8, 0], [0, 0, 24], [1e4, 0, 0]], 1, 0, 1, True,
      "0 borders of 0 fixed cells, 1 masked factorizations"),
-    # a milder stiff cycle, whose border on the dense LU meets its residual
+    # a milder stiff cycle, whose border met its residual on the dense LU
+    # and falls short on SuperLU: dense blocks factor their free cells
     ([[0, 1.3e5, 0], [0, 0, 30], [6.4e8, 0, 0]], 1, 1, 2, True,
-     "1 borders of 2 fixed cells, 0 masked factorizations"),
+     "0 borders of 0 fixed cells, 1 masked factorizations"),
 ], ids=["stiff-cycle", "stiffer-cycle", "singular", "dense-stiff-cycle", "dense-bordered-cycle"])
 def test_stiff_blocks_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
                                             monkeypatch, caplog):
@@ -616,9 +632,10 @@ def test_stiff_blocks_factor_the_free_cells(rates, cells, a, b, dense, log_tail,
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 def test_a_border_short_at_a_later_block_moves_its_whole_group(dense, monkeypatch, caplog):
     # a stiff cycle, one phase in 3 cells, A and B in every block: one record
-    # and one mask, so one group, whose border serves the last block and falls
-    # short at an earlier one; the scan finds that only after it has scanned
-    # on, and scans again with the whole group on its free cells
+    # and one mask, so one group; on SuperLU its border serves the last block
+    # and falls short at an earlier one, the scan finds that only after it
+    # has scanned on, and scans again with the whole group on its free cells,
+    # which the dense kernel factors from the start
     if not dense:
         monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
     Q = dense_rate_matrix([[0, 1e5, 0], [0, 0, 1000], [7e9, 0, 0]])
@@ -732,8 +749,10 @@ class TestTransferRuns:
         # A holds state 19 too in blocks 40-59 of the first phase's 96 cells:
         # the mask of blocks 0-39 and 60-95 is one group, whose two transfer
         # runs (40 and 36 cells) share its G, around a run of 20 cells that
-        # is short of the rule and takes the per-cell step
+        # is short of the rule and takes the per-cell step; bordered on SuperLU
         monkeypatch.setattr(operators, "_BORDER_MAX", border_max)
+        if border_max >= 0:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
         J = assemble(presets.triple_well(1 / 96))
         n, m = J.indexer.N, J.indexer.M
         assert operators._by_transfer(36, 1, n) and not operators._by_transfer(20, 1, n)
