@@ -32,6 +32,8 @@ log = logging.getLogger(__name__)
 
 # Entries per MatrixMarket chunk of consecutive row blocks: a few MB of text.
 _CHUNK_ENTRIES = 2 ** 17
+# Rows per chunk of CSV text from a solve's values.
+_CSV_ROWS = 2048
 
 
 class ConfigError(ValueError):
@@ -339,12 +341,18 @@ def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:
 
 def spacetime_csv_rows(values: np.ndarray, idx: SpaceTimeIndexer) -> str:
     """(state, block, value) rows in flat-index order, as CSV text: the
-    bytes csv.writer gives the rows (i, k, repr(value)), built in one join."""
-    states, blocks = idx.unflat(np.arange(idx.size))
-    return "".join(map("{},{},{!r}\r\n".format, states.tolist(), blocks.tolist(),
-                       values.tolist()))
+    bytes csv.writer gives the rows (i, k, repr(value))."""
+    return _csv_text("{},{},{!r}\r\n", *idx.unflat(np.arange(idx.size)), values)
 
 
 def spatial_csv_rows(values: np.ndarray) -> str:
     """(state, value) rows as CSV text, as spacetime_csv_rows."""
-    return "".join(map("{},{!r}\r\n".format, range(len(values)), values.tolist()))
+    return _csv_text("{},{!r}\r\n", np.arange(len(values)), values)
+
+
+def _csv_text(line: str, *columns: np.ndarray) -> str:
+    """The rows line.format(*row) of equally long columns, formatted
+    _CSV_ROWS rows at a time, so that the Python objects of one chunk, not
+    of every row, are alive at once."""
+    return "".join("".join(map(line.format, *(c[lo:lo + _CSV_ROWS].tolist() for c in columns)))
+                   for lo in range(0, len(columns[0]), _CSV_ROWS))

@@ -9,11 +9,20 @@ lists, and per state its outbound rate and its hazard increment over each
 whole cell, one float per state and cell.  It computes the partial cell
 holding the current time from that time and adds the stored increment of
 every later cell, in cell order, so a jump time has the bits of the
-cell-by-cell sum.  The target of a jump is drawn from the embedded chain
-q_ij / q_i of the jump cell's phase, whose row CDFs the sequence builds on
-the first sample too (RateMatrixSequence.embedded_chain), searched with
-bisect.  The walk's one numpy call per jump is np.log1p, whose rounding
-the seeded trajectories depend on.
+cell-by-cell sum.  The cell holding the time is the previous jump's,
+searched for with bisect only when the time lies outside it.  The target
+of a jump is drawn from the embedded chain q_ij / q_i of the jump cell's
+phase, whose row CDFs the sequence builds on the first sample too
+(RateMatrixSequence.embedded_chain), searched with bisect.
+
+A trajectory's uniforms come from one rng.random(n) call per batch of n,
+and their hazard targets -log(1-u) from one np.log1p call (not
+math.log1p, which rounds differently).  When the
+trajectory ends, the generator is set back to its state before the first
+batch and redraws the uniforms used, so it ends where one draw at a time
+leaves it.  The seeded trajectories depend on two bit-level facts:
+rng.random(n) gives the values of n scalar draws, and np.log1p rounds each
+element of an array as it rounds a scalar.
 """
 
 from __future__ import annotations
@@ -62,22 +71,24 @@ class TrajectorySample:
         return self.states.size
 
 
-def _invert_hazard(edges, rates, increments, s: float, u: float):
+def _invert_hazard(edges, rates, increments, s: float, target: float, k: int):
     """Inverse CDF of the non-homogeneous exponential waiting time.
 
     edges are the grid's edges, and rates and increments the state's
     outbound rate and hazard increment in each cell (one row of the
-    sequence's sampler_table), all sequences of plain floats.  Returns
-    (t, k) with the jump time and the index of its time cell, or None when
-    the accumulated hazard never reaches -log(1-u) before the horizon (the
-    jump falls past the end of the grid).
+    sequence's sampler_table), all sequences of plain floats.  target is
+    the hazard -log(1-u) the wait must accumulate from s, and k a guess
+    at the cell (edges[k], edges[k+1]] holding s, searched for when it
+    does not hold it (t0 belongs to the first cell).  Returns (t, k) with
+    the jump time and the index of its time cell, or None when the
+    accumulated hazard never reaches target before the horizon (the jump
+    falls past the end of the grid).
     """
-    target = -float(np.log1p(-u))  # not math.log1p: it rounds differently
-    # from s to the end of the cell (edges[k], edges[k+1]] holding it; t0
-    # belongs to the first cell
-    k = max(bisect.bisect_left(edges, s) - 1, 0)
-    if k >= len(rates):
-        return None
+    if not edges[k] < s <= edges[k + 1]:
+        k = max(bisect.bisect_left(edges, s) - 1, 0)
+        if k >= len(rates):
+            return None
+    # from s to the end of the cell holding it
     rate = rates[k]
     acc = rate * (edges[k + 1] - s)
     if acc > 0 and acc >= target:
@@ -91,6 +102,11 @@ def _invert_hazard(edges, rates, increments, s: float, u: float):
     return None
 
 
+# Uniforms per numpy call, at least the two a jump takes: a triple-well
+# trajectory at dt = 1/24 takes 31 on average and 47 at most.
+_BATCH = 64
+
+
 def sample_trajectory(
     seq: RateMatrixSequence,
     start: SpaceTimePoint,
@@ -102,7 +118,9 @@ def sample_trajectory(
     Alternates waiting-time inversion and a draw of the target j with
     probability q_ij / q_i from the row CDF of the realized jump cell's
     phase in seq.embedded_chain.  rng is a seed or a numpy Generator;
-    results are deterministic given the seed.
+    results are deterministic given the seed.  A Generator ends where the
+    draws the trajectory used leave it; since the walk sets its state
+    back, no other thread may draw from it meanwhile.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
@@ -114,16 +132,32 @@ def sample_trajectory(
         raise ValueError(f"start state must be an integer in [0, {seq.N}), got {i!r}")
     edges, phase, rates, increments = seq.sampler_table
     chain = seq.embedded_chain
-    states = [int(i)]
+    i = int(i)
+    states = [i]
     times = [float(start.time)]
+    # the draws go in order, a hazard's u and then a target's, from batches
+    # of uniforms with their hazard targets -log(1-u); n is the next draw of
+    # the batch, used the draws of the batches before it
+    saved = rng.bit_generator.state
+    u, h, n, used = [], [], 0, 0
+    k = 0
     while True:
-        i = states[-1]
-        hit = _invert_hazard(edges, rates[i], increments[i], times[-1], rng.random())
+        if n + 2 > len(u):  # a jump takes two draws: carry the leftover, never skip it
+            batch = rng.random(_BATCH)
+            used += n
+            u, h, n = u[n:] + batch.tolist(), h[n:] + (-np.log1p(-batch)).tolist(), 0
+        hit = _invert_hazard(edges, rates[i], increments[i], times[-1], h[n], k)
         if hit is None or hit[0] > horizon:
             break
         t, k = hit
         indptr, indices, cdf = chain[phase[k]]
         lo, hi = indptr[i], indptr[i + 1]
-        states.append(indices[bisect.bisect_right(cdf, rng.random() * cdf[hi - 1], lo, hi)])
+        i = indices[bisect.bisect_right(cdf, u[n + 1] * cdf[hi - 1], lo, hi)]
+        n += 2
+        states.append(i)
         times.append(t)
+    # give back the unused uniforms: rng ends where the draws taken, the
+    # last hazard's included, leave it
+    rng.bit_generator.state = saved
+    rng.random(used + n + 1)
     return TrajectorySample(np.array(states), np.array(times), float(horizon))

@@ -106,7 +106,9 @@ def sample_jump_time(seq, i, s, u):
     """The sampler's jump time t with int_s^t q_i = -log(1-u), or None if
     past the horizon."""
     edges, _, rates, increments = seq.sampler_table
-    hit = _invert_hazard(edges, rates[i], increments[i], s, u)
+    # the hazard target as the sampler computes it; cell 0 is the sampler's
+    # first guess too, searched past unless it holds s
+    hit = _invert_hazard(edges, rates[i], increments[i], s, -float(np.log1p(-u)), 0)
     return None if hit is None else hit[0]
 
 

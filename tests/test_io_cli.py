@@ -861,6 +861,19 @@ class TestCsvRows:
             assert got.read_bytes() == want
         assert b"-0.0\r\n" in got.read_bytes() and b",nan\r\n" in got.read_bytes()
 
+    @pytest.mark.parametrize("size", [0, 1, 2047, 2048, 2049, 6145])
+    def test_rows_across_chunks(self, size):
+        # the text is formatted 2,048 rows at a time; every size around a
+        # chunk's end gives the one-join text
+        v = np.random.default_rng(size).standard_normal(size)
+        assert ajcio.spatial_csv_rows(v) == "".join(f"{i},{x!r}\r\n"
+                                                    for i, x in enumerate(v.tolist()))
+        for n in (1, 7, 64):
+            idx = galerkin.SpaceTimeIndexer(n, -(-size // n))
+            w = np.resize(v, idx.size)
+            assert ajcio.spacetime_csv_rows(w, idx) == "".join(
+                f"{f % n},{f // n},{x!r}\r\n" for f, x in enumerate(w.tolist()))
+
 
 class TestPinnedOutputs:
     # sha256 of each output of the triple well at dt = 1/24, recorded before

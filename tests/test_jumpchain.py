@@ -1,4 +1,6 @@
+import bisect
 import hashlib
+import math
 
 import mpmath
 import numpy as np
@@ -11,19 +13,24 @@ from scipy.integrate import quad
 from ajc import assemble, presets
 from ajc import io as ajcio
 from ajc.generator import RateMatrixSequence, TimeGrid
-from ajc.jumpchain import SpaceTimePoint, TrajectorySample, sample_trajectory
+from ajc import jumpchain
+from ajc.jumpchain import SpaceTimePoint, TrajectorySample, _invert_hazard, sample_trajectory
 
 from conftest import (
     integrated_rate,
     interval_of,
     kernel_density,
     path_state_at,
+    reference_invert_hazard,
     reference_trajectory,
     sample_jump_time,
     survival,
 )
 
 A, B = 0, 1
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937, np.random.Philox,
+                  np.random.SFC64]
 
 
 def rate_of(seq, i):
@@ -193,14 +200,18 @@ class TestSameTrajectoriesAsReference:
     """The sampler repeats the trajectory bytes of the reference walk."""
 
     @staticmethod
-    def assert_same(seq, start, horizon, seed, count):
-        ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    def assert_same(seq, start, horizon, seed, count, bit_generator=np.random.PCG64):
+        """count trajectories from two generators seeded alike; returns the last."""
+        ours, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
         for _ in range(count):
             a = sample_trajectory(seq, start, horizon, ours)
             b = reference_trajectory(seq, start, horizon, ref)
             assert a.states.tobytes() == b.states.tobytes()
             assert a.times.tobytes() == b.times.tobytes()
             assert a.horizon == b.horizon
+            # the sampler gives back the uniforms it did not use
+            assert ours.random() == ref.random()
+        return a
 
     @settings(max_examples=100, deadline=None)
     @given(protocol=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32))
@@ -237,6 +248,40 @@ class TestSameTrajectoriesAsReference:
             for time in (seq.grid.t0, mid):
                 self.assert_same(seq, SpaceTimePoint(state, time), seq.grid.horizon, state, 2)
 
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_every_bit_generator(self, bit_generator):
+        seq = presets.triple_well(1 / 24)
+        for state in (0, 20, 31, 62):
+            self.assert_same(seq, SpaceTimePoint(state, seq.grid.t0), seq.grid.horizon, state,
+                             3, bit_generator)
+
+    def test_a_trajectory_with_no_jump(self, two_state_seq):
+        # A is absorbing on [4, 8]: one hazard draw, and no jump
+        traj = self.assert_same(two_state_seq, SpaceTimePoint(A, 5.0), 8.0, 3, 1)
+        assert len(traj) == 1
+
+    def test_a_jump_at_the_horizon(self):
+        # a horizon on the fourth jump's time keeps that jump and no later one
+        seq = presets.triple_well(1 / 24)
+        start = SpaceTimePoint(31, seq.grid.t0)
+        full = sample_trajectory(seq, start, seq.grid.horizon, 5)
+        assert len(full) > 5
+        horizon = float(full.times[4])
+        traj = self.assert_same(seq, start, horizon, 5, 1)
+        assert len(traj) == 5 and traj.times[-1] == horizon
+
+    @pytest.mark.parametrize("batch", [2, 3, 63, jumpchain._BATCH])
+    def test_hundreds_of_jumps_across_batches(self, monkeypatch, batch):
+        # two states swapping at rates 40 and 25 make about 250 jumps on
+        # [0, 8]; an odd batch ends between a jump's hazard draw (2m) and its
+        # target draw (2m + 1), leaving a draw to carry into the next batch
+        swap = sp.csr_matrix(np.array([[0.0, 40.0], [25.0, 0.0]]))
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 8.0, 8), [swap] * 8)
+        monkeypatch.setattr(jumpchain, "_BATCH", batch)
+        for seed in range(3):
+            traj = self.assert_same(seq, SpaceTimePoint(A, 0.0), 8.0, seed, 2)
+            assert len(traj) > 200
+
     def test_pinned_triple_well_bytes(self):
         # 126 trajectories of triple_well(1/24), each state twice in seeded
         # order; the hash was recorded with the reference walk
@@ -254,6 +299,49 @@ class TestSameTrajectoriesAsReference:
         assert jumps == 1879
         assert digest.hexdigest() == (
             "b088a1c5587c8cb67ab901dbb500757ab586fe32bdf099a928fced261df8cfb1")
+
+
+class TestBitContracts:
+    """The bit-level facts by which the batched walk keeps the bytes of the
+    one-draw-at-a-time walk."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda g: g.__name__)
+    def test_a_batch_holds_the_scalar_draws(self, bit_generator):
+        batched = np.random.Generator(bit_generator(7))
+        scalar = np.random.Generator(bit_generator(7))
+        for n in (1, 2, 3, 63, 64, 1001):
+            assert batched.random(n).tolist() == [scalar.random() for _ in range(n)]
+            assert batched.random() == scalar.random()
+
+    def test_batched_log1p_rounds_as_the_scalar_one(self):
+        rng = np.random.default_rng(11)
+        edge = [0.0, 5e-324, 1e-300, 2.0 ** -53, 1e-8, 0.5, 0.75, 1.0 - 2.0 ** -53]
+        for n in range(1, 1002, 2):  # odd lengths: the tail past the vector loop too
+            u = np.concatenate([edge, rng.random(n)])[-n:]
+            scalar = [-float(np.log1p(-x)) for x in u.tolist()]
+            assert (-np.log1p(-u)).tobytes() == np.array(scalar).tobytes()
+
+    def test_the_carried_cell_is_the_searched_cell(self):
+        # an inversion starts in the previous jump's cell k when it holds
+        # s and searches otherwise: from any k the cell, and the jump, are
+        # those of bisect, s at t0 and on every edge included
+        seq = presets.triple_well(1 / 24)
+        edges, _, rates, increments = seq.sampler_table
+        M = seq.grid.M
+        times = (edges + [math.nextafter(e, -math.inf) for e in edges[1:]]
+                 + [math.nextafter(e, math.inf) for e in edges[:-1]])
+        for state in (0, 31):
+            traj = sample_trajectory(seq, SpaceTimePoint(state, seq.grid.t0), seq.grid.horizon, 2)
+            times += traj.times.tolist()
+        u, i = 0.3, 20
+        target = -float(np.log1p(-u))
+        for s in times:
+            want = max(bisect.bisect_left(edges, s) - 1, 0)
+            holds = [k for k in range(M) if edges[k] < s <= edges[k + 1]]
+            assert holds == ([] if s == edges[0] else [want])
+            hit = reference_invert_hazard(seq, i, s, u)
+            for k in range(M):
+                assert _invert_hazard(edges, rates[i], increments[i], s, target, k) == hit
 
 
 class TestEmbeddedChain:
