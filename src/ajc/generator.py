@@ -260,10 +260,10 @@ class RateMatrixSequence:
 
     @functools.cached_property
     def embedded_chain(self) -> tuple:
-        """Per phase, the sampler's table of the embedded jump chain q_ij / q_i:
-        memoryviews of R's own indptr and indices and of each row's CDF over
-        its nonzeros, one float per nonzero of R in R's order.  Built by the
-        first sample."""
+        """Per phase and state, the sampler's row of the embedded jump chain
+        q_ij / q_i: (cdf, to), plain lists of the row's CDF over its
+        nonzeros and of their target states, in R's order, so O(nnz(R))
+        floats per phase.  Built by the first sample."""
         first = np.unique(self.phase, return_index=True)[1]  # a cell of each phase
         chain = []
         for m in first:
@@ -273,10 +273,9 @@ class RateMatrixSequence:
             # rate is never drawn from.
             with np.errstate(all="ignore"):
                 x = (R.data * np.repeat(1 / self.outbound[:, m], np.diff(R.indptr))).tolist()
-            ptr = R.indptr.tolist()
-            cdf = np.array([c for lo, hi in zip(ptr, ptr[1:])
-                            for c in itertools.accumulate(x[lo:hi])], dtype=float)
-            chain.append((memoryview(R.indptr), memoryview(R.indices), memoryview(cdf)))
+            ptr, to = R.indptr.tolist(), R.indices.tolist()
+            chain.append(tuple((list(itertools.accumulate(x[lo:hi])), to[lo:hi])
+                               for lo, hi in zip(ptr, ptr[1:])))
         return tuple(chain)
 
 

@@ -3,33 +3,36 @@
 The chain lives on space-time points (state, jump time).  With a
 piecewise-constant protocol all waiting-time integrals are finite sums, so
 the inverse-CDF sampler is evaluated in closed form by walking the time
-cells.  The walk reads a table the sequence builds on its first sample and
-keeps (RateMatrixSequence.sampler_table): the edges and phases as plain
-lists, and per state its outbound rate and its hazard increment over each
-whole cell, one float per state and cell.  It computes the partial cell
-holding the current time from that time and adds the stored increment of
-every later cell, in cell order, so a jump time has the bits of the
-cell-by-cell sum.  The cell holding the time is the previous jump's,
-searched for with bisect only when the time lies outside it.  The target
-of a jump is drawn from the embedded chain q_ij / q_i of the jump cell's
-phase, whose row CDFs the sequence builds on the first sample too
-(RateMatrixSequence.embedded_chain), searched with bisect.
+cells.  The walk reads two tables the sequence builds on its first sample
+and keeps.  RateMatrixSequence.sampler_table holds the edges and phases as
+plain lists, and per state its outbound rate and its hazard increment over
+each whole cell, one float per state and cell.  A wait computes the
+partial cell holding the current time from that time and adds the stored
+increment of every later cell, in cell order, so a jump time has the bits
+of the cell-by-cell sum.  The cell holding the time is the previous
+jump's, searched for with bisect only when the time lies outside it.  A
+wait that rounds to zero, below half an ulp of the time, jumps at the next
+float after it, so jump times always increase.  The target of a jump is
+drawn from the embedded chain q_ij / q_i of the jump cell's phase:
+RateMatrixSequence.embedded_chain holds each (phase, state) row as plain
+lists of its CDF and its target states, searched with bisect.
 
 A trajectory's uniforms come from one rng.random(n) call per batch of n,
 and their hazard targets -log(1-u) from one np.log1p call (not
-math.log1p, which rounds differently).  When the
-trajectory ends, the generator is set back to its state before the first
-batch and redraws the uniforms used, so it ends where one draw at a time
-leaves it.  The seeded trajectories depend on two bit-level facts:
-rng.random(n) gives the values of n scalar draws, and np.log1p rounds each
-element of an array as it rounds a scalar.
+math.log1p, which rounds differently); one loop (_walk) takes a batch's
+jumps until the batch runs out or a wait finds no jump by the horizon.
+When the trajectory ends, the generator is set back to its state before
+the first batch and redraws the uniforms used, so it ends where one draw
+at a time leaves it.  The seeded trajectories depend on two bit-level
+facts: rng.random(n) gives the values of n scalar draws, and np.log1p
+rounds each element of an array as it rounds a scalar.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,35 +74,57 @@ class TrajectorySample:
         return self.states.size
 
 
-def _invert_hazard(edges, rates, increments, s: float, target: float, k: int):
-    """Inverse CDF of the non-homogeneous exponential waiting time.
+def _walk(table, chain, states, times, k: int, u: list, h: list, horizon: float) -> tuple:
+    """Walk the chain from (states[-1], times[-1]) on the draws u with their
+    hazard targets h = -log(1-u), a hazard's and then a target's per jump,
+    appending each jump to states and times.
 
-    edges are the grid's edges, and rates and increments the state's
-    outbound rate and hazard increment in each cell (one row of the
-    sequence's sampler_table), all sequences of plain floats.  target is
-    the hazard -log(1-u) the wait must accumulate from s, and k a guess
-    at the cell (edges[k], edges[k+1]] holding s, searched for when it
-    does not hold it (t0 belongs to the first cell).  Returns (t, k) with
-    the jump time and the index of its time cell, or None when the
-    accumulated hazard never reaches target before the horizon (the jump
-    falls past the end of the grid).
+    table is the sequence's sampler_table and chain its embedded_chain; k
+    is a guess at the cell (edges[k], edges[k+1]] holding the time,
+    searched for when it does not hold it (t0 belongs to the first cell).
+    Each wait accumulates the hazard from the time s: the part of its cell
+    after s, then each later cell's stored increment in cell order, until
+    it reaches the target.  A jump time that rounds to s is taken at the
+    next float after s.  Returns (n, k): the draws the walk used and the
+    cell of the last jump while fewer than two draws are left, or, once a
+    wait finds no jump by the horizon, the index of its hazard draw and
+    None.
     """
-    if not edges[k] < s <= edges[k + 1]:
-        k = max(bisect.bisect_left(edges, s) - 1, 0)
-        if k >= len(rates):
-            return None
-    # from s to the end of the cell holding it
-    rate = rates[k]
-    acc = rate * (edges[k + 1] - s)
-    if acc > 0 and acc >= target:
-        return s + target / rate, k
-    # each later cell whole, summed in cell order as a walk from s would
-    for k in range(k + 1, len(rates)):
-        inc = increments[k]
-        if inc > 0 and acc + inc >= target:
-            return edges[k] + (target - acc) / rates[k], k
-        acc += inc
-    return None
+    edges, phase, rates, increments = table
+    M = len(edges) - 1
+    i, s, n, last = states[-1], times[-1], 0, len(u) - 1
+    while n < last:
+        if not edges[k] < s <= edges[k + 1]:
+            k = max(bisect_left(edges, s) - 1, 0)
+        rate, target = rates[i], h[n]
+        # from s to the end of the cell holding it
+        r = rate[k]
+        acc = r * (edges[k + 1] - s)
+        if acc > 0 and acc >= target:
+            t = s + target / r
+        else:
+            # each later cell whole, summed in cell order as a walk from s would
+            inc = increments[i]
+            for k in range(k + 1, M):
+                x = inc[k]
+                y = acc + x
+                if y >= target and x > 0:
+                    t = edges[k] + (target - acc) / rate[k]
+                    break
+                acc = y
+            else:
+                return n, None
+        if t <= s:  # a wait below half an ulp of s
+            t = math.nextafter(s, math.inf)
+        if t > horizon:
+            return n, None
+        cdf, to = chain[phase[k]][i]
+        i = to[bisect_right(cdf, u[n + 1] * cdf[-1])]
+        n += 2
+        states.append(i)
+        times.append(t)
+        s = t
+    return n, k
 
 
 # Uniforms per numpy call, at least the two a jump takes: a triple-well
@@ -130,32 +155,20 @@ def sample_trajectory(
     i = start.state
     if isinstance(i, bool) or not isinstance(i, numbers.Integral) or not 0 <= i < seq.N:
         raise ValueError(f"start state must be an integer in [0, {seq.N}), got {i!r}")
-    edges, phase, rates, increments = seq.sampler_table
-    chain = seq.embedded_chain
-    i = int(i)
-    states = [i]
-    times = [float(start.time)]
-    # the draws go in order, a hazard's u and then a target's, from batches
-    # of uniforms with their hazard targets -log(1-u); n is the next draw of
-    # the batch, used the draws of the batches before it
+    table, chain = seq.sampler_table, seq.embedded_chain
+    states, times = [int(i)], [float(start.time)]
+    # draws come from batches of uniforms with their hazard targets
+    # -log(1-u); a walk starts on the first draw it was not given before,
+    # used counts the draws of the batches before it, and k is None once a
+    # wait finds no jump
     saved = rng.bit_generator.state
-    u, h, n, used = [], [], 0, 0
-    k = 0
-    while True:
-        if n + 2 > len(u):  # a jump takes two draws: carry the leftover, never skip it
-            batch = rng.random(_BATCH)
-            used += n
-            u, h, n = u[n:] + batch.tolist(), h[n:] + (-np.log1p(-batch)).tolist(), 0
-        hit = _invert_hazard(edges, rates[i], increments[i], times[-1], h[n], k)
-        if hit is None or hit[0] > horizon:
-            break
-        t, k = hit
-        indptr, indices, cdf = chain[phase[k]]
-        lo, hi = indptr[i], indptr[i + 1]
-        i = indices[bisect.bisect_right(cdf, u[n + 1] * cdf[hi - 1], lo, hi)]
-        n += 2
-        states.append(i)
-        times.append(t)
+    u, h, n, used, k = [], [], 0, 0, 0
+    while k is not None:
+        # a jump takes two draws: carry the leftover, never skip it
+        batch = rng.random(_BATCH)
+        used += n
+        u, h = u[n:] + batch.tolist(), h[n:] + (-np.log1p(-batch)).tolist()
+        n, k = _walk(table, chain, states, times, k, u, h, horizon)
     # give back the unused uniforms: rng ends where the draws taken, the
     # last hazard's included, leave it
     rng.bit_generator.state = saved

@@ -50,7 +50,17 @@ import numpy as np
 
 from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
-RESIDUAL_TOL = 1e-10
+# A block's residual is judged against its scale ||I - B||_inf ||y||_inf, in
+# both directions: the residual over it is the block's normwise backward
+# error with I - B perturbed (Rigal & Gaches 1967; Higham, Accuracy and
+# Stability of Numerical Algorithms, 7.1), forward up to the ratio of
+# ||I - B^T||_inf to ||I - B||_inf, and no scaling of rhs changes it.  As
+# ||rhs|| <= ||I - B|| ||y|| + residual, adding ||rhs||_inf to the scale would
+# at most double it, for one more reduction per block.  Valid solves
+# measured at most 6.2 eps (the test suite, which holds the benchmark's
+# protocols, and 300 random stiff protocols); a solver off by 1e-9 in one
+# record reads 2.4e-8.
+RESIDUAL_TOL = 1e-12
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
 _BORDER_EPS = 4 * np.finfo(float).eps  # a bordered solve's free-row residual, in units of max|y|
 
@@ -58,7 +68,8 @@ log = logging.getLogger(__name__)
 
 
 class NonConvergence(RuntimeError):
-    """A diagonal block is singular or its solve misses RESIDUAL_TOL."""
+    """A diagonal block is singular to working precision, or its solve
+    misses RESIDUAL_TOL of its scale."""
 
 
 @dataclass(frozen=True)
@@ -85,16 +96,26 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer) -> SpaceTimeVec
     return SpaceTimeVector(values, indexer)
 
 
-def _factor(operand):
+def _factor(operand, leave: np.ndarray):
     """The LU of I - operand, as a solver (rhs, trans) -> x of (I - operand) x
-    = rhs, or with trans of (I - operand^T) x = rhs; a singular block raises
-    NonConvergence.
+    = rhs, or with trans of (I - operand^T) x = rhs; a block singular to
+    working precision raises NonConvergence.
 
     A dense operand is factored by LAPACK getrf and solved by getrs; a
     sparse one by SuperLU on the minimum-degree ordering of A^T + A, with
     supernode relaxation 1 and panel size 1: on these lattice blocks that
     factors faster than SuperLU's defaults, with the same ordering and
     the same fill.
+
+    The operand is a record's B^T or B's free part, nonnegative, and
+    leave, the record's column of the row sums of I - B, phi / dt.  I -
+    operand is then an M-matrix: (I - operand)^-1 = sum_n operand^n >= I,
+    its norm at most n / min(leave).  Where that bound passes 2^-20 / eps,
+    the LU's solve x of the ones, the inverse's row sums, must lie in
+    [1/2, 1/eps], or the block is refused as singular to working
+    precision: a residual check, which measures only the backward error,
+    would pass its solves however far off they are (a 3-state cycle at
+    q dt ~ 1e20 gave activities of -4e18 and Koopman values of -0.23).
     """
     n = operand.shape[0]
     if isinstance(operand, np.ndarray):
@@ -102,21 +123,51 @@ def _factor(operand):
         lu, piv, info = lapack.dgetrf(np.eye(n) - operand)
         if info > 0:
             raise NonConvergence(f"singular diagonal block: pivot {info} is exactly zero")
-        return lambda rhs, trans: lapack.dgetrs(lu, piv, rhs, trans=int(trans))[0]
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
-    try:
-        lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       relax=1, panel_size=1)
-    except RuntimeError as exc:
-        raise NonConvergence(f"singular diagonal block: {exc}") from exc
-    return lambda rhs, trans: lu.solve(rhs, trans="T" if trans else "N")
+
+        def solve(rhs, trans):
+            return lapack.dgetrs(lu, piv, rhs, trans=int(trans))[0]
+    else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        try:
+            lu = spla.splu(sp.eye(n, format="csc") - operand.tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+        except RuntimeError as exc:
+            raise NonConvergence(f"singular diagonal block: {exc}") from exc
+
+        def solve(rhs, trans):
+            return lu.solve(rhs, trans="T" if trans else "N")
+    eps = np.finfo(float).eps
+    if n * eps > 2.0 ** -20 * leave.min():
+        x = solve(np.ones(n), False)
+        least, most = x.min(), x.max()
+        if not (least >= 0.5 and most * eps < 1):  # NaN fails too
+            raise NonConvergence(f"singular diagonal block: inverse row sums from {least:.3e} "
+                                 f"to {most:.3e}")
+    return solve
 
 
-def _checked(res: float) -> float:
-    """A block residual, which must not exceed RESIDUAL_TOL."""
-    if not res <= RESIDUAL_TOL:  # also catches NaN
-        raise NonConvergence(f"diagonal block residual {res:.3e}")
+def _norm(f: _Factors) -> float:
+    """||I - B||_inf of record f: B is nonnegative with a zero diagonal and
+    the rows of I - B sum to leave = phi / dt, so it is 2 - min(leave)."""
+    return 2.0 - float(f.leave.min())
+
+
+def _size(A: np.ndarray, axis=None):
+    """max|A|, over axis; NaN propagates."""
+    return np.abs(A).max(axis=axis, initial=0.0)
+
+
+def _fits(res, scale):
+    """Whether block residuals are within RESIDUAL_TOL of their finite
+    scales; NaN fails."""
+    return (res <= RESIDUAL_TOL * scale) & (scale < np.inf)
+
+
+def _checked(res: float, scale: float) -> float:
+    """A block residual, which must be within RESIDUAL_TOL of its scale."""
+    if not _fits(res, scale):
+        raise NonConvergence(f"diagonal block residual {res:.3e} against a scale of {scale:.3e}")
     return res
 
 
@@ -144,7 +195,7 @@ def _lu(block: _Factors, scan: _Scan):
     """The solver of the record's I - B^T (see _factor), factored on first
     use; a failed factorization is kept nowhere."""
     if block.lu is None:
-        block.lu = _factor(block.B.T)
+        block.lu = _factor(block.B.T, block.leave)
         scan.used[block] = True
     scan.used.setdefault(block, False)
     return block.lu
@@ -182,7 +233,7 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
 def _free_cells(block: _Factors, free: np.ndarray):
     """A masked solver (rhs, x) -> x on an LU of the block's free cells, B's
     rows and columns there, with rhs taking in B x from the other cells."""
-    lu = _factor(block.B[free][:, free])
+    lu = _factor(block.B[free][:, free], block.leave)
 
     def solve(rhs, x):
         x = x.copy()
@@ -221,25 +272,33 @@ class _Group:
     def check(self, X: np.ndarray, rhs: np.ndarray, forward: bool) -> tuple:
         """The worst free-row residual of y - B y = rhs (B^T forward) over
         the group's blocks, and the first of them in scan order that fails,
-        as (k, its residual, whether the border fell short), or None.
+        as (k, its residual, its scale, whether the border fell short), or
+        None.
 
-        A block fails where its residual is not within RESIDUAL_TOL, NaN
+        A block fails where its residual is not within RESIDUAL_TOL of its
+        scale ||I - B||_inf ||y||_inf, NaN
         included, or, bordered, exceeds _BORDER_EPS * max|y|, which bounds
         rhs there, B's rows summing below 1: a fixed cell can break a stiff
         cycle, so the whole block may be far worse conditioned than its
         free part.  The blocks go through one product side by side, the
         per-block maxima in the (k, N, c) layout, the faster to reduce.
         """
-        ks = np.array(self.ks)
+        k = len(self.ks)
         operand = self.block.B.T if forward else self.block.B
-        Y = X[ks]
-        r = Y - (operand @ _side(Y)).reshape(Y.shape[1], len(ks), -1).transpose(1, 0, 2) - rhs[ks]
-        res = np.abs(r[:, self.rows]).max(axis=(1, 2), initial=0.0)
-        bound = _BORDER_EPS * np.abs(Y).max(axis=(1, 2)) if self.bordered else np.inf
+        Y = X[self.ks]
+        size = _size(Y.reshape(k, -1), 1)
+        # the residual takes the place of Y, a copy
+        r = np.subtract(Y, (operand @ _side(Y)).reshape(Y.shape[1], k, -1).transpose(1, 0, 2),
+                        out=Y)[:, self.rows]
+        r -= rhs[self.ks][:, self.rows]
+        res = _size(r.reshape(k, -1), 1)
+        bound = _BORDER_EPS * size if self.bordered else np.inf
         short = res > bound
-        failed = np.flatnonzero(short | ~(res <= RESIDUAL_TOL))
+        scale = _norm(self.block) * size
+        failed = np.flatnonzero(short | ~_fits(res, scale))
         j = int(failed[0]) if failed.size else None
-        return res.max(), None if j is None else (int(ks[j]), float(res[j]), bool(short[j]))
+        return res.max(), None if j is None else (self.ks[j], float(res[j]), float(scale[j]),
+                                                  bool(short[j]))
 
 
 def _groups(J: JumpMatrix, free: np.ndarray) -> tuple:
@@ -312,20 +371,38 @@ def _each(operand, Y: np.ndarray) -> np.ndarray:
     return (operand @ _side(Y)).reshape(-1, k, c).transpose(1, 0, 2)
 
 
-def _transfer(f: _Factors, solve, forward: bool) -> tuple:
-    """(D, G, H) of a run of record f's cells whose block solver is solve:
-    G solves the block for D, the inflow that a carry brings, so a block
-    is Y + G carry, Y the solve of its own right-hand side, and the carry
-    past it is T carry plus the jumps of Y, T = diag(decay) + H the
-    one-cell transfer matrix."""
+def _transfer(f: _Factors, solve, forward: bool, checked: bool = False) -> tuple:
+    """(G, H, check) of a run of record f's cells whose block solver is
+    solve: G solves the block for D, the inflow that a carry brings, so a
+    block is Y + G carry, Y the solve of its own right-hand side, and the
+    carry past it is T carry plus the jumps of Y, T = diag(decay) + H the
+    one-cell transfer matrix.  check is None, or, checked, G's residual
+    and its scale (see RESIDUAL_TOL), taken before H is formed, so that D
+    and the residual's array are gone by then."""
     n = f.leave.shape[0]
     if forward:
-        D = (f.R if isinstance(f.R, np.ndarray) else f.R.toarray()).T * f.phi.T
+        # in C order, as the product with B^T below, so that r -= D needs
+        # no buffer; the solve copies D into its own order either way
+        R = f.R if isinstance(f.R, np.ndarray) else f.R.toarray()
+        D = np.multiply(R.T, f.phi.T, order="C")
+        del R
         G = solve(D, None)
-        return D, G, f.leave * G
-    D = np.diag(f.leave[:, 0])
-    G = solve(D, np.zeros((n, n)))
-    return D, G, f.phi * (f.R @ G)
+    else:
+        D = np.diag(f.leave[:, 0])
+        G = solve(D, np.zeros((n, n)))
+    check = None
+    if checked:
+        # in C order, which a CSR or CSC product reads in place, not copied
+        G = np.ascontiguousarray(G)
+        operand = f.B.T if forward else f.B
+        scale = _norm(f) * _size(G)
+        r = operand @ G
+        np.subtract(G, r, out=r)
+        r -= D
+        check = np.abs(r, out=r).max(initial=0.0), scale
+        del r
+    del D
+    return G, f.leave * G if forward else f.phi * (f.R @ G), check
 
 
 def _carries(d: np.ndarray, H: np.ndarray, Z: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -400,7 +477,9 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
     # over the c columns and costs no N x c product
     carry, worst, made = np.zeros((n, 1)), 0.0, {}
     scan.cells = [0, 0, 0, 0]
-    for lo, hi, kind in (runs if forward else reversed(runs)):
+    order = runs if forward else runs[::-1]
+    last = {kind: i for i, (_, _, kind) in enumerate(order)}  # each kind's last run
+    for i, (lo, hi, kind) in enumerate(order):
         f, m, past = J.cells[lo], hi - lo, lo >= len(X)
         ks = range(lo, hi) if forward else range(hi - 1, lo - 1, -1)
         group = None if kind == _NONE else groups[kind]
@@ -408,17 +487,25 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
         if group is not None and not past:
             group.ks.extend(ks)
         if past or solve is not None and _by_transfer(m, c, n):
-            if group not in made:
-                made[group] = _transfer(f, solve, forward)
-            D, G, H = made[group]
             scan.cells[0] += m
             scan.cells[1] += 1
+            key = group, past
             if past:
-                # no right-hand side and no output: the run's only solve is G's
-                worst = max(worst, _checked(np.abs(G - f.B.T @ G - D).max(initial=0.0)))
-                carry = np.linalg.matrix_power(np.diag(f.decay[:, 0]) + H, m) @ carry
+                # no right-hand side and no output: the run's only solve is
+                # G's, checked once; the record's later runs read only T
+                if key not in made:
+                    G, H, check = _transfer(f, solve, forward, True)
+                    worst = max(worst, _checked(*check))
+                    del G
+                    made[key] = np.diag(f.decay[:, 0])
+                    made[key] += H
+                    del H
+                carry = np.linalg.matrix_power(made[key], m) @ carry
                 scan.cells[2] += m.bit_length() - 1
             else:
+                if key not in made:
+                    made[key] = _transfer(f, solve, forward)[:2]
+                G, H = made[key]
                 carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry, group.rows)
         elif solve is None:
             # no free cell, so backward: rhs takes J X; B X and the jumps are one product each
@@ -434,6 +521,8 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
                 rhs[k] += f.R.T @ (f.phi * carry) if forward else f.leave * carry
                 X[k] = solve(rhs[k], X[k])
                 carry = f.decay * carry + (f.leave * X[k] if forward else f.phi * (f.R @ X[k]))
+        if last[kind] == i:  # no later run reads what this kind made
+            made.pop((group, past), None)
     return carry, worst
 
 
@@ -490,9 +579,9 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
                          key=lambda f: -f[0] if forward else f[0], default=None)
             if failed is None:
                 break
-            k, res, short = failed
+            k, res, scale, short = failed
             if not short:
-                _checked(res)
+                _checked(res, scale)
             g = groups[index[k]]
             g.solver, g.bordered = _free_cells(g.block, g.free), False
             rhs[...] = held
@@ -596,7 +685,7 @@ def reconstruct_propagator(J: JumpMatrix, fbar: np.ndarray, l: int) -> np.ndarra
     block 0 and goes on with no output through cell l: one N x N transfer
     matrix per run of cells sharing a diagonal block, raised to the run's
     length, costs less than c columns per cell, dense on either kernel (at
-    N = 2,500 the identity took 4.4 s and 640 MB of peak RSS, 2-core host,
+    N = 2,500 the identity took 5.1 s and 298 MB of peak RSS, 2-core host,
     one BLAS thread).  The two agree to the blocks' eps * cond, and on a
     stiff block either may raise NonConvergence where the other does not.
     """

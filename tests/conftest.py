@@ -15,7 +15,7 @@ from ajc.generator import (
     Violation,
     sqra_rates,
 )
-from ajc.jumpchain import TrajectorySample, _invert_hazard
+from ajc.jumpchain import TrajectorySample, _walk
 from ajc.operators import koopman_solve, reconstruct_propagator
 from ajc.oracle import exact_propagator, expm
 
@@ -71,8 +71,12 @@ def dense_rate_matrix(offdiag_rows):
 
 
 # A 3-state cycle at q dt ~ 1e9 in one cell of width 1: its jump activity
-# reaches ~1e9, a few ulps of which exceed the absolute RESIDUAL_TOL.
+# reaches ~1e9 and its block's cond_inf(I - B^T) 1.5e9, so its solves keep
+# about 7 digits while their backward error stays a few eps.
 STIFF_CYCLE = [[0, 1e9, 1], [2e8, 0, 5], [1, 3e8, 0]]
+# The same cycle at q dt ~ 1e20: I - B is singular to working precision
+# (dense LU: a negative inverse row sum; SuperLU: an exactly zero pivot).
+SINGULAR_CYCLE = [[0, 1e20, 1], [2e19, 0, 5], [1, 3e19, 0]]
 
 
 @pytest.fixture(scope="session")
@@ -104,12 +108,14 @@ def survival(seq, i, s, t):
 
 def sample_jump_time(seq, i, s, u):
     """The sampler's jump time t with int_s^t q_i = -log(1-u), or None if
-    past the horizon."""
-    edges, _, rates, increments = seq.sampler_table
-    # the hazard target as the sampler computes it; cell 0 is the sampler's
-    # first guess too, searched past unless it holds s
-    hit = _invert_hazard(edges, rates[i], increments[i], s, -float(np.log1p(-u)), 0)
-    return None if hit is None else hit[0]
+    past the end of the grid."""
+    states, times = [i], [s]
+    # the sampler's walk on one draw pair: the hazard target as the sampler
+    # computes it, then any target draw; cell 0 is the walk's first guess
+    # too, searched past unless it holds s
+    _walk(seq.sampler_table, seq.embedded_chain, states, times, 0, [u, 0.5],
+          [-float(np.log1p(-u)), 0.0], float("inf"))
+    return times[1] if len(times) > 1 else None
 
 
 def flat(idx, i, k):
@@ -251,7 +257,8 @@ def reference_scan_backward(J, X):
 def reference_solve(block, rhs, forward, scan):
     x = operators._lu(block, scan)(rhs, not forward)
     operand = block.B.T if forward else block.B
-    return x, operators._checked(np.abs(x - operand @ x - rhs).max(initial=0.0))
+    scale = operators._norm(block) * np.abs(x).max(initial=0.0)
+    return x, operators._checked(np.abs(x - operand @ x - rhs).max(initial=0.0), scale)
 
 
 def reference_solve_forward(J, F):
@@ -291,7 +298,7 @@ def reference_bordered(block, free, scan):
 
 def reference_free_cells(block, free):
     operand = block.B[free][:, free]
-    lu = operators._factor(operand)
+    lu = operators._factor(operand, block.leave)
 
     def solve(rhs, x):
         rhs = (rhs + block.B @ np.where(free[:, None], 0.0, x))[free]
@@ -311,7 +318,8 @@ def reference_solve_masked(block, rhs, x, free, scan, masked, short):
     if bordered and res > operators._BORDER_EPS * np.abs(y).max():
         short.add(key)
         raise ShortBorder
-    return y, operators._checked(res)
+    scale = operators._norm(block) * np.abs(y).max()
+    return y, operators._checked(res, scale)
 
 
 def reference_pass(J, l, terminal, fixed, free, short, masked):

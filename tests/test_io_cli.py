@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -24,7 +25,7 @@ from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc.jumpchain import SpaceTimePoint, sample_trajectory
 from ajc.operators import embed_spacelike, jump_activity, koopman_solve, synchronize
 
-from conftest import STIFF_CYCLE, dense_rate_matrix
+from conftest import SINGULAR_CYCLE, dense_rate_matrix
 
 A, B = 0, 1
 
@@ -309,6 +310,18 @@ class TestCli:
         hist = (tmp_path / "final_state_histogram.csv").read_text().splitlines()
         counts = [int(r.split(",")[1]) for r in hist[1:]]
         assert sum(counts) == 20
+
+    def test_sample_a_wait_below_half_an_ulp(self, tmp_path):
+        # rate 1e17 from t = 0.5: each jump is at the next float after 0.5
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix([[0, 1e17], [0, 0]]))
+        cfg = write_config(tmp_path, {
+            "generator": {"type": "files", "time_grid": {"edges": [0.0, 1.0]},
+                          "matrices": ["q0.mtx"]},
+            "initial": {"state": 0, "time": 0.5}, "n_trajectories": 3})
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--seed", "1"]) == 0
+        after = repr(math.nextafter(0.5, math.inf))
+        assert (tmp_path / "trajectories.csv").read_text().splitlines()[1:] == [
+            row for tid in range(3) for row in (f"{tid},0,0.5", f"{tid},1,{after}")]
 
     def test_propagate_conserves_mass(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -804,11 +817,12 @@ class TestCli:
             "assemble: N=63 M=6 phases=2 diagonal blocks=2 kernels=dense"]
 
     def test_a_refused_stiff_cycle_exits_3(self, tmp_path, capsys):
-        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix(STIFF_CYCLE))
+        # a cycle stiff enough that its block is singular to working precision
+        scipy.io.mmwrite(tmp_path / "q0.mtx", dense_rate_matrix(SINGULAR_CYCLE))
         cfg = write_config(tmp_path, {"generator": {
             "type": "files", "time_grid": {"edges": [0.0, 1.0]}, "matrices": ["q0.mtx"]}})
         assert main(["propagate", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert capsys.readouterr().err.startswith("solver error: diagonal block residual ")
+        assert capsys.readouterr().err.startswith("solver error: singular diagonal block: ")
         assert not (tmp_path / "density.csv").exists()
 
     def test_outputs_are_reproducible(self, tmp_path):

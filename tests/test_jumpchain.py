@@ -14,7 +14,7 @@ from ajc import assemble, presets
 from ajc import io as ajcio
 from ajc.generator import RateMatrixSequence, TimeGrid
 from ajc import jumpchain
-from ajc.jumpchain import SpaceTimePoint, TrajectorySample, _invert_hazard, sample_trajectory
+from ajc.jumpchain import SpaceTimePoint, TrajectorySample, _walk, sample_trajectory
 
 from conftest import (
     integrated_rate,
@@ -127,6 +127,18 @@ class TestSampleJumpTime:
             F = 1.0 - np.exp(-integrated_rate(two_state_seq, i, s, t))
             assert F == pytest.approx(u, abs=1e-12)
 
+    def test_a_wait_across_thousands_of_cells(self):
+        # M = 5,000 cells at rate 1e-3 hold a hazard of 5e-3: a wait walks
+        # every later cell to find no jump, or a jump thousands of cells on
+        slow = sp.csr_matrix(np.array([[0.0, 1e-3], [1e-3, 0.0]]))
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 5.0, 5000), [slow] * 5000)
+        assert sample_jump_time(seq, A, 0.0, 0.5) is None
+        assert reference_invert_hazard(seq, A, 0.0, 0.5) is None
+        for s, u in [(0.0, 0.004), (0.0011, 0.004), (1.0, 0.001)]:
+            t, k = reference_invert_hazard(seq, A, s, u)
+            assert k - interval_of(seq.grid, s) > 1000
+            assert sample_jump_time(seq, A, s, u) == t
+
 
 class TestTrajectorySample:
     @pytest.mark.parametrize("times, horizon", [
@@ -174,6 +186,27 @@ class TestSampleTrajectory:
         traj = sample_trajectory(two_state_seq, SpaceTimePoint(A, 0.0), 8.0, 5)
         assert np.all(np.diff(traj.times) > 0)
         assert np.all(np.diff(traj.states) != 0)
+
+    def test_a_wait_below_half_an_ulp_jumps_at_the_next_float(self):
+        # at rate 1e17 from s = 0.5 the wait target / q rounds away in
+        # s + wait: the jump is taken at the next float after s, so times
+        # keep increasing, and at no jump where that is past the horizon
+        fast = sp.csr_matrix(np.array([[0.0, 1e17], [0.0, 0.0]]))
+        seq = RateMatrixSequence(TimeGrid.uniform(0.0, 1.0, 1), [fast])
+        after = math.nextafter(0.5, math.inf)
+        for seed in range(5):
+            traj = sample_trajectory(seq, SpaceTimePoint(A, 0.5), 1.0, seed)
+            assert traj.states.tolist() == [A, B] and traj.times.tolist() == [0.5, after]
+            assert len(sample_trajectory(seq, SpaceTimePoint(A, 0.5), 0.5, seed)) == 1
+
+    def test_a_zero_draw_jumps_at_the_next_float(self, two_state_seq):
+        # u = 0 has hazard target 0 at any rate: the wait is 0
+        s = 1.5
+        for h in (0.0, -0.0):
+            states, times = [A], [s]
+            _walk(two_state_seq.sampler_table, two_state_seq.embedded_chain, states, times, 0,
+                  [0.0, 0.5], [h, 0.0], 8.0)
+            assert states == [A, B] and times == [s, math.nextafter(s, math.inf)]
 
 
 @st.composite
@@ -260,6 +293,23 @@ class TestSameTrajectoriesAsReference:
         traj = self.assert_same(two_state_seq, SpaceTimePoint(A, 5.0), 8.0, 3, 1)
         assert len(traj) == 1
 
+    def test_a_start_on_a_cell_edge(self):
+        # a start on edges[k] belongs to cell k - 1, with nothing of it left
+        seq = presets.triple_well(1 / 24)
+        for k in (1, 23, 47):
+            start = SpaceTimePoint(31, float(seq.grid.edges[k]))
+            self.assert_same(seq, start, seq.grid.horizon, k, 3)
+
+    def test_a_horizon_inside_a_cell(self):
+        # the jumps of the cell holding the horizon stop at it
+        seq = presets.triple_well(1 / 24)
+        edges = seq.grid.edges
+        for k in (3, 30):
+            horizon = float(edges[k] + 0.5 * (edges[k + 1] - edges[k]))
+            for state in (0, 31):
+                traj = self.assert_same(seq, SpaceTimePoint(state, seq.grid.t0), horizon, k, 3)
+                assert traj.times[-1] <= horizon
+
     def test_a_jump_at_the_horizon(self):
         # a horizon on the fourth jump's time keeps that jump and no later one
         seq = presets.triple_well(1 / 24)
@@ -322,11 +372,11 @@ class TestBitContracts:
             assert (-np.log1p(-u)).tobytes() == np.array(scalar).tobytes()
 
     def test_the_carried_cell_is_the_searched_cell(self):
-        # an inversion starts in the previous jump's cell k when it holds
-        # s and searches otherwise: from any k the cell, and the jump, are
-        # those of bisect, s at t0 and on every edge included
+        # a wait starts in the previous jump's cell k when it holds s and
+        # searches otherwise: from any k the cell, and the jump, are those
+        # of bisect, s at t0 and on every edge included
         seq = presets.triple_well(1 / 24)
-        edges, _, rates, increments = seq.sampler_table
+        edges = seq.sampler_table[0]
         M = seq.grid.M
         times = (edges + [math.nextafter(e, -math.inf) for e in edges[1:]]
                  + [math.nextafter(e, math.inf) for e in edges[:-1]])
@@ -341,7 +391,11 @@ class TestBitContracts:
             assert holds == ([] if s == edges[0] else [want])
             hit = reference_invert_hazard(seq, i, s, u)
             for k in range(M):
-                assert _invert_hazard(edges, rates[i], increments[i], s, target, k) == hit
+                states, jumps = [i], [s]
+                n, cell = _walk(seq.sampler_table, seq.embedded_chain, states, jumps, k,
+                                [u, 0.5], [target, 0.0], math.inf)
+                assert (None if cell is None else (jumps[1], cell)) == hit
+                assert n == (0 if hit is None else 2)
 
 
 class TestEmbeddedChain:
@@ -349,16 +403,22 @@ class TestEmbeddedChain:
     def assert_one_float_per_nonzero(seq):
         first = np.unique(seq.phase, return_index=True)[1]
         assert len(seq.embedded_chain) == first.size
-        for (indptr, indices, cdf), m in zip(seq.embedded_chain, first):
+        for rows, m in zip(seq.embedded_chain, first):
             R = seq.offdiag[m]
-            assert cdf.format == "d" and len(cdf) == R.nnz
-            assert indptr.obj is R.indptr and indices.obj is R.indices  # not copies
-            # each row's slice is bit-equal to the cumsum the draw used to take
+            assert len(rows) == seq.N
+            assert sum(len(cdf) for cdf, _ in rows) == R.nnz
             q = seq.outbound[:, m]
-            for i in np.flatnonzero(q):
+            for i, (cdf, to) in enumerate(rows):
+                # plain lists: R's targets, and the cumsum the draw used to
+                # take, bit for bit
                 lo, hi = R.indptr[i], R.indptr[i + 1]
-                assert (np.asarray(cdf)[lo:hi].tobytes()
-                        == np.cumsum(R.data[lo:hi] * (1 / q[i])).tobytes())
+                assert type(cdf) is list and type(to) is list
+                assert to == R.indices[lo:hi].tolist()
+                if q[i] > 0:
+                    assert (np.array(cdf).tobytes()
+                            == np.cumsum(R.data[lo:hi] * (1 / q[i])).tobytes())
+                else:
+                    assert cdf == []
 
     def test_built_by_the_first_sample_only(self):
         seq = ajcio.build_sequence({"generator": {"preset": "triple-well"}})

@@ -1,8 +1,10 @@
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
@@ -24,6 +26,7 @@ from ajc.operators import (
 from ajc.oracle import exact_propagator
 
 from conftest import (
+    SINGULAR_CYCLE,
     STIFF_CYCLE,
     apply_forward,
     as_grid,
@@ -115,19 +118,47 @@ class TestJumpActivity:
                 jump_activity(J, embed_spacelike(np.array([1.0, 0.0]), J.indexer))
         assert [b.lu for b in J.blocks] == [None, None]
 
+    def test_a_large_density_passes(self):
+        # the triple well at dt = 1/96 (M = 192) from 1e8 e_0: its block
+        # residuals reach ~1e-9 absolute, a backward error of a few eps
+        J = assemble(presets.triple_well(1 / 96))
+        f = np.zeros(J.indexer.N)
+        f[0] = 1.0
+        a, _ = jump_activity(J, embed_spacelike(f, J.indexer))
+        big, residual = jump_activity(J, embed_spacelike(1e8 * f, J.indexer))
+        assert residual > 1e-10
+        np.testing.assert_allclose(big.values, 1e8 * a.values, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
     def test_a_stiff_cycle_refuses_the_forward_scan(self, dense, monkeypatch):
+        # a block singular to working precision is refused by its LU, in
+        # either direction, whatever the residuals of its solves
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
+                                        (dense_rate_matrix(SINGULAR_CYCLE),)))
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        f = np.array([1.0, 0.0, 0.0])
+        for solve in (lambda: jump_activity(J, embed_spacelike(f, J.indexer)),
+                      lambda: reconstruct_propagator(J, f, 0),
+                      lambda: koopman_solve(J, np.ones(3), 0)):
+            with pytest.raises(NonConvergence, match="singular diagonal block"):
+                solve()
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_a_stiff_cycle_passes_at_every_scale(self, dense, monkeypatch):
+        # q dt ~ 1e9: the activity reaches ~1e9, and its block residual is
+        # a few ulps of that, a backward error of a few eps, at any scale of f
         if not dense:
             monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
         J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
                                         (dense_rate_matrix(STIFF_CYCLE),)))
-        assert isinstance(J.blocks[0].B, np.ndarray) == dense
-        f = np.array([1.0, 0.0, 0.0])
-        with pytest.raises(NonConvergence, match="diagonal block residual"):
-            jump_activity(J, embed_spacelike(f, J.indexer))
-        with pytest.raises(NonConvergence, match="diagonal block residual"):
-            reconstruct_propagator(J, f, 0)
+        want = spla.spsolve((sp.eye(3) - J.matrix).T.tocsc(), np.array([1.0, 0.0, 0.0]))
+        tol = 10 * np.finfo(float).eps * block_cond(J, forward=True)
+        for s in (1.0, 2.0 ** -30, 1e-6):
+            a, residual = jump_activity(J, embed_spacelike(np.array([s, 0.0, 0.0]), J.indexer))
+            np.testing.assert_allclose(a.values, s * want, rtol=tol, atol=0.0)
+            assert residual <= operators.RESIDUAL_TOL * 3 * np.abs(a.values).max()
 
     def test_every_record_checks_its_residual(self, two_state_seq):
         # a solver off by 1e-9 in one record alone: every scan that solves
@@ -166,9 +197,14 @@ class TestJumpActivity:
             F = np.random.default_rng(3).random((J.indexer.size, c))
             X, residual = operators.solve_forward(J, F)
             blocks, rhs = X.reshape(m, n, c), F.reshape(m, n, c)
-            want = max(np.abs(blocks[l] - J.cells[l].B.T @ blocks[l] - rhs[l] - inflow).max()
-                       for l, inflow in reference_scan_forward(J, blocks))
-            assert 0.0 < want <= operators.RESIDUAL_TOL
+            res, scale = np.array([
+                (np.abs(blocks[l] - J.cells[l].B.T @ blocks[l] - rhs[l] - inflow).max(),
+                 operators._norm(J.cells[l]) * np.abs(blocks[l]).max())
+                for l, inflow in reference_scan_forward(J, blocks)]).T
+            # each block within RESIDUAL_TOL of its scale, a backward error
+            assert (res <= operators.RESIDUAL_TOL * scale).all()
+            want = res.max()
+            assert want > 0.0
             assert abs(residual - want) <= 4 * np.spacing(np.abs(X).max())
 
 
@@ -343,12 +379,39 @@ class TestReconstructPropagator:
                 assert got.tobytes() == operators._synchronize(J, X, l).tobytes()
 
 
+def test_the_identity_propagator_holds_six_arrays():
+    # a 20 x 20 SQRA lattice in 6 cells, sparse records: past block 0 the
+    # scan holds X, rhs and the carry, and per record D, G and the check's
+    # product, then T and its powers, dropping each record's T after its
+    # last run; small arrays add under 5 % of one N x N array
+    J = assemble(triple_well_grid_seq(20, 6))
+    n = J.indexer.N
+    assert n == 400 and not isinstance(J.blocks[0].B, np.ndarray)
+    eye = np.eye(n)
+    want = reconstruct_propagator(J, eye, 5)  # factors the LUs
+    tracemalloc.start()
+    try:
+        got = reconstruct_propagator(J, eye, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 6.05 * 8 * n * n
+
+
 class TestKoopman:
     def test_ones_is_invariant(self, two_state_J, triple_well_J, grid_2500_J):
         for J in (two_state_J, triple_well_J, grid_2500_J):
             n, m = J.indexer.N, J.indexer.M
             K = koopman_solve(J, np.ones(n), m - 1)
             assert np.abs(K.values - 1.0).max() < 1e-10
+
+    def test_a_large_observable_passes(self):
+        # tw-fine's Koopman of 1e5 ones is 1e5 to ~1e-14 relative, and its
+        # block residuals pass 1e-10 absolute: a backward error of a few eps
+        J = assemble(presets.triple_well(1 / 96))
+        K = koopman_solve(J, np.full(J.indexer.N, 1e5), J.indexer.M - 1)
+        assert np.abs(K.values / 1e5 - 1.0).max() < 1e-13
 
     def test_zero_observable(self, two_state_J):
         K = koopman_solve(two_state_J, np.zeros(2), 7)
