@@ -109,8 +109,9 @@ class _Factors:
     """What the cells of one phase and width multiply by: R, the diagonal
     block B = diag(within) R, the contiguous (N, 1) columns phi = phi(q,
     dt), decay = exp(-q dt), leave = phi / dt and within = psi(q, dt) / dt,
-    and lu, the solver of I - B^T that ajc.operators sets on the first
-    solve that needs it.
+    and lu, the solver of I - B^T, with inverse = ||(I - B^T)^-1||_inf and
+    norm = ||I - B^T||_inf, which ajc.operators sets on the first solve that
+    needs them.
 
     Up to _DENSE_MAX states R and B are dense arrays, above it scipy.sparse
     CSR matrices on the phase's own arrays and on R's pattern; either way a
@@ -125,6 +126,8 @@ class _Factors:
     leave: np.ndarray
     within: np.ndarray
     lu: object = None
+    inverse: float = None
+    norm: float = None
 
 
 @dataclass(frozen=True)

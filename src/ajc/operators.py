@@ -50,17 +50,25 @@ import numpy as np
 
 from .galerkin import JumpMatrix, SpaceTimeIndexer, _Factors
 
-# A block's residual is judged against its scale ||I - B||_inf ||y||_inf, in
-# both directions: the residual over it is the block's normwise backward
+# Each solved block's residual r is held to a bound that no scaling of its
+# right-hand side changes.  Backward, |r| <= RESIDUAL_TOL ||I - B||_inf |y|,
+# all norms max norms: r over ||I - B|| |y| is the block's normwise backward
 # error with I - B perturbed (Rigal & Gaches 1967; Higham, Accuracy and
-# Stability of Numerical Algorithms, 7.1), forward up to the ratio of
-# ||I - B^T||_inf to ||I - B||_inf, and no scaling of rhs changes it.  As
-# ||rhs|| <= ||I - B|| ||y|| + residual, adding ||rhs||_inf to the scale would
-# at most double it, for one more reduction per block.  Valid solves
-# measured at most 6.2 eps (the test suite, which holds the benchmark's
-# protocols, and 300 random stiff protocols); a solver off by 1e-9 in one
-# record reads 2.4e-8.
+# Stability of Numerical Algorithms, 7.1); valid solves measured at most
+# 6.2 eps over the test suite, which holds the benchmark's protocols.
+# Forward, the block's error from its solve is at most ||(I - B^T)^-1||_inf
+# times its residual, and the residual is known only to about eps ||I -
+# B^T||_inf |y|, its own rounding (Higham 7.2; LAPACK's FERR); so |r| + eps
+# ||I - B^T|| |y| <= FORWARD_TOL |y| / ||(I - B^T)^-1|| holds that error to
+# FORWARD_TOL of |y|, and no solve passes where eps cond_inf(I - B^T) does:
+# a stiff cycle's activity loses digits at a backward error of a few eps.
+# Of 300 random stiff protocols (ROADMAP item 5), the 34 activities from e_0
+# that an absolute 1e-10 residual refused have error bounds from 1.19e-9 of
+# |y| up, on either kernel; 14 dense and 13 sparse of the other 266 have
+# 1.04e-9 to 1.9e-7 and are refused too; the benchmark's solves have at
+# most 1.3e-12.  Their Koopman solves have backward errors of at most 1.2 eps.
 RESIDUAL_TOL = 1e-12
+FORWARD_TOL = 1e-9
 _BORDER_MAX = 32  # fixed cells up to which a masked block is bordered, not factored
 _BORDER_EPS = 4 * np.finfo(float).eps  # a bordered solve's free-row residual, in units of max|y|
 
@@ -69,7 +77,7 @@ log = logging.getLogger(__name__)
 
 class NonConvergence(RuntimeError):
     """A diagonal block is singular to working precision, or its solve
-    misses RESIDUAL_TOL of its scale."""
+    misses its residual bound (see RESIDUAL_TOL)."""
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,11 @@ def embed_spacelike(fbar: np.ndarray, indexer: SpaceTimeIndexer) -> SpaceTimeVec
     return SpaceTimeVector(values, indexer)
 
 
-def _factor(operand, leave: np.ndarray):
+def _factor(operand) -> tuple:
     """The LU of I - operand, as a solver (rhs, trans) -> x of (I - operand) x
-    = rhs, or with trans of (I - operand^T) x = rhs; a block singular to
-    working precision raises NonConvergence.
+    = rhs, or with trans of (I - operand^T) x = rhs, with ||(I -
+    operand)^-1||_inf; a block singular to working precision raises
+    NonConvergence.
 
     A dense operand is factored by LAPACK getrf and solved by getrs; a
     sparse one by SuperLU on the minimum-degree ordering of A^T + A, with
@@ -107,15 +116,14 @@ def _factor(operand, leave: np.ndarray):
     factors faster than SuperLU's defaults, with the same ordering and
     the same fill.
 
-    The operand is a record's B^T or B's free part, nonnegative, and
-    leave, the record's column of the row sums of I - B, phi / dt.  I -
-    operand is then an M-matrix: (I - operand)^-1 = sum_n operand^n >= I,
-    its norm at most n / min(leave).  Where that bound passes 2^-20 / eps,
-    the LU's solve x of the ones, the inverse's row sums, must lie in
-    [1/2, 1/eps], or the block is refused as singular to working
-    precision: a residual check, which measures only the backward error,
-    would pass its solves however far off they are (a 3-state cycle at
-    q dt ~ 1e20 gave activities of -4e18 and Koopman values of -0.23).
+    The operand is a record's B^T or B's free part, nonnegative, so I -
+    operand is an M-matrix, (I - operand)^-1 = sum_n operand^n >= I, and
+    the LU's solve x of the ones holds the inverse's row sums, the largest
+    its norm.  x must lie in [1/2, 1/eps], or the block
+    is refused as singular to working precision: a residual check would
+    pass the solves of a backward-stable LU however far off they are (a
+    3-state cycle at q dt ~ 1e20 gave activities of -4e18 and Koopman
+    values of -0.23).
     """
     n = operand.shape[0]
     if isinstance(operand, np.ndarray):
@@ -137,20 +145,23 @@ def _factor(operand, leave: np.ndarray):
 
         def solve(rhs, trans):
             return lu.solve(rhs, trans="T" if trans else "N")
-    eps = np.finfo(float).eps
-    if n * eps > 2.0 ** -20 * leave.min():
-        x = solve(np.ones(n), False)
-        least, most = x.min(), x.max()
-        if not (least >= 0.5 and most * eps < 1):  # NaN fails too
-            raise NonConvergence(f"singular diagonal block: inverse row sums from {least:.3e} "
-                                 f"to {most:.3e}")
-    return solve
+    x = solve(np.ones(n), False)
+    least, most = x.min(), x.max()
+    if not (least >= 0.5 and most * np.finfo(float).eps < 1):  # NaN fails too
+        raise NonConvergence(f"singular diagonal block: inverse row sums from {least:.3e} "
+                             f"to {most:.3e}")
+    return solve, float(most)
 
 
-def _norm(f: _Factors) -> float:
-    """||I - B||_inf of record f: B is nonnegative with a zero diagonal and
-    the rows of I - B sum to leave = phi / dt, so it is 2 - min(leave)."""
-    return 2.0 - float(f.leave.min())
+def _bound(f: _Factors, forward: bool) -> float:
+    """The residual bound of a block of record f per unit of max|y| (see
+    RESIDUAL_TOL): backward RESIDUAL_TOL ||I - B||_inf, which is RESIDUAL_TOL
+    (2 - min(leave)), B being nonnegative with a zero diagonal and the rows
+    of I - B summing to leave = phi / dt; forward FORWARD_TOL / ||(I -
+    B^T)^-1||_inf - eps ||I - B^T||_inf, from the record's LU."""
+    if forward:
+        return FORWARD_TOL / f.inverse - np.finfo(float).eps * f.norm
+    return RESIDUAL_TOL * (2.0 - float(f.leave.min()))
 
 
 def _size(A: np.ndarray, axis=None):
@@ -158,16 +169,17 @@ def _size(A: np.ndarray, axis=None):
     return np.abs(A).max(axis=axis, initial=0.0)
 
 
-def _fits(res, scale):
-    """Whether block residuals are within RESIDUAL_TOL of their finite
-    scales; NaN fails."""
-    return (res <= RESIDUAL_TOL * scale) & (scale < np.inf)
+def _fits(res, bound):
+    """Whether block residuals are within their finite bounds; NaN fails."""
+    return (res <= bound) & (bound < np.inf)
 
 
-def _checked(res: float, scale: float) -> float:
-    """A block residual, which must be within RESIDUAL_TOL of its scale."""
-    if not _fits(res, scale):
-        raise NonConvergence(f"diagonal block residual {res:.3e} against a scale of {scale:.3e}")
+def _checked(res: float, bound: float) -> float:
+    """A block residual, which must be within its bound."""
+    if not _fits(res, bound):
+        why = ": eps * cond_inf passes FORWARD_TOL" if bound < 0 else ""
+        raise NonConvergence(f"diagonal block residual {res:.3e} against a bound of "
+                             f"{bound:.3e}{why}")
     return res
 
 
@@ -193,9 +205,12 @@ class _Scan:
 
 def _lu(block: _Factors, scan: _Scan):
     """The solver of the record's I - B^T (see _factor), factored on first
-    use; a failed factorization is kept nowhere."""
+    use, with the norms of I - B^T and of its inverse (see _bound); a
+    failed factorization is kept nowhere."""
     if block.lu is None:
-        block.lu = _factor(block.B.T, block.leave)
+        block.lu, block.inverse = _factor(block.B.T)
+        # B is nonnegative with a zero diagonal: 1 plus its largest column sum
+        block.norm = 1.0 + float((block.B.T @ np.ones(block.B.shape[0])).max())
         scan.used[block] = True
     scan.used.setdefault(block, False)
     return block.lu
@@ -233,7 +248,7 @@ def _bordered(block: _Factors, free: np.ndarray, scan: _Scan):
 def _free_cells(block: _Factors, free: np.ndarray):
     """A masked solver (rhs, x) -> x on an LU of the block's free cells, B's
     rows and columns there, with rhs taking in B x from the other cells."""
-    lu = _factor(block.B[free][:, free], block.leave)
+    lu = _factor(block.B[free][:, free])[0]
 
     def solve(rhs, x):
         x = x.copy()
@@ -272,16 +287,16 @@ class _Group:
     def check(self, X: np.ndarray, rhs: np.ndarray, forward: bool) -> tuple:
         """The worst free-row residual of y - B y = rhs (B^T forward) over
         the group's blocks, and the first of them in scan order that fails,
-        as (k, its residual, its scale, whether the border fell short), or
+        as (k, its residual, its bound, whether the border fell short), or
         None.
 
-        A block fails where its residual is not within RESIDUAL_TOL of its
-        scale ||I - B||_inf ||y||_inf, NaN
-        included, or, bordered, exceeds _BORDER_EPS * max|y|, which bounds
-        rhs there, B's rows summing below 1: a fixed cell can break a stiff
-        cycle, so the whole block may be far worse conditioned than its
-        free part.  The blocks go through one product side by side, the
-        per-block maxima in the (k, N, c) layout, the faster to reduce.
+        A block fails where its residual is not within its bound, _bound
+        times max|y| (see RESIDUAL_TOL), NaN included, or, bordered,
+        exceeds _BORDER_EPS * max|y|, which bounds rhs there, B's rows
+        summing below 1: a fixed cell can break a stiff cycle, so the whole
+        block may be far worse conditioned than its free part.  The blocks
+        go through one product side by side, the per-block maxima in the
+        (k, N, c) layout, the faster to reduce.
         """
         k = len(self.ks)
         operand = self.block.B.T if forward else self.block.B
@@ -292,12 +307,11 @@ class _Group:
                         out=Y)[:, self.rows]
         r -= rhs[self.ks][:, self.rows]
         res = _size(r.reshape(k, -1), 1)
-        bound = _BORDER_EPS * size if self.bordered else np.inf
-        short = res > bound
-        scale = _norm(self.block) * size
-        failed = np.flatnonzero(short | ~_fits(res, scale))
+        short = res > (_BORDER_EPS * size if self.bordered else np.inf)
+        bound = _bound(self.block, forward) * size
+        failed = np.flatnonzero(short | ~_fits(res, bound))
         j = int(failed[0]) if failed.size else None
-        return res.max(), None if j is None else (self.ks[j], float(res[j]), float(scale[j]),
+        return res.max(), None if j is None else (self.ks[j], float(res[j]), float(bound[j]),
                                                   bool(short[j]))
 
 
@@ -371,38 +385,21 @@ def _each(operand, Y: np.ndarray) -> np.ndarray:
     return (operand @ _side(Y)).reshape(-1, k, c).transpose(1, 0, 2)
 
 
-def _transfer(f: _Factors, solve, forward: bool, checked: bool = False) -> tuple:
-    """(G, H, check) of a run of record f's cells whose block solver is
-    solve: G solves the block for D, the inflow that a carry brings, so a
-    block is Y + G carry, Y the solve of its own right-hand side, and the
-    carry past it is T carry plus the jumps of Y, T = diag(decay) + H the
-    one-cell transfer matrix.  check is None, or, checked, G's residual
-    and its scale (see RESIDUAL_TOL), taken before H is formed, so that D
-    and the residual's array are gone by then."""
-    n = f.leave.shape[0]
+def _transfer(f: _Factors, solve, forward: bool) -> tuple:
+    """(D, G) of a run of record f's cells whose block solver is solve: G
+    solves the block for D, the inflow that a carry brings, so a block is
+    Y + G carry, Y the solve of its own right-hand side, and the carry past
+    it is T carry plus the jumps of Y, T = diag(decay) + H the one-cell
+    transfer matrix, H = leave G forward, phi R G backward."""
     if forward:
-        # in C order, as the product with B^T below, so that r -= D needs
-        # no buffer; the solve copies D into its own order either way
+        # in C order, as the product with B^T in _pass's check, so that
+        # r -= D needs no buffer; the solve copies D into its own order
         R = f.R if isinstance(f.R, np.ndarray) else f.R.toarray()
         D = np.multiply(R.T, f.phi.T, order="C")
         del R
-        G = solve(D, None)
-    else:
-        D = np.diag(f.leave[:, 0])
-        G = solve(D, np.zeros((n, n)))
-    check = None
-    if checked:
-        # in C order, which a CSR or CSC product reads in place, not copied
-        G = np.ascontiguousarray(G)
-        operand = f.B.T if forward else f.B
-        scale = _norm(f) * _size(G)
-        r = operand @ G
-        np.subtract(G, r, out=r)
-        r -= D
-        check = np.abs(r, out=r).max(initial=0.0), scale
-        del r
-    del D
-    return G, f.leave * G if forward else f.phi * (f.R @ G), check
+        return D, solve(D, None)
+    D = np.diag(f.leave[:, 0])
+    return D, solve(D, np.zeros_like(D))
 
 
 def _carries(d: np.ndarray, H: np.ndarray, Z: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -478,7 +475,9 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
     carry, worst, made = np.zeros((n, 1)), 0.0, {}
     scan.cells = [0, 0, 0, 0]
     order = runs if forward else runs[::-1]
-    last = {kind: i for i, (_, _, kind) in enumerate(order)}  # each kind's last run
+    # made holds, per kind and whether past X, what its runs read; it goes
+    # after the last of them
+    last = {(kind, lo >= len(X)): i for i, (lo, _, kind) in enumerate(order)}
     for i, (lo, hi, kind) in enumerate(order):
         f, m, past = J.cells[lo], hi - lo, lo >= len(X)
         ks = range(lo, hi) if forward else range(hi - 1, lo - 1, -1)
@@ -489,22 +488,32 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
         if past or solve is not None and _by_transfer(m, c, n):
             scan.cells[0] += m
             scan.cells[1] += 1
-            key = group, past
+            key = kind, past
             if past:
-                # no right-hand side and no output: the run's only solve is
-                # G's, checked once; the record's later runs read only T
                 if key not in made:
-                    G, H, check = _transfer(f, solve, forward, True)
-                    worst = max(worst, _checked(*check))
-                    del G
+                    # forward, with no right-hand side and no output: the
+                    # run's only solve is G's, checked here in the product's
+                    # array, with G in C order, which a CSR or CSC product
+                    # reads in place; then H = leave G takes G's array, and
+                    # T = diag(decay) + H is all the later runs read
+                    D, G = _transfer(f, solve, True)
+                    G = np.ascontiguousarray(G)
+                    r = f.B.T @ G
+                    np.subtract(G, r, out=r)
+                    r -= D
+                    del D
+                    worst = max(worst, _checked(_size(r), _bound(f, True) * _size(G)))
+                    del r
+                    np.multiply(f.leave, G, out=G)
                     made[key] = np.diag(f.decay[:, 0])
-                    made[key] += H
-                    del H
+                    made[key] += G
+                    del G
                 carry = np.linalg.matrix_power(made[key], m) @ carry
                 scan.cells[2] += m.bit_length() - 1
             else:
                 if key not in made:
-                    made[key] = _transfer(f, solve, forward)[:2]
+                    G = _transfer(f, solve, forward)[1]
+                    made[key] = G, f.leave * G if forward else f.phi * (f.R @ G)
                 G, H = made[key]
                 carry = _run(f, X[lo:hi], rhs[lo:hi], solve, G, H, forward, carry, group.rows)
         elif solve is None:
@@ -521,8 +530,8 @@ def _pass(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, runs: list, groups: lis
                 rhs[k] += f.R.T @ (f.phi * carry) if forward else f.leave * carry
                 X[k] = solve(rhs[k], X[k])
                 carry = f.decay * carry + (f.leave * X[k] if forward else f.phi * (f.R @ X[k]))
-        if last[kind] == i:  # no later run reads what this kind made
-            made.pop((group, past), None)
+        if last[kind, past] == i:
+            made.pop((kind, past), None)
     return carry, worst
 
 
@@ -579,9 +588,9 @@ def _scan(J: JumpMatrix, X: np.ndarray, rhs: np.ndarray, free: np.ndarray,
                          key=lambda f: -f[0] if forward else f[0], default=None)
             if failed is None:
                 break
-            k, res, scale, short = failed
+            k, res, bound, short = failed
             if not short:
-                _checked(res, scale)
+                _checked(res, bound)
             g = groups[index[k]]
             g.solver, g.bordered = _free_cells(g.block, g.free), False
             rhs[...] = held

@@ -71,8 +71,8 @@ def dense_rate_matrix(offdiag_rows):
 
 
 # A 3-state cycle at q dt ~ 1e9 in one cell of width 1: its jump activity
-# reaches ~1e9 and its block's cond_inf(I - B^T) 1.5e9, so its solves keep
-# about 7 digits while their backward error stays a few eps.
+# reaches ~1e9 and its block's cond_inf(I - B^T) 1.5e9, so a forward solve's
+# error bound, cond times a backward error of a few eps, passes FORWARD_TOL.
 STIFF_CYCLE = [[0, 1e9, 1], [2e8, 0, 5], [1, 3e8, 0]]
 # The same cycle at q dt ~ 1e20: I - B is singular to working precision
 # (dense LU: a negative inverse row sum; SuperLU: an exactly zero pivot).
@@ -257,8 +257,8 @@ def reference_scan_backward(J, X):
 def reference_solve(block, rhs, forward, scan):
     x = operators._lu(block, scan)(rhs, not forward)
     operand = block.B.T if forward else block.B
-    scale = operators._norm(block) * np.abs(x).max(initial=0.0)
-    return x, operators._checked(np.abs(x - operand @ x - rhs).max(initial=0.0), scale)
+    bound = operators._bound(block, forward) * np.abs(x).max(initial=0.0)
+    return x, operators._checked(np.abs(x - operand @ x - rhs).max(initial=0.0), bound)
 
 
 def reference_solve_forward(J, F):
@@ -298,7 +298,7 @@ def reference_bordered(block, free, scan):
 
 def reference_free_cells(block, free):
     operand = block.B[free][:, free]
-    lu = operators._factor(operand, block.leave)
+    lu = operators._factor(operand)[0]
 
     def solve(rhs, x):
         rhs = (rhs + block.B @ np.where(free[:, None], 0.0, x))[free]
@@ -318,8 +318,8 @@ def reference_solve_masked(block, rhs, x, free, scan, masked, short):
     if bordered and res > operators._BORDER_EPS * np.abs(y).max():
         short.add(key)
         raise ShortBorder
-    scale = operators._norm(block) * np.abs(y).max()
-    return y, operators._checked(res, scale)
+    bound = operators._bound(block, False) * np.abs(y).max()
+    return y, operators._checked(res, bound)
 
 
 def reference_pass(J, l, terminal, fixed, free, short, masked):

@@ -24,6 +24,7 @@ from ajc.generator import (
     sqra_rates,
 )
 from ajc.operators import (
+    FORWARD_TOL,
     NonConvergence,
     SpaceTimeVector,
     apply_adjoint,
@@ -148,7 +149,7 @@ class TestAssemble:
         J = assemble(RateMatrixSequence(grid, (Q0, Q0, Q0, Q1, Q1, Q1)))
         assert J.block_of.tolist() == [0, 1, 0, 2, 3, 3]
         assert {f.name for f in dataclasses.fields(J.blocks[0])} == {
-            "R", "B", "phi", "decay", "leave", "within", "lu"}
+            "R", "B", "phi", "decay", "leave", "within", "lu", "inverse", "norm"}
         assert J.cells == tuple(J.blocks[b] for b in J.block_of)
         assert J.cells is J.cells
         for b in J.blocks:
@@ -420,11 +421,15 @@ class TestRandomProtocols:
         F = np.random.default_rng(seed).random((J.indexer.size, J.indexer.N))
         want = spsolve((sp.eye(J.indexer.size) - J.matrix).T.tocsc(), F)
         eps = np.finfo(float).eps
-        # no refusal: the block check is a backward error, a few eps here,
-        # and these blocks are far from singular (cond_inf below ~1e11)
-        got, _ = solve_forward(J, F)
-        # both solves lose up to eps * cond on an ill-conditioned block
         cond = block_cond(J, forward=True)
+        try:
+            got, _ = solve_forward(J, F)
+        except NonConvergence:
+            # a stiff cycle's block: its error bound, cond times a backward
+            # error of a few eps, may pass FORWARD_TOL
+            assert 10 * eps * cond > FORWARD_TOL
+            return
+        # both solves lose up to eps * cond on an ill-conditioned block
         np.testing.assert_allclose(got, want, rtol=1e-12 + 10 * eps * cond, atol=0.0)
 
     @settings(max_examples=60, deadline=None)
@@ -432,7 +437,12 @@ class TestRandomProtocols:
     def test_activity_residual_is_the_full_residual(self, seq, seed):
         J = assemble(seq)
         f = np.random.default_rng(seed).random(J.indexer.size)
-        a, residual = jump_activity(J, SpaceTimeVector(f, J.indexer))
+        try:
+            a, residual = jump_activity(J, SpaceTimeVector(f, J.indexer))
+        except NonConvergence:
+            # the refusal of stiff cycles, test_forward_solve_equals_a_sparse_solve's
+            assert 10 * np.finfo(float).eps * block_cond(J, forward=True) > FORWARD_TOL
+            return
         # the worst block residual is the whole solve's, up to the order of
         # its roundings on terms no larger than the activity
         full = np.max(np.abs(a.values - apply_forward(J, a.values) - f))
@@ -442,15 +452,20 @@ class TestRandomProtocols:
     @given(seq=protocols(), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
     def test_propagator_of_a_stack_equals_its_columns(self, seq, data, seed):
         # N + 1 columns: the stack is a product of transfer matrices, each
-        # column a scan; their block solves differ, and meet to eps * cond
+        # column a scan; their block solves differ, so either may refuse a
+        # stiff cycle alone, and where both succeed they meet to eps * cond
         J = assemble(seq)
         n, m = J.indexer.N, J.indexer.M
         l = data.draw(st.integers(0, m - 1))
         F = np.random.default_rng(seed).random((n, n + 1))
-        want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
-        got = reconstruct_propagator(J, F, l)
         eps = np.finfo(float).eps
         cond = block_cond(J, forward=True)
+        try:
+            want = np.column_stack([reconstruct_propagator(J, f, l) for f in F.T])
+            got = reconstruct_propagator(J, F, l)
+        except NonConvergence:
+            assert 10 * eps * cond > FORWARD_TOL
+            return
         assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
 
     @settings(max_examples=60, deadline=None)
@@ -467,7 +482,12 @@ class TestRandomProtocols:
         eps = np.finfo(float).eps
         cond = block_cond(J, forward=True)
         for l in (m - 1, data.draw(st.integers(repeat - 1, m - 1))):
-            got = reconstruct_propagator(J, np.eye(n), l)
+            try:
+                got = reconstruct_propagator(J, np.eye(n), l)
+            except NonConvergence:
+                # G's check refuses where its error bound passes FORWARD_TOL
+                assert 10 * eps * cond > FORWARD_TOL
+                continue
             want = operators._synchronize(J, X, l)
             assert np.abs(got - want).max() <= (1e-14 + 10 * eps * cond) * np.abs(want).max()
 
@@ -482,7 +502,13 @@ class TestRandomProtocols:
         f /= f.sum()
         rhs = f @ koopman_solve(J, g, l).values[:n]
         eps = np.finfo(float).eps
-        lhs = reconstruct_propagator(J, f, l) @ g
+        try:
+            lhs = reconstruct_propagator(J, f, l) @ g
+        except NonConvergence:
+            # the forward solve's refusal of stiff cycles, as in
+            # test_forward_solve_equals_a_sparse_solve
+            assert 10 * eps * block_cond(J, forward=True) > FORWARD_TOL
+            return
         cond = block_cond(J)
         assert abs(lhs - rhs) <= 1e-14 + 10 * eps * cond
 
@@ -491,8 +517,9 @@ class TestRandomProtocols:
            power=st.integers(1, 64))
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
     def test_a_power_of_two_scales_every_solve(self, dense, seq, data, seed, power):
-        # the block check is a backward error: every solve of s g, s = 2^power,
-        # is s times that of g bit for bit, and refused exactly when it is
+        # no block bound changes with the scale: every solve of s g, s =
+        # 2^power, is s times that of g bit for bit, and refused exactly
+        # when it is
         # (s < 1 is left out: a subnormal entry would not scale exactly)
         with pytest.MonkeyPatch.context() as mp:
             if not dense:

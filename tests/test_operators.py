@@ -131,34 +131,52 @@ class TestJumpActivity:
 
     @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
     def test_a_stiff_cycle_refuses_the_forward_scan(self, dense, monkeypatch):
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
+                                        (dense_rate_matrix(STIFF_CYCLE),)))
+        assert isinstance(J.blocks[0].B, np.ndarray) == dense
+        f = np.array([1.0, 0.0, 0.0])
+        with pytest.raises(NonConvergence, match="diagonal block residual"):
+            jump_activity(J, embed_spacelike(f, J.indexer))
+        with pytest.raises(NonConvergence, match="diagonal block residual"):
+            reconstruct_propagator(J, f, 0)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_a_stiff_cycle_is_judged_alike_at_every_scale(self, dense, monkeypatch):
+        # forward, eps * cond_inf of the block (1.5e9) passes FORWARD_TOL, so
+        # the activity and the identity stack are refused at any scale of f;
+        # backward, the Koopman values pass, to 10 eps * cond of a sparse solve
+        if not dense:
+            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
+        J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
+                                        (dense_rate_matrix(STIFF_CYCLE),)))
+        for s in (2.0 ** -30, 1e-6, 1e6):
+            with pytest.raises(NonConvergence, match="diagonal block residual"):
+                jump_activity(J, embed_spacelike(np.array([s, 0.0, 0.0]), J.indexer))
+            with pytest.raises(NonConvergence, match="diagonal block residual"):
+                reconstruct_propagator(J, s * np.eye(3), 0)
+        g = np.array([1.0, 2.0, 3.0])
+        want = spla.spsolve((sp.eye(3) - J.matrix).tocsc(), J.block_survival(0) * g)
+        tol = 10 * np.finfo(float).eps * block_cond(J)
+        for s in (2.0 ** -30, 1.0, 1e6):
+            K = koopman_solve(J, s * g, 0)
+            np.testing.assert_allclose(K.values, s * want, rtol=tol, atol=0.0)
+
+    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+    def test_a_singular_cycle_refuses_every_solve(self, dense, monkeypatch):
         # a block singular to working precision is refused by its LU, in
         # either direction, whatever the residuals of its solves
         if not dense:
             monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
         J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
                                         (dense_rate_matrix(SINGULAR_CYCLE),)))
-        assert isinstance(J.blocks[0].B, np.ndarray) == dense
         f = np.array([1.0, 0.0, 0.0])
         for solve in (lambda: jump_activity(J, embed_spacelike(f, J.indexer)),
                       lambda: reconstruct_propagator(J, f, 0),
                       lambda: koopman_solve(J, np.ones(3), 0)):
             with pytest.raises(NonConvergence, match="singular diagonal block"):
                 solve()
-
-    @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-    def test_a_stiff_cycle_passes_at_every_scale(self, dense, monkeypatch):
-        # q dt ~ 1e9: the activity reaches ~1e9, and its block residual is
-        # a few ulps of that, a backward error of a few eps, at any scale of f
-        if not dense:
-            monkeypatch.setattr(galerkin, "_DENSE_MAX", 0)
-        J = assemble(RateMatrixSequence(TimeGrid(np.array([0.0, 1.0])),
-                                        (dense_rate_matrix(STIFF_CYCLE),)))
-        want = spla.spsolve((sp.eye(3) - J.matrix).T.tocsc(), np.array([1.0, 0.0, 0.0]))
-        tol = 10 * np.finfo(float).eps * block_cond(J, forward=True)
-        for s in (1.0, 2.0 ** -30, 1e-6):
-            a, residual = jump_activity(J, embed_spacelike(np.array([s, 0.0, 0.0]), J.indexer))
-            np.testing.assert_allclose(a.values, s * want, rtol=tol, atol=0.0)
-            assert residual <= operators.RESIDUAL_TOL * 3 * np.abs(a.values).max()
 
     def test_every_record_checks_its_residual(self, two_state_seq):
         # a solver off by 1e-9 in one record alone: every scan that solves
@@ -197,14 +215,12 @@ class TestJumpActivity:
             F = np.random.default_rng(3).random((J.indexer.size, c))
             X, residual = operators.solve_forward(J, F)
             blocks, rhs = X.reshape(m, n, c), F.reshape(m, n, c)
-            res, scale = np.array([
+            res, bound = np.array([
                 (np.abs(blocks[l] - J.cells[l].B.T @ blocks[l] - rhs[l] - inflow).max(),
-                 operators._norm(J.cells[l]) * np.abs(blocks[l]).max())
+                 operators._bound(J.cells[l], True) * np.abs(blocks[l]).max())
                 for l, inflow in reference_scan_forward(J, blocks)]).T
-            # each block within RESIDUAL_TOL of its scale, a backward error
-            assert (res <= operators.RESIDUAL_TOL * scale).all()
             want = res.max()
-            assert want > 0.0
+            assert 0.0 < want and (res <= bound).all()
             assert abs(residual - want) <= 4 * np.spacing(np.abs(X).max())
 
 
