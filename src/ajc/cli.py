@@ -127,13 +127,13 @@ def cmd_sample(args, config: dict, out: Path) -> None:
     jumps = sum(len(traj) - 1 for traj in trajs)
     log.info("sample: %d trajectories, %d jumps in %.3f s (%.0f jumps/s)",
              count, jumps, seconds, jumps / seconds)
-    rows = [(tid, i, repr(t)) for tid, traj in enumerate(trajs)
-            for i, t in zip(traj.states.tolist(), traj.times.tolist())]
     final_states = np.bincount([traj.states[-1] for traj in trajs], minlength=seq.N)
-    ajcio.write_csv(out / "trajectories.csv",
-                    ["trajectory", "state_index", "jump_time"], rows)
+    ajcio.write_csv(out / "trajectories.csv", ["trajectory", "state_index", "jump_time"],
+                    ajcio.csv_rows(np.repeat(np.arange(count), [len(traj) for traj in trajs]),
+                                   np.concatenate([traj.states for traj in trajs]),
+                                   np.concatenate([traj.times for traj in trajs])))
     ajcio.write_csv(out / "final_state_histogram.csv", ["state_index", "count"],
-                    list(enumerate(final_states.tolist())))
+                    ajcio.spatial_csv_rows(final_states))
     print(f"wrote {count} trajectories to {out / 'trajectories.csv'}")
 
 
@@ -188,7 +188,7 @@ def cmd_coherence(args, config: dict, out: Path) -> None:
     min_slack, violation_mass = coherence_defect(J, C, count_survival)
     path = ajcio.write_csv(out / "coherence.csv",
                            ["min_slack", "violation_mass", "count_survival"],
-                           [(repr(min_slack), repr(violation_mass), count_survival)])
+                           ajcio.csv_rows([min_slack], [violation_mass], [count_survival]))
     print(f"min_slack={min_slack:.6g} violation_mass={violation_mass:.6g}")
     print(f"wrote {path}")
 
@@ -215,9 +215,7 @@ def cmd_convergence(args, config: dict, out: Path) -> None:
         comments.append(f"loglog_slope={study['slope']:.4f}")
     path = ajcio.write_csv(out / "convergence.csv",
                            ["dt", "epsilon_2norm", "epsilon_frobenius"],
-                           [(repr(dt), repr(e2), repr(ef))
-                            for dt, e2, ef in study["rows"]],
-                           comments=comments)
+                           ajcio.csv_rows(*zip(*study["rows"])), comments=comments)
     for dt, e2, _ in study["rows"]:
         print(f"dt={dt:g} epsilon={e2:.6e}")
     if study["slope"] is not None:

@@ -47,7 +47,8 @@ class TimeGrid:
     def __post_init__(self):
         edges = np.array(self.edges, dtype=float)
         if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("time grid needs at least two edges")
+            raise ValueError(f"time grid needs a one-dimensional array of at least two edges, "
+                             f"got shape {edges.shape}")
         with np.errstate(over="ignore"):  # an infinite width is refused below
             widths = np.diff(edges)
         if not np.all(widths > 0):
@@ -214,7 +215,9 @@ class RateMatrixSequence:
         n = split[0][0].shape[0]
         if n == 0:
             raise ValueError("a protocol needs at least one state")
-        for R, _ in split:
+        for k, (R, _) in zip(cells, split):
+            if R.shape[0] != R.shape[1]:
+                raise ValueError(f"the rate matrix of cell {k} is not square: shape {R.shape}")
             if R.shape != (n, n):
                 raise ValueError("all rate matrices must share the same dimension")
         bad = [v for k, (R, q) in zip(cells, split) for v in _phase_violations(R, q, k)]

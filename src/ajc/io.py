@@ -4,11 +4,14 @@ All outputs are text.  States and blocks are 0-based in every file; only
 a config of the 2-state preset also accepts the state names "A" and "B".
 scipy.io, and scipy.sparse with it, loads on the first .mtx read or
 write; nothing else here loads scipy.
+
+A CSV file is "# " comment lines ending in LF, the header unquoted and
+joined by commas, then rows ending in CRLF, each value its repr (a string
+as it is): csv.writer's bytes for the ints, floats and bools it holds.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import reprlib
@@ -281,9 +284,9 @@ def parse_set(node, N: int, M: int, label: str = "", names: dict = _NAMES) -> Sp
             if lo > hi:
                 raise ConfigError(f"set {label} blocks [{lo}, {hi}] are reversed: "
                                   f"need first <= last")
-            for tok in _list(item["states"], f"set {label} states"):
-                i = resolve_state(tok, N, names)
-                cells.update((i, k) for k in range(lo, hi + 1))
+            states = [resolve_state(tok, N, names)
+                      for tok in _list(item["states"], f"set {label} states")]
+            cells |= SpaceTimeSet.rectangle(states, (lo, hi)).cells
         else:
             i, k = _list(item, f"set {label} cell", 2)
             cells.add((resolve_state(i, N, names), parse_block(k, M)))
@@ -320,39 +323,34 @@ def parse_spatial_vector(node, N: int, what: str, names: dict = _NAMES) -> np.nd
     return parse_numbers(node, what, N)
 
 
-def write_csv(path, header: list[str], rows, comments: list[str] = ()) -> Path:
-    """Write comment lines, the header and rows in csv.writer's default
-    dialect: rows is an iterable of rows, or their CSV text as
-    spacetime_csv_rows and spatial_csv_rows make it, which is written as
-    it is."""
+def write_csv(path, header: list[str], text, comments: list[str] = ()) -> Path:
+    """Write the comments, the header and text, rows as csv_rows makes
+    them; bench/workloads.py passes an iterable of rows as text instead."""
+    if not isinstance(text, str):
+        text = csv_rows(*zip(*text))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        for line in comments:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        if isinstance(rows, str):
-            fh.write(rows)
-        else:
-            writer.writerows(rows)
+        fh.write("".join(f"# {line}\n" for line in comments) + ",".join(header) + "\r\n")
+        fh.write(text)
     return path
 
 
+def csv_rows(*columns) -> str:
+    """The CSV text of the rows of equally long columns (arrays or
+    sequences), formatted _CSV_ROWS rows at a time, so that the Python
+    objects of one chunk, not of every row, are alive at once."""
+    columns = [np.asarray(c) for c in columns]
+    line = ",".join(["{}"] * len(columns)) + "\r\n"
+    return "".join("".join(map(line.format, *(c[lo:lo + _CSV_ROWS].tolist() for c in columns)))
+                   for lo in range(0, len(columns[0]) if columns else 0, _CSV_ROWS))
+
+
 def spacetime_csv_rows(values: np.ndarray, idx: SpaceTimeIndexer) -> str:
-    """(state, block, value) rows in flat-index order, as CSV text: the
-    bytes csv.writer gives the rows (i, k, repr(value))."""
-    return _csv_text("{},{},{!r}\r\n", *idx.unflat(np.arange(idx.size)), values)
+    """(state, block, value) rows in flat-index order, as CSV text."""
+    return csv_rows(*idx.unflat(np.arange(idx.size)), values)
 
 
 def spatial_csv_rows(values: np.ndarray) -> str:
-    """(state, value) rows as CSV text, as spacetime_csv_rows."""
-    return _csv_text("{},{!r}\r\n", np.arange(len(values)), values)
-
-
-def _csv_text(line: str, *columns: np.ndarray) -> str:
-    """The rows line.format(*row) of equally long columns, formatted
-    _CSV_ROWS rows at a time, so that the Python objects of one chunk, not
-    of every row, are alive at once."""
-    return "".join("".join(map(line.format, *(c[lo:lo + _CSV_ROWS].tolist() for c in columns)))
-                   for lo in range(0, len(columns[0]), _CSV_ROWS))
+    """(state, value) rows as CSV text."""
+    return csv_rows(np.arange(len(values)), values)

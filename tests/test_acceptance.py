@@ -222,8 +222,7 @@ class TestAcceptance:
             for l in range(idx.M)
         ])
         ajcio.write_csv(tmp_path / "density.csv", ["block", "mass_A", "mass_B"],
-                        [(l, repr(row[A]), repr(row[B]))
-                         for l, row in enumerate(density)])
+                        ajcio.csv_rows(np.arange(idx.M), density[:, A], density[:, B]))
         grid = as_grid(activity)
         # arrivals in B fade while A is active, return events only after t=4
         assert np.all(np.diff(grid[B, 1:4]) < 0)

@@ -43,6 +43,26 @@ def violations(grid, *mats):
     return err.value.violations
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: TimeGrid(np.ones((2, 2))),
+     "time grid needs a one-dimensional array of at least two edges, got shape (2, 2)"),
+    (lambda: RateMatrixSequence(TimeGrid.uniform(0, 1, 1), [np.ones((2, 3))]),
+     "the rate matrix of cell 0 is not square: shape (2, 3)"),
+    (lambda: RateMatrixSequence(TimeGrid.uniform(0, 1, 3),
+                                [np.ones((2, 2))] * 2 + [sp.csr_matrix((3, 2))]),
+     "the rate matrix of cell 2 is not square: shape (3, 2)"),
+    (lambda: RateMatrixSequence(TimeGrid.uniform(0, 1, 1), [np.ones(3)]),
+     "a rate matrix must be two-dimensional, got shape (3,)"),
+    (lambda: RateMatrixSequence(TimeGrid.uniform(0, 1, 2), [np.ones((2, 2))]),
+     "need exactly one rate matrix per time cell"),
+    (lambda: GridPotential(2, 2, 1.0, np.zeros(3)), "potential values must have nx*ny entries"),
+], ids=["edges-2d", "not-square", "not-square-later-cell", "matrix-1d", "matrices-per-cell",
+        "potential-size"])
+def test_a_malformed_input_is_refused_by_name(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
 class TestTimeGrid:
     def test_rejects_non_increasing_edges(self):
         with pytest.raises(ValueError):

@@ -201,6 +201,15 @@ class TestBuildSequence:
                 "time_grid": {"edges": [0.0, 1.0]},
                 "matrices": ["missing.mtx"],
             }}, base_dir=tmp_path)
+        scipy.io.mmwrite(tmp_path / "q2.mtx", np.ones((2, 2)))
+        scipy.io.mmwrite(tmp_path / "q3.mtx", np.ones((3, 3)))
+        with pytest.raises(ajcio.ConfigError, match=r"^rate matrix .*q3\.mtx is \(3, 3\), "
+                                                    r".*q2\.mtx is \(2, 2\)$"):
+            ajcio.build_sequence({"generator": {
+                "type": "files",
+                "time_grid": {"edges": [0.0, 1.0, 2.0]},
+                "matrices": ["q2.mtx", "q3.mtx"],
+            }}, base_dir=tmp_path)
         scipy.io.mmwrite(tmp_path / "wide.mtx", np.ones((2, 3)))
         with pytest.raises(ajcio.ConfigError, match="wide.mtx is not square"):
             ajcio.build_sequence({"generator": {
@@ -382,6 +391,12 @@ class TestCli:
         assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == \
             "usage error: argument --seed: must be an integer >= 0, got '-1'\n"
+
+    def test_a_seed_that_is_no_integer_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_STATE)
+        assert main(["sample", "--config", cfg, "--out", str(tmp_path), "--seed", "abc"]) == 1
+        assert capsys.readouterr().err == \
+            "usage error: argument --seed: must be an integer >= 0, got 'abc'\n"
 
     def test_seed_on_a_command_that_draws_nothing_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TWO_STATE)
@@ -680,6 +695,25 @@ class TestCli:
                                    "potential": [0.0, 1.0, 2.0, 3.0], "nx": 2, "ny": 2,
                                    "h": 1e300}},
          "sqra potential: cell size h=1e+300 is too large: its square overflows"),
+        ("koopman", {"generator": 5}, "generator must be a JSON object, got 5"),
+        ("sample", {"initial": 5}, "initial must be a JSON object, got 5"),
+        ("koopman", {"generator": {"type": "sqra", "time_grid": {"t0": 0, "t1": 2, "cells": 1}}},
+         "sqra generator needs 'beta_schedule'"),
+        ("koopman", {"observable": [[1, 2], 3]},
+         "observable must be a list of numbers, got [[1, 2], 3]"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                   "time_grid": {"t0": 0, "t1": 2}}},
+         "time_grid needs 'edges' or 't0'/'t1'/'cells': missing 'cells'"),
+        ("koopman", {"generator": {"type": "sqra", "beta_schedule": [1.0, -1.0],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2}}},
+         "beta_schedule entries must be positive, got [1.0, -1.0]"),
+        ("koopman", {"generator": {"type": "files", "matrices": ["q0.mtx"],
+                                   "time_grid": {"t0": 0, "t1": 2, "cells": 2}}},
+         "need one matrix file per time cell"),
+        ("convergence", {"generator": {"type": "sqra", "beta_schedule": [1.0],
+                                       "time_grid": {"t0": 0, "t1": 2, "cells": 1}},
+                         "dt_list": [1.0]},
+         "convergence requires a 'two-state' or 'triple-well' preset"),
     ])
     def test_malformed_value_exit_2(self, tmp_path, capsys, command, extra, named):
         cfg = write_config(tmp_path, {**TWO_STATE, **extra})
@@ -873,6 +907,41 @@ class TestCsvRows:
                                   ajcio.spatial_csv_rows(v))
             assert got.read_bytes() == want
         assert b"-0.0\r\n" in got.read_bytes() and b",nan\r\n" in got.read_bytes()
+        # the CLI's other tables: trajectories, the final-state histogram,
+        # coherence and convergence, with the columns cmd_sample,
+        # cmd_coherence and cmd_convergence pass
+        states = [np.array([3, 0, 2]), np.array([1]), np.array([4, 4 + n])]
+        times = [np.array([0.0, 5e-324, 0.1]), np.array([-0.0]), np.array([1e300, np.inf])]
+        want = self.csv_writer_bytes(tmp_path / "want.csv", ["trajectory", "state_index",
+                                                             "jump_time"],
+                                     [(tid, i, t) for tid, (s, w) in enumerate(zip(states, times))
+                                      for i, t in zip(s.tolist(), w.tolist())])
+        got = ajcio.write_csv(tmp_path / "got.csv", ["trajectory", "state_index", "jump_time"],
+                              ajcio.csv_rows(np.repeat(np.arange(3), [len(s) for s in states]),
+                                             np.concatenate(states), np.concatenate(times)))
+        assert got.read_bytes() == want
+        counts = np.bincount([2, 0, 2, 6], minlength=n)
+        want = self.csv_writer_bytes(tmp_path / "want.csv", ["state_index", "count"],
+                                     enumerate(counts.tolist()))
+        got = ajcio.write_csv(tmp_path / "got.csv", ["state_index", "count"],
+                              ajcio.spatial_csv_rows(counts))
+        assert got.read_bytes() == want
+        header = ["min_slack", "violation_mass", "count_survival"]
+        for row in ((-0.0, np.nan, True), (-np.inf, 5e-324, False), (1 / 3, np.inf, True)):
+            want = self.csv_writer_bytes(tmp_path / "want.csv", header, [row])
+            got = ajcio.write_csv(tmp_path / "got.csv", header,
+                                  ajcio.csv_rows(*([value] for value in row)))
+            assert got.read_bytes() == want
+        header, comments = ["dt", "epsilon_2norm", "epsilon_frobenius"], ["loglog_slope=1.0309"]
+        rows = [(1 / 3, 0.1, -0.0), (1 / 6, np.nan, np.inf), (1 / 12, 5e-324, -np.inf)]
+        want = self.csv_writer_bytes(tmp_path / "want.csv", header, rows, comments)
+        got = ajcio.write_csv(tmp_path / "got.csv", header, ajcio.csv_rows(*zip(*rows)),
+                              comments)
+        assert got.read_bytes() == want
+        # rows as bench/workloads.py passes them, each time as its repr
+        rows = [(0, 3, repr(0.0)), (0, 1, repr(5e-324)), (1, 2, repr(-0.0))]
+        want = self.csv_writer_bytes(tmp_path / "want.csv", header, rows)
+        assert ajcio.write_csv(tmp_path / "got.csv", header, rows).read_bytes() == want
 
     @pytest.mark.parametrize("size", [0, 1, 2047, 2048, 2049, 6145])
     def test_rows_across_chunks(self, size):

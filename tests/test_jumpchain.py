@@ -1,6 +1,7 @@
 import bisect
 import hashlib
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -141,13 +142,19 @@ class TestSampleJumpTime:
 
 
 class TestTrajectorySample:
-    @pytest.mark.parametrize("times, horizon", [
-        ([0.0, np.nan], 1.0), ([np.nan, 1.0], 1.0), ([0.0, np.inf], 1.0),
-        ([0.0, 1.0], np.nan), ([0.0, 1.0], -5.0),
-    ], ids=["nan-last", "nan-first", "inf-last", "nan-horizon", "horizon-before-last-jump"])
-    def test_refuses(self, times, horizon):
-        with pytest.raises(ValueError):
-            TrajectorySample(np.array([0, 1]), np.array(times), horizon)
+    @pytest.mark.parametrize("states, times, horizon, message", [
+        ([0, 1], [0.0, np.nan], 1.0, "jump times must be strictly increasing"),
+        ([0, 1], [np.nan, 1.0], 1.0, "jump times must be strictly increasing"),
+        ([0, 1], [0.0, np.inf], 1.0, "jump times must be finite, got 0.0 to inf"),
+        ([0, 1], [0.0, 1.0], np.nan, "horizon nan is before the last jump time 1.0"),
+        ([0, 1], [0.0, 1.0], -5.0, "horizon -5.0 is before the last jump time 1.0"),
+        ([0, 1], [0.0], 1.0, "states and times must be equally sized and nonempty"),
+        ([], [], 1.0, "states and times must be equally sized and nonempty"),
+    ], ids=["nan-last", "nan-first", "inf-last", "nan-horizon", "horizon-before-last-jump",
+            "unequal-sizes", "empty"])
+    def test_refuses(self, states, times, horizon, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrajectorySample(np.array(states), np.array(times), horizon)
 
     def test_accepts_a_jump_at_the_horizon(self):
         traj = TrajectorySample(np.array([0, 1]), np.array([0.0, 1.0]), 1.0)
@@ -181,6 +188,14 @@ class TestSampleTrajectory:
     def test_rejects_a_start_state_outside_the_states(self, two_state_seq, state, time):
         with pytest.raises(ValueError, match="start state"):
             sample_trajectory(two_state_seq, SpaceTimePoint(state, time), 8.0, 0)
+
+    @pytest.mark.parametrize("time, horizon", [(-1.0, 8.0), (5.0, 4.0), (0.0, 9.0)],
+                             ids=["before-the-grid", "after-the-horizon", "past-the-grid"])
+    def test_rejects_a_start_or_horizon_outside_the_grid(self, two_state_seq, time, horizon):
+        message = (f"need grid start 0.0 <= start time {time} <= horizon {horizon} "
+                   f"<= grid horizon 8.0")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_trajectory(two_state_seq, SpaceTimePoint(A, time), horizon, 0)
 
     def test_states_alternate_and_times_increase(self, two_state_seq):
         traj = sample_trajectory(two_state_seq, SpaceTimePoint(A, 0.0), 8.0, 5)

@@ -231,6 +231,20 @@ def test_apply_adjoint_refuses_g_of_another_shape(two_state_J, shape):
         apply_adjoint(two_state_J, np.ones(shape))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda J: SpaceTimeVector(np.zeros(15), J.indexer), "values must have length N*M"),
+    (lambda J: embed_spacelike(np.zeros(3), J.indexer), "spatial vector must have length N"),
+    (lambda J: reconstruct_propagator(J, np.zeros(3), 0), "spatial density must have N rows"),
+    (lambda J: reconstruct_propagator(J, np.zeros((2, 2, 2)), 0),
+     "spatial density must have N rows"),
+    (lambda J: koopman_solve(J, np.zeros((2, 1)), 0), "observable must have length N"),
+], ids=["space-time-vector", "embed-spacelike", "propagator-rows", "propagator-3d", "koopman"])
+def test_a_vector_of_another_shape_is_refused(two_state_J, call, message):
+    # N = 2, M = 8
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(two_state_J)
+
+
 @pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
 def test_apply_adjoint_with_a_record_per_cell(dense, monkeypatch):
     # beta ramps over 200 cells of the triple-well lattice: every cell is its

@@ -45,6 +45,11 @@ class TestExpm:
         with pytest.raises(ValueError):
             expm(np.zeros((2, 2)), -1.0)
 
+    def test_rejects_more_states_than_the_dense_limit(self):
+        n = oracle.DENSE_MAX_N
+        with pytest.raises(ValueError, match=f"^dense oracle limited to N <= {n}$"):
+            expm(np.zeros((n + 1, n + 1)))
+
 
 class TestExactPropagator:
     def test_instantaneous_is_identity(self, two_state_seq):
